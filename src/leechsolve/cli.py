@@ -28,6 +28,7 @@ from .errors import (
     LeechError,
     NotInvertibleError,
     ParameterError,
+    RankDefectError,
     RiccatiError,
     StabilityError,
     ValidationError,
@@ -40,6 +41,9 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_PARAMETER = 3
+
+# failures of solve that are numerical breakdowns, not verdicts on the data
+BREAKDOWN = (RankDefectError, DefinitenessError, StabilityError)
 
 log = logging.getLogger("leechsolve.cli")
 
@@ -89,6 +93,9 @@ def cmd_check(args):
         derived = solve(data, tol=tol, rank_tol=rank_tol)
     except (InfeasibleError, RiccatiError) as exc:
         print(f"verdict: INFEASIBLE ({exc})")
+        return EXIT_INFEASIBLE
+    except BREAKDOWN as exc:
+        print(f"verdict: BREAKDOWN ({exc})")
         return EXIT_INFEASIBLE
     mg = derived.margins
     print(f"riccati: pair converged in {mg['riccati_iterations']} iterations, "
@@ -167,17 +174,18 @@ def cmd_oracle(args):
         print(f"margin: N={N} smallest eigenvalue {margins[N]:.6e}")
     report = {"type": "oracle_report", "truncations": ladder,
               "margins": {str(N): margins[N] for N in ladder}}
-    feasible = all(m > 0.0 for m in margins.values())
     derived = None
-    if feasible:
+    if all(m > 0.0 for m in margins.values()):
         try:
             derived = solve(data, tol=tol, rank_tol=rank_tol)
         except (InfeasibleError, RiccatiError) as exc:
             report["verdict"] = f"infeasible: {exc}"
-            feasible = False
-    if not feasible or derived is None:
+        except BREAKDOWN as exc:
+            report["verdict"] = f"breakdown: {exc}"
+    if derived is None:
         report.setdefault("verdict", "infeasible: truncated Gram margin not positive")
-        print("verdict: INFEASIBLE -- oracle comparison skipped")
+        kind = report["verdict"].split(":")[0].upper()
+        print(f"verdict: {kind} -- oracle comparison skipped")
         if args.out:
             files.dump(report, args.out)
         return EXIT_INFEASIBLE
@@ -293,8 +301,7 @@ def main(argv=None):
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
-    except (InfeasibleError, RiccatiError, StabilityError,
-            NotInvertibleError, DefinitenessError) as exc:
+    except (InfeasibleError, RiccatiError, NotInvertibleError) + BREAKDOWN as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except LeechError as exc:

@@ -41,6 +41,10 @@ from .riccati import is_observable, solve_stein, stabilizing_riccati
 log = logging.getLogger("leechsolve.core")
 
 
+def _inverse(M):
+    return np.linalg.inv(M) if M.shape[0] else np.zeros((0, 0), dtype=complex)
+
+
 @dataclass(frozen=True)
 class LeechData:
     """Joint realization data (A, B1, B2, C, D1, D2) of the pair [G  K]."""
@@ -208,7 +212,7 @@ def theta0_defect(data, Q0, P1):
     C0p = solve_hermitian(Delta10, C - Gamma0.conj().T @ Q0 @ A, "kernel defect")
     A0p = A - Gamma0 @ C0p
     C1p = D1.conj().T @ C0p + B1.conj().T @ Q0 @ A0p
-    Q0inv = np.linalg.inv(Q0) if data.n else np.zeros((0, 0), dtype=complex)
+    Q0inv = _inverse(Q0)
     gap0 = herm(Q0inv - P1)
     Omega0 = P1 @ solve_hermitian(gap0, Q0inv, "kernel gap")
     DQB = D1 - Gamma0.conj().T @ Q0 @ B1
@@ -226,12 +230,13 @@ def theta0(data, Q0, P1, rank_tol=DEFAULT_RANK_TOL):
     kernel condition or numerical breakdown.
     """
     M = theta0_defect(data, Q0, P1)
-    # the natural scale of M is 1 (it is I minus a Gram matrix), so a norm
-    # below rank_tol means the defect vanished (the square p = m case)
-    if float(np.linalg.norm(M, 2)) <= rank_tol:
+    # the natural scale of M is 1 (it is I minus a Gram matrix), so the cut is
+    # the absolute rank_tol; a norm below it means the defect vanished (p = m)
+    scale = float(np.linalg.norm(M, 2))
+    if scale <= rank_tol:
         F = np.zeros((data.p, 0), dtype=complex)
     else:
-        F = minimal_rank_factor(M, rank_tol=rank_tol)
+        F = minimal_rank_factor(M, rank_tol=rank_tol / scale)
     k = data.p - data.m
     if F.shape[1] != k:
         raise RankDefectError(
@@ -242,7 +247,8 @@ def theta0(data, Q0, P1, rank_tol=DEFAULT_RANK_TOL):
 
 @dataclass
 class DerivedMatrices:
-    """Everything the parametrization needs, computed once by solve()."""
+    """Everything the parametrization needs, computed once by solve(); Qinv,
+    the positivity gaps and Omega are recomputed on access to keep it small."""
 
     data: LeechData
     P1: np.ndarray
@@ -256,11 +262,6 @@ class DerivedMatrices:
     A0: np.ndarray
     Q0: np.ndarray
     Delta10: np.ndarray
-    Qinv: np.ndarray
-    Q0inv: np.ndarray
-    gap: np.ndarray        # Q^{-1} + P2 - P1, positive definite iff suboptimal
-    gap0: np.ndarray       # Q0^{-1} - P1
-    Omega: np.ndarray
     C0: np.ndarray
     C1: np.ndarray
     C2: np.ndarray
@@ -269,6 +270,24 @@ class DerivedMatrices:
     Delta0: np.ndarray
     Delta1: np.ndarray
     margins: dict = field(default_factory=dict)
+
+    @property
+    def Qinv(self):
+        return _inverse(self.Q)
+
+    @property
+    def gap(self):
+        """Q^{-1} + P2 - P1, positive definite iff suboptimal."""
+        return herm(self.Qinv + self.P2 - self.P1)
+
+    @property
+    def gap0(self):
+        """Q0^{-1} - P1."""
+        return herm(_inverse(self.Q0) - self.P1)
+
+    @property
+    def Omega(self):
+        return herm((self.P1 - self.P2) @ solve_hermitian(self.gap, self.Qinv, "Omega"))
 
 
 def delta_matrices(derived, tol=DEFAULT_TOL):
@@ -335,10 +354,9 @@ def solve(data, tol=DEFAULT_TOL, rank_tol=DEFAULT_RANK_TOL):
 
     Q, Delta, A0 = ric.Q, ric.Delta, ric.A0
     Q0, Delta10 = ric0.Q, ric0.Delta
-    Qinv = np.linalg.inv(Q) if n else np.zeros((0, 0), dtype=complex)
-    Q0inv = np.linalg.inv(Q0) if n else np.zeros((0, 0), dtype=complex)
+    Qinv = _inverse(Q)
     gap = herm(Qinv + P2 - P1)
-    gap0 = herm(Q0inv - P1)
+    gap0 = herm(_inverse(Q0) - P1)
     gap_min = float(np.linalg.eigvalsh(gap)[0]) if n else np.inf
     gap0_min = float(np.linalg.eigvalsh(gap0)[0]) if n else np.inf
     log.debug("positivity gaps: pair %.6e, kernel %.6e", gap_min, gap0_min)
@@ -360,12 +378,12 @@ def solve(data, tol=DEFAULT_TOL, rank_tol=DEFAULT_RANK_TOL):
     B0 = B2 - pop.Gamma @ solve_hermitian(Delta, DGQB2, "B0") + A0 @ Omega @ C2.conj().T
 
     Theta0 = theta0(data, Q0, P1, rank_tol=rank_tol)
+    w = np.linalg.eigvalsh(theta0_defect(data, Q0, P1))  # the gap at the rank cut
 
     derived = DerivedMatrices(
         data=data, P1=P1, P2=P2, R0=pop.R0, Gamma=pop.Gamma, R10=pop.R10,
         Gamma0=pop.Gamma0, Q=Q, Delta=Delta, A0=A0, Q0=Q0, Delta10=Delta10,
-        Qinv=Qinv, Q0inv=Q0inv, gap=gap, gap0=gap0, Omega=Omega, C0=C0,
-        C1=C1, C2=C2, B0=B0, Theta0=Theta0,
+        C0=C0, C1=C1, C2=C2, B0=B0, Theta0=Theta0,
         Delta0=np.eye(q, dtype=complex), Delta1=np.eye(p - m, dtype=complex),
         margins={
             "gap_min_eig": gap_min,
@@ -374,6 +392,8 @@ def solve(data, tol=DEFAULT_TOL, rank_tol=DEFAULT_RANK_TOL):
             "riccati_iterations": ric.iterations,
             "kernel_riccati_residual": ric0.residual,
             "kernel_riccati_iterations": ric0.iterations,
+            "theta0_kept_min_eig": float(np.min(w[w > rank_tol], initial=np.inf)),
+            "theta0_dropped_max_eig": float(np.max(np.abs(w[w <= rank_tol]), initial=0.0)),
         },
     )
     derived.Delta0, derived.Delta1 = delta_matrices(derived, tol=tol)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import LeechData, solve, validate
 from .errors import LeechError
-from .linalg import spectral_norm, spectral_radius_estimate
+from .linalg import spectral_norm
 from .realization import Realization, constant, hinf_norm_estimate
 from .toeplitz import OracleContext
 
@@ -79,7 +79,7 @@ def random_problem(seed, kind="feasible", dims=None, closed_loop_band=None,
             except LeechError as exc:
                 last_error = exc
                 continue
-            rho = spectral_radius_estimate(derived.A0)
+            rho = float(np.max(np.abs(np.linalg.eigvals(derived.A0)), initial=0.0))
             meta["closed_loop_radius"] = rho
             lo, hi = closed_loop_band
             if not (lo <= rho <= hi):

@@ -1,8 +1,8 @@
 """Dense complex linear-algebra primitives.
 
-Everything downstream funnels through a single heavy primitive — the
-Hermitian eigendecomposition — so definiteness tests, rank decisions,
-spectral norms and PD square roots all share one numerical backbone.
+Two heavy primitives carry everything downstream: the Hermitian
+eigendecomposition (definiteness, rank decisions, norms, PD square roots)
+and the squared-doubling Stein solve, which also certifies Schur stability.
 All operations accept 0-sized matrices.
 """
 
@@ -16,6 +16,9 @@ log = logging.getLogger("leechsolve.linalg")
 
 DEFAULT_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-8
+# stein_doubling gives up after this many squarings; by then (1 - tol)^(2^k)
+# has underflowed to 0 for any tol >= 1e-16, so no later step can certify
+MAX_SQUARINGS = 64
 
 
 def as_cmatrix(M, name="matrix"):
@@ -35,14 +38,6 @@ def as_cmatrix(M, name="matrix"):
 def herm(M):
     """Hermitian part (M + M*)/2."""
     return 0.5 * (M + M.conj().T)
-
-
-def hermitian_norm(M):
-    """Largest |eigenvalue| of a Hermitian matrix (0 for empty)."""
-    if M.size == 0:
-        return 0.0
-    w = np.linalg.eigvalsh(herm(M))
-    return float(np.max(np.abs(w)))
 
 
 def hermitian_posdef_check(M, tol=DEFAULT_TOL):
@@ -116,63 +111,42 @@ def singular_extremes(M):
     return float(np.sqrt(max(float(w[0]), 0.0))), float(np.sqrt(max(float(w[-1]), 0.0)))
 
 
-def spectral_radius_estimate(A, iters=512):
-    """Power-iteration estimate of the spectral radius (deterministic start)."""
-    M = as_cmatrix(A, "A")
-    n = M.shape[0]
-    if n == 0:
-        return 0.0
-    rng = np.random.default_rng(0x5EED)
-    best = 0.0
-    for _ in range(2):
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x /= np.linalg.norm(x)
-        growth = 1.0
-        steps = 0
-        for _ in range(iters):
-            y = M @ x
-            g = np.linalg.norm(y)
-            if g == 0.0:
-                growth, steps = 0.0, 1
-                break
-            x = y / g
-            growth *= g
-            steps += 1
-            if growth > 1e120 or growth < 1e-120:
-                break
-        if steps:
-            best = max(best, growth ** (1.0 / steps))
-    return best
+def stein_doubling(A, W, tol=DEFAULT_TOL):
+    """Solution P of P - A P A* = W by squared doubling, or None.
+
+    After k steps P sums the first 2^k terms of sum_j A^j W A^j* and
+    Ak = A^(2^k).  ||Ak||_F < (1 - tol)^(2^k) certifies rho(A) < 1 - tol,
+    since the Frobenius norm bounds rho(Ak) = rho(A)^(2^k).  P is returned
+    once certified and the tail, about ||Ak||^2 ||P||, is below roundoff;
+    None when the iterates overflow or the squarings run out.
+    """
+    P = np.array(W, dtype=complex)
+    Ak = np.array(A, dtype=complex)
+    bound = 1.0 - tol
+    certified = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(MAX_SQUARINGS):
+            a = float(np.linalg.norm(Ak))
+            if not np.isfinite(a):
+                return None
+            certified = certified or a < bound
+            if certified and a * a <= np.finfo(float).eps:
+                # a transient above ~1e154 in ||A^j|| overflows P alone
+                return P if np.all(np.isfinite(P)) else None
+            P = P + Ak @ P @ Ak.conj().T
+            Ak = Ak @ Ak
+            bound *= bound
+    return None
 
 
 def is_schur_stable(A, tol=DEFAULT_TOL):
-    """True iff the spectral radius of A is below 1 - tol.
-
-    Primary test: solve the Stein equation X - A X A* = I via the Kronecker
-    system; a clean positive definite solution of moderate norm certifies
-    stability, a clean indefinite one certifies instability.  Singular or
-    borderline systems fall back to a power-iteration radius estimate.
-    """
+    """True iff the Stein series for X - A X A* = I certifies the spectral
+    radius of A below 1 - tol; a radius too close to 1 - tol reads False."""
     M = as_cmatrix(A, "A")
     n, ncols = M.shape
     if n != ncols:
         raise DimensionError(f"stability test needs a square matrix, got {n}x{ncols}")
-    if n == 0:
-        return True
-    K = np.eye(n * n, dtype=complex) - np.kron(M, M.conj())
-    rhs = np.eye(n, dtype=complex).reshape(n * n)
-    try:
-        x = np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError:
-        return spectral_radius_estimate(M) < 1.0 - tol
-    X = x.reshape(n, n)
-    residual = np.linalg.norm(X - M @ X @ M.conj().T - np.eye(n))
-    norm_x = np.linalg.norm(X)
-    if residual > 1e-8 * (1.0 + norm_x) or norm_x > 0.1 / max(tol, 1e-300):
-        # ill-conditioned Stein system: radius is too close to 1 to certify
-        return spectral_radius_estimate(M) < 1.0 - tol
-    w = np.linalg.eigvalsh(herm(X))
-    return bool(w[0] > 0.0)
+    return stein_doubling(M, np.eye(n, dtype=complex), tol) is not None
 
 
 def sqrtm_posdef(M, tol=DEFAULT_TOL):

@@ -6,9 +6,9 @@ The Riccati equation solved here is, for data (A, Gamma, R0, C),
 
 with Delta = R0 - Gamma* Q Gamma required positive definite along the way and
 A0 = A - Gamma Delta^{-1} (C - Gamma* Q A) Schur stable at the solution.  The
-solver iterates the fixed-point map from Q = 0 and switches to Newton steps
-(each one a Stein solve against the current closed loop) once the closed loop
-is stable, falling back whenever a Newton step would lose definiteness.
+solver iterates the fixed-point map from Q = 0 and takes a Newton step (a
+Stein solve against the closed loop) whenever that solve certifies the closed
+loop stable and the step keeps Delta definite.
 """
 
 import logging
@@ -30,25 +30,17 @@ from .linalg import (
     is_schur_stable,
     singular_extremes,
     solve_hermitian,
+    stein_doubling,
 )
 
 log = logging.getLogger("leechsolve.riccati")
 
 
-def _stein_unchecked(A, W):
-    """Solve P - A P A* = W by the Kronecker system, no preconditions checked."""
-    n = A.shape[0]
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
-    K = np.eye(n * n, dtype=complex) - np.kron(A, A.conj())
-    return np.linalg.solve(K, W.reshape(n * n)).reshape(n, n)
-
-
 def solve_stein(A, W, tol=1e-11):
     """Unique solution P of P - A P A* = W for Schur stable A and Hermitian PSD W.
 
-    The solution is returned exactly Hermitian; the residual is verified
-    against tol * (1 + ||W||).
+    The solution is returned exactly Hermitian after one step of iterative
+    refinement; the residual is verified against tol * (1 + ||W||).
     """
     A = as_cmatrix(A, "A")
     W = as_cmatrix(W, "W")
@@ -59,8 +51,6 @@ def solve_stein(A, W, tol=1e-11):
         raise DimensionError(f"W must be {n}x{n} to match A, got {W.shape}")
     if n == 0:
         return np.zeros((0, 0), dtype=complex)
-    if not is_schur_stable(A):
-        raise StabilityError("Stein equation requires a Schur stable A")
     scale = float(np.linalg.norm(W))
     if np.linalg.norm(W - W.conj().T) > 1e-10 * (1.0 + scale):
         raise DefinitenessError("Stein right-hand side must be Hermitian")
@@ -69,8 +59,14 @@ def solve_stein(A, W, tol=1e-11):
         raise DefinitenessError(
             f"Stein right-hand side must be PSD, min eigenvalue {wmin:.3e}"
         )
-    P = herm(_stein_unchecked(A, herm(W)))
-    residual = float(np.linalg.norm(P - A @ P @ A.conj().T - herm(W)))
+    W = herm(W)
+    P = stein_doubling(A, W)
+    if P is None:
+        raise StabilityError("Stein equation requires a Schur stable A")
+    # one refinement step: roundoff in the doubled sum grows with the
+    # transient of A^j, and the correction's is smaller by the residual
+    P = herm(P + stein_doubling(A, herm(W - P + A @ P @ A.conj().T)))
+    residual = float(np.linalg.norm(P - A @ P @ A.conj().T - W))
     if residual > tol * (1.0 + scale):
         raise RiccatiError(f"Stein solve residual {residual:.3e} exceeds tolerance")
     return P
@@ -165,13 +161,14 @@ def stabilizing_riccati(A, Gamma, R0, C, tol=1e-12, max_iter=10000, initial=None
         W = C - Gh @ Q @ A
         L = solve_hermitian(Delta, W, "riccati gain")
         A0 = A - Gamma @ L
-        Qn = None
-        if is_schur_stable(A0):
-            # Newton step solves Qn - A0* Qn A0 = L*C + C*L - L*R0 L
-            rhs = herm(L.conj().T @ C + C.conj().T @ L - L.conj().T @ R0 @ L)
-            cand = herm(_stein_unchecked(A0.conj().T, rhs))
-            if hermitian_posdef_check(herm(R0 - Gh @ cand @ Gamma), tol=0.0):
-                Qn = cand
+        # Newton step solves Qn - A0* Qn A0 = L*C + C*L - L*R0 L, or gives None
+        # when the solve cannot certify A0 stable
+        rhs = herm(L.conj().T @ C + C.conj().T @ L - L.conj().T @ R0 @ L)
+        Qn = stein_doubling(A0.conj().T, rhs)
+        if Qn is not None:
+            Qn = herm(Qn)
+            if not hermitian_posdef_check(herm(R0 - Gh @ Qn @ Gamma), tol=0.0):
+                Qn = None
         if Qn is None:
             Qn = herm(Ah @ Q @ A + W.conj().T @ L)
         step = float(np.linalg.norm(Qn - Q))

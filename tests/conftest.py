@@ -23,6 +23,14 @@ def circle_points(count, offset=0.35):
     return np.exp(1j * (offset + 2.0 * np.pi * np.arange(count) / count))
 
 
+def kron_stein(A, W):
+    """Dense reference for P - A P A* = W: the n^2 x n^2 Kronecker system."""
+    A = np.asarray(A, dtype=complex)
+    n = A.shape[0]
+    K = np.eye(n * n, dtype=complex) - np.kron(A, A.conj())
+    return np.linalg.solve(K, np.asarray(W, dtype=complex).reshape(n * n)).reshape(n, n)
+
+
 def interior_points(count, radius=0.9, seed=1234):
     rng = np.random.default_rng(seed)
     r = radius * np.sqrt(rng.uniform(0.0, 1.0, size=count))

@@ -65,6 +65,17 @@ class TestCheck:
         assert "validation: stability FAIL" in out
         assert "verdict: INVALID" in out
 
+    def test_breakdown_is_not_infeasible(self, tmp_path, capsys):
+        # a rank tolerance above the scale of the kernel defect makes the
+        # theta0 rank cut fail on feasible data
+        path = tmp_path / "p.json"
+        assert main(["generate", "--seed", "7", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["check", str(path), "--rank-tol", "1.5"]) == 2
+        out = capsys.readouterr().out
+        assert "verdict: BREAKDOWN (kernel defect has rank" in out
+        assert "INFEASIBLE" not in out
+
 
 class TestSolve:
     def test_central_solution_artifact(self, problem_file, tmp_path, capsys):
@@ -212,6 +223,18 @@ class TestOracle:
         assert "oracle comparison skipped" in out
         report = load(out_path)
         assert report["verdict"].startswith("infeasible")
+        assert "comparisons" not in report
+
+    def test_breakdown_writes_report(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        assert main(["generate", "--seed", "7", "--out", str(path)]) == 0
+        out_path = tmp_path / "r.json"
+        assert main(["oracle", str(path), "--rank-tol", "1.5", "--truncation", "60",
+                     "--out", str(out_path)]) == 2
+        out = capsys.readouterr().out
+        assert "verdict: BREAKDOWN -- oracle comparison skipped" in out
+        report = load(out_path)
+        assert report["verdict"].startswith("breakdown: kernel defect has rank")
         assert "comparisons" not in report
 
 

@@ -162,6 +162,16 @@ class TestTheta0:
         with pytest.raises(RankDefectError):
             theta0(data, derived.Q0, derived.P1, rank_tol=1.5)
 
+    @pytest.mark.parametrize("seed, dims", [(1175, None), (1001, (24, 2, 3, 2))])
+    def test_small_defect_keeps_its_rank(self, seed, dims):
+        # ||M|| is about 1e-2 on these draws: a cut relative to ||M|| fell
+        # below the roundoff in M and rejected them as indefinite or rank deficient
+        data, _ = random_problem(seed, dims=dims)
+        d = solve(data)
+        assert d.Theta0.shape == (data.p, data.p - data.m)
+        assert d.margins["theta0_kept_min_eig"] > 1e-3
+        assert d.margins["theta0_dropped_max_eig"] < 1e-8
+
     def test_defect_is_psd(self, battery):
         d = battery[1].derived
         M = theta0_defect(d.data, d.Q0, d.P1)

@@ -13,7 +13,9 @@ from leechsolve.linalg import (
     singular_extremes,
     spectral_norm,
     sqrtm_posdef,
+    stein_doubling,
 )
+from tests.conftest import kron_stein
 
 
 def random_complex(rng, rows, cols):
@@ -109,6 +111,60 @@ class TestSchurStable:
     def test_non_square_raises(self):
         with pytest.raises(DimensionError):
             is_schur_stable(np.zeros((2, 3)))
+
+    def test_radius_just_inside_the_tolerance(self):
+        assert is_schur_stable(np.array([[1.0 - 1e-6, 1.0], [0.0, 0.3]]))
+
+    def test_radius_inside_1_but_within_the_tolerance(self):
+        A = np.array([[1.0 - 1e-10, 1.0], [0.0, 0.3]])
+        assert not is_schur_stable(A, tol=1e-9)
+        assert is_schur_stable(A, tol=1e-11)
+
+
+def with_radius(rng, n, radius):
+    """Non-normal matrix (unitarily similar to a triangle) of spectral radius `radius`."""
+    T = np.triu(random_complex(rng, n, n), 1) * 0.3
+    lam = rng.uniform(0.1, radius, size=n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    lam[0] = radius
+    T[np.diag_indices(n)] = lam
+    U, _ = np.linalg.qr(random_complex(rng, n, n))
+    return U @ T @ U.conj().T
+
+
+class TestSteinDoubling:
+    def _agrees(self, A, W, rel):
+        P = stein_doubling(A, W)
+        assert P is not None
+        ref = kron_stein(A, W)
+        assert np.linalg.norm(P - ref) <= rel * np.linalg.norm(ref)
+
+    def test_random_stable_matches_kronecker(self):
+        rng = np.random.default_rng(6)
+        for n in (1, 3, 6):
+            B = random_complex(rng, n, 2)
+            self._agrees(with_radius(rng, n, 0.9), B @ B.conj().T, 1e-12)
+
+    def test_large_transient_matches_kronecker(self):
+        # ||A^j|| peaks near 1e4 before it decays; P is about 1e8
+        self._agrees(np.array([[0.5, 1e4], [0.0, 0.5]]), np.eye(2), 1e-12)
+
+    def test_slow_decay_matches_kronecker(self):
+        rng = np.random.default_rng(7)
+        self._agrees(with_radius(rng, 5, 0.999), np.eye(5), 1e-10)
+
+    def test_indefinite_rhs(self):
+        # the series converges for any W, as the Newton step needs
+        rng = np.random.default_rng(8)
+        W = herm(random_complex(rng, 4, 4))
+        self._agrees(with_radius(rng, 4, 0.8), W, 1e-12)
+
+    def test_uncertified_gives_none(self):
+        assert stein_doubling(np.array([[1.0]]), np.eye(1)) is None
+        assert stein_doubling(np.diag([1.2, 0.1]), np.eye(2)) is None
+        assert stein_doubling(1e200 * np.eye(2), np.eye(2)) is None
+
+    def test_empty(self):
+        assert stein_doubling(np.zeros((0, 0)), np.zeros((0, 0))).shape == (0, 0)
 
 
 class TestRootsAndNorms:

@@ -14,6 +14,7 @@ from leechsolve.errors import (
 from leechsolve.generate import random_problem, random_stable_matrix
 from leechsolve.linalg import herm, hermitian_posdef_check, is_schur_stable
 from leechsolve.riccati import is_observable, solve_stein, stabilizing_riccati
+from tests.conftest import kron_stein
 
 
 class TestSolveStein:
@@ -33,6 +34,24 @@ class TestSolveStein:
         P = solve_stein(A, W)
         assert np.linalg.norm(P - A @ P @ A.conj().T - W) <= 1e-11 * (1 + np.linalg.norm(W))
         assert hermitian_posdef_check(P, tol=0.0)
+
+    def test_matches_kronecker_reference(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 5, 8):
+            A = random_stable_matrix(rng, n)
+            B = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+            W = B @ B.conj().T
+            ref = kron_stein(A, W)
+            assert np.linalg.norm(solve_stein(A, W) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_slow_non_normal_decay_passes_the_residual_check(self):
+        # radius 0.999 with a large coupling: the doubled sum alone misses the
+        # residual tolerance by about 3x
+        A = np.array([[0.999, 3.0], [0.0, 0.999j]])
+        P = solve_stein(A, np.eye(2))
+        assert np.linalg.norm(P - A @ P @ A.conj().T - np.eye(2)) <= 1e-11
+        ref = kron_stein(A, np.eye(2))
+        assert np.linalg.norm(P - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_unstable_coefficient_raises(self):
         with pytest.raises(StabilityError):
@@ -85,6 +104,15 @@ class TestStabilizingRiccati:
         assert np.linalg.norm(sol.Q - recon) <= 1e-9 * (1 + np.linalg.norm(sol.Q))
         assert hermitian_posdef_check(sol.Delta)
         assert is_schur_stable(sol.A0)
+
+    def test_newton_waits_for_a_certified_closed_loop(self):
+        # from q = 1.9 the closed loop -1 / (2.5 - q) is unstable, so the Stein
+        # solve refuses the Newton step until fixed-point steps stabilize it
+        sol = stabilizing_riccati(np.array([[0.0]]), np.array([[1.0]]),
+                                  np.array([[2.5]]), np.array([[1.0]]),
+                                  initial=np.array([[1.9]]))
+        assert sol.Q[0, 0] == pytest.approx(0.5, abs=1e-11)
+        assert abs(sol.A0[0, 0]) < 1.0
 
     def test_restart_from_perturbation_agrees(self):
         data, _ = random_problem(41)
