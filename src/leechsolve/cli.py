@@ -193,7 +193,9 @@ def cmd_oracle(args):
     coeffs = build_upsilon(derived)
     pts = _sample_points()
     names = ("U11", "U12", "U21", "U22")
-    ss = {name: [evaluate(getattr(coeffs, name), z) for z in pts] for name in names}
+    U = evaluate(coeffs.joint, pts)
+    p, k = coeffs.p, coeffs.free_dim
+    ss = {"U11": U[:, :p, :k], "U12": U[:, :p, k:], "U21": U[:, p:, :k], "U22": U[:, p:, k:]}
     M_ss = theta0_defect(data, derived.Q0, derived.P1)
     report["comparisons"] = {}
     for N in ladder:

@@ -8,8 +8,10 @@ From the derived matrices, the four coefficients
 share the single stable state matrix A0, and every solution of the
 interpolation problem is X = (U12 + U11 Y)(U22 + U21 Y)^{-1} with Y ranging
 over the stable functions of size (p - m) x q with sup norm at most 1.  The
-equivalent feedback (Redheffer) form with coefficients Phi_ij is built from
-the same blocks by state-space composition.
+equivalent feedback (Redheffer) form with coefficients Phi_ij is the partial
+inverse of the same joint realization, so its four blocks share one state of
+dimension n.  A solution X for a parameter Y with s states is formed in
+closed form on n + s states.
 """
 
 import logging
@@ -17,18 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, StabilityError
-from .linalg import spectral_norm
-from .realization import (
-    Realization,
-    add,
-    constant,
-    evaluate,
-    hinf_norm_estimate,
-    inverse,
-    product,
-    zeros,
-)
+from .errors import NotInvertibleError, ParameterError, StabilityError
+from .linalg import is_schur_stable, spectral_norm
+from .realization import Realization, evaluate, hinf_norm_estimate, zeros
 
 log = logging.getLogger("leechsolve.coefficients")
 
@@ -121,11 +114,9 @@ def j_inner_defect(coeffs, points=64):
     p, q, k = coeffs.p, coeffs.q, coeffs.free_dim
     J1 = np.diag(np.concatenate([np.ones(p), -np.ones(q)])).astype(complex)
     J2 = np.diag(np.concatenate([np.ones(k), -np.ones(q)])).astype(complex)
-    worst = 0.0
-    for theta in 2.0 * np.pi * np.arange(points) / points:
-        Uz = evaluate(coeffs.joint, np.exp(1j * theta))
-        worst = max(worst, spectral_norm(Uz.conj().T @ J1 @ Uz - J2))
-    return worst
+    thetas = 2.0 * np.pi * np.arange(points) / points
+    U = evaluate(coeffs.joint, np.exp(1j * thetas))
+    return float(np.max(spectral_norm(np.swapaxes(U.conj(), 1, 2) @ J1 @ U - J2)))
 
 
 @dataclass
@@ -134,34 +125,88 @@ class RedhefferSet:
 
         X = Phi22 + Phi21 Y (I - Phi11 Y)^{-1} Phi12
 
-    over the same contractive Y.  Built by state-space composition from the
-    coefficient set, so state dimensions add without minimization."""
+    over the same contractive Y.  All four blocks share one state of the
+    coefficients' dimension n.  `joint` stacks them as one realization from
+    [u; y] to [x; v], where x = X y once the loop u = Y v is closed:
+
+        [ Phi21(z)  Phi22(z) ]
+        [ Phi11(z)  Phi12(z) ]
+    """
 
     Phi11: Realization
     Phi12: Realization
     Phi21: Realization
     Phi22: Realization
+    joint: Realization
+
+
+def _block(F, rows, cols):
+    """The sub-function F[rows, cols] on F's own state."""
+    return Realization(F.A, F.B[:, cols], F.C[rows], F.D[rows, cols], stable=F.stable)
+
+
+def _partial_inverse(F, m, what):
+    """Invert the channel from F's last m inputs to its last m outputs.
+
+    With inputs [u1; u2] and outputs [y1; y2] of F, the result maps [u1; y2]
+    to [y1; u2] on F's state, with state matrix A - B2 D22^{-1} C2.  That
+    matrix must be Schur stable; otherwise the channel's inverse is not
+    analytic on the closed disc, `what` is not outer, and StabilityError is
+    raised.
+    """
+    r, c = F.out_dim - m, F.in_dim - m
+    B1, B2 = F.B[:, :c], F.B[:, c:]
+    C1, C2 = F.C[:r], F.C[r:]
+    D11, D12, D21, D22 = F.D[:r, :c], F.D[:r, c:], F.D[r:, :c], F.D[r:, c:]
+    sv = np.linalg.svd(D22, compute_uv=False)
+    if m and sv[-1] <= 1e-12 * max(1.0, sv[0]):
+        raise NotInvertibleError(
+            f"{what} is not invertible at the origin (sigma_min = {sv[-1]:.3e})")
+    Dinv = _inv(D22)
+    DinvC, DinvD = Dinv @ C2, Dinv @ D21
+    A = F.A - B2 @ DinvC
+    if not is_schur_stable(A):
+        raise StabilityError(f"{what} is not outer (breakdown)")
+    return Realization(
+        A,
+        np.hstack([B1 - B2 @ DinvD, B2 @ Dinv]),
+        np.vstack([C1 - D12 @ DinvC, -DinvC]),
+        np.block([[D11 - D12 @ DinvD, D12 @ Dinv], [-DinvD, Dinv]]),
+        stable=True,
+    )
+
+
+def _through_parameter(J, Y):
+    """J diag(Y, I) on state n + s: J's first Y.out_dim inputs driven through Y.
+
+    The result's inputs are Y's input followed by J's remaining inputs.
+    """
+    k, n, s = Y.out_dim, J.state_dim, Y.state_dim
+    B1, D1 = J.B[:, :k], J.D[:, :k]
+    return Realization(
+        np.block([[J.A, B1 @ Y.C], [np.zeros((s, n), dtype=complex), Y.A]]),
+        np.block([[B1 @ Y.D, J.B[:, k:]],
+                  [Y.B, np.zeros((s, J.in_dim - k), dtype=complex)]]),
+        np.hstack([J.C, D1 @ Y.C]),
+        np.hstack([D1 @ Y.D, J.D[:, k:]]),
+    )
 
 
 def build_redheffer(coeffs):
     """Convert the coefficient set to feedback form:
 
         Phi12 = U22^{-1}, Phi11 = -Phi12 U21,
-        Phi22 = U12 Phi12, Phi21 = U11 - U12 Phi12 U21.
+        Phi22 = U12 Phi12, Phi21 = U11 - U12 Phi12 U21,
+
+    by inverting the U22 channel of the joint realization.  The shared state
+    matrix is A0 - B0d Delta0^{-1} C2 with B0d = B0 Delta0^{-1}, which must
+    be stable (U22 outer).
     """
-    Phi12 = inverse(coeffs.U22)
-    if Phi12.stable is not True:
-        raise StabilityError(
-            "U22 is not outer: its inverse left the stable class (breakdown)")
-    Phi11 = product(Phi12, coeffs.U21)
-    Phi11 = Realization(Phi11.A, Phi11.B, -Phi11.C, -Phi11.D, stable=Phi11.stable)
-    Phi21 = add(coeffs.U11, _negate(product(coeffs.U12, product(Phi12, coeffs.U21))))
-    Phi22 = product(coeffs.U12, Phi12)
-    return RedhefferSet(Phi11, Phi12, Phi21, Phi22)
-
-
-def _negate(F):
-    return Realization(F.A, F.B, -F.C, -F.D, stable=F.stable)
+    joint = _partial_inverse(coeffs.joint, coeffs.q, "U22")
+    p, k = coeffs.p, coeffs.free_dim
+    top, bottom, left, right = slice(None, p), slice(p, None), slice(None, k), slice(k, None)
+    return RedhefferSet(_block(joint, bottom, left), _block(joint, bottom, right),
+                        _block(joint, top, left), _block(joint, top, right), joint)
 
 
 def check_parameter(coeffs, Y, tol=1e-9):
@@ -187,18 +232,22 @@ def check_parameter(coeffs, Y, tol=1e-9):
 def apply_lft(coeffs, Y, tol=1e-9):
     """Solution X = (U12 + U11 Y)(U22 + U21 Y)^{-1} for a contractive Y.
 
+    With T = joint [Y; I] on n + s states (s the state dimension of Y), split
+    into numerator rows (Cn, Dn) and denominator rows (Cd, Dd),
+
+        X = (A - B Dd^{-1} Cd, B Dd^{-1}, Cn - Dn Dd^{-1} Cd, Dn Dd^{-1}).
+
     The denominator is invertible at the origin by construction
-    ((U22 + U21 Y)(0) = Delta0) and outer for admissible Y; its inverse is
-    checked to be stable and the composition fails loudly otherwise.
+    (Dd = (U22 + U21 Y)(0) = Delta0) and outer for admissible Y; the state
+    matrix of X is checked to be stable and the map fails loudly otherwise.
     """
     check_parameter(coeffs, Y, tol=tol)
-    num = add(coeffs.U12, product(coeffs.U11, Y))
-    den = add(coeffs.U22, product(coeffs.U21, Y))
-    deninv = inverse(den)
-    if deninv.stable is not True:
-        raise StabilityError(
-            "denominator U22 + U21 Y is not outer for this parameter (breakdown)")
-    return product(num, deninv)
+    # T = joint [Y; I] maps y to [numerator y; denominator y]
+    S = _through_parameter(coeffs.joint, Y)
+    q = coeffs.q
+    T = Realization(S.A, S.B[:, :q] + S.B[:, q:], S.C, S.D[:, :q] + S.D[:, q:])
+    X = _partial_inverse(T, q, "denominator U22 + U21 Y")
+    return _block(X, slice(None, coeffs.p), slice(None))
 
 
 def central_solution(coeffs, tol=1e-9):
@@ -207,7 +256,8 @@ def central_solution(coeffs, tol=1e-9):
 
 
 def apply_redheffer(phi, Y, tol=1e-9):
-    """Evaluate the feedback form X = Phi22 + Phi21 Y (I - Phi11 Y)^{-1} Phi12."""
+    """Evaluate the feedback form X = Phi22 + Phi21 Y (I - Phi11 Y)^{-1} Phi12
+    in closed form on n + s states (s the state dimension of Y)."""
     if not isinstance(Y, Realization):
         raise ParameterError("free parameter must be a Realization")
     q = phi.Phi12.in_dim
@@ -215,11 +265,15 @@ def apply_redheffer(phi, Y, tol=1e-9):
     if (Y.out_dim, Y.in_dim) != (k, q):
         raise ParameterError(
             f"free parameter must be {k}x{q}, got {Y.out_dim}x{Y.in_dim}")
-    loop = add(constant(np.eye(q, dtype=complex)), _negate(product(phi.Phi11, Y)))
-    loopinv = inverse(loop)
-    if loopinv.stable is not True:
-        raise StabilityError("feedback loop I - Phi11 Y is not outer (breakdown)")
-    return add(phi.Phi22, product(phi.Phi21, product(Y, product(loopinv, phi.Phi12))))
+    # E maps [y; v] to [Phi22 y + Phi21 Y v; Phi12 y + Phi11 Y v - v]; closing
+    # the loop sets the second output to 0
+    S = _through_parameter(phi.joint, Y)
+    p = phi.Phi21.out_dim
+    loop = np.vstack([np.zeros((p, q), dtype=complex), np.eye(q, dtype=complex)])
+    E = Realization(S.A, np.hstack([S.B[:, q:], S.B[:, :q]]), S.C,
+                    np.hstack([S.D[:, q:], S.D[:, :q] - loop]))
+    X = _partial_inverse(E, q, "feedback loop I - Phi11 Y")
+    return _block(X, slice(None, p), slice(None, q))
 
 
 def solution_report(derived, coeffs, X, grid=512, points=64):
@@ -228,11 +282,8 @@ def solution_report(derived, coeffs, X, grid=512, points=64):
     data = derived.data
     G = data.g()
     K = data.k()
-    residual = 0.0
-    for theta in 2.0 * np.pi * np.arange(points) / points:
-        z = np.exp(1j * theta)
-        residual = max(residual, spectral_norm(
-            evaluate(G, z) @ evaluate(X, z) - evaluate(K, z)))
+    zs = np.exp(1j * (2.0 * np.pi * np.arange(points) / points))
+    residual = float(np.max(spectral_norm(evaluate(G, zs) @ evaluate(X, zs) - evaluate(K, zs))))
     norm = hinf_norm_estimate(X, grid=grid)
     defect = j_inner_defect(coeffs, points=points)
     return {

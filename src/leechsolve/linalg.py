@@ -90,16 +90,23 @@ def minimal_rank_factor(M, rank_tol=DEFAULT_RANK_TOL):
 
 
 def spectral_norm(M):
-    """Largest singular value, via the Hermitian eigenproblem on the smaller Gram matrix."""
-    A = as_cmatrix(M, "M")
+    """Largest singular value, via the Hermitian eigenproblem on the smaller Gram matrix.
+
+    A stack of shape (..., rows, cols) gives the array of largest singular
+    values over its last two axes.
+    """
+    A = np.asarray(M, dtype=complex)
+    if A.ndim <= 2:
+        A = as_cmatrix(A, "M")
+    elif not np.all(np.isfinite(A)):
+        raise DimensionError("M contains non-finite entries")
     if A.size == 0:
-        return 0.0
-    if A.shape[0] <= A.shape[1]:
-        G = A @ A.conj().T
-    else:
-        G = A.conj().T @ A
-    w = np.linalg.eigvalsh(herm(G))
-    return float(np.sqrt(max(float(w[-1]), 0.0)))
+        return 0.0 if A.ndim == 2 else np.zeros(A.shape[:-2])
+    AH = A.conj().swapaxes(-1, -2)
+    G = A @ AH if A.shape[-2] <= A.shape[-1] else AH @ A
+    G = 0.5 * (G + G.conj().swapaxes(-1, -2))
+    top = np.sqrt(np.maximum(np.linalg.eigvalsh(G)[..., -1], 0.0))
+    return float(top) if A.ndim == 2 else top
 
 
 def singular_extremes(M):

@@ -3,8 +3,12 @@
 A realization stores F(z) = D + z C (I - z A)^{-1} B.  The Taylor
 coefficients at the origin are F_0 = D and F_j = C A^{j-1} B for j >= 1, so
 Schur stability of A is exactly analyticity of F on a disc of radius > 1.
-Sums, products, concatenations and inverses are formed by composing state
-spaces; state dimensions add, and no minimization is attempted.
+Sums, products and concatenations are formed by composing state spaces:
+their state dimension is the sum of their operands', and no minimization is
+attempted.  An inverse keeps its operand's state.  Chains of these grow the
+state, so the coefficients module forms solutions in closed form on the
+shared state instead.  `evaluate` takes one point or a 1-D array of points,
+the latter in one batched solve.
 """
 
 import math
@@ -79,15 +83,26 @@ def identity(dim):
 
 
 def evaluate(F, z):
-    """Value F(z) = D + z C (I - z A)^{-1} B; raises if I - z A is singular."""
+    """Value F(z) = D + z C (I - z A)^{-1} B; raises if I - z A is singular.
+
+    For a 1-D array of points the values are stacked with shape
+    (len(z), out_dim, in_dim), from one solve on the stacked resolvents.
+    """
+    zs = np.asarray(z, dtype=complex)
+    if zs.ndim > 1:
+        raise DimensionError(f"evaluation points must be a 1-D array, got ndim={zs.ndim}")
+    w = zs.reshape(-1, 1, 1)
     if F.state_dim == 0:
-        return F.D.copy()
-    M = np.eye(F.state_dim, dtype=complex) - z * F.A
-    try:
-        X = np.linalg.solve(M, F.B)
-    except np.linalg.LinAlgError as exc:
-        raise EvaluationError(f"resolvent singular at z = {z}") from exc
-    return F.D + z * (F.C @ X)
+        values = np.repeat(F.D[None], w.shape[0], axis=0)
+    else:
+        M = np.eye(F.state_dim, dtype=complex) - w * F.A
+        try:
+            X = np.linalg.solve(M, np.broadcast_to(F.B, (w.shape[0],) + F.B.shape))
+        except np.linalg.LinAlgError as exc:
+            where = f"z = {z}" if zs.ndim == 0 else f"one of {zs.size} points"
+            raise EvaluationError(f"resolvent singular at {where}") from exc
+        values = F.D + w * (F.C @ X)
+    return values if zs.ndim else values[0]
 
 
 def taylor_blocks(F, count):
@@ -211,15 +226,17 @@ def hinf_norm_estimate(F, grid=512):
         raise StabilityError("H-infinity norm needs a stable function")
     if F.out_dim == 0 or F.in_dim == 0:
         return 0.0
+    if F.state_dim == 0:
+        return spectral_norm(F.D)
     grid = max(int(grid), 8)
 
     def val(theta):
         return spectral_norm(evaluate(F, np.exp(1j * theta)))
 
     thetas = 2.0 * np.pi * np.arange(grid) / grid
-    values = [val(t) for t in thetas]
+    values = spectral_norm(evaluate(F, np.exp(1j * thetas)))
     jbest = int(np.argmax(values))
-    best = values[jbest]
+    best = float(values[jbest])
     # golden-section refinement on the bracket around the best grid point
     lo = thetas[jbest] - 2.0 * np.pi / grid
     hi = thetas[jbest] + 2.0 * np.pi / grid

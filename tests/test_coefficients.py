@@ -13,8 +13,9 @@ from leechsolve.coefficients import (
     j_inner_defect,
     solution_report,
 )
+from leechsolve.coefficients import CoefficientSet
 from leechsolve.core import LeechData, solve
-from leechsolve.errors import ParameterError
+from leechsolve.errors import ParameterError, StabilityError
 from leechsolve.generate import random_contraction, random_problem
 from leechsolve.realization import (
     Realization,
@@ -200,3 +201,44 @@ class TestSolutionReport:
         assert rep["coefficient_metric_defect"] <= 1e-7
         assert rep["margins"]["gap_min_eig"] > 0.0
         assert rep["norm_grid"] == 512 and rep["circle_points"] == 64
+
+
+class TestSharedState:
+    """X and the feedback blocks are formed in closed form on the shared state."""
+
+    def test_central_solution_has_n_states(self, battery):
+        for item in battery:
+            assert central_solution(item.coeffs).state_dim == item.derived.A0.shape[0]
+
+    def test_solution_has_n_plus_s_states(self, battery):
+        for item in battery[:4]:
+            c = item.coeffs
+            Y = random_contraction(9, c.free_dim, c.q)
+            assert Y.state_dim == 2
+            assert apply_lft(c, Y).state_dim == item.derived.A0.shape[0] + Y.state_dim
+
+    def test_feedback_blocks_have_n_states(self, battery):
+        for item in battery:
+            phi = build_redheffer(item.coeffs)
+            n = item.derived.A0.shape[0]
+            for F in (phi.Phi11, phi.Phi12, phi.Phi21, phi.Phi22):
+                assert F.state_dim == n
+
+    def test_u22_with_a_zero_in_the_disc_is_rejected(self):
+        # scalar blocks on one state: U22(z) = 1 + 2z vanishes at z = -1/2
+        A0 = np.zeros((1, 1))
+        B = np.array([[0.3, 2.0]])
+        C = np.array([[0.5], [1.0]])
+        D = np.array([[0.4, 0.1], [0.0, 1.0]])
+
+        def block(i, j):
+            return Realization(A0, B[:, [j]], C[[i]], D[[i]][:, [j]], stable=True)
+
+        coeffs = CoefficientSet(np.eye(1), np.eye(1), np.eye(1),
+                                block(0, 0), block(0, 1), block(1, 0), block(1, 1),
+                                Realization(A0, B, C, D, stable=True))
+        assert abs(evaluate(coeffs.U22, -0.5)[0, 0]) < 1e-15
+        with pytest.raises(StabilityError):
+            apply_lft(coeffs, zeros(1, 1))
+        with pytest.raises(StabilityError):
+            build_redheffer(coeffs)

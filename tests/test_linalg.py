@@ -186,6 +186,16 @@ class TestRootsAndNorms:
             M = random_complex(rng, *shape)
             assert spectral_norm(M) == pytest.approx(np.linalg.norm(M, 2), rel=1e-10)
 
+    def test_spectral_norm_of_a_stack_matches_each_slice(self):
+        rng = np.random.default_rng(6)
+        for shape in ((7, 3, 5), (7, 5, 3), (2, 3, 4, 4)):
+            M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            norms = spectral_norm(M)
+            assert norms.shape == shape[:-2]
+            ref = np.linalg.norm(M, 2, axis=(-2, -1))
+            np.testing.assert_allclose(norms, ref, rtol=1e-10)
+        assert spectral_norm(np.zeros((4, 0, 3))).shape == (4,)
+
     def test_singular_extremes_match_svd(self):
         rng = np.random.default_rng(5)
         M = random_complex(rng, 5, 3)

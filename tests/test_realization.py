@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from leechsolve.errors import DimensionError, NotInvertibleError, StabilityError
+from leechsolve.coefficients import central_solution
+from leechsolve.errors import (
+    DimensionError,
+    EvaluationError,
+    NotInvertibleError,
+    StabilityError,
+)
 from leechsolve.generate import random_stable_matrix
+from leechsolve.linalg import spectral_norm
 from leechsolve.realization import (
     Realization,
     add,
@@ -166,3 +173,57 @@ class TestTruncateBlocks:
         blocks = taylor_blocks(F, 7)
         assert len(blocks) == 7
         assert all(b.shape == (2, 3) for b in blocks)
+
+
+def _scalar_hinf(F, grid=512):
+    """Reference for hinf_norm_estimate: one scalar evaluate per grid point,
+    then the same golden-section refinement."""
+    def val(theta):
+        return spectral_norm(evaluate(F, np.exp(1j * theta)))
+
+    thetas = 2.0 * np.pi * np.arange(grid) / grid
+    values = [val(t) for t in thetas]
+    jbest = int(np.argmax(values))
+    a, b = thetas[jbest] - 2.0 * np.pi / grid, thetas[jbest] + 2.0 * np.pi / grid
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = val(c), val(d)
+    for _ in range(48):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = val(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = val(d)
+    return max(values[jbest], fc, fd)
+
+
+class TestBatchedEvaluation:
+    POINTS = np.concatenate([circle_points(16), interior_points(16)])
+
+    def test_matches_stacked_scalar_values(self):
+        F = _random_realization(16, 2, 3, n=4)
+        values = evaluate(F, self.POINTS)
+        assert values.shape == (self.POINTS.size, 2, 3)
+        for z, value in zip(self.POINTS, values):
+            np.testing.assert_allclose(value, evaluate(F, z), rtol=0.0, atol=1e-13)
+
+    def test_static_realization_repeats_the_constant(self):
+        D = np.array([[1.0, 2.0]])
+        values = evaluate(constant(D), self.POINTS)
+        assert values.shape == (self.POINTS.size, 1, 2)
+        for z, value in zip(self.POINTS, values):
+            np.testing.assert_array_equal(value, evaluate(constant(D), z))
+
+    def test_singular_resolvent_raises(self):
+        F = Realization(np.array([[2.0]]), np.array([[1.0]]),
+                        np.array([[1.0]]), np.array([[0.0]]))
+        with pytest.raises(EvaluationError):
+            evaluate(F, np.array([0.1, 0.5, -0.3]))
+
+    def test_norm_estimate_matches_scalar_loop(self, battery):
+        for item in battery:
+            for F in (central_solution(item.coeffs), item.coeffs.U12, item.coeffs.U11):
+                assert hinf_norm_estimate(F) == pytest.approx(_scalar_hinf(F), abs=1e-12)
