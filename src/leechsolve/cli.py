@@ -167,7 +167,8 @@ def cmd_oracle(args):
         ladder = [50, 100, 200]
     else:
         trunc = int(trunc)
-        ladder = sorted({max(8, trunc // 4), max(16, trunc // 2), trunc})
+        ladder = sorted({min(trunc, rung) for rung in
+                         (max(8, trunc // 4), max(16, trunc // 2), trunc)})
     contexts = {N: OracleContext(data, N) for N in ladder}
     margins = {N: contexts[N].margin for N in ladder}
     for N in ladder:

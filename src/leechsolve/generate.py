@@ -15,7 +15,7 @@ from .core import LeechData, solve, validate
 from .errors import LeechError
 from .linalg import spectral_norm
 from .realization import Realization, constant, hinf_norm_estimate
-from .toeplitz import OracleContext
+from .toeplitz import OracleContext, toeplitz_gram, truncate
 
 log = logging.getLogger("leechsolve.generate")
 
@@ -101,36 +101,39 @@ def _draw_once(rng, kind, dims, margin_target, est_order):
     D1 = np.hstack([1.5 * np.eye(m, dtype=complex),
                     np.zeros((m, p - m), dtype=complex)]) + _randc(rng, m, p, 0.3)
 
-    def gram_margin(d1, c):
-        probe = LeechData(A, B1, np.zeros((n, 1)), c, d1, np.zeros((m, 1)))
-        return OracleContext(probe, est_order).margin
+    def gram_context(d1):
+        """Truncation of G alone; only its Gram matrix is used."""
+        probe = LeechData(A, B1, np.zeros((n, 1)), C, d1, np.zeros((m, 1)))
+        return OracleContext(probe, est_order)
 
     # boost the constant part of G until its Gram matrix has a real margin
     boosts = 0
-    while gram_margin(D1, C) < 0.2 and boosts < 6:
+    ctx = gram_context(D1)
+    while ctx.gram_margin < 0.2 and boosts < 6:
         D1 = D1 + np.hstack([0.75 * np.eye(m, dtype=complex),
                              np.zeros((m, p - m), dtype=complex)])
         boosts += 1
+        ctx = gram_context(D1)
 
+    # the final core T_G T_G* - T_K T_K* from the Gram matrix of the last probe
     meta = {"dims": {"n": n, "m": m, "p": p, "q": q}, "boosts": boosts}
     if kind == "kernel":
         B2 = np.zeros((n, q), dtype=complex)
         D2 = np.zeros((m, q), dtype=complex)
+        core = ctx.gram
     elif kind == "corona":
         B2 = np.zeros((n, m), dtype=complex)
         D2 = np.eye(m, dtype=complex)
-        probe = LeechData(A, B1, np.zeros((n, 1)), C, D1, np.zeros((m, 1)))
-        gmin = OracleContext(probe, est_order).margin
-        scale = 2.0 / np.sqrt(gmin)
+        scale = 2.0 / np.sqrt(ctx.gram_margin)
         C = scale * C
         D1 = scale * D1
         meta["scale"] = float(scale)
+        core = scale ** 2 * ctx.gram - np.eye(ctx.gram.shape[0])
     else:
         B2r = _randc(rng, n, q)
         D2r = _randc(rng, m, q)
-        raw = LeechData(A, B1, B2r, C, D1, D2r)
-        ctx = OracleContext(raw, est_order)
-        M = ctx.Tk.conj().T @ (ctx.gram_inv @ ctx.Tk)
+        Tk = truncate(Realization(A, B2r, C, D2r, stable=True), est_order).matrix
+        M = Tk.conj().T @ ctx.solve_gram(Tk)
         lam_max = float(np.linalg.eigvalsh(0.5 * (M + M.conj().T))[-1])
         target = margin_target if kind == "feasible" else 1.4
         scale = target / np.sqrt(lam_max)
@@ -138,16 +141,17 @@ def _draw_once(rng, kind, dims, margin_target, est_order):
         D2 = scale * D2r
         meta["scale"] = float(scale)
         meta["lambda_norm_estimate"] = float(target)
+        core = ctx.gram - scale ** 2 * toeplitz_gram(Tk[:, :q], m)
 
     data = LeechData(A, B1, B2, C, D1, D2)
     report = validate(data)
     if not report.ok:
         raise LeechError("drawn instance failed validation: " + report.summary())
-    ctx = OracleContext(data, est_order)
-    meta["margin_estimate"] = ctx.margin
-    if kind in ("feasible", "kernel", "corona") and ctx.margin <= 0.0:
+    margin = float(np.linalg.eigvalsh(core)[0])
+    meta["margin_estimate"] = margin
+    if kind in ("feasible", "kernel", "corona") and margin <= 0.0:
         raise LeechError("drawn instance lost its positivity margin")
-    if kind == "infeasible" and ctx.margin >= 0.0:
+    if kind == "infeasible" and margin >= 0.0:
         raise LeechError("drawn instance failed to cross the feasibility boundary")
     return data, meta
 

@@ -8,6 +8,17 @@ carry a boundary error decaying like rho^(distance to the truncation edge).
 All oracle comparisons therefore restrict to leading blocks and to sample
 points in the interior of the disc, and every formula here is evaluated
 purely from Taylor data, independent of the state-space solution path.
+
+The Gram matrices gram = T_G T_G* and core = T_G T_G* - T_K T_K* are built
+from their displacement: T T* - S T T* S* = (T E)(T E)* gives each from the
+first block column T E alone (toeplitz_gram), with no dense product.  Block
+(i, j) depends only on the first max(i, j) + 1 Taylor blocks, so the matrices
+of window N are the leading principal blocks of those of window 2N, and the
+margins fall along a ladder of windows.  The oracle path forms no N m x N m
+inverse: it solves once with gram and once with core against thin stacked
+right-hand sides (OracleContext.gram_solved, core_solved) and samples all
+points through one resolvent recursion.  The explicit inverses serve the
+operator identities at the end of this module.
 """
 
 import logging
@@ -24,14 +35,33 @@ log = logging.getLogger("leechsolve.toeplitz")
 
 
 def lower_block_toeplitz(blocks):
-    """Assemble the lower block-triangular Toeplitz matrix from Taylor blocks."""
+    """Assemble the lower block-triangular Toeplitz matrix from Taylor blocks.
+
+    Block column j is the stacked blocks shifted down by j blocks, so the
+    matrix is filled one whole block column at a time."""
     N = len(blocks)
     r, c = blocks[0].shape
+    column = np.concatenate(blocks, axis=0)
     T = np.zeros((N * r, N * c), dtype=complex)
-    for j, blk in enumerate(blocks):
-        for i in range(N - j):
-            T[(i + j) * r:(i + j + 1) * r, i * c:(i + 1) * c] = blk
+    for j in range(N):
+        T[j * r:, j * c:(j + 1) * c] = column[:(N - j) * r]
     return T
+
+
+def toeplitz_gram(column, r):
+    """T T* for the lower block Toeplitz T whose first block column (blocks
+    r rows high) is `column`, from the displacement identity
+
+        T T* - S T T* S* = (T E)(T E)*:
+
+    block (i, j) is block (i-1, j-1) plus c_i c_j*, so one thin product and
+    N block-row updates replace the dense N r x N r product."""
+    N = column.shape[0] // r
+    G = column @ column.conj().T
+    blocks = G.reshape(N, r, N, r)
+    for i in range(1, N):
+        blocks[i, :, 1:] += blocks[i - 1, :, :-1]
+    return herm(G)
 
 
 @dataclass
@@ -88,11 +118,17 @@ def shift_up(X, r):
 
 
 def resolvent_up(X, z, r):
-    """(I - z S*)^{-1} X by backward block recursion (exact: S* is nilpotent)."""
-    Y = X.astype(complex).copy()
-    nblocks = X.shape[0] // r
-    for i in range(nblocks - 2, -1, -1):
-        Y[i * r:(i + 1) * r] += z * Y[(i + 1) * r:(i + 2) * r]
+    """(I - z S*)^{-1} X by backward block recursion (exact: S* is nilpotent).
+
+    With an array of points z the result is the stack over the points,
+    shape z.shape + X.shape, from the same N-step recursion."""
+    z = np.asarray(z, dtype=complex)
+    Y = np.empty(z.shape + X.shape, dtype=complex)
+    Y[...] = X
+    blocks = Y.reshape(z.shape + (X.shape[0] // r, r, X.shape[1]))
+    zb = z[..., None, None]
+    for i in range(blocks.shape[-3] - 2, -1, -1):
+        blocks[..., i, :, :] += zb * blocks[..., i + 1, :, :]
     return Y
 
 
@@ -110,8 +146,12 @@ class OracleContext:
 
         gram = T_G T_G*,   core = T_G T_G* - T_K T_K*
 
-    and cached inverses.  Everything downstream of an inverse requires the
-    positivity margin (smallest eigenvalue of core) to be positive.
+    built from their displacement (toeplitz_gram), their smallest
+    eigenvalues, and solves against them.  Every solve with core requires
+    the positivity margin (smallest eigenvalue of core) to be positive, and
+    every solve with gram the Gram margin.  The oracle itself needs only the
+    thin solves gram_solved and core_solved; the explicit inverses core_inv,
+    gram_inv and ill_inv serve the operator identities below.
     """
 
     def __init__(self, data, N):
@@ -125,11 +165,11 @@ class OracleContext:
 
     @cached_property
     def gram(self):
-        return herm(self.Tg @ self.Tg.conj().T)
+        return toeplitz_gram(self.TgEp, self.m)
 
     @cached_property
     def core(self):
-        return herm(self.gram - self.Tk @ self.Tk.conj().T)
+        return herm(self.gram - toeplitz_gram(self.TkEq, self.m))
 
     @cached_property
     def margin(self):
@@ -145,6 +185,17 @@ class OracleContext:
                 f"truncated Gram difference is not positive definite "
                 f"(margin {self.margin:.6e} at N={self.N})")
 
+    def require_gram_definite(self):
+        if self.gram_margin <= 0.0:
+            raise InfeasibleError(
+                f"truncated Gram matrix of G is not positive definite "
+                f"(margin {self.gram_margin:.6e} at N={self.N})")
+
+    def solve_gram(self, X):
+        """gram^{-1} X."""
+        self.require_gram_definite()
+        return np.linalg.solve(self.gram, X)
+
     @cached_property
     def core_inv(self):
         self.require_definite()
@@ -152,10 +203,7 @@ class OracleContext:
 
     @cached_property
     def gram_inv(self):
-        if self.gram_margin <= 0.0:
-            raise InfeasibleError(
-                f"truncated Gram matrix of G is not positive definite "
-                f"(margin {self.gram_margin:.6e} at N={self.N})")
+        self.require_gram_definite()
         return np.linalg.inv(self.gram)
 
     @property
@@ -167,9 +215,21 @@ class OracleContext:
         return self.Tk[:, :self.q]
 
     @cached_property
+    def gram_solved(self):
+        """gram^{-1} [T_G E_p, S_m* T_G E_p], in one solve.  N = S_m* T_G E_p
+        Theta0, so every Gram solve of the oracle is a slice of this one."""
+        return self.solve_gram(np.hstack([self.TgEp, shift_up(self.TgEp, self.m)]))
+
+    @cached_property
+    def core_solved(self):
+        """core^{-1} [T_K E_q, S_m* T_G E_p], in one solve."""
+        self.require_definite()
+        return np.linalg.solve(self.core, np.hstack([self.TkEq, shift_up(self.TgEp, self.m)]))
+
+    @cached_property
     def lam(self):
         """The contraction Lambda = T_G* (T_G T_G*)^{-1} T_K."""
-        return self.Tg.conj().T @ (self.gram_inv @ self.Tk)
+        return self.Tg.conj().T @ self.solve_gram(self.Tk)
 
     @cached_property
     def ill_inv(self):
@@ -193,7 +253,7 @@ def theta0_defect_oracle(ctx):
     """I_p minus the Gram matrix of the first block column of T_G:
     the defect whose minimal-rank factor is Theta0."""
     E = ctx.TgEp
-    return herm(np.eye(ctx.p, dtype=complex) - E.conj().T @ (ctx.gram_inv @ E))
+    return herm(np.eye(ctx.p, dtype=complex) - E.conj().T @ ctx.gram_solved[:, :ctx.p])
 
 
 class ThetaOracle:
@@ -209,8 +269,13 @@ class ThetaOracle:
                 f"Theta0 must be {ctx.p}x{ctx.p - ctx.m}, got {Theta0.shape}")
         self.ctx = ctx
         self.Theta0 = np.asarray(Theta0, dtype=complex)
-        self.Nop = shift_up(ctx.TgEp @ self.Theta0, ctx.m)
-        self.w = ctx.gram_inv @ self.Nop
+        self.Nop = shift_up(ctx.TgEp, ctx.m) @ self.Theta0
+        self.w = ctx.gram_solved[:, ctx.p:] @ self.Theta0
+
+    @property
+    def core_n(self):
+        """core^{-1} N."""
+        return self.ctx.core_solved[:, self.ctx.q:] @ self.Theta0
 
     def sample(self, z):
         ctx = self.ctx
@@ -237,17 +302,19 @@ def oracle_theta(ctx, Theta0):
     return ThetaOracle(ctx, Theta0)
 
 
-def oracle_deltas(ctx, theta):
-    """Operator-side normalizations:
-
-        Delta0^2 = I_q + E_q* T_K* core^{-1} T_K E_q
-        Delta1^2 = I_k + N* (core^{-1} - gram^{-1}) N
-    """
-    E = ctx.TkEq
-    d0sq = herm(np.eye(ctx.q, dtype=complex) + E.conj().T @ (ctx.core_inv @ E))
-    N = theta.Nop
+def _delta_squares(ctx, theta):
+    """Delta0^2 = I_q + E_q* T_K* core^{-1} T_K E_q and
+    Delta1^2 = I_k + N* (core^{-1} - gram^{-1}) N."""
+    E, N = ctx.TkEq, theta.Nop
+    d0sq = herm(np.eye(ctx.q, dtype=complex) + E.conj().T @ ctx.core_solved[:, :ctx.q])
     d1sq = herm(np.eye(ctx.p - ctx.m, dtype=complex)
-                + N.conj().T @ (ctx.core_inv @ N) - N.conj().T @ (ctx.gram_inv @ N))
+                + N.conj().T @ theta.core_n - N.conj().T @ theta.w)
+    return d0sq, d1sq
+
+
+def oracle_deltas(ctx, theta):
+    """Operator-side normalizations Delta0, Delta1 (see _delta_squares)."""
+    d0sq, d1sq = _delta_squares(ctx, theta)
     return sqrtm_posdef(d0sq, tol=0.0), sqrtm_posdef(d1sq, tol=0.0)
 
 
@@ -259,31 +326,31 @@ def oracle_upsilon(ctx, Theta0, zs):
         U12(z) =          E_p* T_G* (I-zS_m*)^{-1} core^{-1} T_K E_q Delta0^{-1}
         U22(z) = Delta0^{-1} + E_q* T_K* (I-zS_m*)^{-1} core^{-1} T_K E_q Delta0^{-1}
 
-    Returns the samples plus the operator-side Delta0, Delta1.
+    All points share one resolvent recursion on the stacked core^{-1} [N, T_K E_q].
+    Returns the samples, stacked over the points, plus the operator-side
+    Delta0, Delta1.
     """
     theta = oracle_theta(ctx, Theta0)
     Delta0, Delta1 = oracle_deltas(ctx, theta)
     d0i = np.linalg.inv(Delta0) if ctx.q else Delta0
     k = ctx.p - ctx.m
     d1i = np.linalg.inv(Delta1) if k else Delta1
-    wn = ctx.core_inv @ theta.Nop
-    wk = ctx.core_inv @ ctx.TkEq
-    out = {"U11": [], "U12": [], "U21": [], "U22": [],
-           "Delta0": Delta0, "Delta1": Delta1}
-    for z in zs:
-        rn = resolvent_up(wn, z, ctx.m)
-        rk = resolvent_up(wk, z, ctx.m)
-        out["U11"].append((Theta0 - z * (ctx.TgEp.conj().T @ rn)) @ d1i)
-        out["U21"].append((-z * (ctx.TkEq.conj().T @ rn)) @ d1i)
-        out["U12"].append((ctx.TgEp.conj().T @ rk) @ d0i)
-        out["U22"].append(d0i + (ctx.TkEq.conj().T @ rk) @ d0i)
-    return out
+    p = ctx.p
+    z = np.asarray(zs, dtype=complex).reshape(-1)
+    R = resolvent_up(np.hstack([theta.core_n, ctx.core_solved[:, :ctx.q]]), z, ctx.m)
+    V = np.hstack([ctx.TgEp, ctx.TkEq]).conj().T @ R
+    zc = z[:, None, None]
+    return {"U11": (theta.Theta0 - zc * V[:, :p, :k]) @ d1i,
+            "U21": (-zc * V[:, p:, :k]) @ d1i,
+            "U12": V[:, :p, k:] @ d0i,
+            "U22": d0i + V[:, p:, k:] @ d0i,
+            "Delta0": Delta0, "Delta1": Delta1}
 
 
 def bnabla(ctx, theta):
     """B_nabla = (I - Lambda* Lambda)^{-1} Lambda* S_p* T_Theta E_k,
     computed through the equivalent compact form -T_K* core^{-1} N."""
-    return -(ctx.Tk.conj().T @ (ctx.core_inv @ theta.Nop))
+    return -(ctx.Tk.conj().T @ theta.core_n)
 
 
 def bnabla_defect(ctx, theta):
@@ -301,7 +368,7 @@ def _feedback_matrix(ctx):
     """Dense matrix of M = S_q* - S_q* (I - Lambda* Lambda)^{-1} E_q Delta0^{-2} E_q*."""
     Nq = ctx.N * ctx.q
     E = ctx.TkEq
-    d0sq = np.eye(ctx.q, dtype=complex) + E.conj().T @ (ctx.core_inv @ E)
+    d0sq = np.eye(ctx.q, dtype=complex) + E.conj().T @ ctx.core_solved[:, :ctx.q]
     A = np.eye(Nq, dtype=complex)
     A[:, :ctx.q] -= ctx.ill_inv[:, :ctx.q] @ np.linalg.inv(d0sq)
     return shift_up(A, ctx.q)
@@ -357,9 +424,7 @@ def delta1_appendix_defect(ctx, theta):
     TTEk = theta.toeplitz[:, :k]
     hook = TTEk.conj().T @ shift_down(ctx.lam, ctx.p)
     d1sq_app = np.eye(k, dtype=complex) + hook @ (ctx.ill_inv @ hook.conj().T)
-    N = theta.Nop
-    d1sq = (np.eye(k, dtype=complex)
-            + N.conj().T @ (ctx.core_inv @ N) - N.conj().T @ (ctx.gram_inv @ N))
+    d1sq = _delta_squares(ctx, theta)[1]
     scale = max(1.0, float(np.linalg.norm(d1sq)))
     return float(np.linalg.norm(d1sq_app - d1sq)) / scale
 

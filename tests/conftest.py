@@ -1,9 +1,11 @@
-"""Shared instances for the test suite.
+"""Shared instances and reference implementations for the test suite.
 
 Everything expensive is session-scoped: a battery of feasible problems with
 their solved data and coefficients, a cache of truncated-operator contexts
 keyed by problem content, and the feasible/infeasible battery used by the
-solvability-equivalence check.
+solvability-equivalence check.  The references are the plain dense forms of
+the structured Toeplitz paths: block-by-block assembly, dense Gram products
+and explicit inverses, one resolvent recursion per sample point.
 """
 
 from types import SimpleNamespace
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 from leechsolve import build_upsilon, random_problem, solve
+from leechsolve.linalg import sqrtm_posdef
 from leechsolve.toeplitz import OracleContext
 
 BATTERY_SEEDS = (101, 102, 103, 104, 105, 106, 107, 108, 109, 110)
@@ -29,6 +32,61 @@ def kron_stein(A, W):
     n = A.shape[0]
     K = np.eye(n * n, dtype=complex) - np.kron(A, A.conj())
     return np.linalg.solve(K, np.asarray(W, dtype=complex).reshape(n * n)).reshape(n, n)
+
+
+def block_toeplitz_loop(blocks):
+    """Reference lower block-triangular Toeplitz assembly, one block at a time."""
+    N = len(blocks)
+    r, c = blocks[0].shape
+    T = np.zeros((N * r, N * c), dtype=complex)
+    for j, blk in enumerate(blocks):
+        for i in range(N - j):
+            T[(i + j) * r:(i + j + 1) * r, i * c:(i + 1) * c] = blk
+    return T
+
+
+def dense_gram(ctx):
+    """Reference T_G T_G* from the dense product."""
+    M = ctx.Tg @ ctx.Tg.conj().T
+    return 0.5 * (M + M.conj().T)
+
+
+def dense_core(ctx):
+    """Reference T_G T_G* - T_K T_K* from the dense products."""
+    M = ctx.Tg @ ctx.Tg.conj().T - ctx.Tk @ ctx.Tk.conj().T
+    return 0.5 * (M + M.conj().T)
+
+
+def _resolvent_up_loop(X, z, r):
+    Y = X.astype(complex).copy()
+    for i in range(X.shape[0] // r - 2, -1, -1):
+        Y[i * r:(i + 1) * r] += z * Y[(i + 1) * r:(i + 2) * r]
+    return Y
+
+
+def upsilon_per_point(ctx, Theta0, zs):
+    """Reference samples of U11..U22 and Delta0, Delta1: explicit inverses of
+    the dense Gram matrices and one resolvent recursion per point and block."""
+    p, q, m, k = ctx.p, ctx.q, ctx.m, ctx.p - ctx.m
+    core_inv = np.linalg.inv(dense_core(ctx))
+    gram_inv = np.linalg.inv(dense_gram(ctx))
+    TgEp, TkEq = ctx.Tg[:, :p], ctx.Tk[:, :q]
+    N = np.zeros_like(TgEp @ Theta0)
+    N[:-m] = (TgEp @ Theta0)[m:]
+    d0sq = np.eye(q) + TkEq.conj().T @ core_inv @ TkEq
+    d1sq = np.eye(k) + N.conj().T @ (core_inv - gram_inv) @ N
+    Delta0, Delta1 = (sqrtm_posdef(0.5 * (M + M.conj().T), tol=0.0) for M in (d0sq, d1sq))
+    d0i = np.linalg.inv(Delta0) if q else Delta0
+    d1i = np.linalg.inv(Delta1) if k else Delta1
+    wn, wk = core_inv @ N, core_inv @ TkEq
+    out = {"U11": [], "U12": [], "U21": [], "U22": [], "Delta0": Delta0, "Delta1": Delta1}
+    for z in zs:
+        rn, rk = _resolvent_up_loop(wn, z, m), _resolvent_up_loop(wk, z, m)
+        out["U11"].append((Theta0 - z * (TgEp.conj().T @ rn)) @ d1i)
+        out["U21"].append((-z * (TkEq.conj().T @ rn)) @ d1i)
+        out["U12"].append((TgEp.conj().T @ rk) @ d0i)
+        out["U22"].append(d0i + (TkEq.conj().T @ rk) @ d0i)
+    return out
 
 
 def interior_points(count, radius=0.9, seed=1234):

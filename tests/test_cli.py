@@ -212,6 +212,19 @@ class TestOracle:
             assert c120[key] <= c30[key] + 1e-12
         assert c120["U11"] <= 1e-5
 
+    @pytest.mark.parametrize("top, ladder", [(12, [8, 12]), (4, [4])])
+    def test_small_ladder_stays_within_truncation(self, problem_file, tmp_path, capsys,
+                                                  top, ladder):
+        path, _ = problem_file
+        out_path = tmp_path / "report.json"
+        assert main(["oracle", str(path), "--truncation", str(top),
+                     "--out", str(out_path)]) == 0
+        report = load(out_path)
+        assert report["truncations"] == ladder
+        assert sorted(report["margins"]) == sorted(map(str, ladder))
+        assert sorted(report["comparisons"]) == sorted(map(str, ladder))
+        assert f"margin: N={top * 2}" not in capsys.readouterr().out
+
     def test_infeasible_skips_comparison(self, tmp_path, capsys):
         data, _ = random_problem(124, kind="infeasible")
         path = tmp_path / "bad.json"

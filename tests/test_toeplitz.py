@@ -28,12 +28,20 @@ from leechsolve.toeplitz import (
     oracle_upsilon,
     positivity_margin,
     theta0_defect_oracle,
+    toeplitz_gram,
     truncate,
     w_obs,
     woodbury_defect,
 )
 from leechsolve.coefficients import build_redheffer
-from tests.conftest import circle_points, interior_points
+from tests.conftest import (
+    block_toeplitz_loop,
+    circle_points,
+    dense_core,
+    dense_gram,
+    interior_points,
+    upsilon_per_point,
+)
 
 
 def _static_row_data():
@@ -84,6 +92,76 @@ class TestTruncate:
                         np.array([[1.0]]), np.array([[0.0]]))
         with pytest.raises(StabilityError):
             truncate(F, 4)
+
+
+def _rel_diff(a, b):
+    return float(np.linalg.norm(a - b)) / max(1.0, float(np.linalg.norm(b)))
+
+
+class TestStructuredPaths:
+    """The structured Toeplitz paths against their dense references, on the
+    battery (m = 1 and m = 2) and at N = 1, where the recursions are empty."""
+
+    WINDOWS = (1, 2, 37)
+
+    def test_block_toeplitz_matches_block_loop(self, battery):
+        for item in battery:
+            for N in self.WINDOWS:
+                for F in (item.data.g(), item.data.k()):
+                    t = truncate(F, N)
+                    np.testing.assert_array_equal(t.matrix, block_toeplitz_loop(t.blocks))
+
+    def test_gram_and_core_match_dense_products(self, battery):
+        assert {item.data.m for item in battery} == {1, 2}
+        for item in battery:
+            for N in self.WINDOWS:
+                ctx = OracleContext(item.data, N)
+                assert _rel_diff(ctx.gram, dense_gram(ctx)) <= 1e-12
+                assert _rel_diff(ctx.core, dense_core(ctx)) <= 1e-12
+                dense = np.linalg.eigvalsh(dense_core(ctx))[0]
+                assert abs(ctx.margin - dense) <= 1e-12 * max(1.0, abs(dense))
+
+    def test_toeplitz_gram_of_an_empty_recursion(self):
+        column = np.array([[1.0 + 2.0j, 0.5], [0.0, 1.0j]])
+        np.testing.assert_allclose(toeplitz_gram(column, 2), column @ column.conj().T,
+                                   rtol=0.0, atol=1e-15)
+
+    def test_upsilon_matches_per_point_reference(self, battery, oracle_cache):
+        zs = list(interior_points(16))
+        for item in battery:
+            for N in (1, 60):
+                ctx = oracle_cache(item.data, N)
+                if ctx.margin <= 0.0:
+                    continue
+                out = oracle_upsilon(ctx, item.derived.Theta0, zs)
+                ref = upsilon_per_point(ctx, item.derived.Theta0, zs)
+                for key in ("U11", "U12", "U21", "U22"):
+                    assert out[key].shape == (len(zs),) + ref[key][0].shape
+                    assert max(_rel_diff(a, b) for a, b in zip(out[key], ref[key])) <= 1e-12
+                for key in ("Delta0", "Delta1"):
+                    assert _rel_diff(out[key], ref[key]) <= 1e-12
+
+    def test_theta0_defect_matches_dense_inverse(self, battery, oracle_cache):
+        for item in battery:
+            ctx = oracle_cache(item.data, 60)
+            E = ctx.Tg[:, :ctx.p]
+            ref = np.eye(ctx.p) - E.conj().T @ np.linalg.inv(dense_gram(ctx)) @ E
+            assert _rel_diff(theta0_defect_oracle(ctx), ref) <= 1e-12
+
+    def test_gram_guard_raises_before_any_solve(self):
+        data = LeechData(A=np.zeros((0, 0)), B1=np.zeros((0, 2)),
+                         B2=np.zeros((0, 1)), C=np.zeros((1, 0)),
+                         D1=np.zeros((1, 2)), D2=np.zeros((1, 1)))
+        ctx = OracleContext(data, 5)
+        assert ctx.gram_margin <= 0.0
+        Theta0 = np.array([[0.0], [1.0]])
+        with pytest.raises(InfeasibleError, match="Gram matrix of G"):
+            theta0_defect_oracle(ctx)
+        with pytest.raises(InfeasibleError, match="Gram matrix of G"):
+            ThetaOracle(ctx, Theta0)
+        with pytest.raises(InfeasibleError):
+            oracle_theta(ctx, Theta0)
+        assert "gram_solved" not in vars(ctx) and "core_solved" not in vars(ctx)
 
 
 class TestMargins:
