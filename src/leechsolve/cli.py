@@ -169,7 +169,9 @@ def cmd_oracle(args):
         trunc = int(trunc)
         ladder = sorted({min(trunc, rung) for rung in
                          (max(8, trunc // 4), max(16, trunc // 2), trunc)})
-    contexts = {N: OracleContext(data, N) for N in ladder}
+    # every rung is a leading block of the largest window
+    widest = OracleContext(data, ladder[-1])
+    contexts = {N: widest.window(N) for N in ladder}
     margins = {N: contexts[N].margin for N in ladder}
     for N in ladder:
         print(f"margin: N={N} smallest eigenvalue {margins[N]:.6e}")

@@ -102,14 +102,16 @@ def _draw_once(rng, kind, dims, margin_target, est_order):
                     np.zeros((m, p - m), dtype=complex)]) + _randc(rng, m, p, 0.3)
 
     def gram_context(d1):
-        """Truncation of G alone; only its Gram matrix is used."""
+        """Truncation of G alone; only its Gram matrix is used.  K = 0, so
+        the probe's core is its Gram matrix bit for bit and its margin is
+        the Gram margin."""
         probe = LeechData(A, B1, np.zeros((n, 1)), C, d1, np.zeros((m, 1)))
         return OracleContext(probe, est_order)
 
     # boost the constant part of G until its Gram matrix has a real margin
     boosts = 0
     ctx = gram_context(D1)
-    while ctx.gram_margin < 0.2 and boosts < 6:
+    while ctx.margin < 0.2 and boosts < 6:
         D1 = D1 + np.hstack([0.75 * np.eye(m, dtype=complex),
                              np.zeros((m, p - m), dtype=complex)])
         boosts += 1
@@ -124,7 +126,7 @@ def _draw_once(rng, kind, dims, margin_target, est_order):
     elif kind == "corona":
         B2 = np.zeros((n, m), dtype=complex)
         D2 = np.eye(m, dtype=complex)
-        scale = 2.0 / np.sqrt(ctx.gram_margin)
+        scale = 2.0 / np.sqrt(ctx.margin)
         C = scale * C
         D1 = scale * D1
         meta["scale"] = float(scale)

@@ -14,11 +14,17 @@ from their displacement: T T* - S T T* S* = (T E)(T E)* gives each from the
 first block column T E alone (toeplitz_gram), with no dense product.  Block
 (i, j) depends only on the first max(i, j) + 1 Taylor blocks, so the matrices
 of window N are the leading principal blocks of those of window 2N, and the
-margins fall along a ladder of windows.  The oracle path forms no N m x N m
-inverse: it solves once with gram and once with core against thin stacked
-right-hand sides (OracleContext.gram_solved, core_solved) and samples all
-points through one resolvent recursion.  The explicit inverses serve the
-operator identities at the end of this module.
+margins fall along a ladder of windows.  A ladder therefore builds one
+context at its largest window; OracleContext.window(N) hands out each smaller
+rung as leading-block slices of it, with no second truncation or assembly.
+
+The oracle path forms no N m x N m inverse: it solves once with gram and once
+with core against thin stacked right-hand sides (OracleContext.gram_solved,
+core_solved) and samples all points through one resolvent recursion.  It also
+eigen-solves only core: gram - core = T_K T_K* is positive semidefinite, so a
+positive core margin already proves gram definite, and the Gram margin is
+computed only when the core margin is not positive.  The explicit inverses
+serve the operator identities at the end of this module.
 """
 
 import logging
@@ -91,8 +97,8 @@ def truncate(F, N):
     if F.state_dim:
         # contraction estimate from a modest matrix power
         k = 32
-        Ak = np.linalg.matrix_power(F.A, k)
-        radius = min(1.0, float(np.linalg.norm(Ak, 2) ** (1.0 / k))) if np.linalg.norm(Ak) > 0 else 0.0
+        norm = float(np.linalg.norm(np.linalg.matrix_power(F.A, k), 2))
+        radius = min(1.0, norm ** (1.0 / k))
         bound = spectral_norm(F.C) * spectral_norm(F.B) * radius ** (N - 1)
     else:
         radius = 0.0
@@ -148,20 +154,45 @@ class OracleContext:
 
     built from their displacement (toeplitz_gram), their smallest
     eigenvalues, and solves against them.  Every solve with core requires
-    the positivity margin (smallest eigenvalue of core) to be positive, and
-    every solve with gram the Gram margin.  The oracle itself needs only the
-    thin solves gram_solved and core_solved; the explicit inverses core_inv,
-    gram_inv and ill_inv serve the operator identities below.
+    the positivity margin (smallest eigenvalue of core) to be positive.
+    Every solve with gram requires gram to be definite, which follows from
+    a positive margin since gram - core = T_K T_K* >= 0; only when the
+    margin is not positive does the guard compute the Gram margin itself.
+    The oracle itself needs only the thin solves gram_solved and
+    core_solved; the explicit inverses core_inv, gram_inv and ill_inv serve
+    the operator identities below.
+
+    window(N) is the context of the leading N blocks: its Toeplitz and Gram
+    matrices are slices of this one's, so a truncation ladder truncates and
+    assembles once, at its largest window.
     """
 
     def __init__(self, data, N):
         self.data = data
         self.N = int(N)
         self.m, self.p, self.q = data.m, data.p, data.q
-        self.tg = truncate(data.g(), self.N)
-        self.tk = truncate(data.k(), self.N)
-        self.Tg = self.tg.matrix
-        self.Tk = self.tk.matrix
+        self.Tg = truncate(data.g(), self.N).matrix
+        self.Tk = truncate(data.k(), self.N).matrix
+
+    def window(self, N):
+        """The context of the leading N <= self.N blocks, sliced from this
+        one: T_G, T_K, gram and core of a window are the leading principal
+        (block) parts of those of any larger window.  Margins and solves of
+        the window are its own."""
+        N = int(N)
+        if not 1 <= N <= self.N:
+            raise DimensionError(f"window must lie in 1..{self.N}, got {N}")
+        if N == self.N:
+            return self
+        rows = N * self.m
+        sub = object.__new__(type(self))
+        sub.data, sub.N = self.data, N
+        sub.m, sub.p, sub.q = self.m, self.p, self.q
+        sub.Tg = self.Tg[:rows, :N * self.p]
+        sub.Tk = self.Tk[:rows, :N * self.q]
+        sub.gram = self.gram[:rows, :rows]
+        sub.core = self.core[:rows, :rows]
+        return sub
 
     @cached_property
     def gram(self):
@@ -169,7 +200,8 @@ class OracleContext:
 
     @cached_property
     def core(self):
-        return herm(self.gram - toeplitz_gram(self.TkEq, self.m))
+        # toeplitz_gram returns exactly Hermitian matrices, and so is their difference
+        return self.gram - toeplitz_gram(self.TkEq, self.m)
 
     @cached_property
     def margin(self):
@@ -186,6 +218,8 @@ class OracleContext:
                 f"(margin {self.margin:.6e} at N={self.N})")
 
     def require_gram_definite(self):
+        if self.margin > 0.0:
+            return  # gram >= core > 0
         if self.gram_margin <= 0.0:
             raise InfeasibleError(
                 f"truncated Gram matrix of G is not positive definite "

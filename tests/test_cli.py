@@ -308,6 +308,17 @@ class TestProcessLevel:
         assert "verdict: FEASIBLE" in proc.stdout
         assert "positivity gaps" in proc.stderr
 
+    def test_import_loads_no_scipy(self):
+        # scipy is optional; importing it would add about 20 MB of RSS
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, leechsolve, leechsolve.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": PACKAGE_PARENT})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_log_level_defaults_quiet(self, tmp_path):
         data, _ = random_problem(126)
         path = tmp_path / "problem.json"

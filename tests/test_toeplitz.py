@@ -164,6 +164,56 @@ class TestStructuredPaths:
         assert "gram_solved" not in vars(ctx) and "core_solved" not in vars(ctx)
 
 
+class TestWindows:
+    """A window of a larger context against a context built at its own N,
+    and the Gram guard that a positive core margin settles."""
+
+    def test_window_matches_own_context(self, battery):
+        zs = list(interior_points(8))
+        for item in battery:
+            widest = OracleContext(item.data, 120)
+            for N in (1, 37, 60):
+                win, own = widest.window(N), OracleContext(item.data, N)
+                np.testing.assert_array_equal(win.Tg, own.Tg)
+                np.testing.assert_array_equal(win.Tk, own.Tk)
+                assert abs(win.margin - own.margin) <= 1e-12 * max(1.0, abs(own.margin))
+                assert own.margin > 0.0
+                assert _rel_diff(win.gram_solved, own.gram_solved) <= 1e-12
+                assert _rel_diff(win.core_solved, own.core_solved) <= 1e-12
+                assert _rel_diff(theta0_defect_oracle(win), theta0_defect_oracle(own)) <= 1e-12
+                out = oracle_upsilon(win, item.derived.Theta0, zs)
+                ref = oracle_upsilon(own, item.derived.Theta0, zs)
+                for key in ("U11", "U12", "U21", "U22"):
+                    assert max(_rel_diff(a, b) for a, b in zip(out[key], ref[key])) <= 1e-12
+                for key in ("Delta0", "Delta1"):
+                    assert _rel_diff(out[key], ref[key]) <= 1e-12
+
+    def test_window_bounds(self, battery):
+        ctx = OracleContext(battery[0].data, 12)
+        assert ctx.window(12) is ctx
+        for N in (0, 13):
+            with pytest.raises(DimensionError):
+                ctx.window(N)
+
+    def test_gram_solve_on_infeasible_data(self, verdict_battery):
+        contexts = (OracleContext(item.data, 60) for item in verdict_battery if not item.feasible)
+        ctx = next(ctx for ctx in contexts if ctx.gram_margin > 0.0)
+        assert ctx.margin <= 0.0
+        E = ctx.Tg[:, :ctx.p]
+        ref = np.eye(ctx.p) - E.conj().T @ np.linalg.inv(dense_gram(ctx)) @ E
+        assert _rel_diff(theta0_defect_oracle(ctx), ref) <= 1e-12
+        with pytest.raises(InfeasibleError):
+            ctx.require_definite()
+
+    def test_feasible_oracle_skips_gram_margin(self, battery):
+        item = battery[0]
+        widest = OracleContext(item.data, 60)
+        for ctx in (widest.window(30), widest):
+            theta0_defect_oracle(ctx)
+            oracle_upsilon(ctx, item.derived.Theta0, list(interior_points(4)))
+            assert "gram_margin" not in vars(ctx)
+
+
 class TestMargins:
     def test_static_row_margin_is_one(self):
         data = _static_row_data()
