@@ -150,14 +150,6 @@ def cmd_coefficients(args):
     return EXIT_OK
 
 
-def _sample_points(radii=(0.3, 0.6, 0.9), angles=5):
-    pts = [0.0 + 0.0j]
-    for r in radii:
-        for j in range(angles):
-            pts.append(r * np.exp(2j * np.pi * (j + 0.25) / angles))
-    return pts
-
-
 def cmd_oracle(args):
     data, options = files.read_problem(args.problem)
     tol = float(_opt(args, options, "tol", 1e-9))
@@ -194,7 +186,9 @@ def cmd_oracle(args):
         return EXIT_INFEASIBLE
 
     coeffs = build_upsilon(derived)
-    pts = _sample_points()
+    # the origin and five points on each of the circles |z| = 0.3, 0.6, 0.9
+    pts = [0j] + [r * np.exp(2j * np.pi * (j + 0.25) / 5)
+                  for r in (0.3, 0.6, 0.9) for j in range(5)]
     names = ("U11", "U12", "U21", "U22")
     U = evaluate(coeffs.joint, pts)
     p, k = coeffs.p, coeffs.free_dim

@@ -25,11 +25,7 @@ from .realization import Realization, evaluate, hinf_norm_estimate, zeros
 
 log = logging.getLogger("leechsolve.coefficients")
 
-
-def _inv(M):
-    if M.size == 0:
-        return np.zeros(M.shape[::-1], dtype=complex)
-    return np.linalg.inv(M)
+REPORT_POINTS = 64  # circle samples of solution_report
 
 
 @dataclass
@@ -75,37 +71,28 @@ def build_upsilon(derived):
                  U12(0) = ((D1 - Gamma* Q B1)* Delta^{-1} (D2 - Gamma* Q B2)
                            + B1* Q B2 + C1 Omega C2*) Delta0^{-1}
         U22(z) = Delta0 + z C2 (I - z A0)^{-1} B0 Delta0^{-1}
-    """
-    data = derived.data
-    p, q, k = data.p, data.q, data.p - data.m
-    A0, C1, C2 = derived.A0, derived.C1, derived.C2
-    d0inv = _inv(derived.Delta0)
-    d1inv = _inv(derived.Delta1)
-    GhQ = derived.Gamma.conj().T @ derived.Q
-    DGQB1 = data.D1 - GhQ @ data.B1
-    DGQB2 = data.D2 - GhQ @ data.B2
-    U12_0 = (DGQB1.conj().T @ np.linalg.solve(derived.Delta, DGQB2)
-             + data.B1.conj().T @ derived.Q @ data.B2
-             + C1 @ derived.Omega @ C2.conj().T) @ d0inv
-    Bt = derived.Qinv @ np.linalg.solve(derived.gap, data.B1 @ derived.Theta0) @ d1inv
-    B0d = derived.B0 @ d0inv
 
-    U11 = Realization(A0, -Bt, C1, derived.Theta0 @ d1inv, stable=True)
-    U21 = Realization(A0, -Bt, C2, np.zeros((q, k), dtype=complex), stable=True)
-    U12 = Realization(A0, B0d, C1, U12_0, stable=True)
-    U22 = Realization(A0, B0d, C2, derived.Delta0, stable=True)
+    Every product with Q, the gaps or Omega was formed by solve() (the
+    first p rows of E0 and F1), so this only scales and stacks; the four
+    blocks are sub-functions of `joint`.
+    """
+    p, q, k = derived.data.p, derived.data.q, derived.data.p - derived.data.m
+    d0inv = np.linalg.inv(derived.Delta0)
+    d1inv = np.linalg.inv(derived.Delta1)
     joint = Realization(
-        A0,
-        np.hstack([-Bt, B0d]),
-        np.vstack([C1, C2]),
+        derived.A0,
+        np.hstack([-derived.F1 @ d1inv, derived.B0 @ d0inv]),
+        np.vstack([derived.C1, derived.C2]),
         np.block([
-            [derived.Theta0 @ d1inv, U12_0],
+            [derived.Theta0 @ d1inv, derived.E0[:p] @ d0inv],
             [np.zeros((q, k), dtype=complex), derived.Delta0],
         ]),
         stable=True,
     )
+    top, bottom, left, right = slice(None, p), slice(p, None), slice(None, k), slice(k, None)
     return CoefficientSet(derived.Theta0, derived.Delta0, derived.Delta1,
-                          U11, U12, U21, U22, joint)
+                          _block(joint, top, left), _block(joint, top, right),
+                          _block(joint, bottom, left), _block(joint, bottom, right), joint)
 
 
 def j_inner_defect(coeffs, points=64):
@@ -162,7 +149,7 @@ def _partial_inverse(F, m, what):
     if m and sv[-1] <= 1e-12 * max(1.0, sv[0]):
         raise NotInvertibleError(
             f"{what} is not invertible at the origin (sigma_min = {sv[-1]:.3e})")
-    Dinv = _inv(D22)
+    Dinv = np.linalg.inv(D22)
     DinvC, DinvD = Dinv @ C2, Dinv @ D21
     A = F.A - B2 @ DinvC
     if not is_schur_stable(A):
@@ -255,7 +242,7 @@ def central_solution(coeffs, tol=1e-9):
     return apply_lft(coeffs, zeros(coeffs.free_dim, coeffs.q), tol=tol)
 
 
-def apply_redheffer(phi, Y, tol=1e-9):
+def apply_redheffer(phi, Y):
     """Evaluate the feedback form X = Phi22 + Phi21 Y (I - Phi11 Y)^{-1} Phi12
     in closed form on n + s states (s the state dimension of Y)."""
     if not isinstance(Y, Realization):
@@ -276,21 +263,22 @@ def apply_redheffer(phi, Y, tol=1e-9):
     return _block(X, slice(None, p), slice(None, q))
 
 
-def solution_report(derived, coeffs, X, grid=512, points=64):
-    """Verification appendix for a computed solution: interpolation residual,
-    norm estimate, and the indefinite-metric defect of the coefficients."""
+def solution_report(derived, coeffs, X, grid=512):
+    """Verification appendix for a computed solution: interpolation residual
+    and indefinite-metric defect of the coefficients on REPORT_POINTS circle
+    samples, and the norm estimate on the grid."""
     data = derived.data
     G = data.g()
     K = data.k()
-    zs = np.exp(1j * (2.0 * np.pi * np.arange(points) / points))
+    zs = np.exp(1j * (2.0 * np.pi * np.arange(REPORT_POINTS) / REPORT_POINTS))
     residual = float(np.max(spectral_norm(evaluate(G, zs) @ evaluate(X, zs) - evaluate(K, zs))))
     norm = hinf_norm_estimate(X, grid=grid)
-    defect = j_inner_defect(coeffs, points=points)
+    defect = j_inner_defect(coeffs, points=REPORT_POINTS)
     return {
         "interpolation_residual": residual,
         "norm_estimate": norm,
         "norm_grid": int(grid),
         "coefficient_metric_defect": defect,
-        "circle_points": int(points),
+        "circle_points": REPORT_POINTS,
         "margins": {key: float(val) for key, val in derived.margins.items()},
     }

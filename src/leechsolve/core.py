@@ -41,10 +41,6 @@ from .riccati import is_observable, solve_stein, stabilizing_riccati
 log = logging.getLogger("leechsolve.core")
 
 
-def _inverse(M):
-    return np.linalg.inv(M) if M.shape[0] else np.zeros((0, 0), dtype=complex)
-
-
 @dataclass(frozen=True)
 class LeechData:
     """Joint realization data (A, B1, B2, C, D1, D2) of the pair [G  K]."""
@@ -212,7 +208,7 @@ def theta0_defect(data, Q0, P1):
     C0p = solve_hermitian(Delta10, C - Gamma0.conj().T @ Q0 @ A, "kernel defect")
     A0p = A - Gamma0 @ C0p
     C1p = D1.conj().T @ C0p + B1.conj().T @ Q0 @ A0p
-    Q0inv = _inverse(Q0)
+    Q0inv = np.linalg.inv(Q0)
     gap0 = herm(Q0inv - P1)
     Omega0 = P1 @ solve_hermitian(gap0, Q0inv, "kernel gap")
     DQB = D1 - Gamma0.conj().T @ Q0 @ B1
@@ -245,49 +241,67 @@ def theta0(data, Q0, P1, rank_tol=DEFAULT_RANK_TOL):
     return F
 
 
+def _gaps(Q, Q0, P1, P2):
+    """Q^{-1} and the positivity gaps Q^{-1} + P2 - P1 (pair) and Q0^{-1} - P1
+    (kernel); both gaps come out of herm exactly Hermitian."""
+    Qinv = np.linalg.inv(Q)
+    return Qinv, herm(Qinv + P2 - P1), herm(np.linalg.inv(Q0) - P1)
+
+
+def _omega(P1, P2, Qinv, gap):
+    """Omega = (P1 - P2) gap^{-1} Q^{-1}, Hermitian."""
+    return herm((P1 - P2) @ solve_hermitian(gap, Qinv, "Omega"))
+
+
 @dataclass
 class DerivedMatrices:
-    """Everything the parametrization needs, computed once by solve(); Qinv,
-    the positivity gaps and Omega are recomputed on access to keep it small."""
+    """Everything the parametrization needs, computed once by solve().
+
+    The n x n gaps and Omega are recomputed on access; the coefficients read
+    the thin products solve() formed from them (B = [B1  B2], D = [D1  D2]):
+
+        E0 = (D - Gamma* Q B)* Delta^{-1} (D2 - Gamma* Q B2) + B* Q B2
+             + [C1; C2] Omega C2*                        (p + q) x q
+        E1 = Theta0* B1* (gap^{-1} - gap0^{-1}) B1 Theta0     (p - m) x (p - m)
+        F1 = Q^{-1} gap^{-1} B1 Theta0                        n x (p - m)
+
+    E0 stacks U12(0) Delta0 over Delta0^2 - I, and E1 = Delta1^2 - I.
+    """
 
     data: LeechData
     P1: np.ndarray
     P2: np.ndarray
     R0: np.ndarray
     Gamma: np.ndarray
-    R10: np.ndarray
-    Gamma0: np.ndarray
     Q: np.ndarray
     Delta: np.ndarray
     A0: np.ndarray
     Q0: np.ndarray
-    Delta10: np.ndarray
     C0: np.ndarray
     C1: np.ndarray
     C2: np.ndarray
     B0: np.ndarray
     Theta0: np.ndarray
+    E0: np.ndarray
+    E1: np.ndarray
+    F1: np.ndarray
     Delta0: np.ndarray
     Delta1: np.ndarray
     margins: dict = field(default_factory=dict)
 
     @property
-    def Qinv(self):
-        return _inverse(self.Q)
-
-    @property
     def gap(self):
         """Q^{-1} + P2 - P1, positive definite iff suboptimal."""
-        return herm(self.Qinv + self.P2 - self.P1)
+        return _gaps(self.Q, self.Q0, self.P1, self.P2)[1]
 
     @property
     def gap0(self):
         """Q0^{-1} - P1."""
-        return herm(_inverse(self.Q0) - self.P1)
+        return _gaps(self.Q, self.Q0, self.P1, self.P2)[2]
 
     @property
     def Omega(self):
-        return herm((self.P1 - self.P2) @ solve_hermitian(self.gap, self.Qinv, "Omega"))
+        return _omega(self.P1, self.P2, *_gaps(self.Q, self.Q0, self.P1, self.P2)[:2])
 
 
 def delta_matrices(derived, tol=DEFAULT_TOL):
@@ -297,24 +311,17 @@ def delta_matrices(derived, tol=DEFAULT_TOL):
                        + B2* Q B2
         Delta1^2 = I_{p-m} + Theta0* B1* [ gap^{-1} - gap0^{-1} ] B1 Theta0
 
-    Both right-hand sides must be positive definite; Delta1^2 - I is PSD.
+    read off the products E0 and E1 that solve() formed.  Both right-hand
+    sides must be positive definite; Delta1^2 - I is PSD.
     """
-    data = derived.data
-    q = data.q
-    DGQB2 = data.D2 - derived.Gamma.conj().T @ derived.Q @ data.B2
-    d0sq = herm(np.eye(q, dtype=complex)
-                + derived.C2 @ derived.Omega @ derived.C2.conj().T
-                + DGQB2.conj().T @ solve_hermitian(derived.Delta, DGQB2, "Delta0")
-                + data.B2.conj().T @ derived.Q @ data.B2)
-    X = data.B1 @ derived.Theta0
-    d1sq = herm(np.eye(data.p - data.m, dtype=complex)
-                + X.conj().T @ (solve_hermitian(derived.gap, X, "Delta1")
-                                - solve_hermitian(derived.gap0, X, "Delta1")))
+    p, q, k = derived.data.p, derived.data.q, derived.data.p - derived.data.m
+    d0sq = herm(np.eye(q, dtype=complex) + derived.E0[p:])
+    d1sq = herm(np.eye(k, dtype=complex) + derived.E1)
     if not hermitian_posdef_check(d0sq, tol=0.0):
         raise InfeasibleError("Delta0^2 is not positive definite (numerical breakdown)")
     if not hermitian_posdef_check(d1sq, tol=0.0):
         raise InfeasibleError("Delta1^2 is not positive definite (numerical breakdown)")
-    excess = d1sq - np.eye(data.p - data.m, dtype=complex)
+    excess = d1sq - np.eye(k, dtype=complex)
     if excess.size:
         wmin = float(np.linalg.eigvalsh(herm(excess))[0])
         if wmin < -tol * max(1.0, float(np.linalg.norm(d1sq))):
@@ -327,8 +334,9 @@ def solve(data, tol=DEFAULT_TOL, rank_tol=DEFAULT_RANK_TOL):
     """Decide strict suboptimality and return all derived matrices.
 
     Pipeline: validation, Gramians, Popov data, stabilizing Riccati solutions
-    for the pair and for the kernel, the positivity gap Q^{-1} + P2 - P1, and
-    from these the matrices (Omega, C0, C1, C2, B0, Theta0, Delta0, Delta1).
+    for the pair and for the kernel, the positivity gaps, and from these the
+    matrices (C0, C1, C2, B0, Theta0, Delta0, Delta1) and the thin products
+    the coefficients are assembled from.
     Raises ValidationError for malformed data and InfeasibleError when no
     stabilizing solution exists or a positivity gap fails.
     """
@@ -336,55 +344,57 @@ def solve(data, tol=DEFAULT_TOL, rank_tol=DEFAULT_RANK_TOL):
     if not report.ok:
         raise ValidationError("data validation failed: " + report.summary(), report)
     A, B1, B2, C, D1, D2 = data.A, data.B1, data.B2, data.C, data.D1, data.D2
-    n, m, p, q = data.n, data.m, data.p, data.q
 
     P1, P2 = gramians(data)
     pop = popov_data(data, P1, P2)
 
     try:
-        ric = stabilizing_riccati(A, pop.Gamma, pop.R0, C, tol=1e-12)
+        ric = stabilizing_riccati(A, pop.Gamma, pop.R0, C)
     except Exception as exc:
         raise InfeasibleError(
             f"no stabilizing Riccati solution for the pair: {exc}") from exc
     try:
-        ric0 = stabilizing_riccati(A, pop.Gamma0, pop.R10, C, tol=1e-12)
+        ric0 = stabilizing_riccati(A, pop.Gamma0, pop.R10, C)
     except Exception as exc:
         raise InfeasibleError(
             f"no stabilizing Riccati solution for the kernel data: {exc}") from exc
 
-    Q, Delta, A0 = ric.Q, ric.Delta, ric.A0
-    Q0, Delta10 = ric0.Q, ric0.Delta
-    Qinv = _inverse(Q)
-    gap = herm(Qinv + P2 - P1)
-    gap0 = herm(_inverse(Q0) - P1)
-    gap_min = float(np.linalg.eigvalsh(gap)[0]) if n else np.inf
-    gap0_min = float(np.linalg.eigvalsh(gap0)[0]) if n else np.inf
+    Q, Delta, A0, Q0 = ric.Q, ric.Delta, ric.A0, ric0.Q
+    Qinv, gap, gap0 = _gaps(Q, Q0, P1, P2)
+    # the gaps are exactly Hermitian, so the smallest eigenvalue is the verdict
+    gap_min = float(np.min(np.linalg.eigvalsh(gap), initial=np.inf))
+    gap0_min = float(np.min(np.linalg.eigvalsh(gap0), initial=np.inf))
     log.debug("positivity gaps: pair %.6e, kernel %.6e", gap_min, gap0_min)
-    if n and not hermitian_posdef_check(gap, tol=tol):
+    if not gap_min > tol:
         raise InfeasibleError(
             f"positivity gap Q^-1 + P2 - P1 has min eigenvalue {gap_min:.6e}; "
             "the data is not strictly suboptimal")
-    if n and not hermitian_posdef_check(gap0, tol=tol):
+    if not gap0_min > tol:
         raise InfeasibleError(
             f"kernel positivity gap Q0^-1 - P1 has min eigenvalue {gap0_min:.6e}; "
             "numerical breakdown")
 
-    Omega = herm((P1 - P2) @ solve_hermitian(gap, Qinv, "Omega"))
-    W = C - pop.Gamma.conj().T @ Q @ A
-    C0 = solve_hermitian(Delta, W, "C0")
+    C0 = ric.gain
     C1 = D1.conj().T @ C0 + B1.conj().T @ Q @ A0
     C2 = D2.conj().T @ C0 + B2.conj().T @ Q @ A0
-    DGQB2 = D2 - pop.Gamma.conj().T @ Q @ B2
-    B0 = B2 - pop.Gamma @ solve_hermitian(Delta, DGQB2, "B0") + A0 @ Omega @ C2.conj().T
+    OmegaC2 = _omega(P1, P2, Qinv, gap) @ C2.conj().T
+    B = np.hstack([B1, B2])
+    DQB = np.hstack([D1, D2]) - pop.Gamma.conj().T @ Q @ B
+    DQB2 = solve_hermitian(Delta, DQB[:, data.p:], "B0")
+    B0 = B2 - pop.Gamma @ DQB2 + A0 @ OmegaC2
+    E0 = DQB.conj().T @ DQB2 + B.conj().T @ Q @ B2 + np.vstack([C1, C2]) @ OmegaC2
 
     Theta0 = theta0(data, Q0, P1, rank_tol=rank_tol)
     w = np.linalg.eigvalsh(theta0_defect(data, Q0, P1))  # the gap at the rank cut
+    X = B1 @ Theta0
+    gapX = solve_hermitian(gap, X, "Delta1")
+    E1 = X.conj().T @ (gapX - solve_hermitian(gap0, X, "Delta1"))
 
     derived = DerivedMatrices(
-        data=data, P1=P1, P2=P2, R0=pop.R0, Gamma=pop.Gamma, R10=pop.R10,
-        Gamma0=pop.Gamma0, Q=Q, Delta=Delta, A0=A0, Q0=Q0, Delta10=Delta10,
-        C0=C0, C1=C1, C2=C2, B0=B0, Theta0=Theta0,
-        Delta0=np.eye(q, dtype=complex), Delta1=np.eye(p - m, dtype=complex),
+        data=data, P1=P1, P2=P2, R0=pop.R0, Gamma=pop.Gamma, Q=Q, Delta=Delta,
+        A0=A0, Q0=Q0, C0=C0, C1=C1, C2=C2, B0=B0, Theta0=Theta0,
+        E0=E0, E1=E1, F1=Qinv @ gapX,
+        Delta0=None, Delta1=None,
         margins={
             "gap_min_eig": gap_min,
             "gap0_min_eig": gap0_min,

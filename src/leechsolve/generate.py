@@ -15,9 +15,12 @@ from .core import LeechData, solve, validate
 from .errors import LeechError
 from .linalg import spectral_norm
 from .realization import Realization, constant, hinf_norm_estimate
-from .toeplitz import OracleContext, toeplitz_gram, truncate
+from .toeplitz import toeplitz_gram, truncate
 
 log = logging.getLogger("leechsolve.generate")
+
+EST_ORDER = 100  # truncation order of the Gram margin estimate
+MAX_ATTEMPTS = 60
 
 
 def _randc(rng, rows, cols, scale=1.0):
@@ -50,8 +53,7 @@ def _draw_dims(rng):
     return n, m, p, q
 
 
-def random_problem(seed, kind="feasible", dims=None, closed_loop_band=None,
-                   margin_target=0.55, est_order=100, max_attempts=60):
+def random_problem(seed, kind="feasible", dims=None, closed_loop_band=None):
     """Draw a problem instance of the requested kind.
 
     kind: "feasible"   - K rescaled so the Gram margin is safely positive;
@@ -66,9 +68,9 @@ def random_problem(seed, kind="feasible", dims=None, closed_loop_band=None,
     """
     rng = np.random.default_rng(seed)
     last_error = None
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         try:
-            data, meta = _draw_once(rng, kind, dims, margin_target, est_order)
+            data, meta = _draw_once(rng, kind, dims)
         except LeechError as exc:
             last_error = exc
             continue
@@ -87,11 +89,11 @@ def random_problem(seed, kind="feasible", dims=None, closed_loop_band=None,
                 continue
         return data, meta
     raise LeechError(
-        f"could not draw a '{kind}' instance in {max_attempts} attempts"
+        f"could not draw a '{kind}' instance in {MAX_ATTEMPTS} attempts"
         + (f" (last error: {last_error})" if last_error else ""))
 
 
-def _draw_once(rng, kind, dims, margin_target, est_order):
+def _draw_once(rng, kind, dims):
     n, m, p, q = dims if dims is not None else _draw_dims(rng)
     if kind == "corona":
         q = m
@@ -101,49 +103,50 @@ def _draw_once(rng, kind, dims, margin_target, est_order):
     D1 = np.hstack([1.5 * np.eye(m, dtype=complex),
                     np.zeros((m, p - m), dtype=complex)]) + _randc(rng, m, p, 0.3)
 
-    def gram_context(d1):
-        """Truncation of G alone; only its Gram matrix is used.  K = 0, so
-        the probe's core is its Gram matrix bit for bit and its margin is
-        the Gram margin."""
-        probe = LeechData(A, B1, np.zeros((n, 1)), C, d1, np.zeros((m, 1)))
-        return OracleContext(probe, est_order)
+    def gram_probe(d1):
+        """Truncated Gram matrix T_G T_G* of G alone and its smallest eigenvalue."""
+        Tg = truncate(Realization(A, B1, C, d1, stable=True), EST_ORDER).matrix
+        gram = toeplitz_gram(Tg[:, :p], m)
+        return gram, float(np.linalg.eigvalsh(gram)[0])
 
     # boost the constant part of G until its Gram matrix has a real margin
     boosts = 0
-    ctx = gram_context(D1)
-    while ctx.margin < 0.2 and boosts < 6:
+    gram, gram_margin = gram_probe(D1)
+    while gram_margin < 0.2 and boosts < 6:
         D1 = D1 + np.hstack([0.75 * np.eye(m, dtype=complex),
                              np.zeros((m, p - m), dtype=complex)])
         boosts += 1
-        ctx = gram_context(D1)
+        gram, gram_margin = gram_probe(D1)
 
     # the final core T_G T_G* - T_K T_K* from the Gram matrix of the last probe
     meta = {"dims": {"n": n, "m": m, "p": p, "q": q}, "boosts": boosts}
     if kind == "kernel":
         B2 = np.zeros((n, q), dtype=complex)
         D2 = np.zeros((m, q), dtype=complex)
-        core = ctx.gram
+        core = gram
     elif kind == "corona":
         B2 = np.zeros((n, m), dtype=complex)
         D2 = np.eye(m, dtype=complex)
-        scale = 2.0 / np.sqrt(ctx.margin)
+        scale = 2.0 / np.sqrt(gram_margin)
         C = scale * C
         D1 = scale * D1
         meta["scale"] = float(scale)
-        core = scale ** 2 * ctx.gram - np.eye(ctx.gram.shape[0])
+        core = scale ** 2 * gram - np.eye(gram.shape[0])
     else:
         B2r = _randc(rng, n, q)
         D2r = _randc(rng, m, q)
-        Tk = truncate(Realization(A, B2r, C, D2r, stable=True), est_order).matrix
-        M = Tk.conj().T @ ctx.solve_gram(Tk)
+        Tk = truncate(Realization(A, B2r, C, D2r, stable=True), EST_ORDER).matrix
+        if gram_margin <= 0.0:
+            raise LeechError(f"Gram matrix of G is not positive definite ({gram_margin:.3e})")
+        M = Tk.conj().T @ np.linalg.solve(gram, Tk)
         lam_max = float(np.linalg.eigvalsh(0.5 * (M + M.conj().T))[-1])
-        target = margin_target if kind == "feasible" else 1.4
+        target = 0.55 if kind == "feasible" else 1.4
         scale = target / np.sqrt(lam_max)
         B2 = scale * B2r
         D2 = scale * D2r
         meta["scale"] = float(scale)
         meta["lambda_norm_estimate"] = float(target)
-        core = ctx.gram - scale ** 2 * toeplitz_gram(Tk[:, :q], m)
+        core = gram - scale ** 2 * toeplitz_gram(Tk[:, :q], m)
 
     data = LeechData(A, B1, B2, C, D1, D2)
     report = validate(data)

@@ -36,11 +36,11 @@ from .linalg import (
 log = logging.getLogger("leechsolve.riccati")
 
 
-def solve_stein(A, W, tol=1e-11):
+def solve_stein(A, W):
     """Unique solution P of P - A P A* = W for Schur stable A and Hermitian PSD W.
 
     The solution is returned exactly Hermitian after one step of iterative
-    refinement; the residual is verified against tol * (1 + ||W||).
+    refinement; the residual is verified against 1e-11 * (1 + ||W||).
     """
     A = as_cmatrix(A, "A")
     W = as_cmatrix(W, "W")
@@ -67,7 +67,7 @@ def solve_stein(A, W, tol=1e-11):
     # transient of A^j, and the correction's is smaller by the residual
     P = herm(P + stein_doubling(A, herm(W - P + A @ P @ A.conj().T)))
     residual = float(np.linalg.norm(P - A @ P @ A.conj().T - W))
-    if residual > tol * (1.0 + scale):
+    if residual > 1e-11 * (1.0 + scale):
         raise RiccatiError(f"Stein solve residual {residual:.3e} exceeds tolerance")
     return P
 
@@ -85,30 +85,32 @@ def observability_matrix(C, A):
     return np.vstack(blocks)
 
 
-def is_observable(C, A, threshold=1e-10):
-    """Rank test on the observability matrix: sigma_min > threshold * sigma_max."""
+def is_observable(C, A):
+    """Rank test on the observability matrix: sigma_min > 1e-10 * sigma_max."""
     O = observability_matrix(C, A)
     if A.shape[0] == 0:
         return True
     smin, smax = singular_extremes(O)
     if smax == 0.0:
         return False
-    return smin > threshold * smax
+    return smin > 1e-10 * smax
 
 
 @dataclass
 class RiccatiSolution:
     """Stabilizing solution Q with its Schur complement Delta = R0 - Gamma* Q Gamma,
-    closed loop A0, iteration count and final fixed-point residual."""
+    closed loop A0 = A - Gamma L, iteration count, final fixed-point residual
+    and gain L = Delta^{-1} (C - Gamma* Q A)."""
 
     Q: np.ndarray
     Delta: np.ndarray
     A0: np.ndarray
     iterations: int
     residual: float
+    gain: np.ndarray
 
 
-def stabilizing_riccati(A, Gamma, R0, C, tol=1e-12, max_iter=10000, initial=None):
+def stabilizing_riccati(A, Gamma, R0, C, initial=None):
     """Stabilizing solution of the Riccati equation for (A, Gamma, R0, C).
 
     Preconditions: A Schur stable, {C, A} observable.  Raises RiccatiError if
@@ -139,7 +141,7 @@ def stabilizing_riccati(A, Gamma, R0, C, tol=1e-12, max_iter=10000, initial=None
         if not hermitian_posdef_check(R0):
             raise RiccatiError("R0 must be positive definite when there is no state")
         empty = np.zeros((0, 0), dtype=complex)
-        return RiccatiSolution(empty, herm(R0), empty, 0, 0.0)
+        return RiccatiSolution(empty, herm(R0), empty, 0, 0.0, np.zeros((m, 0), dtype=complex))
 
     Q = herm(as_cmatrix(initial, "initial")) if initial is not None else np.zeros((n, n), dtype=complex)
     if Q.shape != (n, n):
@@ -150,7 +152,7 @@ def stabilizing_riccati(A, Gamma, R0, C, tol=1e-12, max_iter=10000, initial=None
     min_step = np.inf
     iterations = 0
     converged = False
-    for k in range(1, max_iter + 1):
+    for k in range(1, 10001):
         iterations = k
         Delta = herm(R0 - Gh @ Q @ Gamma)
         if not hermitian_posdef_check(Delta, tol=0.0):
@@ -174,14 +176,14 @@ def stabilizing_riccati(A, Gamma, R0, C, tol=1e-12, max_iter=10000, initial=None
         step = float(np.linalg.norm(Qn - Q))
         log.debug("riccati iter %d: step %.3e", k, step)
         Q = Qn
-        if step <= tol * (1.0 + float(np.linalg.norm(Q))):
+        if step <= 1e-12 * (1.0 + float(np.linalg.norm(Q))):
             converged = True
             break
         if k > 3 and step > 1e4 * min_step and step > 1e-6 * (1.0 + float(np.linalg.norm(Q))):
             raise RiccatiError(f"Riccati iteration diverging at step {k} (step {step:.3e})")
         min_step = min(min_step, step)
     if not converged:
-        raise RiccatiError(f"Riccati iteration did not converge in {max_iter} steps")
+        raise RiccatiError(f"Riccati iteration did not converge in 10000 steps")
 
     Delta = herm(R0 - Gh @ Q @ Gamma)
     if not hermitian_posdef_check(Delta, tol=0.0):
@@ -201,4 +203,4 @@ def stabilizing_riccati(A, Gamma, R0, C, tol=1e-12, max_iter=10000, initial=None
         "riccati solved in %d iterations, residual %.3e, cond(Q) %.3e",
         iterations, residual, float(np.max(np.abs(qw)) / np.min(np.abs(qw))),
     )
-    return RiccatiSolution(Q, Delta, A0, iterations, residual)
+    return RiccatiSolution(Q, Delta, A0, iterations, residual, L)

@@ -366,9 +366,9 @@ def oracle_upsilon(ctx, Theta0, zs):
     """
     theta = oracle_theta(ctx, Theta0)
     Delta0, Delta1 = oracle_deltas(ctx, theta)
-    d0i = np.linalg.inv(Delta0) if ctx.q else Delta0
+    d0i = np.linalg.inv(Delta0)
     k = ctx.p - ctx.m
-    d1i = np.linalg.inv(Delta1) if k else Delta1
+    d1i = np.linalg.inv(Delta1)
     p = ctx.p
     z = np.asarray(zs, dtype=complex).reshape(-1)
     R = resolvent_up(np.hstack([theta.core_n, ctx.core_solved[:, :ctx.q]]), z, ctx.m)
@@ -421,8 +421,8 @@ def oracle_appendix_phi(ctx, theta, zs):
     """
     p, q, k = ctx.p, ctx.q, ctx.p - ctx.m
     Delta0, Delta1 = oracle_deltas(ctx, theta)
-    d0i = np.linalg.inv(Delta0) if q else Delta0
-    d1i = np.linalg.inv(Delta1) if k else Delta1
+    d0i = np.linalg.inv(Delta0)
+    d1i = np.linalg.inv(Delta1)
     M = _feedback_matrix(ctx)
     Nq = M.shape[0]
     Bn = bnabla(ctx, theta)

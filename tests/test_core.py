@@ -1,9 +1,14 @@
 """Problem data, validation, Popov data, and the full solve pipeline."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from leechsolve.coefficients import build_upsilon
 from leechsolve.core import (
+    DerivedMatrices,
     LeechData,
     delta_matrices,
     gramians,
@@ -14,8 +19,12 @@ from leechsolve.core import (
     validate,
 )
 from leechsolve.errors import InfeasibleError, RankDefectError, ValidationError
+from leechsolve.files import read_problem
 from leechsolve.generate import random_problem
 from leechsolve.linalg import herm, hermitian_posdef_check
+from leechsolve.riccati import stabilizing_riccati
+
+N32 = Path(__file__).resolve().parents[1] / "leechbench" / "fixed" / "n32-s1000.json"
 
 
 def _scalar_data():
@@ -192,3 +201,75 @@ class TestDeltaMatrices:
             excess = herm(d.Delta1 @ d.Delta1 - np.eye(d.data.p - d.data.m))
             if excess.size:
                 assert float(np.linalg.eigvalsh(excess)[0]) >= -1e-9
+
+
+class TestGapOwner:
+    """solve forms Q^{-1}, the gaps and Omega once; the coefficients read
+    only the thin products it stored."""
+
+    def test_inverse_count(self, monkeypatch):
+        data, _ = read_problem(str(N32))
+        assert data.n == 32
+        inv = np.linalg.inv
+        calls = []
+
+        def counting(M):
+            if np.shape(M)[-1] == data.n:
+                calls.append(stage)
+            return inv(M)
+
+        monkeypatch.setattr(np.linalg, "inv", counting)
+        stage = "solve"
+        d = solve(data)
+        stage = "build_upsilon"
+        build_upsilon(d)
+        # Q and Q0 in solve, Q0 once in each of the two theta0_defect calls
+        assert calls.count("solve") <= 4
+        assert calls.count("build_upsilon") == 0
+
+    def test_gaps_and_margins_match_their_definitions(self, battery):
+        for item in battery:
+            d = item.derived
+            gap = herm(np.linalg.inv(d.Q) + d.P2 - d.P1)
+            gap0 = herm(np.linalg.inv(d.Q0) - d.P1)
+            assert np.array_equal(d.gap, gap)
+            assert np.array_equal(d.gap0, gap0)
+            assert d.margins["gap_min_eig"] == np.linalg.eigvalsh(d.gap)[0]
+            assert d.margins["gap0_min_eig"] == np.linalg.eigvalsh(d.gap0)[0]
+            Omega = d.Omega
+            assert np.array_equal(Omega, Omega.conj().T)
+            ref = (d.P1 - d.P2) @ np.linalg.inv(gap) @ np.linalg.inv(d.Q)
+            assert np.linalg.norm(Omega - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_thin_products_match_their_definitions(self, battery, corona_square_case):
+        for item in battery + [corona_square_case]:
+            d, data = item.derived, item.data
+            Gh, Q, Delta = d.Gamma.conj().T, d.Q, d.Delta
+            B, D = np.hstack([data.B1, data.B2]), np.hstack([data.D1, data.D2])
+            DQB = D - Gh @ Q @ B
+            E0 = (DQB.conj().T @ np.linalg.solve(Delta, DQB[:, data.p:])
+                  + B.conj().T @ Q @ data.B2
+                  + np.vstack([d.C1, d.C2]) @ d.Omega @ d.C2.conj().T)
+            X = data.B1 @ d.Theta0
+            E1 = X.conj().T @ (np.linalg.solve(d.gap, X) - np.linalg.solve(d.gap0, X))
+            F1 = np.linalg.inv(Q) @ np.linalg.solve(d.gap, X)
+            for mine, ref in ((d.E0, E0), (d.E1, E1), (d.F1, F1)):
+                assert mine.shape == ref.shape
+                assert np.linalg.norm(mine - ref) <= 1e-10 * max(1.0, np.linalg.norm(ref))
+            k, q = data.p - data.m, data.q
+            np.testing.assert_allclose(d.Delta0 @ d.Delta0, np.eye(q) + d.E0[data.p:],
+                                       atol=1e-10)
+            np.testing.assert_allclose(d.Delta1 @ d.Delta1, np.eye(k) + d.E1, atol=1e-10)
+
+    def test_no_square_state_field_beyond_the_riccati_data(self):
+        d = solve(read_problem(str(N32))[0])
+        n = d.data.n
+        square = {f.name for f in dataclasses.fields(DerivedMatrices)
+                  if getattr(getattr(d, f.name), "shape", None) == (n, n)}
+        assert square == {"P1", "P2", "Q", "A0", "Q0"}
+
+    def test_c0_is_the_pair_gain(self, battery):
+        d = battery[3].derived
+        data = d.data
+        sol = stabilizing_riccati(data.A, d.Gamma, d.R0, data.C)
+        assert np.array_equal(d.C0, sol.gain)

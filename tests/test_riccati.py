@@ -105,6 +105,14 @@ class TestStabilizingRiccati:
         assert hermitian_posdef_check(sol.Delta)
         assert is_schur_stable(sol.A0)
 
+    def test_gain_is_the_final_one(self):
+        data, _ = random_problem(40)
+        pop = popov_data(data, *gramians(data))
+        sol = stabilizing_riccati(data.A, pop.Gamma, pop.R0, data.C)
+        W = data.C - pop.Gamma.conj().T @ sol.Q @ data.A
+        assert np.linalg.norm(sol.Delta @ sol.gain - W) <= 1e-12 * (1 + np.linalg.norm(W))
+        assert np.array_equal(sol.A0, data.A - pop.Gamma @ sol.gain)
+
     def test_newton_waits_for_a_certified_closed_loop(self):
         # from q = 1.9 the closed loop -1 / (2.5 - q) is unstable, so the Stein
         # solve refuses the Newton step until fixed-point steps stabilize it
