@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DefinitenessError,
     DimensionError,
     InfeasibleError,
     RankDefectError,
@@ -219,21 +220,20 @@ def theta0_defect(data, Q0, P1):
     return herm(M)
 
 
-def theta0(data, Q0, P1, rank_tol=DEFAULT_RANK_TOL):
-    """Constant term Theta0 (p x (p - m)) of the inner function spanning Ker T_G.
+def theta0(M, k, rank_tol=DEFAULT_RANK_TOL):
+    """Constant term Theta0 (p x k, k = p - m) of the inner function spanning
+    Ker T_G, from its Gram defect M = theta0_defect(...).
 
-    Factorizes the Gram defect; a rank different from p - m signals a violated
-    kernel condition or numerical breakdown.
+    Factorizes the defect; a rank different from k signals a violated kernel
+    condition or numerical breakdown.
     """
-    M = theta0_defect(data, Q0, P1)
     # the natural scale of M is 1 (it is I minus a Gram matrix), so the cut is
     # the absolute rank_tol; a norm below it means the defect vanished (p = m)
     scale = float(np.linalg.norm(M, 2))
     if scale <= rank_tol:
-        F = np.zeros((data.p, 0), dtype=complex)
+        F = np.zeros((M.shape[0], 0), dtype=complex)
     else:
         F = minimal_rank_factor(M, rank_tol=rank_tol / scale)
-    k = data.p - data.m
     if F.shape[1] != k:
         raise RankDefectError(
             f"kernel defect has rank {F.shape[1]}, expected p - m = {k}; "
@@ -312,20 +312,22 @@ def delta_matrices(derived, tol=DEFAULT_TOL):
         Delta1^2 = I_{p-m} + Theta0* B1* [ gap^{-1} - gap0^{-1} ] B1 Theta0
 
     read off the products E0 and E1 that solve() formed.  Both right-hand
-    sides must be positive definite; Delta1^2 - I is PSD.
+    sides must be positive definite and Delta1^2 - I is PSD; a failure is a
+    numerical breakdown (DefinitenessError), since solve() has already
+    established suboptimality.
     """
     p, q, k = derived.data.p, derived.data.q, derived.data.p - derived.data.m
     d0sq = herm(np.eye(q, dtype=complex) + derived.E0[p:])
     d1sq = herm(np.eye(k, dtype=complex) + derived.E1)
     if not hermitian_posdef_check(d0sq, tol=0.0):
-        raise InfeasibleError("Delta0^2 is not positive definite (numerical breakdown)")
+        raise DefinitenessError("Delta0^2 is not positive definite (numerical breakdown)")
     if not hermitian_posdef_check(d1sq, tol=0.0):
-        raise InfeasibleError("Delta1^2 is not positive definite (numerical breakdown)")
+        raise DefinitenessError("Delta1^2 is not positive definite (numerical breakdown)")
     excess = d1sq - np.eye(k, dtype=complex)
     if excess.size:
         wmin = float(np.linalg.eigvalsh(herm(excess))[0])
         if wmin < -tol * max(1.0, float(np.linalg.norm(d1sq))):
-            raise InfeasibleError(
+            raise DefinitenessError(
                 f"Delta1^2 - I has negative eigenvalue {wmin:.3e}; breakdown")
     return sqrtm_posdef(d0sq, tol=0.0), sqrtm_posdef(d1sq, tol=0.0)
 
@@ -337,8 +339,11 @@ def solve(data, tol=DEFAULT_TOL, rank_tol=DEFAULT_RANK_TOL):
     for the pair and for the kernel, the positivity gaps, and from these the
     matrices (C0, C1, C2, B0, Theta0, Delta0, Delta1) and the thin products
     the coefficients are assembled from.
-    Raises ValidationError for malformed data and InfeasibleError when no
-    stabilizing solution exists or a positivity gap fails.
+    Raises ValidationError for malformed data, InfeasibleError when no
+    stabilizing solution exists or the pair gap Q^-1 + P2 - P1 is not
+    positive definite, and DefinitenessError or RankDefectError for a
+    numerical breakdown after a positive pair gap: the kernel gap
+    Q0^-1 - P1, the rank cut of theta0 or the Delta normalizations.
     """
     report = validate(data, tol=tol)
     if not report.ok:
@@ -370,7 +375,7 @@ def solve(data, tol=DEFAULT_TOL, rank_tol=DEFAULT_RANK_TOL):
             f"positivity gap Q^-1 + P2 - P1 has min eigenvalue {gap_min:.6e}; "
             "the data is not strictly suboptimal")
     if not gap0_min > tol:
-        raise InfeasibleError(
+        raise DefinitenessError(
             f"kernel positivity gap Q0^-1 - P1 has min eigenvalue {gap0_min:.6e}; "
             "numerical breakdown")
 
@@ -384,8 +389,9 @@ def solve(data, tol=DEFAULT_TOL, rank_tol=DEFAULT_RANK_TOL):
     B0 = B2 - pop.Gamma @ DQB2 + A0 @ OmegaC2
     E0 = DQB.conj().T @ DQB2 + B.conj().T @ Q @ B2 + np.vstack([C1, C2]) @ OmegaC2
 
-    Theta0 = theta0(data, Q0, P1, rank_tol=rank_tol)
-    w = np.linalg.eigvalsh(theta0_defect(data, Q0, P1))  # the gap at the rank cut
+    M = theta0_defect(data, Q0, P1)
+    Theta0 = theta0(M, data.p - data.m, rank_tol=rank_tol)
+    w = np.linalg.eigvalsh(M)  # the gap at the rank cut
     X = B1 @ Theta0
     gapX = solve_hermitian(gap, X, "Delta1")
     E1 = X.conj().T @ (gapX - solve_hermitian(gap0, X, "Delta1"))

@@ -7,17 +7,13 @@ the truncated Gram difference has a comfortable margin of the requested sign.
 The seed and every derived choice are reported alongside the data.
 """
 
-import logging
-
 import numpy as np
 
 from .core import LeechData, solve, validate
 from .errors import LeechError
 from .linalg import spectral_norm
 from .realization import Realization, constant, hinf_norm_estimate
-from .toeplitz import toeplitz_gram, truncate
-
-log = logging.getLogger("leechsolve.generate")
+from .toeplitz import lower_block_toeplitz, toeplitz_gram, truncate
 
 EST_ORDER = 100  # truncation order of the Gram margin estimate
 MAX_ATTEMPTS = 60
@@ -105,8 +101,7 @@ def _draw_once(rng, kind, dims):
 
     def gram_probe(d1):
         """Truncated Gram matrix T_G T_G* of G alone and its smallest eigenvalue."""
-        Tg = truncate(Realization(A, B1, C, d1, stable=True), EST_ORDER).matrix
-        gram = toeplitz_gram(Tg[:, :p], m)
+        gram = toeplitz_gram(truncate(Realization(A, B1, C, d1, stable=True), EST_ORDER), m)
         return gram, float(np.linalg.eigvalsh(gram)[0])
 
     # boost the constant part of G until its Gram matrix has a real margin
@@ -135,9 +130,10 @@ def _draw_once(rng, kind, dims):
     else:
         B2r = _randc(rng, n, q)
         D2r = _randc(rng, m, q)
-        Tk = truncate(Realization(A, B2r, C, D2r, stable=True), EST_ORDER).matrix
+        TkEq = truncate(Realization(A, B2r, C, D2r, stable=True), EST_ORDER)
         if gram_margin <= 0.0:
             raise LeechError(f"Gram matrix of G is not positive definite ({gram_margin:.3e})")
+        Tk = lower_block_toeplitz(TkEq, m)
         M = Tk.conj().T @ np.linalg.solve(gram, Tk)
         lam_max = float(np.linalg.eigvalsh(0.5 * (M + M.conj().T))[-1])
         target = 0.55 if kind == "feasible" else 1.4
@@ -146,7 +142,7 @@ def _draw_once(rng, kind, dims):
         D2 = scale * D2r
         meta["scale"] = float(scale)
         meta["lambda_norm_estimate"] = float(target)
-        core = gram - scale ** 2 * toeplitz_gram(Tk[:, :q], m)
+        core = gram - scale ** 2 * toeplitz_gram(TkEq, m)
 
     data = LeechData(A, B1, B2, C, D1, D2)
     report = validate(data)

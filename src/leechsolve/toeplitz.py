@@ -9,14 +9,18 @@ All oracle comparisons therefore restrict to leading blocks and to sample
 points in the interior of the disc, and every formula here is evaluated
 purely from Taylor data, independent of the state-space solution path.
 
-The Gram matrices gram = T_G T_G* and core = T_G T_G* - T_K T_K* are built
-from their displacement: T T* - S T T* S* = (T E)(T E)* gives each from the
-first block column T E alone (toeplitz_gram), with no dense product.  Block
-(i, j) depends only on the first max(i, j) + 1 Taylor blocks, so the matrices
-of window N are the leading principal blocks of those of window 2N, and the
-margins fall along a ladder of windows.  A ladder therefore builds one
-context at its largest window; OracleContext.window(N) hands out each smaller
-rung as leading-block slices of it, with no second truncation or assembly.
+A truncation is kept as its first block column T E, the stacked Taylor
+blocks (truncate); lower_block_toeplitz assembles the full matrix from it
+only where an operator identity needs T itself.  The Gram matrices
+gram = T_G T_G* and core = T_G T_G* - T_K T_K* are built from their
+displacement: T T* - S T T* S* = (T E)(T E)* gives each from the first block
+column alone (toeplitz_gram), with no dense product.  Block (i, j) depends
+only on the first max(i, j) + 1 Taylor blocks, so the matrices of window N
+are the leading principal blocks of those of window 2N, and the margins fall
+along a ladder of windows.  A ladder therefore builds one context at its
+largest window; OracleContext.window(N) hands out each smaller rung as
+leading-row slices of its columns and leading-block slices of its Gram
+matrices, with no second truncation.
 
 The oracle path forms no N m x N m inverse: it solves once with gram and once
 with core against thin stacked right-hand sides (OracleContext.gram_solved,
@@ -27,27 +31,23 @@ computed only when the core margin is not positive.  The explicit inverses
 serve the operator identities at the end of this module.
 """
 
-import logging
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError, InfeasibleError, StabilityError
-from .linalg import herm, spectral_norm, sqrtm_posdef
+from .linalg import herm, sqrtm_posdef
 from .realization import is_schur_stable, taylor_blocks
 
-log = logging.getLogger("leechsolve.toeplitz")
 
+def lower_block_toeplitz(column, r):
+    """Assemble the lower block-triangular Toeplitz matrix whose first block
+    column (blocks r rows high) is `column`.
 
-def lower_block_toeplitz(blocks):
-    """Assemble the lower block-triangular Toeplitz matrix from Taylor blocks.
-
-    Block column j is the stacked blocks shifted down by j blocks, so the
-    matrix is filled one whole block column at a time."""
-    N = len(blocks)
-    r, c = blocks[0].shape
-    column = np.concatenate(blocks, axis=0)
+    Block column j is the column shifted down by j blocks, so the matrix is
+    filled one whole block column at a time."""
+    N = column.shape[0] // r
+    c = column.shape[1]
     T = np.zeros((N * r, N * c), dtype=complex)
     for j in range(N):
         T[j * r:, j * c:(j + 1) * c] = column[:(N - j) * r]
@@ -70,22 +70,9 @@ def toeplitz_gram(column, r):
     return herm(G)
 
 
-@dataclass
-class ToeplitzTruncation:
-    """First N Taylor blocks of a stable function with their Toeplitz matrix
-    and a crude tail bound ||F_N|| <= ||C|| ||B|| tail_radius^(N-1)."""
-
-    blocks: list
-    matrix: np.ndarray
-    count: int
-    out_dim: int
-    in_dim: int
-    tail_radius: float
-    tail_bound: float
-
-
 def truncate(F, N):
-    """Truncated Toeplitz compression of a stable rational function."""
+    """First block column T_F E of the truncated Toeplitz compression of a
+    stable rational function: its first N Taylor blocks stacked (N out x in)."""
     N = int(N)
     if N < 1:
         raise DimensionError(f"truncation order must be positive, got {N}")
@@ -93,18 +80,7 @@ def truncate(F, N):
         raise StabilityError("truncation requires a stable function")
     if F.stable is None and F.state_dim and not is_schur_stable(F.A):
         raise StabilityError("truncation requires a stable function")
-    blocks = taylor_blocks(F, N)
-    if F.state_dim:
-        # contraction estimate from a modest matrix power
-        k = 32
-        norm = float(np.linalg.norm(np.linalg.matrix_power(F.A, k), 2))
-        radius = min(1.0, norm ** (1.0 / k))
-        bound = spectral_norm(F.C) * spectral_norm(F.B) * radius ** (N - 1)
-    else:
-        radius = 0.0
-        bound = 0.0
-    return ToeplitzTruncation(blocks, lower_block_toeplitz(blocks), N,
-                              F.out_dim, F.in_dim, radius, bound)
+    return np.concatenate(taylor_blocks(F, N), axis=0)
 
 
 def shift_down(X, r):
@@ -148,7 +124,8 @@ def resolvent_down(X, z, r):
 
 
 class OracleContext:
-    """Truncated compressions of T_G and T_K with the Gram matrices
+    """Truncated compressions of T_G and T_K, kept as their first block
+    columns TgEp = T_G E_p and TkEq = T_K E_q, with the Gram matrices
 
         gram = T_G T_G*,   core = T_G T_G* - T_K T_K*
 
@@ -158,27 +135,28 @@ class OracleContext:
     Every solve with gram requires gram to be definite, which follows from
     a positive margin since gram - core = T_K T_K* >= 0; only when the
     margin is not positive does the guard compute the Gram margin itself.
-    The oracle itself needs only the thin solves gram_solved and
-    core_solved; the explicit inverses core_inv, gram_inv and ill_inv serve
+    The oracle itself needs only the columns and the thin solves gram_solved
+    and core_solved; the full matrices Tg, Tk and the explicit inverses
+    core_inv, gram_inv and ill_inv are built on first use, for Lambda and
     the operator identities below.
 
-    window(N) is the context of the leading N blocks: its Toeplitz and Gram
-    matrices are slices of this one's, so a truncation ladder truncates and
-    assembles once, at its largest window.
+    window(N) is the context of the leading N blocks: its columns and Gram
+    matrices are slices of this one's, so a truncation ladder truncates
+    once, at its largest window.
     """
 
     def __init__(self, data, N):
         self.data = data
         self.N = int(N)
         self.m, self.p, self.q = data.m, data.p, data.q
-        self.Tg = truncate(data.g(), self.N).matrix
-        self.Tk = truncate(data.k(), self.N).matrix
+        self.TgEp = truncate(data.g(), self.N)
+        self.TkEq = truncate(data.k(), self.N)
 
     def window(self, N):
         """The context of the leading N <= self.N blocks, sliced from this
-        one: T_G, T_K, gram and core of a window are the leading principal
-        (block) parts of those of any larger window.  Margins and solves of
-        the window are its own."""
+        one: the columns of a window are the leading rows of those of any
+        larger window, and its gram and core the leading principal blocks.
+        Margins and solves of the window are its own."""
         N = int(N)
         if not 1 <= N <= self.N:
             raise DimensionError(f"window must lie in 1..{self.N}, got {N}")
@@ -188,11 +166,19 @@ class OracleContext:
         sub = object.__new__(type(self))
         sub.data, sub.N = self.data, N
         sub.m, sub.p, sub.q = self.m, self.p, self.q
-        sub.Tg = self.Tg[:rows, :N * self.p]
-        sub.Tk = self.Tk[:rows, :N * self.q]
+        sub.TgEp = self.TgEp[:rows]
+        sub.TkEq = self.TkEq[:rows]
         sub.gram = self.gram[:rows, :rows]
         sub.core = self.core[:rows, :rows]
         return sub
+
+    @cached_property
+    def Tg(self):
+        return lower_block_toeplitz(self.TgEp, self.m)
+
+    @cached_property
+    def Tk(self):
+        return lower_block_toeplitz(self.TkEq, self.m)
 
     @cached_property
     def gram(self):
@@ -240,14 +226,6 @@ class OracleContext:
         self.require_gram_definite()
         return np.linalg.inv(self.gram)
 
-    @property
-    def TgEp(self):
-        return self.Tg[:, :self.p]
-
-    @property
-    def TkEq(self):
-        return self.Tk[:, :self.q]
-
     @cached_property
     def gram_solved(self):
         """gram^{-1} [T_G E_p, S_m* T_G E_p], in one solve.  N = S_m* T_G E_p
@@ -271,16 +249,6 @@ class OracleContext:
         self.require_definite()
         L = self.lam
         return np.linalg.inv(np.eye(L.shape[1], dtype=complex) - L.conj().T @ L)
-
-
-def positivity_margin(ctx):
-    """Smallest eigenvalue of the truncated T_G T_G* - T_K T_K* (decreasing in N)."""
-    return ctx.margin
-
-
-def oracle_lambda(ctx):
-    """The contraction coupling K to G on the truncation."""
-    return ctx.lam
 
 
 def theta0_defect_oracle(ctx):
@@ -328,7 +296,7 @@ class ThetaOracle:
     @cached_property
     def toeplitz(self):
         """Truncated T_Theta on the same window as the context."""
-        return lower_block_toeplitz(self.blocks(self.ctx.N))
+        return lower_block_toeplitz(np.concatenate(self.blocks(self.ctx.N)), self.ctx.p)
 
 
 def oracle_theta(ctx, Theta0):
@@ -589,7 +557,7 @@ def toeplitz_r(data, R0, Gamma, N):
     for _ in range(N - 1):
         blocks.append(Ck @ Gamma)
         Ck = Ck @ data.A
-    T = lower_block_toeplitz(blocks)
+    T = lower_block_toeplitz(np.concatenate(blocks), data.m)
     D = np.kron(np.eye(N), herm(np.asarray(R0, dtype=complex)))
     return T + T.conj().T - D
 

@@ -18,7 +18,12 @@ from leechsolve.core import (
     theta0_defect,
     validate,
 )
-from leechsolve.errors import InfeasibleError, RankDefectError, ValidationError
+from leechsolve.errors import (
+    DefinitenessError,
+    InfeasibleError,
+    RankDefectError,
+    ValidationError,
+)
 from leechsolve.files import read_problem
 from leechsolve.generate import random_problem
 from leechsolve.linalg import herm, hermitian_posdef_check
@@ -159,7 +164,7 @@ class TestTheta0:
         empty = np.zeros((0, 0))
         M = theta0_defect(data, empty, empty)
         np.testing.assert_allclose(M, np.diag([0.0, 1.0]), atol=1e-14)
-        F = theta0(data, empty, empty)
+        F = theta0(M, data.p - data.m)
         np.testing.assert_allclose(F, np.array([[0.0], [1.0]]), atol=1e-14)
 
     def test_rank_mismatch_raises(self):
@@ -169,7 +174,7 @@ class TestTheta0:
         # a tolerance above the natural scale of the defect swallows every
         # eigenvalue, so the factor comes back empty and the rank check trips
         with pytest.raises(RankDefectError):
-            theta0(data, derived.Q0, derived.P1, rank_tol=1.5)
+            theta0(theta0_defect(data, derived.Q0, derived.P1), data.p - data.m, rank_tol=1.5)
 
     @pytest.mark.parametrize("seed, dims", [(1175, None), (1001, (24, 2, 3, 2))])
     def test_small_defect_keeps_its_rank(self, seed, dims):
@@ -202,6 +207,16 @@ class TestDeltaMatrices:
             if excess.size:
                 assert float(np.linalg.eigvalsh(excess)[0]) >= -1e-9
 
+    def test_indefinite_normalization_is_a_breakdown(self, battery):
+        # solve has already found the data suboptimal, so an indefinite
+        # Delta0^2 = I + E0[p:] is a numerical breakdown, not a verdict
+        d = battery[0].derived
+        p, q = d.data.p, d.data.q
+        E0 = d.E0.copy()
+        E0[p:] = -2.0 * np.eye(q)
+        with pytest.raises(DefinitenessError, match="Delta0"):
+            delta_matrices(dataclasses.replace(d, E0=E0))
+
 
 class TestGapOwner:
     """solve forms Q^{-1}, the gaps and Omega once; the coefficients read
@@ -223,8 +238,8 @@ class TestGapOwner:
         d = solve(data)
         stage = "build_upsilon"
         build_upsilon(d)
-        # Q and Q0 in solve, Q0 once in each of the two theta0_defect calls
-        assert calls.count("solve") <= 4
+        # Q and Q0 for the gaps, Q0 once more in the one theta0_defect call
+        assert calls.count("solve") <= 3
         assert calls.count("build_upsilon") == 0
 
     def test_gaps_and_margins_match_their_definitions(self, battery):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from leechsolve import generate, toeplitz
+from leechsolve.cli import main
 from leechsolve.core import LeechData, solve
 from leechsolve.errors import DimensionError, InfeasibleError, StabilityError
 from leechsolve.generate import random_problem
@@ -21,12 +23,11 @@ from leechsolve.toeplitz import (
     identity_resolvent_shift,
     identity_shift_compression,
     identity_theta_resolvent,
+    lower_block_toeplitz,
     oracle_appendix_phi,
     oracle_deltas,
-    oracle_lambda,
     oracle_theta,
     oracle_upsilon,
-    positivity_margin,
     theta0_defect_oracle,
     toeplitz_gram,
     truncate,
@@ -61,28 +62,24 @@ class TestTruncate:
     def test_scalar_blocks(self):
         F = Realization(np.array([[0.5]]), np.array([[1.0]]),
                         np.array([[1.0]]), np.array([[0.0]]))
-        t = truncate(F, 3)
-        np.testing.assert_allclose([b[0, 0] for b in t.blocks], [0.0, 1.0, 0.5])
+        column = truncate(F, 3)
+        np.testing.assert_allclose(column[:, 0], [0.0, 1.0, 0.5])
         expected = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1.0, 0.0]])
-        np.testing.assert_allclose(t.matrix, expected)
+        np.testing.assert_allclose(lower_block_toeplitz(column, 1), expected)
 
     def test_matrix_is_block_toeplitz(self):
         data, _ = random_problem(70)
-        t = truncate(data.g(), 5)
+        column = truncate(data.g(), 5)
         m, p = data.m, data.p
+        assert column.shape == (5 * m, p)
+        T = lower_block_toeplitz(column, m)
         for i in range(5):
             for j in range(5):
-                blk = t.matrix[i * m:(i + 1) * m, j * p:(j + 1) * p]
+                blk = T[i * m:(i + 1) * m, j * p:(j + 1) * p]
                 if i >= j:
-                    np.testing.assert_allclose(blk, t.blocks[i - j], atol=0.0)
+                    np.testing.assert_allclose(blk, column[(i - j) * m:(i - j + 1) * m], atol=0.0)
                 else:
                     np.testing.assert_allclose(blk, np.zeros((m, p)), atol=0.0)
-
-    def test_tail_bound_shrinks(self):
-        data, _ = random_problem(71)
-        b20 = truncate(data.g(), 20).tail_bound
-        b80 = truncate(data.g(), 80).tail_bound
-        assert 0.0 <= b80 < b20
 
     def test_bad_inputs(self):
         data, _ = random_problem(72)
@@ -108,8 +105,9 @@ class TestStructuredPaths:
         for item in battery:
             for N in self.WINDOWS:
                 for F in (item.data.g(), item.data.k()):
-                    t = truncate(F, N)
-                    np.testing.assert_array_equal(t.matrix, block_toeplitz_loop(t.blocks))
+                    column = truncate(F, N)
+                    np.testing.assert_array_equal(lower_block_toeplitz(column, item.data.m),
+                                                  block_toeplitz_loop(np.split(column, N)))
 
     def test_gram_and_core_match_dense_products(self, battery):
         assert {item.data.m for item in battery} == {1, 2}
@@ -144,7 +142,7 @@ class TestStructuredPaths:
     def test_theta0_defect_matches_dense_inverse(self, battery, oracle_cache):
         for item in battery:
             ctx = oracle_cache(item.data, 60)
-            E = ctx.Tg[:, :ctx.p]
+            E = ctx.TgEp
             ref = np.eye(ctx.p) - E.conj().T @ np.linalg.inv(dense_gram(ctx)) @ E
             assert _rel_diff(theta0_defect_oracle(ctx), ref) <= 1e-12
 
@@ -164,6 +162,40 @@ class TestStructuredPaths:
         assert "gram_solved" not in vars(ctx) and "core_solved" not in vars(ctx)
 
 
+class TestNoAssembly:
+    """The oracle and the generator's Gram probe work on first block columns
+    alone: neither assembles a block Toeplitz matrix."""
+
+    @pytest.fixture
+    def assemblies(self, monkeypatch):
+        calls = []
+
+        def counting(column, r):
+            calls.append(column.shape)
+            return lower_block_toeplitz(column, r)
+
+        for module in (toeplitz, generate):
+            monkeypatch.setattr(module, "lower_block_toeplitz", counting)
+        return calls
+
+    def test_oracle_command(self, assemblies, tmp_path):
+        problem, report = str(tmp_path / "p.json"), str(tmp_path / "r.json")
+        for seed in (3, 7):
+            assert main(["generate", "--seed", str(seed), "--out", problem]) == 0
+            assemblies.clear()
+            assert main(["oracle", problem, "--out", report]) == 0
+            assert assemblies == []
+
+    def test_generator_gram_probe(self, assemblies):
+        for kind in ("kernel", "corona"):
+            random_problem(5, kind=kind)
+            assert assemblies == []
+        # a feasible draw assembles only T_K, once per attempt, for its lambda_max solve
+        _, meta = random_problem(5)
+        assert 1 <= len(assemblies) <= meta["attempt"]
+        assert all(shape[1] == meta["dims"]["q"] for shape in assemblies)
+
+
 class TestWindows:
     """A window of a larger context against a context built at its own N,
     and the Gram guard that a positive core margin settles."""
@@ -174,6 +206,11 @@ class TestWindows:
             widest = OracleContext(item.data, 120)
             for N in (1, 37, 60):
                 win, own = widest.window(N), OracleContext(item.data, N)
+                rows = N * item.data.m
+                for column in ("TgEp", "TkEq"):
+                    wide = getattr(widest, column)
+                    np.testing.assert_array_equal(getattr(win, column), wide[:rows])
+                    assert np.shares_memory(getattr(win, column), wide)
                 np.testing.assert_array_equal(win.Tg, own.Tg)
                 np.testing.assert_array_equal(win.Tk, own.Tk)
                 assert abs(win.margin - own.margin) <= 1e-12 * max(1.0, abs(own.margin))
@@ -199,7 +236,7 @@ class TestWindows:
         contexts = (OracleContext(item.data, 60) for item in verdict_battery if not item.feasible)
         ctx = next(ctx for ctx in contexts if ctx.gram_margin > 0.0)
         assert ctx.margin <= 0.0
-        E = ctx.Tg[:, :ctx.p]
+        E = ctx.TgEp
         ref = np.eye(ctx.p) - E.conj().T @ np.linalg.inv(dense_gram(ctx)) @ E
         assert _rel_diff(theta0_defect_oracle(ctx), ref) <= 1e-12
         with pytest.raises(InfeasibleError):
@@ -218,16 +255,16 @@ class TestMargins:
     def test_static_row_margin_is_one(self):
         data = _static_row_data()
         for N in (1, 4, 9):
-            assert positivity_margin(OracleContext(data, N)) == pytest.approx(1.0, abs=1e-12)
+            assert OracleContext(data, N).margin == pytest.approx(1.0, abs=1e-12)
 
     def test_equal_numerator_margin_is_zero(self):
         data = _proportional_data(73, factor=1.0)
-        assert positivity_margin(OracleContext(data, 12)) == pytest.approx(0.0, abs=1e-12)
+        assert OracleContext(data, 12).margin == pytest.approx(0.0, abs=1e-12)
 
     def test_margin_monotone_in_truncation(self, battery, oracle_cache):
         data = battery[0].data
-        m30 = positivity_margin(oracle_cache(data, 30))
-        m60 = positivity_margin(oracle_cache(data, 60))
+        m30 = oracle_cache(data, 30).margin
+        m60 = oracle_cache(data, 60).margin
         assert m60 <= m30 + 1e-12
         assert m60 > 0.0
 
@@ -242,11 +279,11 @@ class TestMargins:
 class TestLambda:
     def test_zero_numerator(self, kernel_case):
         ctx = OracleContext(kernel_case.data, 10)
-        np.testing.assert_allclose(oracle_lambda(ctx), 0.0, atol=0.0)
+        np.testing.assert_allclose(ctx.lam, 0.0, atol=0.0)
 
     def test_half_numerator_has_norm_half(self):
         ctx = OracleContext(_proportional_data(74, factor=0.5), 12)
-        lam = oracle_lambda(ctx)
+        lam = ctx.lam
         assert spectral_norm(lam) == pytest.approx(0.5, abs=1e-10)
 
 
