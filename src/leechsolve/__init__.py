@@ -34,6 +34,7 @@ from .core import (
     validate,
 )
 from .errors import (
+    BreakdownError,
     DefinitenessError,
     DimensionError,
     EvaluationError,
@@ -69,6 +70,7 @@ from .toeplitz import OracleContext, oracle_theta, oracle_upsilon, truncate
 __version__ = "0.1.0"
 
 __all__ = [
+    "BreakdownError",
     "CoefficientSet",
     "DefinitenessError",
     "DerivedMatrices",

@@ -3,6 +3,7 @@
 Subcommands: check, solve, coefficients, oracle, generate.  Exit codes:
 0 success/feasible, 1 input error (parse, validation, missing file),
 2 infeasible data or numerical breakdown, 3 free-parameter violation.
+A failure's exit code and verdict are those of its class (see errors).
 The LEECH_LOG environment variable sets the logging level on stderr.
 """
 
@@ -21,29 +22,13 @@ from .coefficients import (
     solution_report,
 )
 from .core import solve, theta0_defect, validate
-from .errors import (
-    DefinitenessError,
-    FileFormatError,
-    InfeasibleError,
-    LeechError,
-    NotInvertibleError,
-    ParameterError,
-    RankDefectError,
-    RiccatiError,
-    StabilityError,
-    ValidationError,
-)
+from .errors import BreakdownError, InfeasibleError, LeechError
 from .generate import random_problem
 from .realization import evaluate, zeros
 from .toeplitz import OracleContext, oracle_upsilon, theta0_defect_oracle
 
 EXIT_OK = 0
 EXIT_INPUT = 1
-EXIT_INFEASIBLE = 2
-EXIT_PARAMETER = 3
-
-# failures of solve that are numerical breakdowns, not verdicts on the data
-BREAKDOWN = (RankDefectError, DefinitenessError, StabilityError)
 
 log = logging.getLogger("leechsolve.cli")
 
@@ -91,12 +76,9 @@ def cmd_check(args):
     rank_tol = float(_opt(args, options, "rank_tol", 1e-8))
     try:
         derived = solve(data, tol=tol, rank_tol=rank_tol)
-    except (InfeasibleError, RiccatiError) as exc:
-        print(f"verdict: INFEASIBLE ({exc})")
-        return EXIT_INFEASIBLE
-    except BREAKDOWN as exc:
-        print(f"verdict: BREAKDOWN ({exc})")
-        return EXIT_INFEASIBLE
+    except (InfeasibleError, BreakdownError) as exc:
+        print(f"verdict: {exc.verdict} ({exc})")
+        return exc.exit_code
     mg = derived.margins
     print(f"riccati: pair converged in {mg['riccati_iterations']} iterations, "
           f"residual {mg['riccati_residual']:.3e}")
@@ -123,11 +105,12 @@ def cmd_solve(args):
     verification = solution_report(derived, coeffs, X, grid=grid)
     residual = verification["interpolation_residual"]
     norm = verification["norm_estimate"]
+    # the data passed solve, so a failed verification is the numerics'
     if residual > 1e-5 * (1.0 + float(np.linalg.norm(data.D2))):
-        raise InfeasibleError(
+        raise BreakdownError(
             f"solution failed verification: interpolation residual {residual:.3e}")
     if norm > 1.0 + 1e-6:
-        raise InfeasibleError(
+        raise BreakdownError(
             f"solution failed verification: norm estimate {norm:.9f} exceeds 1")
     _emit(files.solution_to_dict(X, verification), args.out, [
         f"solution: state dimension {X.state_dim}, "
@@ -169,21 +152,16 @@ def cmd_oracle(args):
         print(f"margin: N={N} smallest eigenvalue {margins[N]:.6e}")
     report = {"type": "oracle_report", "truncations": ladder,
               "margins": {str(N): margins[N] for N in ladder}}
-    derived = None
-    if all(m > 0.0 for m in margins.values()):
-        try:
-            derived = solve(data, tol=tol, rank_tol=rank_tol)
-        except (InfeasibleError, RiccatiError) as exc:
-            report["verdict"] = f"infeasible: {exc}"
-        except BREAKDOWN as exc:
-            report["verdict"] = f"breakdown: {exc}"
-    if derived is None:
-        report.setdefault("verdict", "infeasible: truncated Gram margin not positive")
-        kind = report["verdict"].split(":")[0].upper()
-        print(f"verdict: {kind} -- oracle comparison skipped")
+    try:
+        for N in ladder:
+            contexts[N].require_definite()
+        derived = solve(data, tol=tol, rank_tol=rank_tol)
+    except (InfeasibleError, BreakdownError) as exc:
+        report["verdict"] = f"{exc.verdict.lower()}: {exc}"
+        print(f"verdict: {exc.verdict} -- oracle comparison skipped")
         if args.out:
             files.dump(report, args.out)
-        return EXIT_INFEASIBLE
+        return exc.exit_code
 
     coeffs = build_upsilon(derived)
     # the origin and five points on each of the circles |z| = 0.3, 0.6, 0.9
@@ -291,21 +269,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileFormatError, ValidationError) as exc:
+    except (LeechError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMETER
-    except (InfeasibleError, RiccatiError, NotInvertibleError) + BREAKDOWN as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except LeechError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return exc.exit_code if isinstance(exc, LeechError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -126,6 +126,14 @@ class RedhefferSet:
     Phi22: Realization
     joint: Realization
 
+    @property
+    def q(self):
+        return self.Phi12.in_dim
+
+    @property
+    def free_dim(self):
+        return self.Phi11.in_dim
+
 
 def _block(F, rows, cols):
     """The sub-function F[rows, cols] on F's own state."""
@@ -197,7 +205,8 @@ def build_redheffer(coeffs):
 
 
 def check_parameter(coeffs, Y, tol=1e-9):
-    """Validate the free parameter: shape (p-m) x q, stable, sup norm <= 1 + tol."""
+    """Validate the free parameter against a CoefficientSet or RedhefferSet:
+    shape (p-m) x q, stable, sup norm <= 1 + tol."""
     if not isinstance(Y, Realization):
         raise ParameterError("free parameter must be a Realization")
     k, q = coeffs.free_dim, coeffs.q
@@ -244,14 +253,10 @@ def central_solution(coeffs, tol=1e-9):
 
 def apply_redheffer(phi, Y):
     """Evaluate the feedback form X = Phi22 + Phi21 Y (I - Phi11 Y)^{-1} Phi12
-    in closed form on n + s states (s the state dimension of Y)."""
-    if not isinstance(Y, Realization):
-        raise ParameterError("free parameter must be a Realization")
-    q = phi.Phi12.in_dim
-    k = phi.Phi11.in_dim
-    if (Y.out_dim, Y.in_dim) != (k, q):
-        raise ParameterError(
-            f"free parameter must be {k}x{q}, got {Y.out_dim}x{Y.in_dim}")
+    in closed form on n + s states (s the state dimension of Y), for a Y
+    that passes check_parameter."""
+    check_parameter(phi, Y)
+    q = phi.q
     # E maps [y; v] to [Phi22 y + Phi21 Y v; Phi12 y + Phi11 Y v - v]; closing
     # the loop sets the second output to 0
     S = _through_parameter(phi.joint, Y)

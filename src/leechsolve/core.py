@@ -21,6 +21,7 @@ from .errors import (
     DefinitenessError,
     DimensionError,
     InfeasibleError,
+    LeechError,
     RankDefectError,
     ValidationError,
 )
@@ -339,11 +340,14 @@ def solve(data, tol=DEFAULT_TOL, rank_tol=DEFAULT_RANK_TOL):
     for the pair and for the kernel, the positivity gaps, and from these the
     matrices (C0, C1, C2, B0, Theta0, Delta0, Delta1) and the thin products
     the coefficients are assembled from.
-    Raises ValidationError for malformed data, InfeasibleError when no
-    stabilizing solution exists or the pair gap Q^-1 + P2 - P1 is not
-    positive definite, and DefinitenessError or RankDefectError for a
-    numerical breakdown after a positive pair gap: the kernel gap
-    Q0^-1 - P1, the rank cut of theta0 or the Delta normalizations.
+    Raises ValidationError for malformed data.  An InfeasibleError is the
+    verdict that the data is not strictly suboptimal: a RiccatiError when
+    either Riccati equation has no stabilizing solution, or a pair gap
+    Q^-1 + P2 - P1 that is not positive definite.  A BreakdownError is a
+    numerical failure that says nothing about the data: a Riccati solution
+    that fails its postconditions, and after a positive pair gap the kernel
+    gap Q0^-1 - P1, the rank cut of theta0 or the Delta normalizations.
+    A Riccati failure keeps its class; its message names the equation.
     """
     report = validate(data, tol=tol)
     if not report.ok:
@@ -353,16 +357,13 @@ def solve(data, tol=DEFAULT_TOL, rank_tol=DEFAULT_RANK_TOL):
     P1, P2 = gramians(data)
     pop = popov_data(data, P1, P2)
 
+    what = "pair"
     try:
         ric = stabilizing_riccati(A, pop.Gamma, pop.R0, C)
-    except Exception as exc:
-        raise InfeasibleError(
-            f"no stabilizing Riccati solution for the pair: {exc}") from exc
-    try:
+        what = "kernel"
         ric0 = stabilizing_riccati(A, pop.Gamma0, pop.R10, C)
-    except Exception as exc:
-        raise InfeasibleError(
-            f"no stabilizing Riccati solution for the kernel data: {exc}") from exc
+    except LeechError as exc:  # keeps its class, names the equation
+        raise type(exc)(f"{what} Riccati equation: {exc}") from exc
 
     Q, Delta, A0, Q0 = ric.Q, ric.Delta, ric.A0, ric0.Q
     Qinv, gap, gap0 = _gaps(Q, Q0, P1, P2)

@@ -17,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BreakdownError,
     DefinitenessError,
     DimensionError,
+    NotInvertibleError,
     ObservabilityError,
     RiccatiError,
     StabilityError,
@@ -40,7 +42,8 @@ def solve_stein(A, W):
     """Unique solution P of P - A P A* = W for Schur stable A and Hermitian PSD W.
 
     The solution is returned exactly Hermitian after one step of iterative
-    refinement; the residual is verified against 1e-11 * (1 + ||W||).
+    refinement; the residual is verified against 1e-11 * (1 + ||W||), and a
+    larger one is a BreakdownError.
     """
     A = as_cmatrix(A, "A")
     W = as_cmatrix(W, "W")
@@ -68,26 +71,25 @@ def solve_stein(A, W):
     P = herm(P + stein_doubling(A, herm(W - P + A @ P @ A.conj().T)))
     residual = float(np.linalg.norm(P - A @ P @ A.conj().T - W))
     if residual > 1e-11 * (1.0 + scale):
-        raise RiccatiError(f"Stein solve residual {residual:.3e} exceeds tolerance")
+        raise BreakdownError(f"Stein solve residual {residual:.3e} exceeds tolerance")
     return P
 
 
-def observability_matrix(C, A):
-    """Stack [C; CA; ...; CA^{n-1}]."""
-    n = A.shape[0]
+def observability_matrix(C, A, N):
+    """Stack the first N blocks [C; CA; ...; C A^{N-1}]."""
     blocks = []
     Ck = C.copy()
-    for _ in range(n):
+    for _ in range(N):
         blocks.append(Ck)
         Ck = Ck @ A
     if not blocks:
-        return np.zeros((0, n), dtype=complex)
+        return np.zeros((0, A.shape[0]), dtype=complex)
     return np.vstack(blocks)
 
 
 def is_observable(C, A):
     """Rank test on the observability matrix: sigma_min > 1e-10 * sigma_max."""
-    O = observability_matrix(C, A)
+    O = observability_matrix(C, A, A.shape[0])
     if A.shape[0] == 0:
         return True
     smin, smax = singular_extremes(O)
@@ -113,9 +115,13 @@ class RiccatiSolution:
 def stabilizing_riccati(A, Gamma, R0, C, initial=None):
     """Stabilizing solution of the Riccati equation for (A, Gamma, R0, C).
 
-    Preconditions: A Schur stable, {C, A} observable.  Raises RiccatiError if
-    Delta loses definiteness, the iteration diverges, or the computed solution
-    fails its postconditions (PD Delta, stable A0, invertible Q, small residual).
+    Preconditions: A Schur stable, {C, A} observable.  Raises RiccatiError
+    (no stabilizing solution exists, an infeasible verdict) if Delta loses
+    definiteness along the iteration or the iteration diverges.  A computed
+    solution that fails a postcondition is a numerical breakdown:
+    DefinitenessError for the final Delta, StabilityError for A0,
+    NotInvertibleError for a numerically singular Q, and BreakdownError for
+    a large residual or no convergence in 10 000 steps.
     The solution is unique, so any admissible `initial` converges to the same Q.
     """
     A = as_cmatrix(A, "A")
@@ -183,22 +189,22 @@ def stabilizing_riccati(A, Gamma, R0, C, initial=None):
             raise RiccatiError(f"Riccati iteration diverging at step {k} (step {step:.3e})")
         min_step = min(min_step, step)
     if not converged:
-        raise RiccatiError(f"Riccati iteration did not converge in 10000 steps")
+        raise BreakdownError("Riccati iteration did not converge in 10000 steps")
 
     Delta = herm(R0 - Gh @ Q @ Gamma)
     if not hermitian_posdef_check(Delta, tol=0.0):
-        raise RiccatiError("computed Schur complement is not positive definite")
+        raise DefinitenessError("computed Schur complement is not positive definite")
     W = C - Gh @ Q @ A
     L = solve_hermitian(Delta, W, "riccati gain")
     A0 = A - Gamma @ L
     residual = float(np.linalg.norm(Q - herm(Ah @ Q @ A + W.conj().T @ L)))
     if residual > 1e-9 * (1.0 + float(np.linalg.norm(Q))):
-        raise RiccatiError(f"Riccati residual {residual:.3e} exceeds tolerance")
+        raise BreakdownError(f"Riccati residual {residual:.3e} exceeds tolerance")
     if not is_schur_stable(A0):
-        raise RiccatiError("closed-loop matrix of the computed solution is not Schur stable")
+        raise StabilityError("closed-loop matrix of the computed solution is not Schur stable")
     qw = np.linalg.eigvalsh(herm(Q))
     if float(np.min(np.abs(qw))) <= 1e-14 * max(1.0, float(np.max(np.abs(qw)))):
-        raise RiccatiError("stabilizing solution is numerically singular")
+        raise NotInvertibleError("stabilizing solution is numerically singular")
     log.debug(
         "riccati solved in %d iterations, residual %.3e, cond(Q) %.3e",
         iterations, residual, float(np.max(np.abs(qw)) / np.min(np.abs(qw))),

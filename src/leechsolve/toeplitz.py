@@ -38,6 +38,7 @@ import numpy as np
 from .errors import DimensionError, InfeasibleError, StabilityError
 from .linalg import herm, sqrtm_posdef
 from .realization import is_schur_stable, taylor_blocks
+from .riccati import observability_matrix
 
 
 def lower_block_toeplitz(column, r):
@@ -539,16 +540,6 @@ def identity_theta_resolvent(ctx, theta, z):
                 np.linalg.norm(lhs[:, :half]))
 
 
-def w_obs(data, N):
-    """Truncated observability operator [C; CA; ...; C A^{N-1}]."""
-    blocks = []
-    Ck = data.C.copy()
-    for _ in range(N):
-        blocks.append(Ck)
-        Ck = Ck @ data.A
-    return np.vstack(blocks)
-
-
 def toeplitz_r(data, R0, Gamma, N):
     """Truncated selfadjoint Toeplitz matrix of R = G G* - K K*: block diagonal
     R0, lower blocks C A^{j-1} Gamma, upper blocks their adjoints."""
@@ -565,7 +556,7 @@ def toeplitz_r(data, R0, Gamma, N):
 def gram_riccati_defect(ctx, R0, Gamma, Q):
     """Relative defect of Q = W_obs* T_R^{-1} W_obs on the truncation."""
     TR = toeplitz_r(ctx.data, R0, Gamma, ctx.N)
-    W = w_obs(ctx.data, ctx.N)
+    W = observability_matrix(ctx.data.C, ctx.data.A, ctx.N)
     W0 = np.linalg.solve(TR, W)
     return _rel(np.linalg.norm(W.conj().T @ W0 - Q), np.linalg.norm(Q))
 
@@ -575,7 +566,7 @@ def woodbury_defect(ctx, R0, Gamma, Omega, probes=20, seed=0):
     W_0 = T_R^{-1} W_obs, probed on random vectors supported on the leading
     half of the window (the tail is polluted by the truncation boundary)."""
     TR = toeplitz_r(ctx.data, R0, Gamma, ctx.N)
-    W = w_obs(ctx.data, ctx.N)
+    W = observability_matrix(ctx.data.C, ctx.data.A, ctx.N)
     W0 = np.linalg.solve(TR, W)
     Nm = ctx.N * ctx.m
     half = (ctx.N // 2) * ctx.m

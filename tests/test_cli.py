@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import leechsolve
+from leechsolve import cli, errors
 from leechsolve.cli import main
 from leechsolve.files import (
     coefficients_from_dict,
@@ -20,7 +21,7 @@ from leechsolve.files import (
 )
 from leechsolve.generate import random_contraction, random_problem
 from leechsolve.realization import Realization, constant, evaluate, product
-from tests.conftest import circle_points
+from tests.conftest import circle_points, singular_riccati_data
 
 
 @pytest.fixture()
@@ -74,6 +75,15 @@ class TestCheck:
         assert main(["check", str(path), "--rank-tol", "1.5"]) == 2
         out = capsys.readouterr().out
         assert "verdict: BREAKDOWN (kernel defect has rank" in out
+        assert "INFEASIBLE" not in out
+
+    def test_singular_riccati_solution_is_a_breakdown(self, tmp_path, capsys):
+        path = tmp_path / "singular.json"
+        write_problem(singular_riccati_data(), path)
+        assert main(["check", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert "verdict: BREAKDOWN (pair Riccati equation: " in out
+        assert "numerically singular" in out
         assert "INFEASIBLE" not in out
 
 
@@ -250,6 +260,19 @@ class TestOracle:
         assert report["verdict"].startswith("breakdown: kernel defect has rank")
         assert "comparisons" not in report
 
+    def test_singular_riccati_solution_writes_breakdown_report(self, tmp_path, capsys):
+        path = tmp_path / "singular.json"
+        write_problem(singular_riccati_data(), path)
+        out_path = tmp_path / "r.json"
+        assert main(["oracle", str(path), "--truncation", "60",
+                     "--out", str(out_path)]) == 2
+        out = capsys.readouterr().out
+        assert "verdict: BREAKDOWN -- oracle comparison skipped" in out
+        report = load(out_path)
+        assert all(m > 0 for m in report["margins"].values())
+        assert report["verdict"].startswith("breakdown: pair Riccati equation: ")
+        assert "comparisons" not in report
+
 
 class TestGenerateAndErrors:
     def test_generate_then_check(self, tmp_path, capsys):
@@ -286,6 +309,42 @@ class TestGenerateAndErrors:
         path.write_text("{not json")
         assert main(["solve", str(path)]) == 1
         assert "line" in capsys.readouterr().err
+
+
+EXIT_CODES = {
+    errors.FileFormatError: 1,
+    errors.ValidationError: 1,
+    errors.DimensionError: 1,
+    errors.ObservabilityError: 1,
+    errors.EvaluationError: 1,
+    errors.LeechError: 1,
+    OSError: 1,
+    errors.InfeasibleError: 2,
+    errors.RiccatiError: 2,
+    errors.BreakdownError: 2,
+    errors.NotInvertibleError: 2,
+    errors.RankDefectError: 2,
+    errors.DefinitenessError: 2,
+    errors.StabilityError: 2,
+    errors.ParameterError: 3,
+}
+
+
+class TestExitCodes:
+    def test_table_covers_every_error_class(self):
+        classes = {cls for cls in vars(errors).values()
+                   if isinstance(cls, type) and issubclass(cls, errors.LeechError)}
+        assert classes == set(EXIT_CODES) - {OSError}
+
+    @pytest.mark.parametrize("error, code", EXIT_CODES.items(),
+                             ids=[cls.__name__ for cls in EXIT_CODES])
+    def test_exit_code_of_each_class(self, error, code, monkeypatch, capsys):
+        def failing(args):
+            raise error("planted failure")
+
+        monkeypatch.setattr(cli, "cmd_generate", failing)
+        assert main(["generate", "--seed", "1"]) == code
+        assert "error: planted failure" in capsys.readouterr().err
 
 
 # The child process gets a minimal environment so that an outer LEECH_LOG

@@ -107,6 +107,24 @@ class TestRedheffer:
                 np.testing.assert_allclose(
                     evaluate(X1, z), evaluate(X2, z), atol=1e-8)
 
+    @pytest.mark.parametrize("kind", ["norm", "unstable"])
+    def test_feedback_form_enforces_the_parameter_contract(self, kind):
+        # the same contract apply_lft enforces: a Y outside the unit ball or
+        # not stable is a ParameterError, not a solution or a breakdown
+        c = build_upsilon(solve(random_problem(5)[0]))
+        phi = build_redheffer(c)
+        assert (phi.free_dim, phi.q) == (c.free_dim, c.q)
+        k, q = c.free_dim, c.q
+        if kind == "norm":
+            Y = constant(1.5 * np.eye(k, q))
+        else:
+            Y = Realization(1.5 * np.eye(1), np.ones((1, q)),
+                            0.01 * np.ones((k, 1)), np.zeros((k, q)))
+        with pytest.raises(ParameterError):
+            apply_lft(c, Y)
+        with pytest.raises(ParameterError):
+            apply_redheffer(phi, Y)
+
 
 class TestParameterChecks:
     def test_wrong_shape(self, battery):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from leechsolve import core
 from leechsolve.coefficients import build_upsilon
 from leechsolve.core import (
     DerivedMatrices,
@@ -19,15 +20,19 @@ from leechsolve.core import (
     validate,
 )
 from leechsolve.errors import (
+    BreakdownError,
     DefinitenessError,
     InfeasibleError,
+    NotInvertibleError,
     RankDefectError,
+    RiccatiError,
     ValidationError,
 )
 from leechsolve.files import read_problem
 from leechsolve.generate import random_problem
 from leechsolve.linalg import herm, hermitian_posdef_check
 from leechsolve.riccati import stabilizing_riccati
+from tests.conftest import singular_riccati_data
 
 N32 = Path(__file__).resolve().parents[1] / "leechbench" / "fixed" / "n32-s1000.json"
 
@@ -143,6 +148,25 @@ class TestSolve:
         bad = LeechData(data.A, data.B1, 1.5 * data.B1, data.C, data.D1, 1.5 * data.D1)
         with pytest.raises(InfeasibleError):
             solve(bad)
+
+    def test_infeasible_riccati_is_a_verdict(self):
+        data, _ = random_problem(42, kind="infeasible")
+        with pytest.raises(RiccatiError, match="^pair Riccati equation: Schur complement"):
+            solve(data)
+
+    def test_singular_riccati_solution_is_a_breakdown(self):
+        with pytest.raises(NotInvertibleError, match="pair Riccati equation: .*singular") as info:
+            solve(singular_riccati_data())
+        assert isinstance(info.value, BreakdownError)
+        assert not isinstance(info.value, InfeasibleError)
+
+    def test_programming_errors_are_not_verdicts(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("not a verdict")
+
+        monkeypatch.setattr(core, "stabilizing_riccati", broken)
+        with pytest.raises(TypeError, match="not a verdict"):
+            solve(_scalar_data())
 
     def test_margins_are_reported(self, battery):
         m = battery[0].derived.margins

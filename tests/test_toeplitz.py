@@ -10,6 +10,7 @@ from leechsolve.errors import DimensionError, InfeasibleError, StabilityError
 from leechsolve.generate import random_problem
 from leechsolve.linalg import spectral_norm
 from leechsolve.realization import Realization, evaluate
+from leechsolve.riccati import observability_matrix
 from leechsolve.toeplitz import (
     OracleContext,
     ThetaOracle,
@@ -31,7 +32,6 @@ from leechsolve.toeplitz import (
     theta0_defect_oracle,
     toeplitz_gram,
     truncate,
-    w_obs,
     woodbury_defect,
 )
 from leechsolve.coefficients import build_redheffer
@@ -468,6 +468,6 @@ class TestOperatorIdentities:
         # Q equals W_obs* W0 with W0 = T_R^{-1} W_obs; cross-check the raw
         # builders on a short window against the long-window defect above
         item = battery[1]
-        W = w_obs(item.data, 6)
+        W = observability_matrix(item.data.C, item.data.A, 6)
         assert W.shape == (6 * item.data.m, item.data.n)
         np.testing.assert_allclose(W[:item.data.m], item.data.C, atol=0.0)
