@@ -84,8 +84,8 @@ def cmd_check(args):
           f"residual {mg['riccati_residual']:.3e}")
     print(f"riccati: kernel converged in {mg['kernel_riccati_iterations']} iterations, "
           f"residual {mg['kernel_riccati_residual']:.3e}")
-    print(f"margin: positivity gap min eigenvalue {mg['gap_min_eig']:.6e}")
-    print(f"margin: kernel gap min eigenvalue {mg['gap0_min_eig']:.6e}")
+    print(f"margin: positivity gap min eigenvalue {mg['gap_min_eig']:.6e} (scaled by Q^1/2)")
+    print(f"margin: kernel gap min eigenvalue {mg['gap0_min_eig']:.6e} (scaled by Q0^1/2)")
     print("verdict: FEASIBLE")
     return EXIT_OK
 

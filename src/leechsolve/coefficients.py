@@ -65,16 +65,16 @@ def build_upsilon(derived):
     All four blocks share A0.  With gap = Q^{-1} + P2 - P1:
 
         U11(z) = Theta0 Delta1^{-1} - z C1 (I - z A0)^{-1} Bt,
-                 Bt = Q^{-1} gap^{-1} B1 Theta0 Delta1^{-1}
+                 Bt = Q^{-1} gap^{-1} B1 Theta0 Delta1^{-1} = F1 Delta1^{-1}
         U21(z) =                  - z C2 (I - z A0)^{-1} Bt
         U12(z) = U12(0) + z C1 (I - z A0)^{-1} B0 Delta0^{-1},
                  U12(0) = ((D1 - Gamma* Q B1)* Delta^{-1} (D2 - Gamma* Q B2)
                            + B1* Q B2 + C1 Omega C2*) Delta0^{-1}
         U22(z) = Delta0 + z C2 (I - z A0)^{-1} B0 Delta0^{-1}
 
-    Every product with Q, the gaps or Omega was formed by solve() (the
-    first p rows of E0 and F1), so this only scales and stacks; the four
-    blocks are sub-functions of `joint`.
+    Every product with Q, the gaps or Omega was formed by solve() as a solve,
+    never an inverse (the first p rows of E0, and F1), so this only scales and
+    stacks; the four blocks are sub-functions of `joint`.
     """
     p, q, k = derived.data.p, derived.data.q, derived.data.p - derived.data.m
     d0inv = np.linalg.inv(derived.Delta0)

@@ -122,9 +122,6 @@ class ValidationReport:
     def ok(self):
         return all(c.passed for c in self.checks)
 
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
-
     def summary(self):
         return "; ".join(f"{c.name}: {'ok' if c.passed else 'FAIL'} ({c.detail})"
                          for c in self.checks)
@@ -210,9 +207,8 @@ def theta0_defect(data, Q0, P1):
     C0p = solve_hermitian(Delta10, C - Gamma0.conj().T @ Q0 @ A, "kernel defect")
     A0p = A - Gamma0 @ C0p
     C1p = D1.conj().T @ C0p + B1.conj().T @ Q0 @ A0p
-    Q0inv = np.linalg.inv(Q0)
-    gap0 = herm(Q0inv - P1)
-    Omega0 = P1 @ solve_hermitian(gap0, Q0inv, "kernel gap")
+    # Omega0 = P1 (Q0^{-1} - P1)^{-1} Q0^{-1} = (I - P1 Q0)^{-1} P1, with no inverse of Q0
+    Omega0 = herm(np.linalg.solve(np.eye(len(Q0), dtype=complex) - P1 @ Q0, P1))
     DQB = D1 - Gamma0.conj().T @ Q0 @ B1
     M = (np.eye(p, dtype=complex)
          - C1p @ Omega0 @ C1p.conj().T
@@ -242,16 +238,20 @@ def theta0(M, k, rank_tol=DEFAULT_RANK_TOL):
     return F
 
 
-def _gaps(Q, Q0, P1, P2):
-    """Q^{-1} and the positivity gaps Q^{-1} + P2 - P1 (pair) and Q0^{-1} - P1
-    (kernel); both gaps come out of herm exactly Hermitian."""
-    Qinv = np.linalg.inv(Q)
-    return Qinv, herm(Qinv + P2 - P1), herm(np.linalg.inv(Q0) - P1)
+def _gap_min(Q, H):
+    """Smallest eigenvalue of I + Q^1/2 H Q^1/2 (inf when n = 0): for PSD Q, the
+    gap Q^-1 + H under congruence, so the same verdict with no inverse.  With
+    Q = V W V*, F = V W^1/2 makes F* H F unitarily similar to Q^1/2 H Q^1/2."""
+    w, V = np.linalg.eigh(Q)
+    F = V * np.sqrt(np.clip(w, 0.0, None))
+    return float(np.min(np.linalg.eigvalsh(herm(np.eye(len(Q)) + F.conj().T @ H @ F)),
+                        initial=np.inf))
 
 
-def _omega(P1, P2, Qinv, gap):
-    """Omega = (P1 - P2) gap^{-1} Q^{-1}, Hermitian."""
-    return herm((P1 - P2) @ solve_hermitian(gap, Qinv, "Omega"))
+def _omega(P1, P2, Q):
+    """Omega = (P1 - P2) gap^{-1} Q^{-1} = (I + (P2 - P1) Q)^{-1} (P1 - P2), Hermitian."""
+    dP = P1 - P2
+    return herm(np.linalg.solve(np.eye(len(Q), dtype=complex) - dP @ Q, dP))
 
 
 @dataclass
@@ -266,7 +266,9 @@ class DerivedMatrices:
         E1 = Theta0* B1* (gap^{-1} - gap0^{-1}) B1 Theta0     (p - m) x (p - m)
         F1 = Q^{-1} gap^{-1} B1 Theta0                        n x (p - m)
 
-    E0 stacks U12(0) Delta0 over Delta0^2 - I, and E1 = Delta1^2 - I.
+    E0 stacks U12(0) Delta0 over Delta0^2 - I, and E1 = Delta1^2 - I.  solve()
+    forms them by solves against I + (P2 - P1) Q and I - P1 Q0: only the gap
+    and gap0 properties invert Q or Q0, for inspection.
     """
 
     data: LeechData
@@ -293,16 +295,16 @@ class DerivedMatrices:
     @property
     def gap(self):
         """Q^{-1} + P2 - P1, positive definite iff suboptimal."""
-        return _gaps(self.Q, self.Q0, self.P1, self.P2)[1]
+        return herm(np.linalg.inv(self.Q) + self.P2 - self.P1)
 
     @property
     def gap0(self):
         """Q0^{-1} - P1."""
-        return _gaps(self.Q, self.Q0, self.P1, self.P2)[2]
+        return herm(np.linalg.inv(self.Q0) - self.P1)
 
     @property
     def Omega(self):
-        return _omega(self.P1, self.P2, *_gaps(self.Q, self.Q0, self.P1, self.P2)[:2])
+        return _omega(self.P1, self.P2, self.Q)
 
 
 def delta_matrices(derived, tol=DEFAULT_TOL):
@@ -339,14 +341,16 @@ def solve(data, tol=DEFAULT_TOL, rank_tol=DEFAULT_RANK_TOL):
     Pipeline: validation, Gramians, Popov data, stabilizing Riccati solutions
     for the pair and for the kernel, the positivity gaps, and from these the
     matrices (C0, C1, C2, B0, Theta0, Delta0, Delta1) and the thin products
-    the coefficients are assembled from.
+    the coefficients are assembled from.  The gaps Q^-1 + P2 - P1 and
+    Q0^-1 - P1 are decided as I + Q^1/2 (P2 - P1) Q^1/2 > 0 and
+    I - Q0^1/2 P1 Q0^1/2 > 0, so no Riccati solution is inverted.
     Raises ValidationError for malformed data.  An InfeasibleError is the
     verdict that the data is not strictly suboptimal: a RiccatiError when
     either Riccati equation has no stabilizing solution, or a pair gap
-    Q^-1 + P2 - P1 that is not positive definite.  A BreakdownError is a
-    numerical failure that says nothing about the data: a Riccati solution
-    that fails its postconditions, and after a positive pair gap the kernel
-    gap Q0^-1 - P1, the rank cut of theta0 or the Delta normalizations.
+    that is not positive definite.  A BreakdownError is a numerical failure
+    that says nothing about the data: a Riccati solution that fails its
+    postconditions, and after a positive pair gap the kernel gap, the rank
+    cut of theta0 or the Delta normalizations.
     A Riccati failure keeps its class; its message names the equation.
     """
     report = validate(data, tol=tol)
@@ -366,24 +370,22 @@ def solve(data, tol=DEFAULT_TOL, rank_tol=DEFAULT_RANK_TOL):
         raise type(exc)(f"{what} Riccati equation: {exc}") from exc
 
     Q, Delta, A0, Q0 = ric.Q, ric.Delta, ric.A0, ric0.Q
-    Qinv, gap, gap0 = _gaps(Q, Q0, P1, P2)
-    # the gaps are exactly Hermitian, so the smallest eigenvalue is the verdict
-    gap_min = float(np.min(np.linalg.eigvalsh(gap), initial=np.inf))
-    gap0_min = float(np.min(np.linalg.eigvalsh(gap0), initial=np.inf))
+    gap_min = _gap_min(Q, P2 - P1)
+    gap0_min = _gap_min(Q0, -P1)
     log.debug("positivity gaps: pair %.6e, kernel %.6e", gap_min, gap0_min)
     if not gap_min > tol:
         raise InfeasibleError(
-            f"positivity gap Q^-1 + P2 - P1 has min eigenvalue {gap_min:.6e}; "
+            f"positivity gap I + Q^1/2 (P2 - P1) Q^1/2 has min eigenvalue {gap_min:.6e}; "
             "the data is not strictly suboptimal")
     if not gap0_min > tol:
         raise DefinitenessError(
-            f"kernel positivity gap Q0^-1 - P1 has min eigenvalue {gap0_min:.6e}; "
+            f"kernel positivity gap I - Q0^1/2 P1 Q0^1/2 has min eigenvalue {gap0_min:.6e}; "
             "numerical breakdown")
 
     C0 = ric.gain
     C1 = D1.conj().T @ C0 + B1.conj().T @ Q @ A0
     C2 = D2.conj().T @ C0 + B2.conj().T @ Q @ A0
-    OmegaC2 = _omega(P1, P2, Qinv, gap) @ C2.conj().T
+    OmegaC2 = _omega(P1, P2, Q) @ C2.conj().T
     B = np.hstack([B1, B2])
     DQB = np.hstack([D1, D2]) - pop.Gamma.conj().T @ Q @ B
     DQB2 = solve_hermitian(Delta, DQB[:, data.p:], "B0")
@@ -393,14 +395,15 @@ def solve(data, tol=DEFAULT_TOL, rank_tol=DEFAULT_RANK_TOL):
     M = theta0_defect(data, Q0, P1)
     Theta0 = theta0(M, data.p - data.m, rank_tol=rank_tol)
     w = np.linalg.eigvalsh(M)  # the gap at the rank cut
+    # F1 = (gap Q)^{-1} X, so gap^{-1} X = Q F1, and likewise gap0^{-1} X
     X = B1 @ Theta0
-    gapX = solve_hermitian(gap, X, "Delta1")
-    E1 = X.conj().T @ (gapX - solve_hermitian(gap0, X, "Delta1"))
+    F1 = np.linalg.solve(np.eye(data.n) + (P2 - P1) @ Q, X)
+    E1 = X.conj().T @ (Q @ F1 - Q0 @ np.linalg.solve(np.eye(data.n) - P1 @ Q0, X))
 
     derived = DerivedMatrices(
         data=data, P1=P1, P2=P2, R0=pop.R0, Gamma=pop.Gamma, Q=Q, Delta=Delta,
         A0=A0, Q0=Q0, C0=C0, C1=C1, C2=C2, B0=B0, Theta0=Theta0,
-        E0=E0, E1=E1, F1=Qinv @ gapX,
+        E0=E0, E1=E1, F1=F1,
         Delta0=None, Delta1=None,
         margins={
             "gap_min_eig": gap_min,

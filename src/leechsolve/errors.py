@@ -11,7 +11,8 @@ its class alone decides the CLI's verdict and exit code (`exit_code`):
     the iteration diverged);
   - BreakdownError ("BREAKDOWN"): the numerics failed, not the data.  A lost
     definiteness, rank, stability or invertibility that the theory
-    guarantees, or a failed postcondition of a computed solution;
+    guarantees, or a failed postcondition of a computed solution (a Riccati
+    solution must be PSD; it may be singular, since none is inverted);
 - 3, ParameterError: the free parameter violates its contract.
 """
 

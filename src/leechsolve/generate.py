@@ -25,26 +25,24 @@ def _randc(rng, rows, cols, scale=1.0):
 
 
 def random_stable_matrix(rng, n, radius_lo=0.75, radius_hi=0.88):
-    """Random matrix with eigenvalue radii placed in [radius_lo, radius_hi]."""
+    """Random U T U* with eigenvalue radii placed in [radius_lo, radius_hi]: U Haar
+    unitary (QR with its phases fixed), T upper triangular with the eigenvalues
+    on its diagonal and entries of size 0.3 / sqrt(n) above it; never redrawn."""
     if n == 0:
         return np.zeros((0, 0), dtype=complex)
     radii = rng.uniform(radius_lo, radius_hi, size=n)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    lam = radii * np.exp(1j * phases)
-    while True:
-        V = _randc(rng, n, n)
-        if np.linalg.cond(V) < 20.0:
-            break
-    return V @ np.diag(lam) @ np.linalg.inv(V)
+    U, R = np.linalg.qr(_randc(rng, n, n))
+    U = U * (np.diag(R) / np.abs(np.diag(R)))
+    T = np.diag(radii * np.exp(1j * phases)) + np.triu(_randc(rng, n, n, 0.3 / np.sqrt(n)), 1)
+    return U @ T @ U.conj().T
 
 
 def _draw_dims(rng):
     n = int(rng.integers(2, 5))
     m = int(rng.integers(1, 3))
     p = m + int(rng.integers(1, 3))
-    p = min(p, n + m, 4)
-    if p <= m:
-        p = m + 1
+    p = min(p, n + m, 4)  # n >= 2 and m <= 2, so p > m
     q = int(rng.integers(1, 3))
     return n, m, p, q
 

@@ -99,8 +99,9 @@ def interior_points(count, radius=0.9, seed=1234):
 def singular_riccati_data():
     """A 2-state instance that passes validation and whose truncated Gram
     margin is positive (0.1012 at N = 200), but whose pair Riccati solution
-    is numerically singular: C barely sees the second state.  That is a
-    numerical breakdown, not a verdict on the data."""
+    is numerically singular (smallest eigenvalue about 1e-14): C barely sees
+    the second state.  The data is feasible, and solve must say so without
+    inverting Q."""
     from leechsolve.core import LeechData
     return LeechData(A=np.diag([0.5, 0.6]), B1=np.eye(2), B2=np.zeros((2, 1)),
                      C=np.array([[1.0, 1e-6]]), D1=np.array([[1.0, 0.0]]),

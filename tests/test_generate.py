@@ -5,7 +5,7 @@ import pytest
 
 from leechsolve.core import solve, validate
 from leechsolve.errors import InfeasibleError
-from leechsolve.generate import random_contraction, random_problem
+from leechsolve.generate import random_contraction, random_problem, random_stable_matrix
 from leechsolve.realization import evaluate, hinf_norm_estimate
 from leechsolve.toeplitz import OracleContext
 
@@ -67,6 +67,32 @@ class TestRandomProblem:
         assert meta["seed"] == 99
         assert meta["kind"] == "feasible"
         assert meta["attempt"] >= 1
+
+
+class TestLadder:
+    """Every draw gets the verdict of its kind, up to n = 128."""
+
+    @pytest.mark.parametrize("n", [8, 32, 128])
+    def test_stable_matrix_places_its_radii(self, n):
+        rng = np.random.default_rng(n)
+        radii = np.abs(np.linalg.eigvals(random_stable_matrix(rng, n)))
+        assert 0.75 - 1e-8 <= radii.min() and radii.max() <= 0.88 + 1e-8
+
+    @pytest.mark.parametrize("n, seed", [(n, seed) for n in (8, 16, 32, 64) for seed in range(3)]
+                             + [(128, 0), (128, 1)])
+    def test_feasible_draws_solve(self, n, seed):
+        data, _ = random_problem(1000 + seed, dims=(n, 2, 3, 2))
+        d = solve(data)
+        assert d.margins["gap_min_eig"] > 0.0
+        assert d.Theta0.shape == (3, 1)
+        assert d.margins["theta0_dropped_max_eig"] < 1e-12
+
+    def test_infeasible_draws_are_verdicts(self):
+        # an infeasible draw is an InfeasibleError, never a BreakdownError
+        for seed in range(20):
+            data, _ = random_problem(seed, kind="infeasible")
+            with pytest.raises(InfeasibleError):
+                solve(data)
 
 
 class TestRandomContraction:
