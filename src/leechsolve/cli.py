@@ -80,9 +80,9 @@ def cmd_check(args):
         print(f"verdict: {exc.verdict} ({exc})")
         return exc.exit_code
     mg = derived.margins
-    print(f"riccati: pair converged in {mg['riccati_iterations']} iterations, "
+    print(f"riccati: pair converged in {mg['riccati_iterations']} doublings, "
           f"residual {mg['riccati_residual']:.3e}")
-    print(f"riccati: kernel converged in {mg['kernel_riccati_iterations']} iterations, "
+    print(f"riccati: kernel converged in {mg['kernel_riccati_iterations']} doublings, "
           f"residual {mg['kernel_riccati_residual']:.3e}")
     print(f"margin: positivity gap min eigenvalue {mg['gap_min_eig']:.6e} (scaled by Q^1/2)")
     print(f"margin: kernel gap min eigenvalue {mg['gap0_min_eig']:.6e} (scaled by Q0^1/2)")

@@ -7,8 +7,8 @@ its class alone decides the CLI's verdict and exit code (`exit_code`):
 - 2, a verdict, which `verdict` names:
   - InfeasibleError ("INFEASIBLE"): the data lies outside the strictly
     suboptimal regime.  RiccatiError is the Riccati form of it: no
-    stabilizing solution exists (the Schur complement lost definiteness or
-    the iteration diverged);
+    stabilizing solution exists (a fixed-point iterate lost the Schur
+    complement's definiteness, or an iterate fell);
   - BreakdownError ("BREAKDOWN"): the numerics failed, not the data.  A lost
     definiteness, rank, stability or invertibility that the theory
     guarantees, or a failed postcondition of a computed solution (a Riccati
@@ -59,8 +59,8 @@ class RankDefectError(BreakdownError):
 
 
 class RiccatiError(InfeasibleError):
-    """No stabilizing Riccati solution exists: the Schur complement lost
-    definiteness or the iteration diverged."""
+    """No stabilizing Riccati solution exists: a fixed-point iterate lost the
+    Schur complement's definiteness, or an iterate fell."""
 
 
 class ParameterError(LeechError):

@@ -110,12 +110,11 @@ def spectral_norm(M):
 
 
 def singular_extremes(M):
-    """(sigma_min, sigma_max) over the column space: eigenvalue range of M* M."""
+    """(sigma_min, sigma_max) over the column space, from the singular values:
+    eig(M* M) would square the condition number."""
     A = as_cmatrix(M, "M")
-    if A.shape[1] == 0:
-        return 0.0, 0.0
-    w = np.linalg.eigvalsh(herm(A.conj().T @ A))
-    return float(np.sqrt(max(float(w[0]), 0.0))), float(np.sqrt(max(float(w[-1]), 0.0)))
+    s = np.linalg.svd(A, compute_uv=False) if min(A.shape) else np.zeros(1)
+    return (float(s[-1]) if A.shape[0] >= A.shape[1] else 0.0), float(s[0])
 
 
 def stein_doubling(A, W, tol=DEFAULT_TOL):

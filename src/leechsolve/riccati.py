@@ -1,14 +1,22 @@
 """Stein equations and the stabilizing solution of a discrete algebraic Riccati equation.
 
-The Riccati equation solved here is, for data (A, Gamma, R0, C),
+For data (A, Gamma, R0, C) the Riccati equation is Q = f(Q), where
 
-    Q = A* Q A + (C - Gamma* Q A)* (R0 - Gamma* Q Gamma)^{-1} (C - Gamma* Q A)
+    f(Q) = A* Q A + W* Delta^{-1} W,  W = C - Gamma* Q A,  Delta = R0 - Gamma* Q Gamma,
 
-with Delta = R0 - Gamma* Q Gamma required positive definite along the way and
-A0 = A - Gamma Delta^{-1} (C - Gamma* Q A) Schur stable at the solution.  The
-solver iterates the fixed-point map from Q = 0 and takes a Newton step (a
-Stein solve against the closed loop) whenever that solve certifies the closed
-loop stable and the step keeps Delta definite.
+with Delta > 0 and A0 = A - Gamma Delta^{-1} W Schur stable at the solution.
+For R0 > 0 it reads Q = Ad* Q (I + G Q)^{-1} Ad + H, with Ad = A - Gamma R0^{-1} C,
+G = -Gamma R0^{-1} Gamma* and H = C* R0^{-1} C, which the structure-preserving
+doubling algorithm (SDA: Chu, Fan & Lin 2005; convergence: Lin & Xu 2006)
+solves: its iterate H_k is f^(2^k)(0).
+
+Certificate of infeasibility: where Delta(Q) > 0, f(Q) is the maximum over K
+of (A - Gamma K)* Q (A - Gamma K) + C* K + K* C - K* R0 K, so f is monotone
+there, and Q <= Q' gives Delta(Q) >= Delta(Q').  If a stabilizing solution X
+with Delta(X) > 0 exists, X is PSD (a Stein sum of PSD terms), and induction
+from 0 <= f(0) gives f^j(0) <= f^(j+1)(0) <= X for every j: every fixed-point
+iterate keeps Delta >= Delta(X) > 0, and none falls.  So an iterate with an
+indefinite Schur complement, or one that falls, proves that none exists.
 """
 
 import logging
@@ -88,19 +96,16 @@ def observability_matrix(C, A, N):
 
 def is_observable(C, A):
     """Rank test on the observability matrix: sigma_min > 1e-10 * sigma_max."""
-    O = observability_matrix(C, A, A.shape[0])
     if A.shape[0] == 0:
         return True
-    smin, smax = singular_extremes(O)
-    if smax == 0.0:
-        return False
-    return smin > 1e-10 * smax
+    smin, smax = singular_extremes(observability_matrix(C, A, A.shape[0]))
+    return smax > 0.0 and smin > 1e-10 * smax
 
 
 @dataclass
 class RiccatiSolution:
     """Stabilizing solution Q with its Schur complement Delta = R0 - Gamma* Q Gamma,
-    closed loop A0 = A - Gamma L, iteration count, final fixed-point residual
+    closed loop A0 = A - Gamma L, doubling count, final fixed-point residual
     and gain L = Delta^{-1} (C - Gamma* Q A)."""
 
     Q: np.ndarray
@@ -111,17 +116,21 @@ class RiccatiSolution:
     gain: np.ndarray
 
 
-def stabilizing_riccati(A, Gamma, R0, C, initial=None):
-    """Stabilizing solution of the Riccati equation for (A, Gamma, R0, C).
+def stabilizing_riccati(A, Gamma, R0, C):
+    """Stabilizing solution of the Riccati equation for (A, Gamma, R0, C), by SDA.
 
-    Preconditions: A Schur stable, {C, A} observable.  Raises RiccatiError
-    (no stabilizing solution exists, an infeasible verdict) if Delta loses
-    definiteness along the iteration or the iteration diverges.  A computed
-    solution that fails a postcondition is a numerical breakdown:
+    Preconditions: A Schur stable, {C, A} observable.  From A_0 = Ad, G_0 = G
+    and H_0 = H (the loop keeps H_k in Q), doubling k sets S = I + G_k H_k and
+        A_{k+1} = A_k S^{-1} A_k,   G_{k+1} = G_k + A_k S^{-1} G_k A_k*,
+        H_{k+1} = H_k + A_k* H_k S^{-1} A_k;
+    `iterations` counts the doublings.  As H_k = f^(2^k)(0), the module's
+    certificate makes R0 - Gamma* H_k Gamma not positive definite, or a fall
+    lambda_min(Gamma* (H_{k+1} - H_k) Gamma) < -1e-12 ||Gamma||^2 ||H_k||, a
+    RiccatiError: no stabilizing solution exists, an infeasible verdict.  A
+    failed computation is a breakdown: BreakdownError for a singular S, a
+    non-finite iterate, no convergence in 64 doublings or a large residual;
     DefinitenessError for the final Delta or a Q that is not PSD to roundoff
-    (a singular Q is fine), StabilityError for A0, and BreakdownError for a
-    large residual or no convergence in 10 000 steps.
-    The solution is unique, so any admissible `initial` converges to the same Q.
+    (a singular Q is fine); StabilityError for A0.
     """
     A = as_cmatrix(A, "A")
     Gamma = as_cmatrix(Gamma, "Gamma")
@@ -148,47 +157,39 @@ def stabilizing_riccati(A, Gamma, R0, C, initial=None):
         empty = np.zeros((0, 0), dtype=complex)
         return RiccatiSolution(empty, herm(R0), empty, 0, 0.0, np.zeros((m, 0), dtype=complex))
 
-    Q = herm(as_cmatrix(initial, "initial")) if initial is not None else np.zeros((n, n), dtype=complex)
-    if Q.shape != (n, n):
-        raise DimensionError(f"initial iterate must be {n}x{n}, got {Q.shape}")
-
-    Ah = A.conj().T
     Gh = Gamma.conj().T
-    min_step = np.inf
-    iterations = 0
-    converged = False
-    for k in range(1, 10001):
-        iterations = k
-        Delta = herm(R0 - Gh @ Q @ Gamma)
-        if not hermitian_posdef_check(Delta, tol=0.0):
-            raise RiccatiError(
-                f"Schur complement lost positive definiteness at iteration {k}; "
-                "no stabilizing solution exists for this data"
-            )
-        W = C - Gh @ Q @ A
-        L = solve_hermitian(Delta, W, "riccati gain")
-        A0 = A - Gamma @ L
-        # Newton step solves Qn - A0* Qn A0 = L*C + C*L - L*R0 L, or gives None
-        # when the solve cannot certify A0 stable
-        rhs = herm(L.conj().T @ C + C.conj().T @ L - L.conj().T @ R0 @ L)
-        Qn = stein_doubling(A0.conj().T, rhs)
-        if Qn is not None:
-            Qn = herm(Qn)
-            if not hermitian_posdef_check(herm(R0 - Gh @ Qn @ Gamma), tol=0.0):
-                Qn = None
-        if Qn is None:
-            Qn = herm(Ah @ Q @ A + W.conj().T @ L)
+    infeasible = "; no stabilizing solution exists for this data"
+    if not hermitian_posdef_check(herm(R0), tol=0.0):
+        raise RiccatiError("Schur complement lost positive definiteness at Q = 0" + infeasible)
+    RiC, RiG = np.hsplit(solve_hermitian(R0, np.hstack([C, Gh]), "riccati R0"), [n])
+    Ak, Gk, Q = A - Gamma @ RiC, -herm(Gamma @ RiG), herm(C.conj().T @ RiC)
+    gamma2 = float(np.linalg.norm(Gamma)) ** 2
+    for k in range(1, 65):
+        if not hermitian_posdef_check(herm(R0 - Gh @ Q @ Gamma), tol=0.0):
+            raise RiccatiError("Schur complement lost positive definiteness at "
+                               f"fixed-point iterate 2^{k - 1}" + infeasible)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                SA, SG = np.hsplit(np.linalg.solve(np.eye(n) + Gk @ Q, np.hstack([Ak, Gk])), [n])
+            except np.linalg.LinAlgError as exc:
+                raise BreakdownError(f"Riccati doubling {k}: I + G H is singular") from exc
+            Qn = herm(Q + Ak.conj().T @ Q @ SA)
+            Gk = herm(Gk + Ak @ SG @ Ak.conj().T)
+            Ak = Ak @ SA
+        if not all(np.all(np.isfinite(M)) for M in (Qn, Gk, Ak)):
+            raise BreakdownError(f"Riccati doubling {k} produced a non-finite iterate")
+        # rounding reaches Gamma* H_k Gamma at about eps ||Gamma||^2 ||H_k||, as the data scales
+        fall = float(np.min(np.linalg.eigvalsh(herm(Gh @ (Qn - Q) @ Gamma)), initial=0.0))
+        if fall < -1e-12 * gamma2 * float(np.linalg.norm(Q)):
+            raise RiccatiError(f"fixed-point iterate fell between 2^{k - 1} and 2^{k} "
+                               f"(eigenvalue {fall:.3e} of Gamma* step Gamma)" + infeasible)
         step = float(np.linalg.norm(Qn - Q))
-        log.debug("riccati iter %d: step %.3e", k, step)
+        log.debug("riccati doubling %d: step %.3e", k, step)
         Q = Qn
-        if step <= 1e-12 * (1.0 + float(np.linalg.norm(Q))):
-            converged = True
+        if step <= 1e-13 * (1.0 + float(np.linalg.norm(Q))):
             break
-        if k > 3 and step > 1e4 * min_step and step > 1e-6 * (1.0 + float(np.linalg.norm(Q))):
-            raise RiccatiError(f"Riccati iteration diverging at step {k} (step {step:.3e})")
-        min_step = min(min_step, step)
-    if not converged:
-        raise BreakdownError("Riccati iteration did not converge in 10000 steps")
+    else:
+        raise BreakdownError("Riccati doubling did not converge in 64 doublings")
 
     Delta = herm(R0 - Gh @ Q @ Gamma)
     if not hermitian_posdef_check(Delta, tol=0.0):
@@ -196,7 +197,7 @@ def stabilizing_riccati(A, Gamma, R0, C, initial=None):
     W = C - Gh @ Q @ A
     L = solve_hermitian(Delta, W, "riccati gain")
     A0 = A - Gamma @ L
-    residual = float(np.linalg.norm(Q - herm(Ah @ Q @ A + W.conj().T @ L)))
+    residual = float(np.linalg.norm(Q - herm(A.conj().T @ Q @ A + W.conj().T @ L)))
     if residual > 1e-9 * (1.0 + float(np.linalg.norm(Q))):
         raise BreakdownError(f"Riccati residual {residual:.3e} exceeds tolerance")
     if not is_schur_stable(A0):
@@ -205,6 +206,6 @@ def stabilizing_riccati(A, Gamma, R0, C, initial=None):
     qw = np.linalg.eigvalsh(Q)
     if qw[0] < -1e-9 * (1.0 + qw[-1]):
         raise DefinitenessError(f"stabilizing solution is not PSD: eigenvalue {qw[0]:.3e}")
-    log.debug("riccati solved in %d iterations, residual %.3e, eig(Q) in [%.3e, %.3e]",
-              iterations, residual, qw[0], qw[-1])
-    return RiccatiSolution(Q, Delta, A0, iterations, residual, L)
+    log.debug("riccati solved in %d doublings, residual %.3e, eig(Q) in [%.3e, %.3e]",
+              k, residual, qw[0], qw[-1])
+    return RiccatiSolution(Q, Delta, A0, k, residual, L)

@@ -34,6 +34,23 @@ def kron_stein(A, W):
     return np.linalg.solve(K, np.asarray(W, dtype=complex).reshape(n * n)).reshape(n, n)
 
 
+def fixed_point_riccati(A, Gamma, R0, C, max_steps=10000):
+    """Reference stabilizing Riccati solution: the plain fixed-point map
+    Q <- A* Q A + W* (R0 - Gamma* Q Gamma)^{-1} W, W = C - Gamma* Q A, from
+    Q = 0 until a step is below 1e-15 (1 + ||Q||)."""
+    A, Gamma, R0, C = (np.asarray(M, dtype=complex) for M in (A, Gamma, R0, C))
+    Q = np.zeros_like(A)
+    for _ in range(max_steps):
+        W = C - Gamma.conj().T @ Q @ A
+        Qn = A.conj().T @ Q @ A + W.conj().T @ np.linalg.solve(R0 - Gamma.conj().T @ Q @ Gamma, W)
+        Qn = 0.5 * (Qn + Qn.conj().T)
+        step = float(np.linalg.norm(Qn - Q))
+        Q = Qn
+        if step <= 1e-15 * (1.0 + float(np.linalg.norm(Q))):
+            return Q
+    raise AssertionError(f"fixed-point reference did not converge in {max_steps} steps")
+
+
 def block_toeplitz_loop(blocks):
     """Reference lower block-triangular Toeplitz assembly, one block at a time."""
     N = len(blocks)

@@ -1,6 +1,7 @@
 """Problem data, validation, Popov data, and the full solve pipeline."""
 
 import dataclasses
+import time
 from pathlib import Path
 
 import numpy as np
@@ -150,8 +151,21 @@ class TestSolve:
 
     def test_infeasible_riccati_is_a_verdict(self):
         data, _ = random_problem(42, kind="infeasible")
-        with pytest.raises(RiccatiError, match="^pair Riccati equation: Schur complement"):
+        with pytest.raises(RiccatiError, match="^pair Riccati equation: .*no stabilizing solution exists"):
             solve(data)
+
+    @pytest.mark.parametrize("c", [1e-3, 1e3])
+    @pytest.mark.parametrize("kind, seed", [("feasible", 6), ("feasible", 10), ("infeasible", 9)])
+    def test_verdict_is_invariant_under_input_scaling(self, kind, seed, c):
+        # scaling B1, B2, D1 and D2 by c keeps the data's verdict, but scales
+        # Gamma and R0 by c^2 and Q by 1/c^2: the Riccati exits must follow
+        data, _ = random_problem(seed, kind=kind)
+        scaled = LeechData(data.A, c * data.B1, c * data.B2, data.C, c * data.D1, c * data.D2)
+        if kind == "feasible":
+            solve(scaled)
+        else:
+            with pytest.raises(RiccatiError, match="^pair Riccati equation: fixed-point iterate fell"):
+                solve(scaled)
 
     def test_singular_riccati_solution_is_feasible(self, oracle_cache):
         # a numerically singular Q is no breakdown: the gaps are decided
@@ -321,3 +335,34 @@ class TestGapOwner:
         data = d.data
         sol = stabilizing_riccati(data.A, d.Gamma, d.R0, data.C)
         assert np.array_equal(d.C0, sol.gain)
+
+
+class TestFeasibilityBoundary:
+    """Bisection of the scale s of K over [1, 4].  Near the boundary the
+    infeasible side of seeds 2, 7, 9 and 10 is a stalled fixed-point
+    iteration, which the doubling's falling-iterate exit certifies; seed 0
+    and the n = 16 draw are controls whose boundary is the pair gap."""
+
+    @pytest.mark.parametrize("seed, dims, boundary_error", [
+        (0, None, InfeasibleError),
+        (2, None, RiccatiError),
+        (7, None, RiccatiError),
+        (9, None, RiccatiError),
+        (10, None, RiccatiError),
+        (1000, (16, 2, 3, 2), InfeasibleError),
+    ])
+    def test_bisection_brackets_without_breakdown(self, seed, dims, boundary_error):
+        data, _ = random_problem(seed, dims=dims)
+        lo, hi, last = 1.0, 4.0, None
+        start = time.perf_counter()
+        for _ in range(40):
+            s = 0.5 * (lo + hi)
+            try:
+                solve(LeechData(data.A, data.B1, s * data.B2, data.C, data.D1, s * data.D2))
+                lo = s
+            except InfeasibleError as exc:  # a BreakdownError fails the test
+                hi, last = s, exc
+        elapsed = time.perf_counter() - start
+        assert hi - lo < 1e-9 * lo
+        assert type(last) is boundary_error
+        assert elapsed < 2.0

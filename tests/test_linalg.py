@@ -204,6 +204,20 @@ class TestRootsAndNorms:
         assert smax == pytest.approx(sv[0], rel=1e-10)
         assert smin == pytest.approx(sv[-1], rel=1e-8, abs=1e-12)
 
+    def test_singular_extremes_resolve_small_singular_values(self):
+        # eig(M* M) cannot see sigma_min / sigma_max below about 1.5e-8, so
+        # both sides of the 1e-10 rank cut of validate and is_observable
+        # would read as noise
+        rng = np.random.default_rng(12)
+        for r in (1e-9, 1e-11):
+            for _ in range(5):
+                U = np.linalg.qr(random_complex(rng, 3, 3))[0]
+                V = np.linalg.qr(random_complex(rng, 3, 3))[0]
+                smin, smax = singular_extremes(U @ np.diag([1.0, 0.5, r]) @ V.conj().T)
+                assert smax == pytest.approx(1.0, rel=1e-12)
+                assert smin == pytest.approx(r, rel=1e-3)
+                assert (smin > 1e-10 * smax) == (r > 1e-10)
+
     def test_as_cmatrix_rejects_nan(self):
         with pytest.raises(DimensionError):
             as_cmatrix(np.array([[np.nan]]), "M")

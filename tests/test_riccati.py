@@ -12,9 +12,9 @@ from leechsolve.errors import (
     StabilityError,
 )
 from leechsolve.generate import random_problem, random_stable_matrix
-from leechsolve.linalg import herm, hermitian_posdef_check, is_schur_stable
+from leechsolve.linalg import hermitian_posdef_check, is_schur_stable
 from leechsolve.riccati import is_observable, solve_stein, stabilizing_riccati
-from tests.conftest import kron_stein
+from tests.conftest import fixed_point_riccati, kron_stein
 
 
 class TestSolveStein:
@@ -113,26 +113,23 @@ class TestStabilizingRiccati:
         assert np.linalg.norm(sol.Delta @ sol.gain - W) <= 1e-12 * (1 + np.linalg.norm(W))
         assert np.array_equal(sol.A0, data.A - pop.Gamma @ sol.gain)
 
-    def test_newton_waits_for_a_certified_closed_loop(self):
-        # from q = 1.9 the closed loop -1 / (2.5 - q) is unstable, so the Stein
-        # solve refuses the Newton step until fixed-point steps stabilize it
-        sol = stabilizing_riccati(np.array([[0.0]]), np.array([[1.0]]),
-                                  np.array([[2.5]]), np.array([[1.0]]),
-                                  initial=np.array([[1.9]]))
-        assert sol.Q[0, 0] == pytest.approx(0.5, abs=1e-11)
-        assert abs(sol.A0[0, 0]) < 1.0
-
-    def test_restart_from_perturbation_agrees(self):
+    def test_matches_fixed_point_reference(self):
         data, _ = random_problem(41)
         P1, P2 = gramians(data)
         pop = popov_data(data, P1, P2)
         sol = stabilizing_riccati(data.A, pop.Gamma, pop.R0, data.C)
-        rng = np.random.default_rng(7)
-        H = rng.standard_normal((data.n, data.n)) + 1j * rng.standard_normal((data.n, data.n))
-        H = herm(H) / np.linalg.norm(H)
-        seed = sol.Q + 1e-6 * np.linalg.norm(sol.Q) * H
-        sol2 = stabilizing_riccati(data.A, pop.Gamma, pop.R0, data.C, initial=seed)
-        assert np.linalg.norm(sol2.Q - sol.Q) <= 1e-8 * (1 + np.linalg.norm(sol.Q))
+        ref = fixed_point_riccati(data.A, pop.Gamma, pop.R0, data.C)
+        assert np.linalg.norm(sol.Q - ref) <= 1e-12 * (1 + np.linalg.norm(ref))
+
+    @pytest.mark.parametrize("seed", [9, 10])
+    def test_falling_iterate_is_infeasible(self, seed):
+        # the fixed-point Schur complement goes indefinite at step 22, yet
+        # the doubled iterates 2^k keep it above 0.78 through k = 19: only
+        # the fall from iterate 16 to iterate 32 shows that no solution exists
+        data, _ = random_problem(seed, kind="infeasible")
+        pop = popov_data(data, *gramians(data))
+        with pytest.raises(RiccatiError, match=r"^fixed-point iterate fell between 2\^4 and 2\^5 "):
+            stabilizing_riccati(data.A, pop.Gamma, pop.R0, data.C)
 
     def test_empty_state(self):
         sol = stabilizing_riccati(np.zeros((0, 0)), np.zeros((0, 1)),
