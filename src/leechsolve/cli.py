@@ -22,7 +22,7 @@ from .coefficients import (
     solution_report,
 )
 from .core import solve, theta0_defect, validate
-from .errors import BreakdownError, InfeasibleError, LeechError
+from .errors import BreakdownError, InfeasibleError, LeechError, ValidationError
 from .generate import random_problem
 from .realization import evaluate, zeros
 from .toeplitz import OracleContext, oracle_upsilon, theta0_defect_oracle
@@ -94,7 +94,6 @@ def cmd_solve(args):
     data, options = files.read_problem(args.problem)
     tol = float(_opt(args, options, "tol", 1e-9))
     rank_tol = float(_opt(args, options, "rank_tol", 1e-8))
-    grid = int(_opt(args, options, "grid", 512))
     derived = solve(data, tol=tol, rank_tol=rank_tol)
     coeffs = build_upsilon(derived)
     if args.parameter:
@@ -102,7 +101,7 @@ def cmd_solve(args):
     else:
         Y = zeros(coeffs.free_dim, coeffs.q)
     X = apply_lft(coeffs, Y, tol=tol)
-    verification = solution_report(derived, coeffs, X, grid=grid)
+    verification = solution_report(derived, coeffs, X)
     residual = verification["interpolation_residual"]
     norm = verification["norm_estimate"]
     # the data passed solve, so a failed verification is the numerics'
@@ -137,6 +136,9 @@ def cmd_oracle(args):
     data, options = files.read_problem(args.problem)
     tol = float(_opt(args, options, "tol", 1e-9))
     rank_tol = float(_opt(args, options, "rank_tol", 1e-8))
+    validation = validate(data, tol=tol)  # truncate needs a stable A
+    if not validation.ok:
+        raise ValidationError("data validation failed: " + validation.summary(), validation)
     trunc = _opt(args, options, "truncation", None)
     if trunc is None:
         ladder = [50, 100, 200]
@@ -234,8 +236,6 @@ def build_parser():
     sp.add_argument("parameter", nargs="?", default=None,
                     help="optional realization file for the free parameter Y")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.add_argument("--grid", type=int, default=None,
-                    help="circle grid for the norm estimate (default 512)")
     add_common(sp)
     sp.set_defaults(func=cmd_solve)
 

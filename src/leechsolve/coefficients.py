@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NotInvertibleError, ParameterError, StabilityError
 from .linalg import is_schur_stable, spectral_norm
-from .realization import Realization, evaluate, hinf_norm_estimate, zeros
+from .realization import NORM_GRID, Realization, evaluate, hinf_norm_estimate, zeros
 
 log = logging.getLogger("leechsolve.coefficients")
 
@@ -268,21 +268,21 @@ def apply_redheffer(phi, Y):
     return _block(X, slice(None, p), slice(None, q))
 
 
-def solution_report(derived, coeffs, X, grid=512):
+def solution_report(derived, coeffs, X):
     """Verification appendix for a computed solution: interpolation residual
     and indefinite-metric defect of the coefficients on REPORT_POINTS circle
-    samples, and the norm estimate on the grid."""
+    samples, and the sup-norm estimate of X (hinf_norm_estimate)."""
     data = derived.data
     G = data.g()
     K = data.k()
     zs = np.exp(1j * (2.0 * np.pi * np.arange(REPORT_POINTS) / REPORT_POINTS))
     residual = float(np.max(spectral_norm(evaluate(G, zs) @ evaluate(X, zs) - evaluate(K, zs))))
-    norm = hinf_norm_estimate(X, grid=grid)
+    norm = hinf_norm_estimate(X)
     defect = j_inner_defect(coeffs, points=REPORT_POINTS)
     return {
         "interpolation_residual": residual,
         "norm_estimate": norm,
-        "norm_grid": int(grid),
+        "norm_grid": NORM_GRID,
         "coefficient_metric_defect": defect,
         "circle_points": REPORT_POINTS,
         "margins": {key: float(val) for key, val in derived.margins.items()},

@@ -95,16 +95,11 @@ class LeechData:
 
     def g(self):
         """Realization of G."""
-        return Realization(self.A, self.B1, self.C, self.D1, stable=True)
+        return Realization(self.A, self.B1, self.C, self.D1)
 
     def k(self):
         """Realization of K."""
-        return Realization(self.A, self.B2, self.C, self.D2, stable=True)
-
-    def gk(self):
-        """Realization of the row [G  K] (shared state)."""
-        return Realization(self.A, np.hstack([self.B1, self.B2]), self.C,
-                           np.hstack([self.D1, self.D2]), stable=True)
+        return Realization(self.A, self.B2, self.C, self.D2)
 
 
 @dataclass

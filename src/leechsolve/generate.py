@@ -167,6 +167,6 @@ def random_contraction(seed, rows, cols, norm_bound=0.9, constant_only=False):
     A = random_stable_matrix(rng, s, 0.4, 0.7)
     F = Realization(A, _randc(rng, s, cols), _randc(rng, rows, s),
                     _randc(rng, rows, cols), stable=True)
-    nrm = hinf_norm_estimate(F, grid=256)
+    nrm = hinf_norm_estimate(F)
     factor = norm_bound / max(nrm, 1e-12)
     return Realization(F.A, F.B, factor * F.C, factor * F.D, stable=True)

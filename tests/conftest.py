@@ -8,6 +8,7 @@ the structured Toeplitz paths: block-by-block assembly, dense Gram products
 and explicit inverses, one resolvent recursion per sample point.
 """
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -123,6 +124,14 @@ def singular_riccati_data():
     return LeechData(A=np.diag([0.5, 0.6]), B1=np.eye(2), B2=np.zeros((2, 1)),
                      C=np.array([[1.0, 1e-6]]), D1=np.array([[1.0, 0.0]]),
                      D2=np.array([[0.1]]))
+
+
+def unstable_data():
+    """random_problem(3) with A scaled to spectral radius 1.37: it fails
+    validation, and its truncations diverge."""
+    data, _ = random_problem(3)
+    rho = np.max(np.abs(np.linalg.eigvals(data.A)))
+    return dataclasses.replace(data, A=data.A * (1.37 / rho))
 
 
 @pytest.fixture(scope="session")

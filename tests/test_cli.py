@@ -21,7 +21,7 @@ from leechsolve.files import (
 )
 from leechsolve.generate import random_contraction, random_problem
 from leechsolve.realization import Realization, constant, evaluate, product
-from tests.conftest import circle_points, singular_riccati_data
+from tests.conftest import circle_points, singular_riccati_data, unstable_data
 
 
 @pytest.fixture()
@@ -264,6 +264,16 @@ class TestOracle:
         report = load(out_path)
         assert report["verdict"].startswith("breakdown: kernel defect has rank")
         assert "comparisons" not in report
+
+    def test_unstable_data_is_invalid(self, tmp_path, capsys):
+        # validation runs before any truncation, so no diverging margin is printed
+        path = tmp_path / "unstable.json"
+        write_problem(unstable_data(), path)
+        assert main(["oracle", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert "margin" not in out and "verdict" not in out
+        assert err.startswith("error: data validation failed")
+        assert "stability: FAIL" in err
 
     def test_singular_riccati_solution_writes_feasible_report(self, tmp_path, capsys):
         # a singular Riccati solution is no breakdown: the verdict agrees with

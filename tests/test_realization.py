@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
-from leechsolve.coefficients import central_solution
+from leechsolve import realization
+from leechsolve.coefficients import apply_lft, central_solution
 from leechsolve.errors import (
     DimensionError,
     EvaluationError,
     NotInvertibleError,
     StabilityError,
 )
-from leechsolve.generate import random_stable_matrix
+from leechsolve.generate import random_contraction, random_stable_matrix
 from leechsolve.linalg import spectral_norm
 from leechsolve.realization import (
+    NORM_GRID,
     Realization,
     add,
     constant,
@@ -158,7 +160,7 @@ class TestNorm:
         # F(z) = 1 + z peaks at z = 1 with value 2
         F = Realization(np.array([[0.0]]), np.array([[1.0]]),
                         np.array([[1.0]]), np.array([[1.0]]))
-        assert hinf_norm_estimate(F, grid=512) == pytest.approx(2.0, rel=1e-3)
+        assert hinf_norm_estimate(F) == pytest.approx(2.0, rel=1e-3)
 
     def test_unstable_raises(self):
         F = Realization(np.array([[1.5]]), np.array([[1.0]]),
@@ -175,29 +177,30 @@ class TestTruncateBlocks:
         assert all(b.shape == (2, 3) for b in blocks)
 
 
-def _scalar_hinf(F, grid=512):
-    """Reference for hinf_norm_estimate: one scalar evaluate per grid point,
-    then the same golden-section refinement."""
-    def val(theta):
-        return spectral_norm(evaluate(F, np.exp(1j * theta)))
+def _scalar_hinf(F):
+    """Reference for hinf_norm_estimate: one scalar evaluate per point of the
+    NORM_GRID grid, then four zooms of 17 points, each spread over one step
+    of the previous pass either side of its best point."""
+    def best_of(thetas):
+        values = [spectral_norm(evaluate(F, np.exp(1j * t))) for t in thetas]
+        j = int(np.argmax(values))
+        return thetas[j], values[j]
 
-    thetas = 2.0 * np.pi * np.arange(grid) / grid
-    values = [val(t) for t in thetas]
-    jbest = int(np.argmax(values))
-    a, b = thetas[jbest] - 2.0 * np.pi / grid, thetas[jbest] + 2.0 * np.pi / grid
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = val(c), val(d)
-    for _ in range(48):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = val(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = val(d)
-    return max(values[jbest], fc, fd)
+    step = 2.0 * np.pi / NORM_GRID
+    centre, best = best_of(step * np.arange(NORM_GRID))
+    for _ in range(4):
+        centre, value = best_of([centre + step * i / 8 for i in range(-8, 9)])
+        best = max(best, value)
+        step /= 8
+    return best
+
+
+def _function_battery(battery):
+    """The central solution, U12, U11 and an LFT solution with a 2-state Y."""
+    for item in battery:
+        c = item.coeffs
+        Y = random_contraction(item.seed, c.free_dim, c.q)
+        yield from (central_solution(c), c.U12, c.U11, apply_lft(c, Y))
 
 
 class TestBatchedEvaluation:
@@ -224,6 +227,24 @@ class TestBatchedEvaluation:
             evaluate(F, np.array([0.1, 0.5, -0.3]))
 
     def test_norm_estimate_matches_scalar_loop(self, battery):
-        for item in battery:
-            for F in (central_solution(item.coeffs), item.coeffs.U12, item.coeffs.U11):
-                assert hinf_norm_estimate(F) == pytest.approx(_scalar_hinf(F), abs=1e-12)
+        for F in _function_battery(battery):
+            assert hinf_norm_estimate(F) == pytest.approx(_scalar_hinf(F), abs=1e-12)
+
+    def test_norm_estimate_reaches_the_dense_grid(self, battery):
+        zs = np.exp(2j * np.pi * np.arange(16384) / 16384)
+        for F in _function_battery(battery):
+            dense = float(np.max(spectral_norm(evaluate(F, zs))))
+            assert hinf_norm_estimate(F) >= (1.0 - 1e-12) * dense
+
+    def test_norm_estimate_makes_few_batched_calls(self, battery, monkeypatch):
+        calls = []
+
+        def counted(F, z):
+            calls.append(np.ndim(z))
+            return evaluate(F, z)
+
+        monkeypatch.setattr(realization, "evaluate", counted)
+        for F in _function_battery(battery):
+            calls.clear()
+            hinf_norm_estimate(F)
+            assert 0 < len(calls) <= 5 and all(ndim == 1 for ndim in calls)

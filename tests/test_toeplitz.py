@@ -41,6 +41,7 @@ from tests.conftest import (
     dense_core,
     dense_gram,
     interior_points,
+    unstable_data,
     upsilon_per_point,
 )
 
@@ -145,6 +146,11 @@ class TestStructuredPaths:
             E = ctx.TgEp
             ref = np.eye(ctx.p) - E.conj().T @ np.linalg.inv(dense_gram(ctx)) @ E
             assert _rel_diff(theta0_defect_oracle(ctx), ref) <= 1e-12
+
+    def test_unstable_data_raises(self):
+        # LeechData.g() and .k() do not assert stability, so truncate tests A
+        with pytest.raises(StabilityError):
+            OracleContext(unstable_data(), 5)
 
     def test_gram_guard_raises_before_any_solve(self):
         data = LeechData(A=np.zeros((0, 0)), B1=np.zeros((0, 2)),
