@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: check, solve, coefficients, oracle, generate.  Exit codes:
-0 success/feasible, 1 input error (parse, validation, missing file),
+0 success/feasible, 1 input error (usage, parse, validation, missing file),
 2 infeasible data or numerical breakdown, 3 free-parameter violation.
 A failure's exit code and verdict are those of its class (see errors).
 The LEECH_LOG environment variable sets the logging level on stderr.
@@ -29,6 +29,10 @@ from .toeplitz import OracleContext, oracle_upsilon, theta0_defect_oracle
 
 EXIT_OK = 0
 EXIT_INPUT = 1
+# `solve` calls a computed solution a breakdown when its interpolation
+# residual exceeds RESIDUAL_CUT (1 + ||D2||) or its norm estimate 1 + NORM_SLACK
+RESIDUAL_CUT = 1e-5
+NORM_SLACK = 1e-6
 
 log = logging.getLogger("leechsolve.cli")
 
@@ -40,15 +44,6 @@ def _setup_logging():
         level = logging.WARNING
     logging.basicConfig(stream=sys.stderr, level=level,
                         format="%(levelname)s %(name)s: %(message)s")
-
-
-def _opt(args, options, key, default):
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in options:
-        return options[key]
-    return default
 
 
 def _emit(doc, out_path, summary_lines):
@@ -65,17 +60,15 @@ def _emit(doc, out_path, summary_lines):
 
 
 def cmd_check(args):
-    data, options = files.read_problem(args.problem)
-    tol = float(_opt(args, options, "tol", 1e-9))
-    report = validate(data, tol=tol)
+    data, _ = files.read_problem(args.problem)
+    report = validate(data)
     for check in report.checks:
         print(f"validation: {check.name} {'ok' if check.passed else 'FAIL'} ({check.detail})")
     if not report.ok:
         print("verdict: INVALID")
         return EXIT_INPUT
-    rank_tol = float(_opt(args, options, "rank_tol", 1e-8))
     try:
-        derived = solve(data, tol=tol, rank_tol=rank_tol)
+        derived = solve(data)
     except (InfeasibleError, BreakdownError) as exc:
         print(f"verdict: {exc.verdict} ({exc})")
         return exc.exit_code
@@ -91,24 +84,22 @@ def cmd_check(args):
 
 
 def cmd_solve(args):
-    data, options = files.read_problem(args.problem)
-    tol = float(_opt(args, options, "tol", 1e-9))
-    rank_tol = float(_opt(args, options, "rank_tol", 1e-8))
-    derived = solve(data, tol=tol, rank_tol=rank_tol)
+    data, _ = files.read_problem(args.problem)
+    derived = solve(data)
     coeffs = build_upsilon(derived)
     if args.parameter:
         Y = files.read_realization(args.parameter)
     else:
         Y = zeros(coeffs.free_dim, coeffs.q)
-    X = apply_lft(coeffs, Y, tol=tol)
+    X = apply_lft(coeffs, Y)
     verification = solution_report(derived, coeffs, X)
     residual = verification["interpolation_residual"]
     norm = verification["norm_estimate"]
     # the data passed solve, so a failed verification is the numerics'
-    if residual > 1e-5 * (1.0 + float(np.linalg.norm(data.D2))):
+    if residual > RESIDUAL_CUT * (1.0 + float(np.linalg.norm(data.D2))):
         raise BreakdownError(
             f"solution failed verification: interpolation residual {residual:.3e}")
-    if norm > 1.0 + 1e-6:
+    if norm > 1.0 + NORM_SLACK:
         raise BreakdownError(
             f"solution failed verification: norm estimate {norm:.9f} exceeds 1")
     _emit(files.solution_to_dict(X, verification), args.out, [
@@ -119,10 +110,8 @@ def cmd_solve(args):
 
 
 def cmd_coefficients(args):
-    data, options = files.read_problem(args.problem)
-    tol = float(_opt(args, options, "tol", 1e-9))
-    rank_tol = float(_opt(args, options, "rank_tol", 1e-8))
-    derived = solve(data, tol=tol, rank_tol=rank_tol)
+    data, _ = files.read_problem(args.problem)
+    derived = solve(data)
     coeffs = build_upsilon(derived)
     phi = build_redheffer(coeffs)
     _emit(files.coefficients_to_dict(coeffs, phi), args.out, [
@@ -134,16 +123,13 @@ def cmd_coefficients(args):
 
 def cmd_oracle(args):
     data, options = files.read_problem(args.problem)
-    tol = float(_opt(args, options, "tol", 1e-9))
-    rank_tol = float(_opt(args, options, "rank_tol", 1e-8))
-    validation = validate(data, tol=tol)  # truncate needs a stable A
+    validation = validate(data)  # truncate needs a stable A
     if not validation.ok:
         raise ValidationError("data validation failed: " + validation.summary(), validation)
-    trunc = _opt(args, options, "truncation", None)
+    trunc = args.truncation if args.truncation is not None else options.get("truncation")
     if trunc is None:
         ladder = [50, 100, 200]
     else:
-        trunc = int(trunc)
         ladder = sorted({min(trunc, rung) for rung in
                          (max(8, trunc // 4), max(16, trunc // 2), trunc)})
     # every rung is a leading block of the largest window
@@ -157,7 +143,7 @@ def cmd_oracle(args):
     try:
         for N in ladder:
             contexts[N].require_definite()
-        derived = solve(data, tol=tol, rank_tol=rank_tol)
+        derived = solve(data)
     except (InfeasibleError, BreakdownError) as exc:
         report["verdict"] = f"{exc.verdict.lower()}: {exc}"
         print(f"verdict: {exc.verdict} -- oracle comparison skipped")
@@ -211,23 +197,24 @@ def cmd_generate(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 1, an input error: argparse's 2 is the code of
+    INFEASIBLE and BREAKDOWN."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="leechsolve",
         description="Solve and parametrize suboptimal rational Leech problems "
                     "G X = K with contractive X, from state-space data.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, rank=True):
-        sp.add_argument("--tol", type=float, default=None,
-                        help="positivity / verification tolerance (default 1e-9)")
-        if rank:
-            sp.add_argument("--rank-tol", dest="rank_tol", type=float, default=None,
-                            help="rank decision tolerance (default 1e-8)")
-
     sp = sub.add_parser("check", help="validate a problem and decide feasibility")
     sp.add_argument("problem")
-    add_common(sp)
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("solve", help="compute a solution (central unless a "
@@ -236,14 +223,12 @@ def build_parser():
     sp.add_argument("parameter", nargs="?", default=None,
                     help="optional realization file for the free parameter Y")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
-    add_common(sp)
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("coefficients",
                         help="write the parametrization coefficients")
     sp.add_argument("problem")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
-    add_common(sp)
     sp.set_defaults(func=cmd_coefficients)
 
     sp = sub.add_parser("oracle",
@@ -252,7 +237,6 @@ def build_parser():
     sp.add_argument("--truncation", type=int, default=None,
                     help="largest truncation order (ladder N/4, N/2, N; default 200)")
     sp.add_argument("--out", default=None, help="optional JSON report path")
-    add_common(sp)
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("generate", help="generate a random feasible problem")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInvertibleError, ParameterError, StabilityError
-from .linalg import is_schur_stable, spectral_norm
+from .linalg import DEFAULT_TOL, is_schur_stable, spectral_norm
 from .realization import NORM_GRID, Realization, evaluate, hinf_norm_estimate, zeros
 
 log = logging.getLogger("leechsolve.coefficients")
@@ -204,9 +204,9 @@ def build_redheffer(coeffs):
                         _block(joint, top, left), _block(joint, top, right), joint)
 
 
-def check_parameter(coeffs, Y, tol=1e-9):
+def check_parameter(coeffs, Y):
     """Validate the free parameter against a CoefficientSet or RedhefferSet:
-    shape (p-m) x q, stable, sup norm <= 1 + tol."""
+    shape (p-m) x q, stable, sup norm estimate <= 1 + DEFAULT_TOL."""
     if not isinstance(Y, Realization):
         raise ParameterError("free parameter must be a Realization")
     k, q = coeffs.free_dim, coeffs.q
@@ -219,13 +219,13 @@ def check_parameter(coeffs, Y, tol=1e-9):
         norm = hinf_norm_estimate(Y) if (k and q) else 0.0
     except StabilityError as exc:
         raise ParameterError(f"free parameter must be a stable function: {exc}") from exc
-    if norm > 1.0 + tol:
+    if norm > 1.0 + DEFAULT_TOL:
         raise ParameterError(
             f"free parameter exceeds the unit ball: estimated sup norm {norm:.6e}")
     return norm
 
 
-def apply_lft(coeffs, Y, tol=1e-9):
+def apply_lft(coeffs, Y):
     """Solution X = (U12 + U11 Y)(U22 + U21 Y)^{-1} for a contractive Y.
 
     With T = joint [Y; I] on n + s states (s the state dimension of Y), split
@@ -233,11 +233,12 @@ def apply_lft(coeffs, Y, tol=1e-9):
 
         X = (A - B Dd^{-1} Cd, B Dd^{-1}, Cn - Dn Dd^{-1} Cd, Dn Dd^{-1}).
 
-    The denominator is invertible at the origin by construction
-    (Dd = (U22 + U21 Y)(0) = Delta0) and outer for admissible Y; the state
-    matrix of X is checked to be stable and the map fails loudly otherwise.
+    Y must pass check_parameter.  The denominator is invertible at the origin
+    by construction (Dd = (U22 + U21 Y)(0) = Delta0) and outer for admissible
+    Y; the state matrix of X is checked to be stable and the map fails loudly
+    otherwise.
     """
-    check_parameter(coeffs, Y, tol=tol)
+    check_parameter(coeffs, Y)
     # T = joint [Y; I] maps y to [numerator y; denominator y]
     S = _through_parameter(coeffs.joint, Y)
     q = coeffs.q
@@ -246,9 +247,9 @@ def apply_lft(coeffs, Y, tol=1e-9):
     return _block(X, slice(None, coeffs.p), slice(None))
 
 
-def central_solution(coeffs, tol=1e-9):
+def central_solution(coeffs):
     """The solution at Y = 0, namely X = U12 U22^{-1}."""
-    return apply_lft(coeffs, zeros(coeffs.free_dim, coeffs.q), tol=tol)
+    return apply_lft(coeffs, zeros(coeffs.free_dim, coeffs.q))
 
 
 def apply_redheffer(phi, Y):

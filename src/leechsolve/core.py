@@ -34,13 +34,16 @@ from .linalg import (
     singular_extremes,
     solve_hermitian,
     sqrtm_posdef,
-    DEFAULT_RANK_TOL,
     DEFAULT_TOL,
 )
 from .realization import Realization
 from .riccati import is_observable, solve_stein, stabilizing_riccati
 
 log = logging.getLogger("leechsolve.core")
+
+# theta0's rank cut on the eigenvalues of the defect M; M is I minus a Gram
+# matrix, so its natural scale is 1 and the cut is absolute
+RANK_CUT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -122,12 +125,13 @@ class ValidationReport:
                          for c in self.checks)
 
 
-def validate(data, tol=DEFAULT_TOL):
+def validate(data):
     """Check the standing assumptions on the data.
 
     - dimensions: p >= m (wide numerator) and p <= n + m so the kernel
       condition below can hold at all;
-    - stability: A Schur stable;
+    - stability: A Schur stable, certified with spectral radius below
+      1 - DEFAULT_TOL;
     - observability: the pair {C, A} observable;
     - kernel condition: [B1; D1] has trivial kernel (full column rank p).
     """
@@ -137,7 +141,7 @@ def validate(data, tol=DEFAULT_TOL):
     checks.append(ValidationCheck(
         "dimensions", dims_ok,
         f"n={n}, m={m}, p={p}, q={q}; need 1 <= m <= p <= n + m"))
-    stable = is_schur_stable(data.A, tol=tol)
+    stable = is_schur_stable(data.A)
     checks.append(ValidationCheck("stability", stable, "A Schur stable"
                                   if stable else "spectral radius of A is not below 1"))
     obs = is_observable(data.C, data.A)
@@ -212,20 +216,20 @@ def theta0_defect(data, Q0, P1):
     return herm(M)
 
 
-def theta0(M, k, rank_tol=DEFAULT_RANK_TOL):
+def theta0(M, k):
     """Constant term Theta0 (p x k, k = p - m) of the inner function spanning
     Ker T_G, from its Gram defect M = theta0_defect(...).
 
-    Factorizes the defect; a rank different from k signals a violated kernel
-    condition or numerical breakdown.
+    Factorizes the defect, dropping eigenvalues at or below RANK_CUT; a rank
+    different from k signals a violated kernel condition or numerical
+    breakdown.
     """
-    # the natural scale of M is 1 (it is I minus a Gram matrix), so the cut is
-    # the absolute rank_tol; a norm below it means the defect vanished (p = m)
+    # a norm at or below the cut means the defect vanished (p = m)
     scale = float(np.linalg.norm(M, 2))
-    if scale <= rank_tol:
+    if scale <= RANK_CUT:
         F = np.zeros((M.shape[0], 0), dtype=complex)
     else:
-        F = minimal_rank_factor(M, rank_tol=rank_tol / scale)
+        F = minimal_rank_factor(M, rank_tol=RANK_CUT / scale)
     if F.shape[1] != k:
         raise RankDefectError(
             f"kernel defect has rank {F.shape[1]}, expected p - m = {k}; "
@@ -302,7 +306,7 @@ class DerivedMatrices:
         return _omega(self.P1, self.P2, self.Q)
 
 
-def delta_matrices(derived, tol=DEFAULT_TOL):
+def delta_matrices(derived):
     """Recompute the PD normalizations (Delta0, Delta1) from derived data.
 
         Delta0^2 = I_q + C2 Omega C2* + (D2 - Gamma* Q B2)* Delta^{-1} (D2 - Gamma* Q B2)
@@ -310,7 +314,8 @@ def delta_matrices(derived, tol=DEFAULT_TOL):
         Delta1^2 = I_{p-m} + Theta0* B1* [ gap^{-1} - gap0^{-1} ] B1 Theta0
 
     read off the products E0 and E1 that solve() formed.  Both right-hand
-    sides must be positive definite and Delta1^2 - I is PSD; a failure is a
+    sides must be positive definite, and no eigenvalue of Delta1^2 - I lies
+    below -DEFAULT_TOL max(1, ||Delta1^2||); a failure is a
     numerical breakdown (DefinitenessError), since solve() has already
     established suboptimality.
     """
@@ -324,13 +329,13 @@ def delta_matrices(derived, tol=DEFAULT_TOL):
     excess = d1sq - np.eye(k, dtype=complex)
     if excess.size:
         wmin = float(np.linalg.eigvalsh(herm(excess))[0])
-        if wmin < -tol * max(1.0, float(np.linalg.norm(d1sq))):
+        if wmin < -DEFAULT_TOL * max(1.0, float(np.linalg.norm(d1sq))):
             raise DefinitenessError(
                 f"Delta1^2 - I has negative eigenvalue {wmin:.3e}; breakdown")
     return sqrtm_posdef(d0sq, tol=0.0), sqrtm_posdef(d1sq, tol=0.0)
 
 
-def solve(data, tol=DEFAULT_TOL, rank_tol=DEFAULT_RANK_TOL):
+def solve(data):
     """Decide strict suboptimality and return all derived matrices.
 
     Pipeline: validation, Gramians, Popov data, stabilizing Riccati solutions
@@ -341,14 +346,15 @@ def solve(data, tol=DEFAULT_TOL, rank_tol=DEFAULT_RANK_TOL):
     I - Q0^1/2 P1 Q0^1/2 > 0, so no Riccati solution is inverted.
     Raises ValidationError for malformed data.  An InfeasibleError is the
     verdict that the data is not strictly suboptimal: a RiccatiError when
-    either Riccati equation has no stabilizing solution, or a pair gap
-    that is not positive definite.  A BreakdownError is a numerical failure
-    that says nothing about the data: a Riccati solution that fails its
-    postconditions, and after a positive pair gap the kernel gap, the rank
-    cut of theta0 or the Delta normalizations.
+    either Riccati equation has no stabilizing solution, or a pair gap whose
+    smallest eigenvalue does not exceed DEFAULT_TOL.  A BreakdownError is a
+    numerical failure that says nothing about the data: a Riccati solution
+    that fails its postconditions, and after a positive pair gap the kernel
+    gap, the rank cut of theta0 (RANK_CUT) or the Delta normalizations.
+    Every threshold is a module constant; none is a parameter.
     A Riccati failure keeps its class; its message names the equation.
     """
-    report = validate(data, tol=tol)
+    report = validate(data)
     if not report.ok:
         raise ValidationError("data validation failed: " + report.summary(), report)
     A, B1, B2, C, D1, D2 = data.A, data.B1, data.B2, data.C, data.D1, data.D2
@@ -368,11 +374,11 @@ def solve(data, tol=DEFAULT_TOL, rank_tol=DEFAULT_RANK_TOL):
     gap_min = _gap_min(Q, P2 - P1)
     gap0_min = _gap_min(Q0, -P1)
     log.debug("positivity gaps: pair %.6e, kernel %.6e", gap_min, gap0_min)
-    if not gap_min > tol:
+    if not gap_min > DEFAULT_TOL:
         raise InfeasibleError(
             f"positivity gap I + Q^1/2 (P2 - P1) Q^1/2 has min eigenvalue {gap_min:.6e}; "
             "the data is not strictly suboptimal")
-    if not gap0_min > tol:
+    if not gap0_min > DEFAULT_TOL:
         raise DefinitenessError(
             f"kernel positivity gap I - Q0^1/2 P1 Q0^1/2 has min eigenvalue {gap0_min:.6e}; "
             "numerical breakdown")
@@ -388,7 +394,7 @@ def solve(data, tol=DEFAULT_TOL, rank_tol=DEFAULT_RANK_TOL):
     E0 = DQB.conj().T @ DQB2 + B.conj().T @ Q @ B2 + np.vstack([C1, C2]) @ OmegaC2
 
     M = theta0_defect(data, Q0, P1)
-    Theta0 = theta0(M, data.p - data.m, rank_tol=rank_tol)
+    Theta0 = theta0(M, data.p - data.m)
     w = np.linalg.eigvalsh(M)  # the gap at the rank cut
     # F1 = (gap Q)^{-1} X, so gap^{-1} X = Q F1, and likewise gap0^{-1} X
     X = B1 @ Theta0
@@ -407,9 +413,9 @@ def solve(data, tol=DEFAULT_TOL, rank_tol=DEFAULT_RANK_TOL):
             "riccati_iterations": ric.iterations,
             "kernel_riccati_residual": ric0.residual,
             "kernel_riccati_iterations": ric0.iterations,
-            "theta0_kept_min_eig": float(np.min(w[w > rank_tol], initial=np.inf)),
-            "theta0_dropped_max_eig": float(np.max(np.abs(w[w <= rank_tol]), initial=0.0)),
+            "theta0_kept_min_eig": float(np.min(w[w > RANK_CUT], initial=np.inf)),
+            "theta0_dropped_max_eig": float(np.max(np.abs(w[w <= RANK_CUT]), initial=0.0)),
         },
     )
-    derived.Delta0, derived.Delta1 = delta_matrices(derived, tol=tol)
+    derived.Delta0, derived.Delta1 = delta_matrices(derived)
     return derived

@@ -98,6 +98,13 @@ def problem_from_dict(doc, where="problem"):
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise FileFormatError(f"{where}: options must be an object")
+    unknown = sorted(set(options) - {"truncation"})
+    if unknown:
+        raise FileFormatError(f"{where}: unknown options {unknown}; "
+                              "'truncation' is the only per-file option")
+    trunc = options.get("truncation", 1)
+    if not isinstance(trunc, int) or isinstance(trunc, bool) or trunc < 1:
+        raise FileFormatError(f"{where}: options.truncation must be a positive integer")
     return data, options
 
 

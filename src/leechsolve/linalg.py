@@ -14,6 +14,8 @@ from .errors import DefinitenessError, DimensionError
 
 log = logging.getLogger("leechsolve.linalg")
 
+# default margins of the primitives below; DEFAULT_TOL is also the fixed
+# margin of the solver's positivity, stability and parameter-norm gates
 DEFAULT_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-8
 # stein_doubling gives up after this many squarings; by then (1 - tol)^(2^k)

@@ -151,16 +151,14 @@ def stabilizing_riccati(A, Gamma, R0, C):
     if not is_observable(C, A):
         raise ObservabilityError("Riccati data requires an observable pair {C, A}")
 
+    infeasible = "; no stabilizing solution exists for this data"
+    if not hermitian_posdef_check(herm(R0), tol=0.0):
+        raise RiccatiError("Schur complement lost positive definiteness at Q = 0" + infeasible)
     if n == 0:
-        if not hermitian_posdef_check(R0):
-            raise RiccatiError("R0 must be positive definite when there is no state")
         empty = np.zeros((0, 0), dtype=complex)
         return RiccatiSolution(empty, herm(R0), empty, 0, 0.0, np.zeros((m, 0), dtype=complex))
 
     Gh = Gamma.conj().T
-    infeasible = "; no stabilizing solution exists for this data"
-    if not hermitian_posdef_check(herm(R0), tol=0.0):
-        raise RiccatiError("Schur complement lost positive definiteness at Q = 0" + infeasible)
     RiC, RiG = np.hsplit(solve_hermitian(R0, np.hstack([C, Gh]), "riccati R0"), [n])
     Ak, Gk, Q = A - Gamma @ RiC, -herm(Gamma @ RiG), herm(C.conj().T @ RiC)
     gamma2 = float(np.linalg.norm(Gamma)) ** 2

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import leechsolve
-from leechsolve import cli, errors
+from leechsolve import cli, core, errors
 from leechsolve.cli import main
 from leechsolve.files import (
     coefficients_from_dict,
@@ -66,13 +66,14 @@ class TestCheck:
         assert "validation: stability FAIL" in out
         assert "verdict: INVALID" in out
 
-    def test_breakdown_is_not_infeasible(self, tmp_path, capsys):
-        # a rank tolerance above the scale of the kernel defect makes the
-        # theta0 rank cut fail on feasible data
+    def test_breakdown_is_not_infeasible(self, tmp_path, capsys, monkeypatch):
+        # a rank cut above the scale of the kernel defect makes the theta0
+        # rank decision fail on feasible data
         path = tmp_path / "p.json"
         assert main(["generate", "--seed", "7", "--out", str(path)]) == 0
         capsys.readouterr()
-        assert main(["check", str(path), "--rank-tol", "1.5"]) == 2
+        monkeypatch.setattr(core, "RANK_CUT", 1.5)
+        assert main(["check", str(path)]) == 2
         out = capsys.readouterr().out
         assert "verdict: BREAKDOWN (kernel defect has rank" in out
         assert "INFEASIBLE" not in out
@@ -253,11 +254,12 @@ class TestOracle:
         assert report["verdict"].startswith("infeasible")
         assert "comparisons" not in report
 
-    def test_breakdown_writes_report(self, tmp_path, capsys):
+    def test_breakdown_writes_report(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "p.json"
         assert main(["generate", "--seed", "7", "--out", str(path)]) == 0
         out_path = tmp_path / "r.json"
-        assert main(["oracle", str(path), "--rank-tol", "1.5", "--truncation", "60",
+        monkeypatch.setattr(core, "RANK_CUT", 1.5)
+        assert main(["oracle", str(path), "--truncation", "60",
                      "--out", str(out_path)]) == 2
         out = capsys.readouterr().out
         assert "verdict: BREAKDOWN -- oracle comparison skipped" in out
@@ -324,6 +326,41 @@ class TestGenerateAndErrors:
         path.write_text("{not json")
         assert main(["solve", str(path)]) == 1
         assert "line" in capsys.readouterr().err
+
+    def test_tolerance_option_in_file_exits_1(self, tmp_path, capsys):
+        data, _ = random_problem(120)
+        path = tmp_path / "tol.json"
+        write_problem(data, path, options={"tol": 1e-6})
+        assert main(["check", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert "verdict" not in out
+        assert "unknown options ['tol']" in err
+
+
+class TestUsage:
+    # argparse's own exit code 2 would read as INFEASIBLE or BREAKDOWN
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["check"],
+        ["frobnicate"],
+        ["check", "p.json", "--tol", "1e-9"],
+        ["solve", "p.json", "--rank-tol", "1e-8"],
+        ["oracle", "p.json", "--truncation", "abc"],
+    ], ids=["no-command", "no-file", "unknown-command", "tol", "rank-tol", "bad-truncation"])
+    def test_usage_error_exits_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "solve", "coefficients", "oracle"])
+    def test_help_exits_0_and_names_no_tolerance(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: leechsolve {command}")
+        assert "tol" not in out
 
 
 EXIT_CODES = {

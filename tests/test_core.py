@@ -154,6 +154,16 @@ class TestSolve:
         with pytest.raises(RiccatiError, match="^pair Riccati equation: .*no stabilizing solution exists"):
             solve(data)
 
+    def test_verdict_does_not_depend_on_the_realization(self):
+        # G = 1 and K = sqrt(1 - 5e-10) are strictly suboptimal with R0 = 5e-10;
+        # the static realization and a 1-state one of the same pair both solve
+        k = np.sqrt(1.0 - 5e-10)
+        z = np.zeros
+        static = LeechData(z((0, 0)), z((0, 1)), z((0, 1)), z((1, 0)), [[1.0]], [[k]])
+        one_state = LeechData(z((1, 1)), z((1, 1)), z((1, 1)), [[1.0]], [[1.0]], [[k]])
+        for data in (static, one_state):
+            np.testing.assert_allclose(solve(data).Delta, [[5e-10]], rtol=1e-6)
+
     @pytest.mark.parametrize("c", [1e-3, 1e3])
     @pytest.mark.parametrize("kind, seed", [("feasible", 6), ("feasible", 10), ("infeasible", 9)])
     def test_verdict_is_invariant_under_input_scaling(self, kind, seed, c):
@@ -209,14 +219,15 @@ class TestTheta0:
         F = theta0(M, data.p - data.m)
         np.testing.assert_allclose(F, np.array([[0.0], [1.0]]), atol=1e-14)
 
-    def test_rank_mismatch_raises(self):
+    def test_rank_mismatch_raises(self, monkeypatch):
         data, _ = random_problem(55)
         derived = solve(data)
         assert data.p > data.m
-        # a tolerance above the natural scale of the defect swallows every
+        # a cut above the natural scale of the defect swallows every
         # eigenvalue, so the factor comes back empty and the rank check trips
+        monkeypatch.setattr(core, "RANK_CUT", 1.5)
         with pytest.raises(RankDefectError):
-            theta0(theta0_defect(data, derived.Q0, derived.P1), data.p - data.m, rank_tol=1.5)
+            theta0(theta0_defect(data, derived.Q0, derived.P1), data.p - data.m)
 
     @pytest.mark.parametrize("seed, dims", [(1175, None), (1001, (24, 2, 3, 2))])
     def test_small_defect_keeps_its_rank(self, seed, dims):

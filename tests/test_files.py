@@ -30,11 +30,11 @@ class TestRoundTrip:
     def test_problem_is_bit_exact(self, tmp_path):
         data, _ = random_problem(80)
         path = tmp_path / "problem.json"
-        write_problem(data, path, options={"tol": 1e-9})
+        write_problem(data, path, options={"truncation": 60})
         back, options = read_problem(path)
         for name in ("A", "B1", "B2", "C", "D1", "D2"):
             assert np.array_equal(getattr(back, name), getattr(data, name))
-        assert options == {"tol": 1e-9}
+        assert options == {"truncation": 60}
 
     def test_awkward_floats_survive(self, tmp_path):
         # denormal-adjacent, non-representable decimals, negative zero
@@ -114,6 +114,21 @@ class TestFailures:
         doc = self._doc()
         doc["dims"]["n"] = doc["dims"]["n"] + 1
         with pytest.raises(FileFormatError, match="rows"):
+            problem_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["tol", "rank_tol"])
+    def test_tolerance_option_is_refused(self, key):
+        # the thresholds are fixed, so a file that sets one is never silently obeyed or dropped
+        doc = self._doc()
+        doc["options"] = {"truncation": 60, key: 1e-6}
+        with pytest.raises(FileFormatError, match=rf"unknown options \['{key}'\]"):
+            problem_from_dict(doc)
+
+    @pytest.mark.parametrize("value", ["abc", 12.5, True, 0])
+    def test_truncation_option_must_be_a_positive_integer(self, value):
+        doc = self._doc()
+        doc["options"] = {"truncation": value}
+        with pytest.raises(FileFormatError, match="options.truncation must be a positive integer"):
             problem_from_dict(doc)
 
     def test_negative_dimension(self):
