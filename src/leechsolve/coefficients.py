@@ -20,12 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInvertibleError, ParameterError, StabilityError
-from .linalg import DEFAULT_TOL, is_schur_stable, spectral_norm
+from .linalg import DEFAULT_TOL, INVERT_RATIO, is_schur_stable, spectral_norm
 from .realization import NORM_GRID, Realization, evaluate, hinf_norm_estimate, zeros
 
 log = logging.getLogger("leechsolve.coefficients")
 
-REPORT_POINTS = 64  # circle samples of solution_report
+REPORT_POINTS = 64  # circle samples of solution_report and j_inner_defect
 
 
 @dataclass
@@ -87,7 +87,6 @@ def build_upsilon(derived):
             [derived.Theta0 @ d1inv, derived.E0[:p] @ d0inv],
             [np.zeros((q, k), dtype=complex), derived.Delta0],
         ]),
-        stable=True,
     )
     top, bottom, left, right = slice(None, p), slice(p, None), slice(None, k), slice(k, None)
     return CoefficientSet(derived.Theta0, derived.Delta0, derived.Delta1,
@@ -95,13 +94,13 @@ def build_upsilon(derived):
                           _block(joint, bottom, left), _block(joint, bottom, right), joint)
 
 
-def j_inner_defect(coeffs, points=64):
-    """sup over circle samples of || U(z)* J1 U(z) - J2 || with
+def j_inner_defect(coeffs):
+    """sup over REPORT_POINTS circle samples of || U(z)* J1 U(z) - J2 || with
     J1 = diag(I_p, -I_q), J2 = diag(I_{p-m}, -I_q)."""
     p, q, k = coeffs.p, coeffs.q, coeffs.free_dim
     J1 = np.diag(np.concatenate([np.ones(p), -np.ones(q)])).astype(complex)
     J2 = np.diag(np.concatenate([np.ones(k), -np.ones(q)])).astype(complex)
-    thetas = 2.0 * np.pi * np.arange(points) / points
+    thetas = 2.0 * np.pi * np.arange(REPORT_POINTS) / REPORT_POINTS
     U = evaluate(coeffs.joint, np.exp(1j * thetas))
     return float(np.max(spectral_norm(np.swapaxes(U.conj(), 1, 2) @ J1 @ U - J2)))
 
@@ -137,7 +136,7 @@ class RedhefferSet:
 
 def _block(F, rows, cols):
     """The sub-function F[rows, cols] on F's own state."""
-    return Realization(F.A, F.B[:, cols], F.C[rows], F.D[rows, cols], stable=F.stable)
+    return Realization(F.A, F.B[:, cols], F.C[rows], F.D[rows, cols])
 
 
 def _partial_inverse(F, m, what):
@@ -154,7 +153,7 @@ def _partial_inverse(F, m, what):
     C1, C2 = F.C[:r], F.C[r:]
     D11, D12, D21, D22 = F.D[:r, :c], F.D[:r, c:], F.D[r:, :c], F.D[r:, c:]
     sv = np.linalg.svd(D22, compute_uv=False)
-    if m and sv[-1] <= 1e-12 * max(1.0, sv[0]):
+    if m and sv[-1] <= INVERT_RATIO * max(1.0, sv[0]):
         raise NotInvertibleError(
             f"{what} is not invertible at the origin (sigma_min = {sv[-1]:.3e})")
     Dinv = np.linalg.inv(D22)
@@ -167,7 +166,6 @@ def _partial_inverse(F, m, what):
         np.hstack([B1 - B2 @ DinvD, B2 @ Dinv]),
         np.vstack([C1 - D12 @ DinvC, -DinvC]),
         np.block([[D11 - D12 @ DinvD, D12 @ Dinv], [-DinvD, Dinv]]),
-        stable=True,
     )
 
 
@@ -213,8 +211,6 @@ def check_parameter(coeffs, Y):
     if (Y.out_dim, Y.in_dim) != (k, q):
         raise ParameterError(
             f"free parameter must be {k}x{q}, got {Y.out_dim}x{Y.in_dim}")
-    if Y.stable is False:
-        raise ParameterError("free parameter must be a stable function")
     try:
         norm = hinf_norm_estimate(Y) if (k and q) else 0.0
     except StabilityError as exc:
@@ -279,7 +275,7 @@ def solution_report(derived, coeffs, X):
     zs = np.exp(1j * (2.0 * np.pi * np.arange(REPORT_POINTS) / REPORT_POINTS))
     residual = float(np.max(spectral_norm(evaluate(G, zs) @ evaluate(X, zs) - evaluate(K, zs))))
     norm = hinf_norm_estimate(X)
-    defect = j_inner_defect(coeffs, points=REPORT_POINTS)
+    defect = j_inner_defect(coeffs)
     return {
         "interpolation_residual": residual,
         "norm_estimate": norm,

@@ -35,6 +35,7 @@ from .linalg import (
     solve_hermitian,
     sqrtm_posdef,
     DEFAULT_TOL,
+    RANK_RATIO,
 )
 from .realization import Realization
 from .riccati import is_observable, solve_stein, stabilizing_riccati
@@ -149,7 +150,7 @@ def validate(data):
                                   if obs else "observability matrix is rank deficient"))
     stack = np.vstack([data.B1, data.D1])
     smin, smax = singular_extremes(stack)
-    kernel_ok = smax > 0.0 and smin > 1e-10 * smax
+    kernel_ok = smax > 0.0 and smin > RANK_RATIO * smax
     checks.append(ValidationCheck(
         "kernel", kernel_ok,
         f"sigma_min([B1; D1]) = {smin:.3e}, sigma_max = {smax:.3e}"))
@@ -224,12 +225,7 @@ def theta0(M, k):
     different from k signals a violated kernel condition or numerical
     breakdown.
     """
-    # a norm at or below the cut means the defect vanished (p = m)
-    scale = float(np.linalg.norm(M, 2))
-    if scale <= RANK_CUT:
-        F = np.zeros((M.shape[0], 0), dtype=complex)
-    else:
-        F = minimal_rank_factor(M, rank_tol=RANK_CUT / scale)
+    F = minimal_rank_factor(M, RANK_CUT)
     if F.shape[1] != k:
         raise RankDefectError(
             f"kernel defect has rank {F.shape[1]}, expected p - m = {k}; "
@@ -322,9 +318,9 @@ def delta_matrices(derived):
     p, q, k = derived.data.p, derived.data.q, derived.data.p - derived.data.m
     d0sq = herm(np.eye(q, dtype=complex) + derived.E0[p:])
     d1sq = herm(np.eye(k, dtype=complex) + derived.E1)
-    if not hermitian_posdef_check(d0sq, tol=0.0):
+    if not hermitian_posdef_check(d0sq):
         raise DefinitenessError("Delta0^2 is not positive definite (numerical breakdown)")
-    if not hermitian_posdef_check(d1sq, tol=0.0):
+    if not hermitian_posdef_check(d1sq):
         raise DefinitenessError("Delta1^2 is not positive definite (numerical breakdown)")
     excess = d1sq - np.eye(k, dtype=complex)
     if excess.size:
@@ -332,7 +328,7 @@ def delta_matrices(derived):
         if wmin < -DEFAULT_TOL * max(1.0, float(np.linalg.norm(d1sq))):
             raise DefinitenessError(
                 f"Delta1^2 - I has negative eigenvalue {wmin:.3e}; breakdown")
-    return sqrtm_posdef(d0sq, tol=0.0), sqrtm_posdef(d1sq, tol=0.0)
+    return sqrtm_posdef(d0sq), sqrtm_posdef(d1sq)
 
 
 def solve(data):

@@ -14,12 +14,16 @@ from .errors import DefinitenessError, DimensionError
 
 log = logging.getLogger("leechsolve.linalg")
 
-# default margins of the primitives below; DEFAULT_TOL is also the fixed
-# margin of the solver's positivity, stability and parameter-norm gates
+# the fixed margin of the Stein certificate and the Hermitian test below, and
+# of the solver's positivity and parameter-norm gates
 DEFAULT_TOL = 1e-9
-DEFAULT_RANK_TOL = 1e-8
-# stein_doubling gives up after this many squarings; by then (1 - tol)^(2^k)
-# has underflowed to 0 for any tol >= 1e-16, so no later step can certify
+# full column rank: sigma_min > RANK_RATIO sigma_max (validate's kernel
+# condition, is_observable)
+RANK_RATIO = 1e-10
+# invertible at the origin: sigma_min(D) > INVERT_RATIO max(1, sigma_max(D))
+INVERT_RATIO = 1e-12
+# stein_doubling gives up after this many squarings; by then
+# (1 - DEFAULT_TOL)^(2^k) has underflowed to 0, so no later step can certify
 MAX_SQUARINGS = 64
 
 
@@ -42,8 +46,8 @@ def herm(M):
     return 0.5 * (M + M.conj().T)
 
 
-def hermitian_posdef_check(M, tol=DEFAULT_TOL):
-    """True iff M is Hermitian within tol and its smallest eigenvalue exceeds +tol.
+def hermitian_posdef_check(M):
+    """True iff M is Hermitian within DEFAULT_TOL and its smallest eigenvalue is positive.
 
     The empty 0x0 matrix counts as positive definite.
     """
@@ -54,17 +58,16 @@ def hermitian_posdef_check(M, tol=DEFAULT_TOL):
     if rows == 0:
         return True
     scale = max(1.0, float(np.linalg.norm(A)))
-    if np.linalg.norm(A - A.conj().T) > tol * scale:
+    if np.linalg.norm(A - A.conj().T) > DEFAULT_TOL * scale:
         return False
-    w = np.linalg.eigvalsh(herm(A))
-    return bool(w[0] > tol)
+    return bool(np.linalg.eigvalsh(herm(A))[0] > 0.0)
 
 
-def minimal_rank_factor(M, rank_tol=DEFAULT_RANK_TOL):
+def minimal_rank_factor(M, cut):
     """Factor a Hermitian PSD matrix as M = F F* with F of full column rank.
 
-    Eigenvalues below rank_tol * ||M|| are treated as zero; any eigenvalue
-    below -rank_tol * ||M|| raises, since M was promised PSD.  Columns of F
+    Eigenvalues at or below the absolute cut are treated as zero; any
+    eigenvalue below -cut raises, since M was promised PSD.  Columns of F
     are ordered by decreasing eigenvalue.  The zero matrix yields an n x 0
     factor.
     """
@@ -74,11 +77,8 @@ def minimal_rank_factor(M, rank_tol=DEFAULT_RANK_TOL):
         raise DimensionError(f"rank factorization needs a square matrix, got {rows}x{cols}")
     if rows == 0:
         return np.zeros((0, 0), dtype=complex)
-    H = herm(A)
-    w, V = np.linalg.eigh(H)
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    cut = rank_tol * scale
-    if np.any(w < -max(cut, 0.0)):
+    w, V = np.linalg.eigh(herm(A))
+    if np.any(w < -cut):
         raise DefinitenessError(
             f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e} "
             f"below -{cut:.3e}"
@@ -119,18 +119,19 @@ def singular_extremes(M):
     return (float(s[-1]) if A.shape[0] >= A.shape[1] else 0.0), float(s[0])
 
 
-def stein_doubling(A, W, tol=DEFAULT_TOL):
+def stein_doubling(A, W):
     """Solution P of P - A P A* = W by squared doubling, or None.
 
     After k steps P sums the first 2^k terms of sum_j A^j W A^j* and
-    Ak = A^(2^k).  ||Ak||_F < (1 - tol)^(2^k) certifies rho(A) < 1 - tol,
-    since the Frobenius norm bounds rho(Ak) = rho(A)^(2^k).  P is returned
-    once certified and the tail, about ||Ak||^2 ||P||, is below roundoff;
-    None when the iterates overflow or the squarings run out.
+    Ak = A^(2^k).  ||Ak||_F < (1 - DEFAULT_TOL)^(2^k) certifies
+    rho(A) < 1 - DEFAULT_TOL, since the Frobenius norm bounds
+    rho(Ak) = rho(A)^(2^k).  P is returned once certified and the tail, about
+    ||Ak||^2 ||P||, is below roundoff; None when the iterates overflow or the
+    squarings run out.
     """
     P = np.array(W, dtype=complex)
     Ak = np.array(A, dtype=complex)
-    bound = 1.0 - tol
+    bound = 1.0 - DEFAULT_TOL
     certified = False
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(MAX_SQUARINGS):
@@ -147,17 +148,17 @@ def stein_doubling(A, W, tol=DEFAULT_TOL):
     return None
 
 
-def is_schur_stable(A, tol=DEFAULT_TOL):
+def is_schur_stable(A):
     """True iff the Stein series for X - A X A* = I certifies the spectral
-    radius of A below 1 - tol; a radius too close to 1 - tol reads False."""
+    radius of A below 1 - DEFAULT_TOL; a radius too close to that reads False."""
     M = as_cmatrix(A, "A")
     n, ncols = M.shape
     if n != ncols:
         raise DimensionError(f"stability test needs a square matrix, got {n}x{ncols}")
-    return stein_doubling(M, np.eye(n, dtype=complex), tol) is not None
+    return stein_doubling(M, np.eye(n, dtype=complex)) is not None
 
 
-def sqrtm_posdef(M, tol=DEFAULT_TOL):
+def sqrtm_posdef(M):
     """Hermitian square root of a positive definite matrix (eigendecomposition)."""
     A = as_cmatrix(M, "M")
     rows, cols = A.shape
@@ -165,10 +166,8 @@ def sqrtm_posdef(M, tol=DEFAULT_TOL):
         raise DimensionError(f"matrix square root needs a square matrix, got {rows}x{cols}")
     if rows == 0:
         return np.zeros((0, 0), dtype=complex)
-    H = herm(A)
-    w, V = np.linalg.eigh(H)
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if w[0] <= tol * scale or w[0] <= 0.0:
+    w, V = np.linalg.eigh(herm(A))
+    if w[0] <= 0.0:
         raise DefinitenessError(
             f"matrix square root requires positive definiteness: min eigenvalue {w[0]:.3e}"
         )

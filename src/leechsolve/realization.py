@@ -11,12 +11,12 @@ shared state instead.  `evaluate` takes one point or a 1-D array of points,
 the latter in one batched solve.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, EvaluationError, NotInvertibleError, StabilityError
-from .linalg import as_cmatrix, is_schur_stable, spectral_norm
+from .linalg import INVERT_RATIO, as_cmatrix, is_schur_stable, spectral_norm
 
 NORM_GRID = 512  # circle points hinf_norm_estimate starts from
 
@@ -25,16 +25,14 @@ NORM_GRID = 512  # circle points hinf_norm_estimate starts from
 class Realization:
     """State-space data (A, B, C, D) for F(z) = D + z C (I - z A)^{-1} B.
 
-    `stable` is tri-state: True skips the stability test of hinf_norm_estimate
-    and truncate, so only code that certified A or built it stable may assert
-    it; False when A is known unstable; None when unknown (unvalidated data).
+    It carries no stability flag: every consumer that needs A Schur stable
+    (hinf_norm_estimate, truncate) certifies it.
     """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-    stable: bool = field(default=None)
 
     def __post_init__(self):
         A = as_cmatrix(self.A, "A")
@@ -72,7 +70,7 @@ def constant(D):
     D = as_cmatrix(D, "D")
     n0 = np.zeros((0, 0), dtype=complex)
     return Realization(n0, np.zeros((0, D.shape[1]), dtype=complex),
-                       np.zeros((D.shape[0], 0), dtype=complex), D, stable=True)
+                       np.zeros((D.shape[0], 0), dtype=complex), D)
 
 
 def zeros(out_dim, in_dim):
@@ -118,12 +116,6 @@ def taylor_blocks(F, count):
     return blocks
 
 
-def _merge_stable(*flags):
-    if all(f is True for f in flags):
-        return True
-    return None
-
-
 def product(F, G):
     """Pointwise product (F G)(z) = F(z) G(z)."""
     if F.in_dim != G.out_dim:
@@ -137,7 +129,7 @@ def product(F, G):
     B = np.vstack([F.B @ G.D, G.B])
     C = np.hstack([F.C, F.D @ G.C])
     D = F.D @ G.D
-    return Realization(A, B, C, D, stable=_merge_stable(F.stable, G.stable))
+    return Realization(A, B, C, D)
 
 
 def add(F, G):
@@ -153,7 +145,7 @@ def add(F, G):
     B = np.vstack([F.B, G.B])
     C = np.hstack([F.C, G.C])
     D = F.D + G.D
-    return Realization(A, B, C, D, stable=_merge_stable(F.stable, G.stable))
+    return Realization(A, B, C, D)
 
 
 def hconcat(F, G):
@@ -172,7 +164,7 @@ def hconcat(F, G):
     ])
     C = np.hstack([F.C, G.C])
     D = np.hstack([F.D, G.D])
-    return Realization(A, B, C, D, stable=_merge_stable(F.stable, G.stable))
+    return Realization(A, B, C, D)
 
 
 def vconcat(F, G):
@@ -191,23 +183,22 @@ def vconcat(F, G):
         [np.zeros((G.out_dim, nf), dtype=complex), G.C],
     ])
     D = np.vstack([F.D, G.D])
-    return Realization(A, B, C, D, stable=_merge_stable(F.stable, G.stable))
+    return Realization(A, B, C, D)
 
 
 def inverse(F):
     """Pointwise inverse F(z)^{-1}, requiring D = F(0) invertible.
 
-    Uses A - B D^{-1} C as the new state matrix; the stable flag records
-    whether that matrix passed the stability test, since the inverse of a
-    stable function need not be stable.
+    Uses A - B D^{-1} C as the new state matrix, which need not be stable
+    even when A is.
     """
     if F.out_dim != F.in_dim:
         raise DimensionError(f"inverse needs a square function, got {F.out_dim}x{F.in_dim}")
     k = F.out_dim
     if k == 0:
-        return Realization(F.A, F.B, F.C, F.D, stable=F.stable)
+        return F
     sv = np.linalg.svd(F.D, compute_uv=False)
-    if sv[-1] <= 1e-12 * max(1.0, sv[0]):
+    if sv[-1] <= INVERT_RATIO * max(1.0, sv[0]):
         raise NotInvertibleError(
             f"function is not invertible at the origin (sigma_min(D) = {sv[-1]:.3e})")
     Dinv = np.linalg.inv(F.D)
@@ -215,7 +206,7 @@ def inverse(F):
     B = F.B @ Dinv
     C = -Dinv @ F.C
     D = Dinv
-    return Realization(A, B, C, D, stable=bool(is_schur_stable(A)) if A.shape[0] else True)
+    return Realization(A, B, C, D)
 
 
 def hinf_norm_estimate(F):
@@ -223,9 +214,7 @@ def hinf_norm_estimate(F):
     a NORM_GRID-point circle grid and on four zooms, each one batched
     evaluate of 17 points spread over one step of the previous pass either
     side of its best point (last spacing: 1/4096 of a grid step)."""
-    if F.stable is False:
-        raise StabilityError("H-infinity norm needs a stable function")
-    if F.stable is None and F.state_dim and not is_schur_stable(F.A):
+    if F.state_dim and not is_schur_stable(F.A):
         raise StabilityError("H-infinity norm needs a stable function")
     if F.out_dim == 0 or F.in_dim == 0:
         return 0.0

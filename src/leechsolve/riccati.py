@@ -33,6 +33,7 @@ from .errors import (
     StabilityError,
 )
 from .linalg import (
+    RANK_RATIO,
     as_cmatrix,
     herm,
     hermitian_posdef_check,
@@ -95,11 +96,11 @@ def observability_matrix(C, A, N):
 
 
 def is_observable(C, A):
-    """Rank test on the observability matrix: sigma_min > 1e-10 * sigma_max."""
+    """Rank test on the observability matrix: sigma_min > RANK_RATIO sigma_max."""
     if A.shape[0] == 0:
         return True
     smin, smax = singular_extremes(observability_matrix(C, A, A.shape[0]))
-    return smax > 0.0 and smin > 1e-10 * smax
+    return smax > 0.0 and smin > RANK_RATIO * smax
 
 
 @dataclass
@@ -152,7 +153,7 @@ def stabilizing_riccati(A, Gamma, R0, C):
         raise ObservabilityError("Riccati data requires an observable pair {C, A}")
 
     infeasible = "; no stabilizing solution exists for this data"
-    if not hermitian_posdef_check(herm(R0), tol=0.0):
+    if not hermitian_posdef_check(herm(R0)):
         raise RiccatiError("Schur complement lost positive definiteness at Q = 0" + infeasible)
     if n == 0:
         empty = np.zeros((0, 0), dtype=complex)
@@ -163,7 +164,7 @@ def stabilizing_riccati(A, Gamma, R0, C):
     Ak, Gk, Q = A - Gamma @ RiC, -herm(Gamma @ RiG), herm(C.conj().T @ RiC)
     gamma2 = float(np.linalg.norm(Gamma)) ** 2
     for k in range(1, 65):
-        if not hermitian_posdef_check(herm(R0 - Gh @ Q @ Gamma), tol=0.0):
+        if not hermitian_posdef_check(herm(R0 - Gh @ Q @ Gamma)):
             raise RiccatiError("Schur complement lost positive definiteness at "
                                f"fixed-point iterate 2^{k - 1}" + infeasible)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -190,7 +191,7 @@ def stabilizing_riccati(A, Gamma, R0, C):
         raise BreakdownError("Riccati doubling did not converge in 64 doublings")
 
     Delta = herm(R0 - Gh @ Q @ Gamma)
-    if not hermitian_posdef_check(Delta, tol=0.0):
+    if not hermitian_posdef_check(Delta):
         raise DefinitenessError("computed Schur complement is not positive definite")
     W = C - Gh @ Q @ A
     L = solve_hermitian(Delta, W, "riccati gain")

@@ -77,9 +77,7 @@ def truncate(F, N):
     N = int(N)
     if N < 1:
         raise DimensionError(f"truncation order must be positive, got {N}")
-    if F.stable is False:
-        raise StabilityError("truncation requires a stable function")
-    if F.stable is None and F.state_dim and not is_schur_stable(F.A):
+    if F.state_dim and not is_schur_stable(F.A):
         raise StabilityError("truncation requires a stable function")
     return np.concatenate(taylor_blocks(F, N), axis=0)
 
@@ -318,7 +316,7 @@ def _delta_squares(ctx, theta):
 def oracle_deltas(ctx, theta):
     """Operator-side normalizations Delta0, Delta1 (see _delta_squares)."""
     d0sq, d1sq = _delta_squares(ctx, theta)
-    return sqrtm_posdef(d0sq, tol=0.0), sqrtm_posdef(d1sq, tol=0.0)
+    return sqrtm_posdef(d0sq), sqrtm_posdef(d1sq)
 
 
 def oracle_upsilon(ctx, Theta0, zs):

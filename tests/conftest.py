@@ -93,7 +93,7 @@ def upsilon_per_point(ctx, Theta0, zs):
     N[:-m] = (TgEp @ Theta0)[m:]
     d0sq = np.eye(q) + TkEq.conj().T @ core_inv @ TkEq
     d1sq = np.eye(k) + N.conj().T @ (core_inv - gram_inv) @ N
-    Delta0, Delta1 = (sqrtm_posdef(0.5 * (M + M.conj().T), tol=0.0) for M in (d0sq, d1sq))
+    Delta0, Delta1 = (sqrtm_posdef(0.5 * (M + M.conj().T)) for M in (d0sq, d1sq))
     d0i = np.linalg.inv(Delta0) if q else Delta0
     d1i = np.linalg.inv(Delta1) if k else Delta1
     wn, wk = core_inv @ N, core_inv @ TkEq

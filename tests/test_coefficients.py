@@ -1,5 +1,7 @@
 """Coefficient realizations, the linear-fractional map, and the feedback form."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from leechsolve.realization import (
     product,
     zeros,
 )
+from leechsolve.toeplitz import truncate
 from tests.conftest import circle_points, interior_points
 
 GRID = list(circle_points(16)) + list(interior_points(16))
@@ -150,6 +153,18 @@ class TestParameterChecks:
         with pytest.raises(ParameterError):
             check_parameter(c, Y)
 
+    def test_a_stable_draw_given_an_unstable_a_is_rejected(self):
+        # a realization carries no stability claim that could outlive a change
+        # of A: every consumer certifies the A it is handed
+        c = build_upsilon(solve(random_problem(11)[0]))
+        Y = dataclasses.replace(random_contraction(11, c.free_dim, c.q), A=np.diag([1.5, 0.2]))
+        with pytest.raises(ParameterError):
+            check_parameter(c, Y)
+        with pytest.raises(ParameterError):
+            apply_lft(c, Y)
+        with pytest.raises(StabilityError):
+            truncate(dataclasses.replace(random_contraction(11, 2, 3), A=np.diag([1.5, 0.2])), 8)
+
 
 class TestApply:
     def test_central_is_lft_at_zero(self, battery):
@@ -250,11 +265,11 @@ class TestSharedState:
         D = np.array([[0.4, 0.1], [0.0, 1.0]])
 
         def block(i, j):
-            return Realization(A0, B[:, [j]], C[[i]], D[[i]][:, [j]], stable=True)
+            return Realization(A0, B[:, [j]], C[[i]], D[[i]][:, [j]])
 
         coeffs = CoefficientSet(np.eye(1), np.eye(1), np.eye(1),
                                 block(0, 0), block(0, 1), block(1, 0), block(1, 1),
-                                Realization(A0, B, C, D, stable=True))
+                                Realization(A0, B, C, D))
         assert abs(evaluate(coeffs.U22, -0.5)[0, 0]) < 1e-15
         with pytest.raises(StabilityError):
             apply_lft(coeffs, zeros(1, 1))

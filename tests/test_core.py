@@ -255,7 +255,7 @@ class TestDeltaMatrices:
     def test_normalizations_are_positive(self, battery):
         for item in battery:
             d = item.derived
-            assert hermitian_posdef_check(herm(d.Delta0), tol=0.0)
+            assert hermitian_posdef_check(herm(d.Delta0))
             excess = herm(d.Delta1 @ d.Delta1 - np.eye(d.data.p - d.data.m))
             if excess.size:
                 assert float(np.linalg.eigvalsh(excess)[0]) >= -1e-9
