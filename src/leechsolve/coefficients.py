@@ -204,7 +204,8 @@ def build_redheffer(coeffs):
 
 def check_parameter(coeffs, Y):
     """Validate the free parameter against a CoefficientSet or RedhefferSet:
-    shape (p-m) x q, stable, sup norm estimate <= 1 + DEFAULT_TOL."""
+    shape (p-m) x q, stable, sup norm estimate <= 1 + DEFAULT_TOL.  A Y with
+    states is certified stable even when it is empty (p = m or q = 0)."""
     if not isinstance(Y, Realization):
         raise ParameterError("free parameter must be a Realization")
     k, q = coeffs.free_dim, coeffs.q
@@ -212,7 +213,7 @@ def check_parameter(coeffs, Y):
         raise ParameterError(
             f"free parameter must be {k}x{q}, got {Y.out_dim}x{Y.in_dim}")
     try:
-        norm = hinf_norm_estimate(Y) if (k and q) else 0.0
+        norm = hinf_norm_estimate(Y)
     except StabilityError as exc:
         raise ParameterError(f"free parameter must be a stable function: {exc}") from exc
     if norm > 1.0 + DEFAULT_TOL:
@@ -268,7 +269,8 @@ def apply_redheffer(phi, Y):
 def solution_report(derived, coeffs, X):
     """Verification appendix for a computed solution: interpolation residual
     and indefinite-metric defect of the coefficients on REPORT_POINTS circle
-    samples, and the sup-norm estimate of X (hinf_norm_estimate)."""
+    samples, the sup-norm estimate of X (hinf_norm_estimate), and the margins
+    of solve, an empty extremum (inf) as None so the artifact is strict JSON."""
     data = derived.data
     G = data.g()
     K = data.k()
@@ -282,5 +284,6 @@ def solution_report(derived, coeffs, X):
         "norm_grid": NORM_GRID,
         "coefficient_metric_defect": defect,
         "circle_points": REPORT_POINTS,
-        "margins": {key: float(val) for key, val in derived.margins.items()},
+        "margins": {key: float(val) if np.isfinite(val) else None
+                    for key, val in derived.margins.items()},
     }

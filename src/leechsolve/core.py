@@ -29,8 +29,8 @@ from .linalg import (
     as_cmatrix,
     herm,
     hermitian_posdef_check,
-    is_schur_stable,
     minimal_rank_factor,
+    schur_squarings,
     singular_extremes,
     solve_hermitian,
     sqrtm_posdef,
@@ -115,7 +115,11 @@ class ValidationCheck:
 
 @dataclass
 class ValidationReport:
+    """The checks, and A's certificate schur_squarings(A) (None when A is not
+    certified stable), which solve passes on to the Stein and Riccati solves."""
+
     checks: list
+    squarings: list = None
 
     @property
     def ok(self):
@@ -132,7 +136,8 @@ def validate(data):
     - dimensions: p >= m (wide numerator) and p <= n + m so the kernel
       condition below can hold at all;
     - stability: A Schur stable, certified with spectral radius below
-      1 - DEFAULT_TOL;
+      1 - DEFAULT_TOL by its squarings (schur_squarings), which the report
+      keeps;
     - observability: the pair {C, A} observable;
     - kernel condition: [B1; D1] has trivial kernel (full column rank p).
     """
@@ -142,7 +147,8 @@ def validate(data):
     checks.append(ValidationCheck(
         "dimensions", dims_ok,
         f"n={n}, m={m}, p={p}, q={q}; need 1 <= m <= p <= n + m"))
-    stable = is_schur_stable(data.A)
+    squarings = schur_squarings(data.A)
+    stable = squarings is not None
     checks.append(ValidationCheck("stability", stable, "A Schur stable"
                                   if stable else "spectral radius of A is not below 1"))
     obs = is_observable(data.C, data.A)
@@ -154,7 +160,7 @@ def validate(data):
     checks.append(ValidationCheck(
         "kernel", kernel_ok,
         f"sigma_min([B1; D1]) = {smin:.3e}, sigma_max = {smax:.3e}"))
-    return ValidationReport(checks)
+    return ValidationReport(checks, squarings)
 
 
 @dataclass
@@ -168,10 +174,14 @@ class PopovData:
     Gamma0: np.ndarray
 
 
-def gramians(data):
-    """Controllability Gramians P1, P2 of (A, B1) and (A, B2)."""
-    P1 = solve_stein(data.A, data.B1 @ data.B1.conj().T)
-    P2 = solve_stein(data.A, data.B2 @ data.B2.conj().T)
+def gramians(data, squarings=None):
+    """Controllability Gramians P1, P2 of (A, B1) and (A, B2).
+
+    One stacked Stein solve sums both, from A's certificate `squarings`
+    (validate's) when given; without it A is certified here.
+    """
+    W = np.stack([data.B1 @ data.B1.conj().T, data.B2 @ data.B2.conj().T])
+    P1, P2 = solve_stein(data.A, W, squarings)
     return P1, P2
 
 
@@ -337,7 +347,10 @@ def solve(data):
     Pipeline: validation, Gramians, Popov data, stabilizing Riccati solutions
     for the pair and for the kernel, the positivity gaps, and from these the
     matrices (C0, C1, C2, B0, Theta0, Delta0, Delta1) and the thin products
-    the coefficients are assembled from.  The gaps Q^-1 + P2 - P1 and
+    the coefficients are assembled from.  A is certified once: validate's
+    squarings of A (schur_squarings) sum both Gramians and stand in for the
+    stability precondition of both Riccati solves; each closed loop A0 is
+    still certified on its own.  The gaps Q^-1 + P2 - P1 and
     Q0^-1 - P1 are decided as I + Q^1/2 (P2 - P1) Q^1/2 > 0 and
     I - Q0^1/2 P1 Q0^1/2 > 0, so no Riccati solution is inverted.
     Raises ValidationError for malformed data.  An InfeasibleError is the
@@ -355,14 +368,16 @@ def solve(data):
         raise ValidationError("data validation failed: " + report.summary(), report)
     A, B1, B2, C, D1, D2 = data.A, data.B1, data.B2, data.C, data.D1, data.D2
 
-    P1, P2 = gramians(data)
+    # A's certificate, validate's squarings, serves both Gramians and both
+    # Riccati solves
+    P1, P2 = gramians(data, report.squarings)
     pop = popov_data(data, P1, P2)
 
     what = "pair"
     try:
-        ric = stabilizing_riccati(A, pop.Gamma, pop.R0, C)
+        ric = stabilizing_riccati(A, pop.Gamma, pop.R0, C, report.squarings)
         what = "kernel"
-        ric0 = stabilizing_riccati(A, pop.Gamma0, pop.R10, C)
+        ric0 = stabilizing_riccati(A, pop.Gamma0, pop.R10, C, report.squarings)
     except LeechError as exc:  # keeps its class, names the equation
         raise type(exc)(f"{what} Riccati equation: {exc}") from exc
 

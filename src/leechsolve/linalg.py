@@ -2,7 +2,8 @@
 
 Two heavy primitives carry everything downstream: the Hermitian
 eigendecomposition (definiteness, rank decisions, norms, PD square roots)
-and the squared-doubling Stein solve, which also certifies Schur stability.
+and the squared-doubling Stein solve.  Its squarings A, A^2, A^4, ... also
+certify Schur stability, and a caller that has them passes them on.
 All operations accept 0-sized matrices.
 """
 
@@ -42,8 +43,8 @@ def as_cmatrix(M, name="matrix"):
 
 
 def herm(M):
-    """Hermitian part (M + M*)/2."""
-    return 0.5 * (M + M.conj().T)
+    """Hermitian part (M + M*)/2, of each matrix in a stack (..., n, n)."""
+    return 0.5 * (M + M.conj().swapaxes(-1, -2))
 
 
 def hermitian_posdef_check(M):
@@ -119,20 +120,20 @@ def singular_extremes(M):
     return (float(s[-1]) if A.shape[0] >= A.shape[1] else 0.0), float(s[0])
 
 
-def stein_doubling(A, W):
-    """Solution P of P - A P A* = W by squared doubling, or None.
+def schur_squarings(A):
+    """The squarings A, A^2, A^4, ..., A^(2^(k-1)) that certify the spectral
+    radius of A below 1 - DEFAULT_TOL, or None.
 
-    After k steps P sums the first 2^k terms of sum_j A^j W A^j* and
-    Ak = A^(2^k).  ||Ak||_F < (1 - DEFAULT_TOL)^(2^k) certifies
-    rho(A) < 1 - DEFAULT_TOL, since the Frobenius norm bounds
-    rho(Ak) = rho(A)^(2^k).  P is returned once certified and the tail, about
-    ||Ak||^2 ||P||, is below roundoff; None when the iterates overflow or the
-    squarings run out.
+    ||A^(2^j)||_F < (1 - DEFAULT_TOL)^(2^j) for some j certifies it, since the
+    Frobenius norm bounds rho(A^(2^j)) = rho(A)^(2^j); the sequence ends at
+    the first certified k with ||A^(2^k)||^2 below roundoff.  None when the
+    squarings overflow or run out.  The stopping rule reads A alone, so one
+    sequence serves every Stein sum on A (stein_doubling).
     """
-    P = np.array(W, dtype=complex)
     Ak = np.array(A, dtype=complex)
     bound = 1.0 - DEFAULT_TOL
     certified = False
+    squarings = []
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(MAX_SQUARINGS):
             a = float(np.linalg.norm(Ak))
@@ -140,12 +141,33 @@ def stein_doubling(A, W):
                 return None
             certified = certified or a < bound
             if certified and a * a <= np.finfo(float).eps:
-                # a transient above ~1e154 in ||A^j|| overflows P alone
-                return P if np.all(np.isfinite(P)) else None
-            P = P + Ak @ P @ Ak.conj().T
+                return squarings
+            squarings.append(Ak)
             Ak = Ak @ Ak
             bound *= bound
     return None
+
+
+def stein_doubling(A, W, squarings=None):
+    """Solution P of P - A P A* = W by squared doubling, or None.
+
+    Step j adds Aj P Aj* for Aj = A^(2^j), so after k steps P sums the first
+    2^k terms of sum_i A^i W A^i*.  The squarings are schur_squarings(A),
+    computed here unless the caller passes them; after the last one the tail,
+    about ||A^(2^k)||^2 ||P||, is below roundoff.  W may be a stack
+    (..., n, n) of right-hand sides, each summed on its own.  None when A is
+    not certified or P overflows.
+    """
+    if squarings is None:
+        squarings = schur_squarings(A)
+        if squarings is None:
+            return None
+    P = np.array(W, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for Ak in squarings:
+            P = P + Ak @ P @ Ak.conj().T
+    # a transient above ~1e154 in ||A^j|| overflows P alone
+    return P if np.all(np.isfinite(P)) else None
 
 
 def is_schur_stable(A):

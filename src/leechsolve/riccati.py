@@ -38,6 +38,7 @@ from .linalg import (
     herm,
     hermitian_posdef_check,
     is_schur_stable,
+    schur_squarings,
     singular_extremes,
     solve_hermitian,
     stein_doubling,
@@ -46,40 +47,54 @@ from .linalg import (
 log = logging.getLogger("leechsolve.riccati")
 
 
-def solve_stein(A, W):
+def solve_stein(A, W, squarings=None):
     """Unique solution P of P - A P A* = W for Schur stable A and Hermitian PSD W.
 
-    The solution is returned exactly Hermitian after one step of iterative
-    refinement; the residual is verified against 1e-11 * (1 + ||W||), and a
-    larger one is a BreakdownError.
+    W may be a stack (k, n, n) of right-hand sides, solved in one pass to a
+    stack of solutions.  `squarings` is A's certificate schur_squarings(A)
+    when the caller has one; without it A is certified here, and an unstable
+    A is a StabilityError.  Each solution is returned exactly Hermitian after
+    one step of iterative refinement, which reuses the squarings; each
+    residual is verified against 1e-11 * (1 + ||W||), and a larger one is a
+    BreakdownError.
     """
     A = as_cmatrix(A, "A")
-    W = as_cmatrix(W, "W")
+    W = np.asarray(W, dtype=complex)
+    if W.ndim != 3:
+        W = as_cmatrix(W, "W")
+    elif not np.all(np.isfinite(W)):
+        raise DimensionError("W contains non-finite entries")
     n = A.shape[0]
     if A.shape != (n, n):
         raise DimensionError(f"A must be square, got {A.shape}")
-    if W.shape != (n, n):
+    if W.shape[-2:] != (n, n):
         raise DimensionError(f"W must be {n}x{n} to match A, got {W.shape}")
     if n == 0:
-        return np.zeros((0, 0), dtype=complex)
-    scale = float(np.linalg.norm(W))
-    if np.linalg.norm(W - W.conj().T) > 1e-10 * (1.0 + scale):
-        raise DefinitenessError("Stein right-hand side must be Hermitian")
-    wmin = float(np.linalg.eigvalsh(herm(W))[0])
-    if wmin < -1e-10 * (1.0 + scale):
-        raise DefinitenessError(
-            f"Stein right-hand side must be PSD, min eigenvalue {wmin:.3e}"
-        )
+        return np.zeros(W.shape, dtype=complex)
+    scales = []
+    for Wi in W.reshape(-1, n, n):
+        scale = float(np.linalg.norm(Wi))
+        if np.linalg.norm(Wi - Wi.conj().T) > 1e-10 * (1.0 + scale):
+            raise DefinitenessError("Stein right-hand side must be Hermitian")
+        wmin = float(np.linalg.eigvalsh(herm(Wi))[0])
+        if wmin < -1e-10 * (1.0 + scale):
+            raise DefinitenessError(
+                f"Stein right-hand side must be PSD, min eigenvalue {wmin:.3e}")
+        scales.append(scale)
+    if squarings is None:
+        squarings = schur_squarings(A)
     W = herm(W)
-    P = stein_doubling(A, W)
+    P = None if squarings is None else stein_doubling(A, W, squarings)
     if P is None:
         raise StabilityError("Stein equation requires a Schur stable A")
     # one refinement step: roundoff in the doubled sum grows with the
     # transient of A^j, and the correction's is smaller by the residual
-    P = herm(P + stein_doubling(A, herm(W - P + A @ P @ A.conj().T)))
-    residual = float(np.linalg.norm(P - A @ P @ A.conj().T - W))
-    if residual > 1e-11 * (1.0 + scale):
-        raise BreakdownError(f"Stein solve residual {residual:.3e} exceeds tolerance")
+    AH = A.conj().T
+    P = herm(P + stein_doubling(A, herm(W - P + A @ P @ AH), squarings))
+    for Pi, Wi, scale in zip(P.reshape(-1, n, n), W.reshape(-1, n, n), scales):
+        residual = float(np.linalg.norm(Pi - A @ Pi @ AH - Wi))
+        if residual > 1e-11 * (1.0 + scale):
+            raise BreakdownError(f"Stein solve residual {residual:.3e} exceeds tolerance")
     return P
 
 
@@ -117,10 +132,12 @@ class RiccatiSolution:
     gain: np.ndarray
 
 
-def stabilizing_riccati(A, Gamma, R0, C):
+def stabilizing_riccati(A, Gamma, R0, C, squarings=None):
     """Stabilizing solution of the Riccati equation for (A, Gamma, R0, C), by SDA.
 
-    Preconditions: A Schur stable, {C, A} observable.  From A_0 = Ad, G_0 = G
+    Preconditions: A Schur stable, {C, A} observable.  `squarings` is A's
+    certificate schur_squarings(A) when the caller has one, and stands in for
+    the stability test; without it A is certified here.  From A_0 = Ad, G_0 = G
     and H_0 = H (the loop keeps H_k in Q), doubling k sets S = I + G_k H_k and
         A_{k+1} = A_k S^{-1} A_k,   G_{k+1} = G_k + A_k S^{-1} G_k A_k*,
         H_{k+1} = H_k + A_k* H_k S^{-1} A_k;
@@ -147,7 +164,7 @@ def stabilizing_riccati(A, Gamma, R0, C):
         raise DimensionError(f"R0 must be square, got {R0.shape}")
     if C.shape != (m, n):
         raise DimensionError(f"C must be {m}x{n}, got {C.shape}")
-    if not is_schur_stable(A):
+    if squarings is None and not is_schur_stable(A):
         raise StabilityError("Riccati data requires a Schur stable A")
     if not is_observable(C, A):
         raise ObservabilityError("Riccati data requires an observable pair {C, A}")

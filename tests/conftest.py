@@ -126,6 +126,17 @@ def singular_riccati_data():
                      D2=np.array([[0.1]]))
 
 
+def square_numerator_data():
+    """random_problem(1) with B1 and D1 cut to m columns and K scaled by 0.2:
+    p = m, so the free parameter is 0 x q and theta0 keeps no eigenvalue.
+    The data solves."""
+    from leechsolve.core import LeechData
+    data, _ = random_problem(1)
+    m = data.m
+    return LeechData(A=data.A, B1=data.B1[:, :m], B2=0.2 * data.B2, C=data.C,
+                     D1=data.D1[:, :m], D2=0.2 * data.D2)
+
+
 def unstable_data():
     """random_problem(3) with A scaled to spectral radius 1.37: it fails
     validation, and its truncations diverge."""

@@ -21,7 +21,18 @@ from leechsolve.files import (
 )
 from leechsolve.generate import random_contraction, random_problem
 from leechsolve.realization import Realization, constant, evaluate, product
-from tests.conftest import circle_points, singular_riccati_data, unstable_data
+from tests.conftest import (
+    circle_points,
+    singular_riccati_data,
+    square_numerator_data,
+    unstable_data,
+)
+
+
+def _static_data():
+    """A constant problem (n = 0, p = m = 2, q = 1) that solves."""
+    return core.LeechData(A=np.zeros((0, 0)), B1=np.zeros((0, 2)), B2=np.zeros((0, 1)),
+                          C=np.zeros((2, 0)), D1=np.eye(2), D2=np.array([[0.3], [0.1]]))
 
 
 @pytest.fixture()
@@ -167,6 +178,32 @@ class TestSolve:
         ypath = tmp_path / "unstable.json"
         write_realization(Y, ypath)
         assert main(["solve", str(path), str(ypath)]) == 3
+
+    def test_unstable_parameter_with_no_inputs_to_x_exits_3(self, tmp_path, capsys):
+        data = square_numerator_data()
+        prob, par = tmp_path / "square.json", tmp_path / "Y.json"
+        write_problem(data, prob)
+        write_realization(Realization([[1.5]], np.zeros((1, data.q)), np.zeros((0, 1)),
+                                      np.zeros((0, data.q))), par)
+        assert main(["solve", str(prob), str(par)]) == 3
+        assert "free parameter must be a stable function" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make", [square_numerator_data, _static_data], ids=["p=m", "n=0"])
+    def test_artifact_is_strict_json(self, make, tmp_path, capsys):
+        # an empty extremum is null: RFC 8259 has no Infinity or NaN
+        data = make()
+        prob, out = tmp_path / "problem.json", tmp_path / "solution.json"
+        write_problem(data, prob)
+        assert main(["solve", str(prob), "--out", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        margins = doc["verification"]["margins"]
+        assert margins["theta0_kept_min_eig"] is None
+        assert (margins["gap_min_eig"] is None) == (data.n == 0)
+        assert (margins["gap0_min_eig"] is None) == (data.n == 0)
 
     def test_wrong_shape_parameter_exits_3(self, problem_file, tmp_path, capsys):
         path, _ = problem_file

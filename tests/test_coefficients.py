@@ -29,7 +29,7 @@ from leechsolve.realization import (
     zeros,
 )
 from leechsolve.toeplitz import truncate
-from tests.conftest import circle_points, interior_points
+from tests.conftest import circle_points, interior_points, square_numerator_data
 
 GRID = list(circle_points(16)) + list(interior_points(16))
 
@@ -164,6 +164,19 @@ class TestParameterChecks:
             apply_lft(c, Y)
         with pytest.raises(StabilityError):
             truncate(dataclasses.replace(random_contraction(11, 2, 3), A=np.diag([1.5, 0.2])), 8)
+
+    def test_unstable_parameter_with_no_inputs_to_x_is_rejected(self):
+        # p = m: Y is 0 x q, so its norm is 0, yet its states must be stable
+        data = square_numerator_data()
+        c = build_upsilon(solve(data))
+        assert c.free_dim == 0
+        Y = Realization([[1.5]], np.zeros((1, c.q)), np.zeros((0, 1)), np.zeros((0, c.q)))
+        with pytest.raises(ParameterError, match="stable"):
+            check_parameter(c, Y)
+        with pytest.raises(ParameterError):
+            apply_lft(c, Y)
+        stable = dataclasses.replace(Y, A=np.array([[0.5]]))
+        assert check_parameter(c, stable) == 0.0
 
 
 class TestApply:

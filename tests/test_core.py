@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leechsolve import core
+from leechsolve import core, linalg, riccati
 from leechsolve.coefficients import build_upsilon
 from leechsolve.core import (
     DerivedMatrices,
@@ -31,7 +31,7 @@ from leechsolve.errors import (
 from leechsolve.files import read_problem
 from leechsolve.generate import random_problem
 from leechsolve.linalg import herm, hermitian_posdef_check, sqrtm_posdef
-from leechsolve.riccati import stabilizing_riccati
+from leechsolve.riccati import solve_stein, stabilizing_riccati
 from tests.conftest import singular_riccati_data
 
 N32 = Path(__file__).resolve().parents[1] / "leechbench" / "fixed" / "n32-s1000.json"
@@ -119,6 +119,44 @@ class TestGramiansAndPopov:
         pop = popov_data(data, *gramians(data))
         np.testing.assert_allclose(pop.R0, np.eye(2))
         np.testing.assert_allclose(pop.R10, np.eye(2))
+
+
+class TestCertificate:
+    """validate's squarings of A sum both Gramians and stand in for the
+    stability test of both Riccati solves, and change no bit of either."""
+
+    def test_passed_certificate_changes_no_bit(self, battery):
+        for item in battery:
+            data, d = item.data, item.derived
+            squarings = validate(data).squarings
+            P1, P2 = gramians(data, squarings)
+            assert np.array_equal(P1, d.P1) and np.array_equal(P2, d.P2)
+            # the stacked pass matches one solve per Gramian, uncertified
+            for P, B in ((P1, data.B1), (P2, data.B2)):
+                assert np.array_equal(P, solve_stein(data.A, B @ B.conj().T))
+            assert all(np.array_equal(a, b) for a, b in zip((P1, P2), gramians(data)))
+            pop = popov_data(data, P1, P2)
+            for Gamma, R0, Q in ((pop.Gamma, pop.R0, d.Q), (pop.Gamma0, pop.R10, d.Q0)):
+                mine = stabilizing_riccati(data.A, Gamma, R0, data.C, squarings)
+                ref = stabilizing_riccati(data.A, Gamma, R0, data.C)
+                for field in ("Q", "Delta", "A0", "gain"):
+                    assert np.array_equal(getattr(mine, field), getattr(ref, field))
+                assert (mine.iterations, mine.residual) == (ref.iterations, ref.residual)
+                assert np.array_equal(mine.Q, Q)
+
+    def test_no_k_columns_give_a_zero_p2(self):
+        data, _ = random_problem(50)
+        empty = dataclasses.replace(data, B2=np.zeros((data.n, 0)), D2=np.zeros((data.m, 0)))
+        P1, P2 = gramians(empty, validate(empty).squarings)
+        assert np.array_equal(P2, np.zeros((data.n, data.n)))
+        assert np.array_equal(P1, gramians(data)[0])
+
+    def test_unstable_a_has_no_certificate(self):
+        data, _ = random_problem(50)
+        rho = np.max(np.abs(np.linalg.eigvals(data.A)))
+        report = validate(dataclasses.replace(data, A=data.A * (1.2 / rho)))
+        assert report.squarings is None
+        assert any(c.name == "stability" and not c.passed for c in report.checks)
 
 
 class TestSolve:
@@ -294,6 +332,23 @@ class TestGapOwner:
         # the gaps, Omega, Omega0 and F1 are solves, never inverses
         assert calls.count("solve") == 0
         assert calls.count("build_upsilon") == 0
+
+    def test_certificate_count(self, monkeypatch):
+        # validate builds A's squaring sequence once, and both Gramians and
+        # both Riccati solves reuse it; each closed loop A0 is certified alone
+        data, _ = read_problem(str(N32))
+        build = linalg.schur_squarings
+        calls = []
+
+        def counting(M):
+            calls.append("A" if np.array_equal(M, data.A) else "other")
+            return build(M)
+
+        for module in (linalg, core, riccati):
+            monkeypatch.setattr(module, "schur_squarings", counting)
+        solve(data)
+        assert calls.count("A") == 1
+        assert calls.count("other") == 2
 
     def test_gaps_and_margins_match_their_definitions(self, battery):
         for item in battery:

@@ -10,6 +10,7 @@ from leechsolve.linalg import (
     hermitian_posdef_check,
     is_schur_stable,
     minimal_rank_factor,
+    schur_squarings,
     singular_extremes,
     spectral_norm,
     sqrtm_posdef,
@@ -164,6 +165,22 @@ class TestSteinDoubling:
 
     def test_empty(self):
         assert stein_doubling(np.zeros((0, 0)), np.zeros((0, 0))).shape == (0, 0)
+
+    def test_squarings_serve_every_right_hand_side(self):
+        # the stopping rule reads A alone: one sequence sums a whole stack
+        rng = np.random.default_rng(9)
+        A = with_radius(rng, 4, 0.95)
+        squarings = schur_squarings(A)
+        assert np.array_equal(squarings[0], A)
+        for Ak, Anext in zip(squarings, squarings[1:]):
+            assert np.array_equal(Anext, Ak @ Ak)
+        B = random_complex(rng, 4, 2)
+        W = np.stack([np.eye(4), B @ B.conj().T])
+        P = stein_doubling(A, W, squarings)
+        for Pi, Wi in zip(P, W):
+            assert np.array_equal(Pi, stein_doubling(A, Wi))
+        assert schur_squarings(np.diag([1.2, 0.1])) is None
+        assert schur_squarings(np.zeros((3, 3))) == []
 
 
 class TestRootsAndNorms:

@@ -53,6 +53,27 @@ class TestSolveStein:
         ref = kron_stein(A, np.eye(2))
         assert np.linalg.norm(P - ref) <= 1e-10 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("A", [np.array([[0.999, 3.0], [0.0, 0.999j]]),
+                                   np.array([[0.5, 1e4], [0.0, 0.5]])],
+                             ids=["radius-0.999", "transient-1e4"])
+    def test_stack_matches_single_solves(self, A):
+        # one pass over A's squarings solves every slice bit for bit as alone
+        W = np.stack([np.eye(2), np.ones((2, 2)), np.zeros((2, 2))])
+        P = solve_stein(A, W)
+        assert P.shape == (3, 2, 2)
+        for Pi, Wi in zip(P, W):
+            assert np.array_equal(Pi, solve_stein(A, Wi))
+            assert np.linalg.norm(Pi - A @ Pi @ A.conj().T - Wi) <= 1e-11 * (1 + np.linalg.norm(Wi))
+        assert np.array_equal(P[2], np.zeros((2, 2)))
+
+    def test_stack_with_one_indefinite_slice_raises(self):
+        W = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+        with pytest.raises(DefinitenessError):
+            solve_stein(np.diag([0.5, 0.3]), W)
+
+    def test_empty_stack(self):
+        assert solve_stein(np.zeros((0, 0)), np.zeros((2, 0, 0))).shape == (2, 0, 0)
+
     def test_unstable_coefficient_raises(self):
         with pytest.raises(StabilityError):
             solve_stein(np.array([[1.0]]), np.array([[1.0]]))
