@@ -42,7 +42,6 @@ from .errors import (
     InfeasibleError,
     LeechError,
     NotInvertibleError,
-    ObservabilityError,
     ParameterError,
     RankDefectError,
     RiccatiError,
@@ -81,7 +80,6 @@ __all__ = [
     "LeechData",
     "LeechError",
     "NotInvertibleError",
-    "ObservabilityError",
     "OracleContext",
     "ParameterError",
     "PopovData",

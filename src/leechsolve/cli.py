@@ -68,7 +68,7 @@ def cmd_check(args):
         print("verdict: INVALID")
         return EXIT_INPUT
     try:
-        derived = solve(data)
+        derived = solve(data, report)
     except (InfeasibleError, BreakdownError) as exc:
         print(f"verdict: {exc.verdict} ({exc})")
         return exc.exit_code
@@ -143,7 +143,7 @@ def cmd_oracle(args):
     try:
         for N in ladder:
             contexts[N].require_definite()
-        derived = solve(data)
+        derived = solve(data, validation)
     except (InfeasibleError, BreakdownError) as exc:
         report["verdict"] = f"{exc.verdict.lower()}: {exc}"
         print(f"verdict: {exc.verdict} -- oracle comparison skipped")

@@ -1,7 +1,7 @@
 """Problem data and the pipeline from state-space data to derived matrices.
 
 The problem: given stable rational G (size m x p) and K (size m x q) with a
-joint observable realization
+joint realization on one Schur stable A
 
     G(z) = D1 + z C (I - z A)^{-1} B1,    K(z) = D2 + z C (I - z A)^{-1} B2,
 
@@ -38,7 +38,7 @@ from .linalg import (
     RANK_RATIO,
 )
 from .realization import Realization
-from .riccati import is_observable, solve_stein, stabilizing_riccati
+from .riccati import solve_stein, stabilizing_riccati
 
 log = logging.getLogger("leechsolve.core")
 
@@ -131,14 +131,15 @@ class ValidationReport:
 
 
 def validate(data):
-    """Check the standing assumptions on the data.
+    """Check the standing assumptions on the data.  Observability of {C, A}
+    is not one: a stable A makes the pair detectable, which is all the
+    stabilizing Riccati solutions need.
 
     - dimensions: p >= m (wide numerator) and p <= n + m so the kernel
       condition below can hold at all;
     - stability: A Schur stable, certified with spectral radius below
       1 - DEFAULT_TOL by its squarings (schur_squarings), which the report
       keeps;
-    - observability: the pair {C, A} observable;
     - kernel condition: [B1; D1] has trivial kernel (full column rank p).
     """
     checks = []
@@ -151,9 +152,6 @@ def validate(data):
     stable = squarings is not None
     checks.append(ValidationCheck("stability", stable, "A Schur stable"
                                   if stable else "spectral radius of A is not below 1"))
-    obs = is_observable(data.C, data.A)
-    checks.append(ValidationCheck("observability", obs, "pair {C, A} observable"
-                                  if obs else "observability matrix is rank deficient"))
     stack = np.vstack([data.B1, data.D1])
     smin, smax = singular_extremes(stack)
     kernel_ok = smax > 0.0 and smin > RANK_RATIO * smax
@@ -299,12 +297,13 @@ class DerivedMatrices:
 
     @property
     def gap(self):
-        """Q^{-1} + P2 - P1, positive definite iff suboptimal."""
+        """Q^{-1} + P2 - P1, positive definite iff suboptimal.  Only for an
+        invertible Q (unobservable data gives a singular one); solve() never reads it."""
         return herm(np.linalg.inv(self.Q) + self.P2 - self.P1)
 
     @property
     def gap0(self):
-        """Q0^{-1} - P1."""
+        """Q0^{-1} - P1, for an invertible Q0 only, as gap; solve() never reads it."""
         return herm(np.linalg.inv(self.Q0) - self.P1)
 
     @property
@@ -341,7 +340,7 @@ def delta_matrices(derived):
     return sqrtm_posdef(d0sq), sqrtm_posdef(d1sq)
 
 
-def solve(data):
+def solve(data, report=None):
     """Decide strict suboptimality and return all derived matrices.
 
     Pipeline: validation, Gramians, Popov data, stabilizing Riccati solutions
@@ -353,7 +352,9 @@ def solve(data):
     still certified on its own.  The gaps Q^-1 + P2 - P1 and
     Q0^-1 - P1 are decided as I + Q^1/2 (P2 - P1) Q^1/2 > 0 and
     I - Q0^1/2 P1 Q0^1/2 > 0, so no Riccati solution is inverted.
-    Raises ValidationError for malformed data.  An InfeasibleError is the
+    `report` is validate(data) when the caller has run it; without it the
+    data is validated here.  Raises ValidationError for malformed data (a
+    report that is not ok).  An InfeasibleError is the
     verdict that the data is not strictly suboptimal: a RiccatiError when
     either Riccati equation has no stabilizing solution, or a pair gap whose
     smallest eigenvalue does not exceed DEFAULT_TOL.  A BreakdownError is a
@@ -363,7 +364,8 @@ def solve(data):
     Every threshold is a module constant; none is a parameter.
     A Riccati failure keeps its class; its message names the equation.
     """
-    report = validate(data)
+    if report is None:
+        report = validate(data)
     if not report.ok:
         raise ValidationError("data validation failed: " + report.summary(), report)
     A, B1, B2, C, D1, D2 = data.A, data.B1, data.B2, data.C, data.D1, data.D2

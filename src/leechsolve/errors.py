@@ -3,7 +3,7 @@
 Every failure the library raises deliberately derives from LeechError, and
 its class alone decides the CLI's verdict and exit code (`exit_code`):
 
-- 1, input problems: files, shapes, validation, observability, evaluation;
+- 1, input problems: files, shapes, validation, evaluation;
 - 2, a verdict, which `verdict` names:
   - InfeasibleError ("INFEASIBLE"): the data lies outside the strictly
     suboptimal regime.  RiccatiError is the Riccati form of it: no
@@ -48,10 +48,6 @@ class DefinitenessError(BreakdownError):
 
 class StabilityError(BreakdownError):
     """A matrix expected to be Schur stable is not."""
-
-
-class ObservabilityError(LeechError):
-    """An observability precondition failed."""
 
 
 class RankDefectError(BreakdownError):

@@ -19,7 +19,7 @@ log = logging.getLogger("leechsolve.linalg")
 # of the solver's positivity and parameter-norm gates
 DEFAULT_TOL = 1e-9
 # full column rank: sigma_min > RANK_RATIO sigma_max (validate's kernel
-# condition, is_observable)
+# condition; is_observable's test gates nothing)
 RANK_RATIO = 1e-10
 # invertible at the origin: sigma_min(D) > INVERT_RATIO max(1, sigma_max(D))
 INVERT_RATIO = 1e-12

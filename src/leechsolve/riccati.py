@@ -28,7 +28,6 @@ from .errors import (
     BreakdownError,
     DefinitenessError,
     DimensionError,
-    ObservabilityError,
     RiccatiError,
     StabilityError,
 )
@@ -55,7 +54,8 @@ def solve_stein(A, W, squarings=None):
     when the caller has one; without it A is certified here, and an unstable
     A is a StabilityError.  Each solution is returned exactly Hermitian after
     one step of iterative refinement, which reuses the squarings; each
-    residual is verified against 1e-11 * (1 + ||W||), and a larger one is a
+    residual is verified against 1e-11 * (1 + ||W|| + ||P||), as roundoff
+    scales with the solution's transient, and a larger one is a
     BreakdownError.
     """
     A = as_cmatrix(A, "A")
@@ -93,7 +93,7 @@ def solve_stein(A, W, squarings=None):
     P = herm(P + stein_doubling(A, herm(W - P + A @ P @ AH), squarings))
     for Pi, Wi, scale in zip(P.reshape(-1, n, n), W.reshape(-1, n, n), scales):
         residual = float(np.linalg.norm(Pi - A @ Pi @ AH - Wi))
-        if residual > 1e-11 * (1.0 + scale):
+        if residual > 1e-11 * (1.0 + scale + float(np.linalg.norm(Pi))):
             raise BreakdownError(f"Stein solve residual {residual:.3e} exceeds tolerance")
     return P
 
@@ -135,9 +135,11 @@ class RiccatiSolution:
 def stabilizing_riccati(A, Gamma, R0, C, squarings=None):
     """Stabilizing solution of the Riccati equation for (A, Gamma, R0, C), by SDA.
 
-    Preconditions: A Schur stable, {C, A} observable.  `squarings` is A's
-    certificate schur_squarings(A) when the caller has one, and stands in for
-    the stability test; without it A is certified here.  From A_0 = Ad, G_0 = G
+    Precondition: A Schur stable, which makes {C, A} detectable, all that a
+    stabilizing solution needs (an unobservable pair gives a singular Q, and
+    nothing inverts Q).  `squarings` is A's certificate schur_squarings(A)
+    when the caller has one, and stands in for the stability test; without
+    it A is certified here.  From A_0 = Ad, G_0 = G
     and H_0 = H (the loop keeps H_k in Q), doubling k sets S = I + G_k H_k and
         A_{k+1} = A_k S^{-1} A_k,   G_{k+1} = G_k + A_k S^{-1} G_k A_k*,
         H_{k+1} = H_k + A_k* H_k S^{-1} A_k;
@@ -166,8 +168,6 @@ def stabilizing_riccati(A, Gamma, R0, C, squarings=None):
         raise DimensionError(f"C must be {m}x{n}, got {C.shape}")
     if squarings is None and not is_schur_stable(A):
         raise StabilityError("Riccati data requires a Schur stable A")
-    if not is_observable(C, A):
-        raise ObservabilityError("Riccati data requires an observable pair {C, A}")
 
     infeasible = "; no stabilizing solution exists for this data"
     if not hermitian_posdef_check(herm(R0)):

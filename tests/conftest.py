@@ -126,6 +126,24 @@ def singular_riccati_data():
                      D2=np.array([[0.1]]))
 
 
+def with_unobservable_states(data, seed=0):
+    """`data` with two unobservable states appended: A = [[A, 0], [L, diag(0.4,
+    -0.6)]] with a random coupling L, random input rows, and C = [C, 0].  The
+    new states never reach the output, so G and K are unchanged, A stays
+    stable, and {C, A} is not observable."""
+    from leechsolve.core import LeechData
+    rng = np.random.default_rng(seed)
+    n = data.n
+
+    def randc(rows, cols):
+        return 0.3 * (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+
+    A = np.block([[data.A, np.zeros((n, 2))], [randc(2, n), np.diag([0.4, -0.6])]])
+    return LeechData(A=A, B1=np.vstack([data.B1, randc(2, data.p)]),
+                     B2=np.vstack([data.B2, randc(2, data.q)]),
+                     C=np.hstack([data.C, np.zeros((data.m, 2))]), D1=data.D1, D2=data.D2)
+
+
 def square_numerator_data():
     """random_problem(1) with B1 and D1 cut to m columns and K scaled by 0.2:
     p = m, so the free parameter is 0 x q and theta0 keeps no eigenvalue.

@@ -26,6 +26,7 @@ from tests.conftest import (
     singular_riccati_data,
     square_numerator_data,
     unstable_data,
+    with_unobservable_states,
 )
 
 
@@ -328,6 +329,40 @@ class TestOracle:
         assert max(report["comparisons"]["60"].values()) <= 1e-12
 
 
+class TestStandingAssumptions:
+    def test_unobservable_problem_passes_every_command(self, tmp_path, capsys):
+        # a stable A is the only standing assumption: states that C never
+        # sees change no verdict
+        data, _ = random_problem(120)
+        path = tmp_path / "unobservable.json"
+        write_problem(with_unobservable_states(data), path)
+        assert main(["check", str(path)]) == 0
+        assert "verdict: FEASIBLE" in capsys.readouterr().out
+        for argv in (["solve", str(path), "--out", str(tmp_path / "x.json")],
+                     ["coefficients", str(path), "--out", str(tmp_path / "u.json")],
+                     ["oracle", str(path), "--truncation", "12"]):
+            assert main(argv) == 0, argv
+
+    @pytest.mark.parametrize("argv", [["check"], ["oracle", "--truncation", "12"]],
+                             ids=["check", "oracle"])
+    def test_validates_once(self, argv, tmp_path, capsys, monkeypatch):
+        # the command's own report is the one solve uses
+        path = tmp_path / "p.json"
+        assert main(["generate", "--seed", "3", "--out", str(path)]) == 0
+        validate = core.validate
+        calls = []
+
+        def counting(data):
+            calls.append(data)
+            return validate(data)
+
+        for module in (cli, core):
+            monkeypatch.setattr(module, "validate", counting)
+        assert main([argv[0], str(path)] + argv[1:]) == 0
+        assert "verdict: FEASIBLE" in capsys.readouterr().out
+        assert len(calls) == 1
+
+
 class TestGenerateAndErrors:
     def test_generate_then_check(self, tmp_path, capsys):
         path = tmp_path / "generated.json"
@@ -404,7 +439,6 @@ EXIT_CODES = {
     errors.FileFormatError: 1,
     errors.ValidationError: 1,
     errors.DimensionError: 1,
-    errors.ObservabilityError: 1,
     errors.EvaluationError: 1,
     errors.LeechError: 1,
     OSError: 1,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from leechsolve import core, linalg, riccati
-from leechsolve.coefficients import build_upsilon
+from leechsolve.coefficients import build_upsilon, central_solution
 from leechsolve.core import (
     DerivedMatrices,
     LeechData,
@@ -31,8 +31,14 @@ from leechsolve.errors import (
 from leechsolve.files import read_problem
 from leechsolve.generate import random_problem
 from leechsolve.linalg import herm, hermitian_posdef_check, sqrtm_posdef
-from leechsolve.riccati import solve_stein, stabilizing_riccati
-from tests.conftest import singular_riccati_data
+from leechsolve.realization import evaluate
+from leechsolve.riccati import is_observable, solve_stein, stabilizing_riccati
+from tests.conftest import (
+    circle_points,
+    interior_points,
+    singular_riccati_data,
+    with_unobservable_states,
+)
 
 N32 = Path(__file__).resolve().parents[1] / "leechbench" / "fixed" / "n32-s1000.json"
 
@@ -242,6 +248,35 @@ class TestSolve:
             assert key in m
         assert m["gap_min_eig"] > 0.0
         assert m["riccati_residual"] <= 1e-9
+
+
+class TestUnobservableStates:
+    """Observability is no assumption: states that never reach the output
+    change neither G and K nor the verdict and the solutions."""
+
+    @staticmethod
+    def _verdict(data):
+        try:
+            return solve(data)
+        except (InfeasibleError, BreakdownError) as exc:
+            return type(exc)
+
+    @pytest.mark.parametrize("kind", ["feasible", "infeasible"])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_same_verdict_and_central_solution(self, seed, kind):
+        data, _ = random_problem(seed, kind=kind)
+        aug = with_unobservable_states(data, seed)
+        assert not is_observable(aug.C, aug.A)
+        mine, ref = self._verdict(aug), self._verdict(data)
+        if kind == "infeasible":
+            assert isinstance(ref, type) and issubclass(ref, InfeasibleError)
+            assert mine is ref
+            return
+        assert isinstance(mine, DerivedMatrices) and isinstance(ref, DerivedMatrices)
+        assert abs(mine.margins["gap_min_eig"] - ref.margins["gap_min_eig"]) <= 1e-12
+        pts = np.concatenate([[0j], interior_points(8), circle_points(8)])
+        X, Xref = (evaluate(central_solution(build_upsilon(d)), pts) for d in (mine, ref))
+        assert np.max(np.abs(X - Xref)) <= 1e-12
 
 
 class TestTheta0:

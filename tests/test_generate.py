@@ -70,7 +70,7 @@ class TestRandomProblem:
 
 
 class TestLadder:
-    """Every draw gets the verdict of its kind, up to n = 128."""
+    """Every draw gets the verdict of its kind, up to n = 256."""
 
     @pytest.mark.parametrize("n", [8, 32, 128])
     def test_stable_matrix_places_its_radii(self, n):
@@ -79,7 +79,7 @@ class TestLadder:
         assert 0.75 - 1e-8 <= radii.min() and radii.max() <= 0.88 + 1e-8
 
     @pytest.mark.parametrize("n, seed", [(n, seed) for n in (8, 16, 32, 64) for seed in range(3)]
-                             + [(128, 0), (128, 1)])
+                             + [(128, 0), (128, 1), (256, 0)])
     def test_feasible_draws_solve(self, n, seed):
         data, _ = random_problem(1000 + seed, dims=(n, 2, 3, 2))
         d = solve(data)

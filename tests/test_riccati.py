@@ -7,7 +7,6 @@ from leechsolve.core import gramians, popov_data
 from leechsolve.errors import (
     DefinitenessError,
     DimensionError,
-    ObservabilityError,
     RiccatiError,
     StabilityError,
 )
@@ -65,6 +64,20 @@ class TestSolveStein:
             assert np.array_equal(Pi, solve_stein(A, Wi))
             assert np.linalg.norm(Pi - A @ Pi @ A.conj().T - Wi) <= 1e-11 * (1 + np.linalg.norm(Wi))
         assert np.array_equal(P[2], np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("scale", [1.0, np.sqrt(0.5)], ids=["unit", "half-variance"])
+    def test_large_transient_passes_the_residual_check(self, scale):
+        # ||A^j|| peaks near 1e4, so P is 5e8 to 1e9 and its residual 6e-9 to
+        # 1.3e-7: roundoff scales with the solution, and the gate with it
+        A = np.array([[0.5, 1e4], [0.0, 0.5]])
+        rng = np.random.default_rng(12)
+        B = scale * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        W = B @ B.conj().T
+        P = solve_stein(A, W)
+        assert np.linalg.norm(P) > 1e8
+        ref = kron_stein(A, W)
+        assert np.linalg.norm(P - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert hermitian_posdef_check(P)
 
     def test_stack_with_one_indefinite_slice_raises(self):
         W = np.stack([np.eye(2), np.diag([1.0, -1.0])])
@@ -163,10 +176,15 @@ class TestStabilizingRiccati:
             stabilizing_riccati(np.eye(2), np.zeros((2, 1)),
                                 np.eye(1), np.ones((1, 2)))
 
-    def test_unobservable_pair_raises(self):
-        with pytest.raises(ObservabilityError):
-            stabilizing_riccati(np.diag([0.5, 0.3]), np.zeros((2, 1)),
-                                np.eye(1), np.array([[1.0, 0.0]]))
+    def test_unobservable_pair_solves(self):
+        # a stable A makes {C, A} detectable, all a stabilizing solution
+        # needs: the unobserved state gives Q = diag(4/3, 0), singular
+        A = np.diag([0.5, 0.3])
+        sol = stabilizing_riccati(A, np.zeros((2, 1)), np.eye(1), np.array([[1.0, 0.0]]))
+        np.testing.assert_allclose(sol.Q, np.diag([4.0 / 3.0, 0.0]), atol=1e-12)
+        qw = np.linalg.eigvalsh(sol.Q)
+        assert abs(qw[0]) <= 1e-12 < qw[1]
+        assert is_schur_stable(sol.A0)
 
     def test_infeasible_data_raises(self):
         # K far past the feasibility boundary: Delta loses definiteness
