@@ -63,7 +63,7 @@ from .realization import (
     vconcat,
     zeros,
 )
-from .riccati import RiccatiSolution, solve_stein, stabilizing_riccati
+from .riccati import RiccatiSolution, RiccatiSolutions, solve_stein, stabilizing_riccati
 from .toeplitz import OracleContext, oracle_theta, oracle_upsilon, truncate
 
 __version__ = "0.1.0"
@@ -88,6 +88,7 @@ __all__ = [
     "RedhefferSet",
     "RiccatiError",
     "RiccatiSolution",
+    "RiccatiSolutions",
     "StabilityError",
     "ValidationError",
     "ValidationReport",

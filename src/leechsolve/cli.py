@@ -123,7 +123,7 @@ def cmd_coefficients(args):
 
 def cmd_oracle(args):
     data, options = files.read_problem(args.problem)
-    validation = validate(data)  # truncate needs a stable A
+    validation = validate(data)  # its squarings certify A for truncate and solve
     if not validation.ok:
         raise ValidationError("data validation failed: " + validation.summary(), validation)
     trunc = args.truncation if args.truncation is not None else options.get("truncation")
@@ -133,7 +133,7 @@ def cmd_oracle(args):
         ladder = sorted({min(trunc, rung) for rung in
                          (max(8, trunc // 4), max(16, trunc // 2), trunc)})
     # every rung is a leading block of the largest window
-    widest = OracleContext(data, ladder[-1])
+    widest = OracleContext(data, ladder[-1], validation.squarings)
     contexts = {N: widest.window(N) for N in ladder}
     margins = {N: contexts[N].margin for N in ladder}
     for N in ladder:

@@ -22,6 +22,7 @@ from .errors import (
     DimensionError,
     InfeasibleError,
     LeechError,
+    NotInvertibleError,
     RankDefectError,
     ValidationError,
 )
@@ -35,6 +36,7 @@ from .linalg import (
     solve_hermitian,
     sqrtm_posdef,
     DEFAULT_TOL,
+    INVERT_RATIO,
     RANK_RATIO,
 )
 from .realization import Realization
@@ -251,6 +253,19 @@ def _gap_min(Q, H):
                         initial=np.inf))
 
 
+def _inverse(Q, name, margin):
+    """Q^{-1} for the gap properties.  A PSD Q with lambda_min(Q) <=
+    INVERT_RATIO lambda_max(Q) (relative, as Q scales with the data; Q = 0
+    included) is singular to working precision: a NotInvertibleError."""
+    w = np.linalg.eigvalsh(Q)
+    if len(w) and w[0] <= INVERT_RATIO * w[-1]:
+        raise NotInvertibleError(
+            f"{name} is singular (eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}]), as for data with "
+            f"unobservable states, so its gap has no inverse form; margins[\"{margin}\"] "
+            "decides the gap without one")
+    return np.linalg.inv(Q)
+
+
 def _omega(P1, P2, Q):
     """Omega = (P1 - P2) gap^{-1} Q^{-1} = (I + (P2 - P1) Q)^{-1} (P1 - P2), Hermitian."""
     dP = P1 - P2
@@ -261,8 +276,10 @@ def _omega(P1, P2, Q):
 class DerivedMatrices:
     """Everything the parametrization needs, computed once by solve().
 
-    The n x n gaps and Omega are recomputed on access; the coefficients read
-    the thin products solve() formed from them (B = [B1  B2], D = [D1  D2]):
+    The n x n matrices beyond the Gramians and the two Riccati solutions are
+    recomputed on access: the closed loop A0 = A - Gamma C0 (bit for bit the
+    Riccati solution's), the gaps and Omega.  The coefficients read the thin
+    products solve() formed from them (B = [B1  B2], D = [D1  D2]):
 
         E0 = (D - Gamma* Q B)* Delta^{-1} (D2 - Gamma* Q B2) + B* Q B2
              + [C1; C2] Omega C2*                        (p + q) x q
@@ -281,7 +298,6 @@ class DerivedMatrices:
     Gamma: np.ndarray
     Q: np.ndarray
     Delta: np.ndarray
-    A0: np.ndarray
     Q0: np.ndarray
     C0: np.ndarray
     C1: np.ndarray
@@ -296,15 +312,22 @@ class DerivedMatrices:
     margins: dict = field(default_factory=dict)
 
     @property
+    def A0(self):
+        """The shared state matrix, the pair's closed loop A - Gamma C0: bit for
+        bit the Riccati solution's A0."""
+        return self.data.A - self.Gamma @ self.C0
+
+    @property
     def gap(self):
         """Q^{-1} + P2 - P1, positive definite iff suboptimal.  Only for an
-        invertible Q (unobservable data gives a singular one); solve() never reads it."""
-        return herm(np.linalg.inv(self.Q) + self.P2 - self.P1)
+        invertible Q (unobservable data gives a singular one, a
+        NotInvertibleError); solve() never reads it."""
+        return herm(_inverse(self.Q, "Q", "gap_min_eig") + self.P2 - self.P1)
 
     @property
     def gap0(self):
         """Q0^{-1} - P1, for an invertible Q0 only, as gap; solve() never reads it."""
-        return herm(np.linalg.inv(self.Q0) - self.P1)
+        return herm(_inverse(self.Q0, "Q0", "gap0_min_eig") - self.P1)
 
     @property
     def Omega(self):
@@ -344,7 +367,8 @@ def solve(data, report=None):
     """Decide strict suboptimality and return all derived matrices.
 
     Pipeline: validation, Gramians, Popov data, stabilizing Riccati solutions
-    for the pair and for the kernel, the positivity gaps, and from these the
+    for the pair and for the kernel (one stacked stabilizing_riccati call, one
+    doubling loop), the positivity gaps, and from these the
     matrices (C0, C1, C2, B0, Theta0, Delta0, Delta1) and the thin products
     the coefficients are assembled from.  A is certified once: validate's
     squarings of A (schur_squarings) sum both Gramians and stand in for the
@@ -362,7 +386,8 @@ def solve(data, report=None):
     that fails its postconditions, and after a positive pair gap the kernel
     gap, the rank cut of theta0 (RANK_CUT) or the Delta normalizations.
     Every threshold is a module constant; none is a parameter.
-    A Riccati failure keeps its class; its message names the equation.
+    A Riccati failure keeps its class; its message names the equation, and
+    the pair's failure comes first when both fail.
     """
     if report is None:
         report = validate(data)
@@ -375,12 +400,12 @@ def solve(data, report=None):
     P1, P2 = gramians(data, report.squarings)
     pop = popov_data(data, P1, P2)
 
-    what = "pair"
     try:
-        ric = stabilizing_riccati(A, pop.Gamma, pop.R0, C, report.squarings)
-        what = "kernel"
-        ric0 = stabilizing_riccati(A, pop.Gamma0, pop.R10, C, report.squarings)
+        ric, ric0 = stabilizing_riccati(A, np.stack([pop.Gamma, pop.Gamma0]),
+                                        np.stack([pop.R0, pop.R10]), C, report.squarings)
     except LeechError as exc:  # keeps its class, names the equation
+        # a fault of the shared A or C has no equation; the pair meets it first
+        what = ("pair", "kernel")[getattr(exc, "equation", 0)]
         raise type(exc)(f"{what} Riccati equation: {exc}") from exc
 
     Q, Delta, A0, Q0 = ric.Q, ric.Delta, ric.A0, ric0.Q
@@ -416,7 +441,7 @@ def solve(data, report=None):
 
     derived = DerivedMatrices(
         data=data, P1=P1, P2=P2, R0=pop.R0, Gamma=pop.Gamma, Q=Q, Delta=Delta,
-        A0=A0, Q0=Q0, C0=C0, C1=C1, C2=C2, B0=B0, Theta0=Theta0,
+        Q0=Q0, C0=C0, C1=C1, C2=C2, B0=B0, Theta0=Theta0,
         E0=E0, E1=E1, F1=F1,
         Delta0=None, Delta1=None,
         margins={

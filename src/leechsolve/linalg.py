@@ -148,6 +148,12 @@ def schur_squarings(A):
     return None
 
 
+def certifies(squarings, A):
+    """True iff `squarings` is A's certificate schur_squarings(A): a sequence
+    that starts at A.  Another matrix's, an empty one or None certifies nothing."""
+    return bool(squarings) and np.array_equal(squarings[0], A)
+
+
 def stein_doubling(A, W, squarings=None):
     """Solution P of P - A P A* = W by squared doubling, or None.
 

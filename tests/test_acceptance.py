@@ -67,7 +67,7 @@ def test_criterion_01_riccati_postconditions_and_restart():
         P1, P2 = gramians(data)
         pop = popov_data(data, P1, P2)
         for R, G in ((pop.R0, pop.Gamma), (pop.R10, pop.Gamma0)):
-            sol = stabilizing_riccati(data.A, G, R, data.C)
+            (sol,) = stabilizing_riccati(data.A, G[None], R[None], data.C)
             W = data.C - G.conj().T @ sol.Q @ data.A
             recon = (data.A.conj().T @ sol.Q @ data.A
                      + W.conj().T @ np.linalg.solve(sol.Delta, W))

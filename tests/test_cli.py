@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import leechsolve
-from leechsolve import cli, core, errors
+from leechsolve import cli, core, errors, linalg, riccati
 from leechsolve.cli import main
 from leechsolve.files import (
     coefficients_from_dict,
@@ -361,6 +361,27 @@ class TestStandingAssumptions:
         assert main([argv[0], str(path)] + argv[1:]) == 0
         assert "verdict: FEASIBLE" in capsys.readouterr().out
         assert len(calls) == 1
+
+    def test_oracle_certificate_count(self, tmp_path, capsys, monkeypatch):
+        # validate builds A's squaring sequence once; both truncations, both
+        # Gramians and both Riccati solves reuse it, and each closed loop A0
+        # is certified alone
+        path = tmp_path / "p.json"
+        assert main(["generate", "--seed", "3", "--out", str(path)]) == 0
+        data, _ = read_problem(path)
+        build = linalg.schur_squarings
+        calls = []
+
+        def counting(M):
+            calls.append("A" if np.array_equal(M, data.A) else "other")
+            return build(M)
+
+        for module in (linalg, core, riccati):
+            monkeypatch.setattr(module, "schur_squarings", counting)
+        assert main(["oracle", str(path)]) == 0
+        assert "verdict: FEASIBLE" in capsys.readouterr().out
+        assert calls.count("A") == 1
+        assert calls.count("other") == 2
 
 
 class TestGenerateAndErrors:

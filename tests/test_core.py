@@ -24,8 +24,10 @@ from leechsolve.errors import (
     BreakdownError,
     DefinitenessError,
     InfeasibleError,
+    NotInvertibleError,
     RankDefectError,
     RiccatiError,
+    StabilityError,
     ValidationError,
 )
 from leechsolve.files import read_problem
@@ -33,6 +35,7 @@ from leechsolve.generate import random_problem
 from leechsolve.linalg import herm, hermitian_posdef_check, sqrtm_posdef
 from leechsolve.realization import evaluate
 from leechsolve.riccati import is_observable, solve_stein, stabilizing_riccati
+from leechsolve.toeplitz import truncate
 from tests.conftest import (
     circle_points,
     interior_points,
@@ -143,8 +146,8 @@ class TestCertificate:
             assert all(np.array_equal(a, b) for a, b in zip((P1, P2), gramians(data)))
             pop = popov_data(data, P1, P2)
             for Gamma, R0, Q in ((pop.Gamma, pop.R0, d.Q), (pop.Gamma0, pop.R10, d.Q0)):
-                mine = stabilizing_riccati(data.A, Gamma, R0, data.C, squarings)
-                ref = stabilizing_riccati(data.A, Gamma, R0, data.C)
+                (mine,) = stabilizing_riccati(data.A, Gamma[None], R0[None], data.C, squarings)
+                (ref,) = stabilizing_riccati(data.A, Gamma[None], R0[None], data.C)
                 for field in ("Q", "Delta", "A0", "gain"):
                     assert np.array_equal(getattr(mine, field), getattr(ref, field))
                 assert (mine.iterations, mine.residual) == (ref.iterations, ref.residual)
@@ -156,6 +159,19 @@ class TestCertificate:
         P1, P2 = gramians(empty, validate(empty).squarings)
         assert np.array_equal(P2, np.zeros((data.n, data.n)))
         assert np.array_equal(P1, gramians(data)[0])
+
+    def test_another_matrix_certificate_certifies_nothing(self):
+        # a certificate stands in for the stability test only when it starts
+        # at the A it is passed with: an unstable A is still refused
+        data, _ = random_problem(50)
+        squarings = validate(data).squarings
+        rho = np.max(np.abs(np.linalg.eigvals(data.A)))
+        unstable = data.A * (1.2 / rho)
+        pop = popov_data(data, *gramians(data))
+        with pytest.raises(StabilityError, match="^Riccati data requires a Schur stable A"):
+            stabilizing_riccati(unstable, pop.Gamma[None], pop.R0[None], data.C, squarings)
+        with pytest.raises(StabilityError, match="^truncation requires a stable function"):
+            truncate(dataclasses.replace(data, A=unstable).g(), 4, squarings)
 
     def test_unstable_a_has_no_certificate(self):
         data, _ = random_problem(50)
@@ -240,6 +256,38 @@ class TestSolve:
         with pytest.raises(TypeError, match="not a verdict"):
             solve(_scalar_data())
 
+    def test_one_riccati_call_solves_both_equations(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return stabilizing_riccati(*args)
+
+        monkeypatch.setattr(core, "stabilizing_riccati", counting)
+        d = solve(random_problem(40)[0])
+        assert len(calls) == 1
+        # each equation keeps its own doubling count
+        pair, kernel = stabilizing_riccati(*calls[0])
+        assert d.margins["riccati_iterations"] == pair.iterations
+        assert d.margins["kernel_riccati_iterations"] == kernel.iterations
+
+    def test_kernel_failure_names_the_kernel(self, monkeypatch):
+        # the kernel equation fails at Q = 0 while the pair solves: the
+        # failure keeps its class, and its message names the kernel
+        def kernel_fails(A, Gamma, R0, C, squarings):
+            return stabilizing_riccati(A, Gamma, np.stack([R0[0], -R0[1]]), C, squarings)
+
+        monkeypatch.setattr(core, "stabilizing_riccati", kernel_fails)
+        with pytest.raises(RiccatiError, match="^kernel Riccati equation: Schur complement lost "
+                                               "positive definiteness at Q = 0"):
+            solve(random_problem(40)[0])
+
+    def test_a0_is_the_riccati_closed_loop(self, battery):
+        for item in battery:
+            d = item.derived
+            (sol,) = stabilizing_riccati(d.data.A, d.Gamma[None], d.R0[None], d.data.C)
+            assert np.array_equal(d.A0, sol.A0)
+
     def test_margins_are_reported(self, battery):
         m = battery[0].derived.margins
         for key in ("gap_min_eig", "gap0_min_eig", "riccati_residual",
@@ -277,6 +325,27 @@ class TestUnobservableStates:
         pts = np.concatenate([[0j], interior_points(8), circle_points(8)])
         X, Xref = (evaluate(central_solution(build_upsilon(d)), pts) for d in (mine, ref))
         assert np.max(np.abs(X - Xref)) <= 1e-12
+
+    @pytest.mark.parametrize("coordinates", ["kalman", "transformed"])
+    def test_inverse_gaps_of_a_singular_q_are_not_invertible(self, coordinates):
+        # the unobserved states give singular Q and Q0: the gap properties
+        # raise a breakdown that points to the margins, which solve decided.
+        # In Kalman form Q has exact zero rows; after a similarity it is
+        # singular only to roundoff
+        data = with_unobservable_states(random_problem(0)[0])
+        if coordinates == "transformed":
+            rng = np.random.default_rng(5)
+            n = data.n
+            T = np.eye(n) + 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            Ti = np.linalg.inv(T)
+            data = LeechData(A=T @ data.A @ Ti, B1=T @ data.B1, B2=T @ data.B2, C=data.C @ Ti,
+                             D1=data.D1, D2=data.D2)
+        d = solve(data)
+        for name, symbol, margin in (("gap", "Q", "gap_min_eig"), ("gap0", "Q0", "gap0_min_eig")):
+            with pytest.raises(NotInvertibleError, match=f"^{symbol} is singular") as info:
+                getattr(d, name)
+            assert f'margins["{margin}"]' in str(info.value)
+            assert d.margins[margin] > 0.0
 
 
 class TestTheta0:
@@ -429,12 +498,12 @@ class TestGapOwner:
         n = d.data.n
         square = {f.name for f in dataclasses.fields(DerivedMatrices)
                   if getattr(getattr(d, f.name), "shape", None) == (n, n)}
-        assert square == {"P1", "P2", "Q", "A0", "Q0"}
+        assert square == {"P1", "P2", "Q", "Q0"}
 
     def test_c0_is_the_pair_gain(self, battery):
         d = battery[3].derived
         data = d.data
-        sol = stabilizing_riccati(data.A, d.Gamma, d.R0, data.C)
+        (sol,) = stabilizing_riccati(data.A, d.Gamma[None], d.R0[None], data.C)
         assert np.array_equal(d.C0, sol.gain)
 
 

@@ -3,17 +3,25 @@
 import numpy as np
 import pytest
 
-from leechsolve.core import gramians, popov_data
+from leechsolve import riccati
+from leechsolve.core import LeechData, gramians, popov_data
 from leechsolve.errors import (
+    BreakdownError,
     DefinitenessError,
     DimensionError,
+    LeechError,
     RiccatiError,
     StabilityError,
 )
 from leechsolve.generate import random_problem, random_stable_matrix
 from leechsolve.linalg import hermitian_posdef_check, is_schur_stable
-from leechsolve.riccati import is_observable, solve_stein, stabilizing_riccati
-from tests.conftest import fixed_point_riccati, kron_stein
+from leechsolve.riccati import (
+    RiccatiSolutions,
+    is_observable,
+    solve_stein,
+    stabilizing_riccati,
+)
+from tests.conftest import fixed_point_riccati, kron_stein, singular_riccati_data
 
 
 class TestSolveStein:
@@ -114,15 +122,15 @@ class TestStabilizingRiccati:
         # A = 0 and Gamma = 0 make the equation explicit: Q = C* R0^{-1} C
         C = np.array([[1.0, 2.0], [0.0, 1.0]])
         R0 = np.diag([2.0, 4.0])
-        sol = stabilizing_riccati(np.zeros((2, 2)), np.zeros((2, 2)), R0, C)
+        (sol,) = stabilizing_riccati(np.zeros((2, 2)), np.zeros((1, 2, 2)), R0[None], C)
         np.testing.assert_allclose(sol.Q, C.conj().T @ np.linalg.inv(R0) @ C, atol=1e-12)
         np.testing.assert_allclose(sol.Delta, R0, atol=1e-12)
         np.testing.assert_allclose(sol.A0, np.zeros((2, 2)), atol=1e-12)
 
     def test_scalar_quadratic_selects_stabilizing_root(self):
         # q^2 - 2.5 q + 1 = 0 has roots 0.5 and 2; only q = 0.5 gives |A0| < 1
-        sol = stabilizing_riccati(np.array([[0.0]]), np.array([[1.0]]),
-                                  np.array([[2.5]]), np.array([[1.0]]))
+        (sol,) = stabilizing_riccati(np.array([[0.0]]), np.array([[[1.0]]]),
+                                     np.array([[[2.5]]]), np.array([[1.0]]))
         assert sol.Q[0, 0] == pytest.approx(0.5, abs=1e-11)
         assert sol.Delta[0, 0] == pytest.approx(2.0, abs=1e-11)
         assert sol.A0[0, 0] == pytest.approx(-0.5, abs=1e-11)
@@ -131,7 +139,7 @@ class TestStabilizingRiccati:
         data, _ = random_problem(40)
         P1, P2 = gramians(data)
         pop = popov_data(data, P1, P2)
-        sol = stabilizing_riccati(data.A, pop.Gamma, pop.R0, data.C)
+        (sol,) = stabilizing_riccati(data.A, pop.Gamma[None], pop.R0[None], data.C)
         W = data.C - pop.Gamma.conj().T @ sol.Q @ data.A
         recon = (data.A.conj().T @ sol.Q @ data.A
                  + W.conj().T @ np.linalg.solve(sol.Delta, W))
@@ -142,7 +150,7 @@ class TestStabilizingRiccati:
     def test_gain_is_the_final_one(self):
         data, _ = random_problem(40)
         pop = popov_data(data, *gramians(data))
-        sol = stabilizing_riccati(data.A, pop.Gamma, pop.R0, data.C)
+        (sol,) = stabilizing_riccati(data.A, pop.Gamma[None], pop.R0[None], data.C)
         W = data.C - pop.Gamma.conj().T @ sol.Q @ data.A
         assert np.linalg.norm(sol.Delta @ sol.gain - W) <= 1e-12 * (1 + np.linalg.norm(W))
         assert np.array_equal(sol.A0, data.A - pop.Gamma @ sol.gain)
@@ -151,7 +159,7 @@ class TestStabilizingRiccati:
         data, _ = random_problem(41)
         P1, P2 = gramians(data)
         pop = popov_data(data, P1, P2)
-        sol = stabilizing_riccati(data.A, pop.Gamma, pop.R0, data.C)
+        (sol,) = stabilizing_riccati(data.A, pop.Gamma[None], pop.R0[None], data.C)
         ref = fixed_point_riccati(data.A, pop.Gamma, pop.R0, data.C)
         assert np.linalg.norm(sol.Q - ref) <= 1e-12 * (1 + np.linalg.norm(ref))
 
@@ -163,24 +171,25 @@ class TestStabilizingRiccati:
         data, _ = random_problem(seed, kind="infeasible")
         pop = popov_data(data, *gramians(data))
         with pytest.raises(RiccatiError, match=r"^fixed-point iterate fell between 2\^4 and 2\^5 "):
-            stabilizing_riccati(data.A, pop.Gamma, pop.R0, data.C)
+            stabilizing_riccati(data.A, pop.Gamma[None], pop.R0[None], data.C)
 
     def test_empty_state(self):
-        sol = stabilizing_riccati(np.zeros((0, 0)), np.zeros((0, 1)),
-                                  np.array([[2.0]]), np.zeros((1, 0)))
+        (sol,) = stabilizing_riccati(np.zeros((0, 0)), np.zeros((1, 0, 1)),
+                                     np.array([[[2.0]]]), np.zeros((1, 0)))
         assert sol.Q.shape == (0, 0)
         np.testing.assert_allclose(sol.Delta, [[2.0]])
 
     def test_unstable_state_matrix_raises(self):
         with pytest.raises(StabilityError):
-            stabilizing_riccati(np.eye(2), np.zeros((2, 1)),
-                                np.eye(1), np.ones((1, 2)))
+            stabilizing_riccati(np.eye(2), np.zeros((1, 2, 1)),
+                                np.ones((1, 1, 1)), np.ones((1, 2)))
 
     def test_unobservable_pair_solves(self):
         # a stable A makes {C, A} detectable, all a stabilizing solution
         # needs: the unobserved state gives Q = diag(4/3, 0), singular
         A = np.diag([0.5, 0.3])
-        sol = stabilizing_riccati(A, np.zeros((2, 1)), np.eye(1), np.array([[1.0, 0.0]]))
+        (sol,) = stabilizing_riccati(A, np.zeros((1, 2, 1)), np.ones((1, 1, 1)),
+                                     np.array([[1.0, 0.0]]))
         np.testing.assert_allclose(sol.Q, np.diag([4.0 / 3.0, 0.0]), atol=1e-12)
         qw = np.linalg.eigvalsh(sol.Q)
         assert abs(qw[0]) <= 1e-12 < qw[1]
@@ -192,4 +201,166 @@ class TestStabilizingRiccati:
         P1, P2 = gramians(data)
         pop = popov_data(data, P1, P2)
         with pytest.raises(RiccatiError):
-            stabilizing_riccati(data.A, pop.Gamma, pop.R0, data.C)
+            stabilizing_riccati(data.A, pop.Gamma[None], pop.R0[None], data.C)
+
+
+def _pair_and_kernel(data):
+    """The (Gamma, R0) of the pair and of the kernel equation of the data."""
+    pop = popov_data(data, *gramians(data))
+    return [pop.Gamma, pop.Gamma0], [pop.R0, pop.R10]
+
+
+def _stack_matches_single_calls(A, Gammas, R0s, C):
+    """Solve the stack and each equation alone, in order, and check that the
+    stack gives every field and the first failure bit for bit.  Returns that
+    failure, or None when the equations solve."""
+    singles = []
+    for Gamma, R0 in zip(Gammas, R0s):
+        try:
+            singles.extend(stabilizing_riccati(A, Gamma[None], R0[None], C))
+        except LeechError as exc:
+            with pytest.raises(LeechError) as info:
+                stabilizing_riccati(A, np.stack(Gammas), np.stack(R0s), C)
+            assert type(info.value) is type(exc)
+            assert str(info.value) == str(exc)
+            assert info.value.equation == len(singles)
+            return exc
+    stack = stabilizing_riccati(A, np.stack(Gammas), np.stack(R0s), C)
+    assert isinstance(stack, RiccatiSolutions) and len(stack) == len(singles)
+    for mine, ref in zip(stack, singles):
+        for field in ("Q", "Delta", "A0", "gain"):
+            assert np.array_equal(getattr(mine, field), getattr(ref, field)), field
+        assert type(mine.iterations) is int
+        assert (mine.iterations, mine.residual) == (ref.iterations, ref.residual)
+    assert stack.iterations == sum(ref.iterations for ref in singles)
+    return None
+
+
+class TestStack:
+    """One doubling loop solves a stack of equations on the same A and C, each
+    bit for bit as alone, and fails as the first failing equation alone."""
+
+    def test_pair_and_kernel_match_single_calls(self, battery):
+        static = LeechData(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((0, 1)),
+                           np.zeros((2, 0)), np.eye(2), np.array([[0.3], [0.1]]))
+        for data in [item.data for item in battery] + [singular_riccati_data(), static]:
+            assert _stack_matches_single_calls(data.A, *_pair_and_kernel(data), data.C) is None
+
+    @pytest.mark.parametrize("seed", [2, 7, 9, 10])
+    def test_boundary_bisection_matches_single_calls(self, seed):
+        # both sides of the feasibility boundary, up to the stalled
+        # fixed-point iteration on its infeasible side
+        data, _ = random_problem(seed)
+        lo, hi, last = 1.0, 4.0, None
+        for _ in range(40):
+            s = 0.5 * (lo + hi)
+            scaled = LeechData(data.A, data.B1, s * data.B2, data.C, data.D1, s * data.D2)
+            failure = _stack_matches_single_calls(data.A, *_pair_and_kernel(scaled), data.C)
+            if failure is None:
+                lo = s
+            else:
+                hi, last = s, failure
+        assert hi - lo < 1e-9 * lo
+        assert type(last) is RiccatiError
+
+    def test_first_failure_in_stack_order(self):
+        # equation 1 fails at Q = 0 and leaves the stack; equation 0 falls
+        # at doubling 5, and that is the failure the stack raises
+        data, _ = random_problem(9, kind="infeasible")
+        (Gamma, _), (R0, _) = _pair_and_kernel(data)
+        Gammas, R0s = np.stack([Gamma, Gamma]), np.stack([R0, -R0])
+        with pytest.raises(RiccatiError, match=r"^fixed-point iterate fell between 2\^4 and 2\^5 ") as info:
+            stabilizing_riccati(data.A, Gammas, R0s, data.C)
+        assert info.value.equation == 0
+        with pytest.raises(RiccatiError, match=r"^Schur complement lost positive definiteness at Q = 0") as info:
+            stabilizing_riccati(data.A, Gammas[::-1], R0s[::-1], data.C)
+        assert info.value.equation == 0
+
+    def test_a_later_failure_waits_for_the_earlier_equations(self):
+        good, _ = random_problem(40)
+        (Gamma, _), (R0, _) = _pair_and_kernel(good)
+        with pytest.raises(RiccatiError, match=r"at Q = 0") as info:
+            stabilizing_riccati(good.A, np.stack([Gamma, Gamma]), np.stack([R0, -R0]), good.C)
+        assert info.value.equation == 1
+
+    def test_a_matrix_is_no_stack(self):
+        # one equation is a stack of one
+        with pytest.raises(DimensionError, match="^Gamma must be a stack of matrices"):
+            stabilizing_riccati(np.zeros((2, 2)), np.zeros((2, 1)), np.ones((1, 1)),
+                                np.ones((1, 2)))
+
+    def test_mismatched_stacks_raise(self):
+        with pytest.raises(DimensionError):
+            stabilizing_riccati(np.zeros((2, 2)), np.zeros((2, 2, 1)), np.ones((3, 1, 1)),
+                                np.ones((1, 2)))
+
+
+def _guard_eigensolves(monkeypatch):
+    """Make every eigensolve of stabilizing_riccati assert a finite input."""
+    real = riccati._min_eig
+
+    def guarded(M):
+        assert np.all(np.isfinite(M)), "a failed equation reached an eigensolve"
+        return real(M)
+
+    monkeypatch.setattr(riccati, "_min_eig", guarded)
+
+
+def _break_first_doubling(monkeypatch, slot, how):
+    """Break doubling 1's solve with S = I + G H for stack slot `slot`:
+    "singular" zeroes its S, "overflow" puts inf in its S^{-1} [A_k  G_k]."""
+    real = riccati._solve_each
+    calls = []
+
+    def broken(M, B):
+        calls.append(M)
+        if len(calls) != 2:  # the first solve is R0's, the second doubling 1's
+            return real(M, B)
+        if how == "singular":
+            M = M.copy()
+            M[slot] = 0.0
+            return real(M, B)
+        X, singular = real(M, B)
+        X[slot] = np.inf
+        return X, singular
+
+    monkeypatch.setattr(riccati, "_solve_each", broken)
+
+
+class TestFailedEquations:
+    """A failed equation's NaN or inf reaches no later product or eigensolve:
+    it is a LeechError with its index, alone or in a stack, raised once the
+    equations before it have solved."""
+
+    @pytest.mark.parametrize("how, message", [
+        ("singular", r"^Riccati doubling 1: I \+ G H is singular"),
+        ("overflow", r"^Riccati doubling 1 produced a non-finite iterate"),
+    ])
+    @pytest.mark.parametrize("count, slot", [(1, 0), (2, 0), (2, 1)])
+    def test_broken_doubling_is_a_breakdown(self, monkeypatch, how, message, count, slot):
+        data, _ = random_problem(40)
+        Gammas, R0s = _pair_and_kernel(data)
+        _guard_eigensolves(monkeypatch)
+        _break_first_doubling(monkeypatch, slot, how)
+        with pytest.raises(BreakdownError, match=message) as info:
+            stabilizing_riccati(data.A, np.stack(Gammas[:count]), np.stack(R0s[:count]), data.C)
+        assert info.value.equation == slot
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_failed_start_is_a_leech_error(self, monkeypatch, slot):
+        # R0 = 0 is not positive definite and singular; Gamma scaled by 1e200
+        # overflows G_0 = -Gamma R0^{-1} Gamma*
+        data, _ = random_problem(40)
+        (Gamma, _), (R0, _) = _pair_and_kernel(data)
+        _guard_eigensolves(monkeypatch)
+        for bad, error, message in (
+                ((Gamma, 0 * R0), RiccatiError, "^Schur complement lost positive definiteness at Q = 0"),
+                ((1e200 * Gamma, R0), BreakdownError, "^Riccati doubling 0 produced a non-finite iterate")):
+            Gammas, R0s = [Gamma, Gamma], [R0, R0]
+            Gammas[slot], R0s[slot] = bad
+            with pytest.raises(error, match=message) as info:
+                stabilizing_riccati(data.A, np.stack(Gammas), np.stack(R0s), data.C)
+            assert info.value.equation == slot
+            # a failed start leaves the stack alone
+            with pytest.raises(error, match=message):
+                stabilizing_riccati(data.A, bad[0][None], bad[1][None], data.C)
