@@ -207,20 +207,27 @@ def theta0_defect(data, Q0, P1):
 
     With the kernel Riccati solution Q0 and its derived closed loop, M equals
     the identity minus the Gram matrix of the first Taylor block column, and
-    its rank is p - m whenever the kernel condition holds.
+    its rank is p - m whenever the kernel condition holds.  This form rebuilds
+    the kernel Schur complement Delta10, gain and closed loop from Q0 and P1;
+    solve() passes the kernel Riccati solution's own to _kernel_defect.
     """
     A, B1, C, D1 = data.A, data.B1, data.C, data.D1
-    p = data.p
     R10 = herm(D1 @ D1.conj().T + C @ P1 @ C.conj().T)
     Gamma0 = B1 @ D1.conj().T + A @ P1 @ C.conj().T
     Delta10 = herm(R10 - Gamma0.conj().T @ Q0 @ Gamma0)
     C0p = solve_hermitian(Delta10, C - Gamma0.conj().T @ Q0 @ A, "kernel defect")
-    A0p = A - Gamma0 @ C0p
+    return _kernel_defect(data, P1, Gamma0, Q0, Delta10, C0p, A - Gamma0 @ C0p)
+
+
+def _kernel_defect(data, P1, Gamma0, Q0, Delta10, C0p, A0p):
+    """theta0_defect from the kernel Riccati data: Gamma0, the solution Q0, its
+    Schur complement Delta10, gain C0p and closed loop A0p."""
+    B1, D1 = data.B1, data.D1
     C1p = D1.conj().T @ C0p + B1.conj().T @ Q0 @ A0p
     # Omega0 = P1 (Q0^{-1} - P1)^{-1} Q0^{-1} = (I - P1 Q0)^{-1} P1, with no inverse of Q0
     Omega0 = herm(np.linalg.solve(np.eye(len(Q0), dtype=complex) - P1 @ Q0, P1))
     DQB = D1 - Gamma0.conj().T @ Q0 @ B1
-    M = (np.eye(p, dtype=complex)
+    M = (np.eye(data.p, dtype=complex)
          - C1p @ Omega0 @ C1p.conj().T
          - DQB.conj().T @ solve_hermitian(Delta10, DQB, "kernel defect")
          - B1.conj().T @ Q0 @ B1)
@@ -431,7 +438,7 @@ def solve(data, report=None):
     B0 = B2 - pop.Gamma @ DQB2 + A0 @ OmegaC2
     E0 = DQB.conj().T @ DQB2 + B.conj().T @ Q @ B2 + np.vstack([C1, C2]) @ OmegaC2
 
-    M = theta0_defect(data, Q0, P1)
+    M = _kernel_defect(data, P1, pop.Gamma0, Q0, ric0.Delta, ric0.gain, ric0.A0)
     Theta0 = theta0(M, data.p - data.m)
     w = np.linalg.eigvalsh(M)  # the gap at the rank cut
     # F1 = (gap Q)^{-1} X, so gap^{-1} X = Q F1, and likewise gap0^{-1} X

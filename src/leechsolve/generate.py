@@ -12,7 +12,7 @@ import numpy as np
 from .core import LeechData, solve, validate
 from .errors import LeechError
 from .linalg import spectral_norm
-from .realization import Realization, constant, hinf_norm_estimate, taylor_blocks
+from .realization import Realization, constant, hinf_norm_estimate
 from .toeplitz import lower_block_toeplitz, toeplitz_gram
 
 EST_ORDER = 100  # truncation order of the Gram margin estimate
@@ -38,6 +38,20 @@ def random_stable_matrix(rng, n, radius_lo=0.75, radius_hi=0.88):
     return U @ T @ U.conj().T
 
 
+def _definite_above(gram, level):
+    """True iff gram - level I is positive definite, decided by one Cholesky
+    factorization; gram's diagonal is shifted in place and restored exactly."""
+    diagonal = gram.diagonal().copy()
+    gram.flat[::len(gram) + 1] -= level
+    try:
+        np.linalg.cholesky(gram)
+        return True
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        np.fill_diagonal(gram, diagonal)
+
+
 def _draw_dims(rng):
     n = int(rng.integers(2, 5))
     m = int(rng.integers(1, 3))
@@ -59,6 +73,11 @@ def random_problem(seed, kind="feasible", dims=None, closed_loop_band=None):
     the spectral radius of the closed-loop matrix A0 (retrying on new draws),
     which keeps truncation-convergence experiments away from degenerate rates.
     Returns (data, meta) with the seed and all derived choices in meta.
+
+    A draw eigen-solves only the N-block matrices (N = EST_ORDER) whose values
+    it reports: lambda_max of T_K* (T_G T_G*)^-1 T_K for a feasible or
+    infeasible scale, lambda_min of T_G T_G* for a corona scale, and the
+    margin_estimate; the boost probes are Cholesky factorizations (_draw_once).
     """
     rng = np.random.default_rng(seed)
     last_error = None
@@ -88,6 +107,17 @@ def random_problem(seed, kind="feasible", dims=None, closed_loop_band=None):
 
 
 def _draw_once(rng, kind, dims):
+    """One draw: A, B1, C and D1, then up to six boosts of D1's leading block,
+    then K of the requested kind, validated and with its margin estimate.
+
+    The C A^k sequence is built once; G's and K's first block columns are its
+    products with B1 and B2, and a boost replaces only block 0 of G's.  A probe
+    asks whether lambda_min(T_G T_G*) reaches 0.2 by one Cholesky factorization
+    of T_G T_G* - 0.2 I; it answers as an eigen-solve would, except where
+    lambda_min equals 0.2 to roundoff.  After six boosts a feasible or
+    infeasible draw decides T_G T_G* definite the same way, and eigen-solves
+    it only for the error message.
+    """
     n, m, p, q = dims if dims is not None else _draw_dims(rng)
     if kind == "corona":
         q = m
@@ -97,22 +127,28 @@ def _draw_once(rng, kind, dims):
     D1 = np.hstack([1.5 * np.eye(m, dtype=complex),
                     np.zeros((m, p - m), dtype=complex)]) + _randc(rng, m, p, 0.3)
 
-    # first block columns straight from the Taylor blocks, with no stability
-    # test: A is stable by construction, and validate certifies it below
-    def gram_probe(d1):
-        """Truncated Gram matrix T_G T_G* of G alone and its smallest eigenvalue."""
-        column = np.concatenate(taylor_blocks(Realization(A, B1, C, d1), EST_ORDER))
-        gram = toeplitz_gram(column, m)
-        return gram, float(np.linalg.eigvalsh(gram)[0])
+    # C A^k for k < EST_ORDER - 1, once per draw: Taylor block k + 1 of G and
+    # of K is C A^k times B1 or B2.  No stability test: A is stable by
+    # construction, and validate certifies it below
+    powers = [C]
+    for _ in range(EST_ORDER - 2):
+        powers.append(powers[-1] @ A)
 
-    # boost the constant part of G until its Gram matrix has a real margin
+    def first_column(d, b):
+        """First block column of the truncated Toeplitz matrix of d + z C (I - zA)^-1 b."""
+        return np.concatenate([d] + [CAk @ b for CAk in powers])
+
+    # boost the constant part of G until its Gram matrix has a real margin; a
+    # boost replaces only block 0 of G's column
+    column = first_column(D1, B1)
+    gram = toeplitz_gram(column, m)
     boosts = 0
-    gram, gram_margin = gram_probe(D1)
-    while gram_margin < 0.2 and boosts < 6:
+    while boosts < 6 and not _definite_above(gram, 0.2):
         D1 = D1 + np.hstack([0.75 * np.eye(m, dtype=complex),
                              np.zeros((m, p - m), dtype=complex)])
         boosts += 1
-        gram, gram_margin = gram_probe(D1)
+        column[:m] = D1
+        gram = toeplitz_gram(column, m)
 
     # the final core T_G T_G* - T_K T_K* from the Gram matrix of the last probe
     meta = {"dims": {"n": n, "m": m, "p": p, "q": q}, "boosts": boosts}
@@ -123,7 +159,7 @@ def _draw_once(rng, kind, dims):
     elif kind == "corona":
         B2 = np.zeros((n, m), dtype=complex)
         D2 = np.eye(m, dtype=complex)
-        scale = 2.0 / np.sqrt(gram_margin)
+        scale = 2.0 / np.sqrt(float(np.linalg.eigvalsh(gram)[0]))
         C = scale * C
         D1 = scale * D1
         meta["scale"] = float(scale)
@@ -131,9 +167,11 @@ def _draw_once(rng, kind, dims):
     else:
         B2r = _randc(rng, n, q)
         D2r = _randc(rng, m, q)
-        TkEq = np.concatenate(taylor_blocks(Realization(A, B2r, C, D2r), EST_ORDER))
-        if gram_margin <= 0.0:
-            raise LeechError(f"Gram matrix of G is not positive definite ({gram_margin:.3e})")
+        # a probe that reached 0.2 made gram definite; only six boosts leave it open
+        if boosts == 6 and not _definite_above(gram, 0.0):
+            raise LeechError("Gram matrix of G is not positive definite "
+                             f"({float(np.linalg.eigvalsh(gram)[0]):.3e})")
+        TkEq = first_column(D2r, B2r)
         Tk = lower_block_toeplitz(TkEq, m)
         M = Tk.conj().T @ np.linalg.solve(gram, Tk)
         lam_max = float(np.linalg.eigvalsh(0.5 * (M + M.conj().T))[-1])

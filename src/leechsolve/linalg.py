@@ -2,8 +2,9 @@
 
 Two heavy primitives carry everything downstream: the Hermitian
 eigendecomposition (definiteness, rank decisions, norms, PD square roots)
-and the squared-doubling Stein solve.  Its squarings A, A^2, A^4, ... also
-certify Schur stability, and a caller that has them passes them on.
+and the squared-doubling Stein solve.  Its squarings A, A^2, A^4, ... are
+the Schur stability certificate (is_schur_stable asks for nothing more), and
+a caller that has them passes them on.
 All operations accept 0-sized matrices.
 """
 
@@ -177,13 +178,13 @@ def stein_doubling(A, W, squarings=None):
 
 
 def is_schur_stable(A):
-    """True iff the Stein series for X - A X A* = I certifies the spectral
-    radius of A below 1 - DEFAULT_TOL; a radius too close to that reads False."""
+    """True iff A's squarings certify its spectral radius below 1 - DEFAULT_TOL
+    (schur_squarings); a radius too close to that reads False."""
     M = as_cmatrix(A, "A")
     n, ncols = M.shape
     if n != ncols:
         raise DimensionError(f"stability test needs a square matrix, got {n}x{ncols}")
-    return stein_doubling(M, np.eye(n, dtype=complex)) is not None
+    return schur_squarings(M) is not None
 
 
 def sqrtm_posdef(M):

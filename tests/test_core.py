@@ -381,6 +381,22 @@ class TestTheta0:
         assert d.margins["theta0_kept_min_eig"] > 1e-3
         assert d.margins["theta0_dropped_max_eig"] < 1e-8
 
+    def test_solve_defect_is_the_public_form(self, battery, monkeypatch):
+        # solve builds the defect from the kernel Riccati solution's Delta,
+        # gain and A0; theta0_defect rebuilds them from Q0 and P1
+        seen = []
+
+        def recording(M, k):
+            seen.append(M)
+            return theta0(M, k)
+
+        monkeypatch.setattr(core, "theta0", recording)
+        for item in battery:
+            seen.clear()
+            d = solve(item.data)
+            np.testing.assert_allclose(seen[0], theta0_defect(d.data, d.Q0, d.P1),
+                                       rtol=0.0, atol=1e-12)
+
     def test_defect_is_psd(self, battery):
         d = battery[1].derived
         M = theta0_defect(d.data, d.Q0, d.P1)

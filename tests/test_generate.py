@@ -1,13 +1,21 @@
 """Instance generator: determinism, kinds, dimension control, contractions."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from leechsolve import generate
 from leechsolve.core import solve, validate
 from leechsolve.errors import InfeasibleError
-from leechsolve.generate import random_contraction, random_problem, random_stable_matrix
-from leechsolve.realization import evaluate, hinf_norm_estimate
-from leechsolve.toeplitz import OracleContext
+from leechsolve.generate import (
+    EST_ORDER,
+    random_contraction,
+    random_problem,
+    random_stable_matrix,
+)
+from leechsolve.realization import Realization, evaluate, hinf_norm_estimate
+from leechsolve.toeplitz import OracleContext, toeplitz_gram, truncate
 
 
 class TestRandomProblem:
@@ -67,6 +75,77 @@ class TestRandomProblem:
         assert meta["seed"] == 99
         assert meta["kind"] == "feasible"
         assert meta["attempt"] >= 1
+
+
+def probe_margins(data, meta):
+    """lambda_min(T_G T_G*) by eigvalsh at every probe of a draw, rebuilt from
+    the returned D1 and meta["boosts"] (a corona draw's C and D1 carry its scale)."""
+    m, p, boosts = data.m, data.p, meta["boosts"]
+    scale = meta["scale"] if meta["kind"] == "corona" else 1.0
+    step = np.hstack([0.75 * np.eye(m), np.zeros((m, p - m))])
+    margins = []
+    for j in range(boosts + 1):
+        G = Realization(data.A, data.B1, data.C / scale, data.D1 / scale - (boosts - j) * step)
+        margins.append(np.linalg.eigvalsh(toeplitz_gram(truncate(G, EST_ORDER), m))[0])
+    return margins
+
+
+class TestBoostProbe:
+    """The boost loop stops at the first probe whose Gram matrix of G reaches
+    lambda_min 0.2 (a Cholesky decision), and a draw eigen-solves only what it
+    reports."""
+
+    @staticmethod
+    def check_rule(data, meta):
+        margins = probe_margins(data, meta)
+        assert all(margin < 0.2 for margin in margins[:-1])
+        if meta["boosts"] < 6:
+            assert margins[-1] >= 0.2
+
+    @pytest.mark.parametrize("kind", ["feasible", "infeasible", "kernel", "corona"])
+    def test_boost_rule(self, kind):
+        for seed in range(50):
+            self.check_rule(*random_problem(seed, kind=kind))
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_boost_rule_at_larger_n(self, n):
+        for seed in range(50):
+            self.check_rule(*random_problem(seed, dims=(n, 2, 3, 2)))
+
+    def test_eigensolves_per_draw(self, monkeypatch):
+        attempts = []  # per _draw_once call: eigvalsh and cholesky calls on N-block matrices
+
+        def counting(name, fn):
+            def wrapper(M, *args, **kwargs):
+                if M.shape[-1] >= EST_ORDER:
+                    attempts[-1][name] += 1
+                return fn(M, *args, **kwargs)
+            return wrapper
+
+        draw_once = generate._draw_once
+
+        def tracking(*args):
+            attempts.append(Counter())
+            return draw_once(*args)
+
+        monkeypatch.setattr(generate, "_draw_once", tracking)
+        for name in ("eigvalsh", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        eigensolves = {"feasible": 2, "infeasible": 2, "kernel": 1, "corona": 2}
+        draws = [(seed, kind, None) for kind in eigensolves for seed in range(10)]
+        draws += [(seed, kind, (32, 2, 3, 2)) for kind in ("feasible", "infeasible")
+                  for seed in range(1000, 1010)]
+        seen = set()
+        for seed, kind, dims in draws:
+            attempts.clear()
+            _, meta = random_problem(seed, kind=kind, dims=dims)
+            boosts = meta["boosts"]
+            seen.add(boosts)
+            # one Cholesky per probe; after six boosts one more decides that the
+            # Gram matrix is definite at all
+            probes = boosts + 1 if boosts < 6 else 6 + (kind in ("feasible", "infeasible"))
+            assert attempts[-1] == Counter(eigvalsh=eigensolves[kind], cholesky=probes)
+        assert {0, 1, 6} <= seen
 
 
 class TestLadder:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from leechsolve import linalg
 from leechsolve.errors import DefinitenessError, DimensionError
 from leechsolve.linalg import (
     as_cmatrix,
@@ -119,6 +120,28 @@ class TestSchurStable:
     def test_radius_inside_1_but_within_the_tolerance(self):
         A = np.array([[1.0 - 1e-10, 1.0], [0.0, 0.3]])
         assert not is_schur_stable(A)
+
+
+class TestSchurStableCost:
+    def test_one_squaring_sequence_and_no_stein_sum(self, monkeypatch):
+        calls = []
+        build, doubling = linalg.schur_squarings, linalg.stein_doubling
+
+        def counting_build(A):
+            calls.append("squarings")
+            return build(A)
+
+        def counting_doubling(*args, **kwargs):
+            calls.append("stein")
+            return doubling(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "schur_squarings", counting_build)
+        monkeypatch.setattr(linalg, "stein_doubling", counting_doubling)
+        rng = np.random.default_rng(4)
+        for A in (0.2 * random_complex(rng, 6, 6), np.array([[1.2, 0.0], [0.0, 0.1]])):
+            calls.clear()
+            is_schur_stable(A)
+            assert calls == ["squarings"]
 
 
 def with_radius(rng, n, radius):
