@@ -68,7 +68,7 @@ def cmd_check(args):
         print("verdict: INVALID")
         return EXIT_INPUT
     try:
-        derived = solve(data, report)
+        derived = solve(data)
     except (InfeasibleError, BreakdownError) as exc:
         print(f"verdict: {exc.verdict} ({exc})")
         return exc.exit_code
@@ -123,7 +123,7 @@ def cmd_coefficients(args):
 
 def cmd_oracle(args):
     data, options = files.read_problem(args.problem)
-    validation = validate(data)  # its squarings certify A for truncate and solve
+    validation = validate(data)
     if not validation.ok:
         raise ValidationError("data validation failed: " + validation.summary(), validation)
     trunc = args.truncation if args.truncation is not None else options.get("truncation")
@@ -133,7 +133,7 @@ def cmd_oracle(args):
         ladder = sorted({min(trunc, rung) for rung in
                          (max(8, trunc // 4), max(16, trunc // 2), trunc)})
     # every rung is a leading block of the largest window
-    widest = OracleContext(data, ladder[-1], validation.squarings)
+    widest = OracleContext(data, ladder[-1])
     contexts = {N: widest.window(N) for N in ladder}
     margins = {N: contexts[N].margin for N in ladder}
     for N in ladder:
@@ -143,7 +143,7 @@ def cmd_oracle(args):
     try:
         for N in ladder:
             contexts[N].require_definite()
-        derived = solve(data, validation)
+        derived = solve(data)
     except (InfeasibleError, BreakdownError) as exc:
         report["verdict"] = f"{exc.verdict.lower()}: {exc}"
         print(f"verdict: {exc.verdict} -- oracle comparison skipped")
@@ -197,6 +197,13 @@ def cmd_generate(args):
     return EXIT_OK
 
 
+def _seed(text):
+    """A seed for numpy's generator: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """A usage error exits 1, an input error: argparse's 2 is the code of
     INFEASIBLE and BREAKDOWN."""
@@ -240,7 +247,7 @@ def build_parser():
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("generate", help="generate a random feasible problem")
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_seed, default=None)
     sp.add_argument("--out", default=None, help="output path (default stdout)")
     sp.set_defaults(func=cmd_generate)
 

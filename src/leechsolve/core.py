@@ -31,7 +31,7 @@ from .linalg import (
     herm,
     hermitian_posdef_check,
     minimal_rank_factor,
-    schur_squarings,
+    is_schur_stable,
     singular_extremes,
     solve_hermitian,
     sqrtm_posdef,
@@ -117,11 +117,7 @@ class ValidationCheck:
 
 @dataclass
 class ValidationReport:
-    """The checks, and A's certificate schur_squarings(A) (None when A is not
-    certified stable), which solve passes on to the Stein and Riccati solves."""
-
     checks: list
-    squarings: list = None
 
     @property
     def ok(self):
@@ -140,8 +136,7 @@ def validate(data):
     - dimensions: p >= m (wide numerator) and p <= n + m so the kernel
       condition below can hold at all;
     - stability: A Schur stable, certified with spectral radius below
-      1 - DEFAULT_TOL by its squarings (schur_squarings), which the report
-      keeps;
+      1 - DEFAULT_TOL (is_schur_stable);
     - kernel condition: [B1; D1] has trivial kernel (full column rank p).
     """
     checks = []
@@ -150,8 +145,7 @@ def validate(data):
     checks.append(ValidationCheck(
         "dimensions", dims_ok,
         f"n={n}, m={m}, p={p}, q={q}; need 1 <= m <= p <= n + m"))
-    squarings = schur_squarings(data.A)
-    stable = squarings is not None
+    stable = is_schur_stable(data.A)
     checks.append(ValidationCheck("stability", stable, "A Schur stable"
                                   if stable else "spectral radius of A is not below 1"))
     stack = np.vstack([data.B1, data.D1])
@@ -160,7 +154,7 @@ def validate(data):
     checks.append(ValidationCheck(
         "kernel", kernel_ok,
         f"sigma_min([B1; D1]) = {smin:.3e}, sigma_max = {smax:.3e}"))
-    return ValidationReport(checks, squarings)
+    return ValidationReport(checks)
 
 
 @dataclass
@@ -174,14 +168,11 @@ class PopovData:
     Gamma0: np.ndarray
 
 
-def gramians(data, squarings=None):
-    """Controllability Gramians P1, P2 of (A, B1) and (A, B2).
-
-    One stacked Stein solve sums both, from A's certificate `squarings`
-    (validate's) when given; without it A is certified here.
-    """
+def gramians(data):
+    """Controllability Gramians P1, P2 of (A, B1) and (A, B2), summed by one
+    stacked Stein solve."""
     W = np.stack([data.B1 @ data.B1.conj().T, data.B2 @ data.B2.conj().T])
-    P1, P2 = solve_stein(data.A, W, squarings)
+    P1, P2 = solve_stein(data.A, W)
     return P1, P2
 
 
@@ -370,22 +361,20 @@ def delta_matrices(derived):
     return sqrtm_posdef(d0sq), sqrtm_posdef(d1sq)
 
 
-def solve(data, report=None):
+def solve(data):
     """Decide strict suboptimality and return all derived matrices.
 
     Pipeline: validation, Gramians, Popov data, stabilizing Riccati solutions
     for the pair and for the kernel (one stacked stabilizing_riccati call, one
     doubling loop), the positivity gaps, and from these the
     matrices (C0, C1, C2, B0, Theta0, Delta0, Delta1) and the thin products
-    the coefficients are assembled from.  A is certified once: validate's
-    squarings of A (schur_squarings) sum both Gramians and stand in for the
-    stability precondition of both Riccati solves; each closed loop A0 is
-    still certified on its own.  The gaps Q^-1 + P2 - P1 and
-    Q0^-1 - P1 are decided as I + Q^1/2 (P2 - P1) Q^1/2 > 0 and
-    I - Q0^1/2 P1 Q0^1/2 > 0, so no Riccati solution is inverted.
-    `report` is validate(data) when the caller has run it; without it the
-    data is validated here.  Raises ValidationError for malformed data (a
-    report that is not ok).  An InfeasibleError is the
+    the coefficients are assembled from.  A is certified once, by validate:
+    linalg keeps that certificate, keyed on A's bits, and both Gramians and
+    both Riccati solves read it; each closed loop A0 is certified on its
+    own.  The gaps Q^-1 + P2 - P1 and Q0^-1 - P1 are decided as
+    I + Q^1/2 (P2 - P1) Q^1/2 > 0 and I - Q0^1/2 P1 Q0^1/2 > 0, so no
+    Riccati solution is inverted.  Raises ValidationError for malformed data
+    (a validation report that is not ok).  An InfeasibleError is the
     verdict that the data is not strictly suboptimal: a RiccatiError when
     either Riccati equation has no stabilizing solution, or a pair gap whose
     smallest eigenvalue does not exceed DEFAULT_TOL.  A BreakdownError is a
@@ -396,20 +385,17 @@ def solve(data, report=None):
     A Riccati failure keeps its class; its message names the equation, and
     the pair's failure comes first when both fail.
     """
-    if report is None:
-        report = validate(data)
+    report = validate(data)
     if not report.ok:
         raise ValidationError("data validation failed: " + report.summary(), report)
     A, B1, B2, C, D1, D2 = data.A, data.B1, data.B2, data.C, data.D1, data.D2
 
-    # A's certificate, validate's squarings, serves both Gramians and both
-    # Riccati solves
-    P1, P2 = gramians(data, report.squarings)
+    P1, P2 = gramians(data)
     pop = popov_data(data, P1, P2)
 
     try:
         ric, ric0 = stabilizing_riccati(A, np.stack([pop.Gamma, pop.Gamma0]),
-                                        np.stack([pop.R0, pop.R10]), C, report.squarings)
+                                        np.stack([pop.R0, pop.R10]), C)
     except LeechError as exc:  # keeps its class, names the equation
         # a fault of the shared A or C has no equation; the pair meets it first
         what = ("pair", "kernel")[getattr(exc, "equation", 0)]

@@ -3,8 +3,10 @@
 Two heavy primitives carry everything downstream: the Hermitian
 eigendecomposition (definiteness, rank decisions, norms, PD square roots)
 and the squared-doubling Stein solve.  Its squarings A, A^2, A^4, ... are
-the Schur stability certificate (is_schur_stable asks for nothing more), and
-a caller that has them passes them on.
+the Schur stability certificate (is_schur_stable asks for nothing more).
+schur_squarings keeps its last answer, keyed on the bits of A, so the
+consumers of one A (validate, both Gramians, both Riccati solves, both
+truncations) build its sequence once and share it.
 All operations accept 0-sized matrices.
 """
 
@@ -121,16 +123,36 @@ def singular_extremes(M):
     return (float(s[-1]) if A.shape[0] >= A.shape[1] else 0.0), float(s[0])
 
 
+# schur_squarings' last answer: ((shape, bytes of A as complex), squarings)
+_last = (None, None)
+
+
 def schur_squarings(A):
     """The squarings A, A^2, A^4, ..., A^(2^(k-1)) that certify the spectral
-    radius of A below 1 - DEFAULT_TOL, or None.
+    radius of A below 1 - DEFAULT_TOL, as a tuple of read-only arrays, or None.
 
     ||A^(2^j)||_F < (1 - DEFAULT_TOL)^(2^j) for some j certifies it, since the
     Frobenius norm bounds rho(A^(2^j)) = rho(A)^(2^j); the sequence ends at
     the first certified k with ||A^(2^k)||^2 below roundoff.  None when the
     squarings overflow or run out.  The stopping rule reads A alone, so one
-    sequence serves every Stein sum on A (stein_doubling).
+    sequence serves every Stein sum on A (stein_doubling).  The last answer
+    is kept, keyed on A's shape and the bytes of its complex array: a call on
+    the same bits returns it, and any other A (one ulp, or -0.0 for 0.0,
+    apart) is built afresh.  The entry is swapped whole, so concurrent
+    callers can at worst build the same sequence twice.
     """
+    global _last
+    M = np.asarray(A, dtype=complex)
+    key = (M.shape, M.tobytes())
+    last_key, squarings = _last
+    if key != last_key:
+        squarings = _build_squarings(M)
+        _last = (key, squarings)
+    return squarings
+
+
+def _build_squarings(A):
+    """schur_squarings(A), built."""
     Ak = np.array(A, dtype=complex)
     bound = 1.0 - DEFAULT_TOL
     certified = False
@@ -142,33 +164,26 @@ def schur_squarings(A):
                 return None
             certified = certified or a < bound
             if certified and a * a <= np.finfo(float).eps:
-                return squarings
+                return tuple(squarings)
+            Ak.flags.writeable = False
             squarings.append(Ak)
             Ak = Ak @ Ak
             bound *= bound
     return None
 
 
-def certifies(squarings, A):
-    """True iff `squarings` is A's certificate schur_squarings(A): a sequence
-    that starts at A.  Another matrix's, an empty one or None certifies nothing."""
-    return bool(squarings) and np.array_equal(squarings[0], A)
-
-
-def stein_doubling(A, W, squarings=None):
+def stein_doubling(A, W):
     """Solution P of P - A P A* = W by squared doubling, or None.
 
     Step j adds Aj P Aj* for Aj = A^(2^j), so after k steps P sums the first
-    2^k terms of sum_i A^i W A^i*.  The squarings are schur_squarings(A),
-    computed here unless the caller passes them; after the last one the tail,
-    about ||A^(2^k)||^2 ||P||, is below roundoff.  W may be a stack
-    (..., n, n) of right-hand sides, each summed on its own.  None when A is
-    not certified or P overflows.
+    2^k terms of sum_i A^i W A^i*.  The squarings are schur_squarings(A);
+    after the last one the tail, about ||A^(2^k)||^2 ||P||, is below
+    roundoff.  W may be a stack (..., n, n) of right-hand sides, each summed
+    on its own.  None when A is not certified or P overflows.
     """
+    squarings = schur_squarings(A)
     if squarings is None:
-        squarings = schur_squarings(A)
-        if squarings is None:
-            return None
+        return None
     P = np.array(W, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for Ak in squarings:

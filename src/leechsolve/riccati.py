@@ -20,12 +20,12 @@ indefinite Schur complement, or one that falls, proves that none exists.
 
 Equations on the same A and C are solved as a stack: stabilizing_riccati
 takes Gamma and R0 stacked, and one doubling loop makes every solve, product
-and eigensolve for all of them at once.  An equation leaves the stack at the
-doubling where it converges or fails, and keeps what that doubling gave it;
-a failed equation's iterates are zeroed at once, so its NaN or inf reaches
-no other product or eigensolve.  A stack fails as solving its equations one after the other would: with the
-first failure in stack order (core.solve stacks the pair before the kernel).
-One equation is a stack of one.
+and eigensolve for all of them at once.  An equation that converges or fails
+keeps what that doubling gave it and stays in the stack with its iterates
+zeroed, so its NaN or inf reaches no other product or eigensolve.  A stack
+fails as solving its equations one after the other would: with the first
+failure in stack order (core.solve stacks the pair before the kernel).  One
+equation is a stack of one.
 """
 
 import logging
@@ -44,11 +44,9 @@ from .errors import (
 from .linalg import (
     RANK_RATIO,
     as_cmatrix,
-    certifies,
     herm,
     hermitian_posdef_check,
     is_schur_stable,
-    schur_squarings,
     singular_extremes,
     solve_hermitian,
     stein_doubling,
@@ -57,17 +55,15 @@ from .linalg import (
 log = logging.getLogger("leechsolve.riccati")
 
 
-def solve_stein(A, W, squarings=None):
+def solve_stein(A, W):
     """Unique solution P of P - A P A* = W for Schur stable A and Hermitian PSD W.
 
     W may be a stack (k, n, n) of right-hand sides, solved in one pass to a
-    stack of solutions.  `squarings` is A's certificate schur_squarings(A)
-    when the caller has one; without it A is certified here, and an unstable
-    A is a StabilityError.  Each solution is returned exactly Hermitian after
-    one step of iterative refinement, which reuses the squarings; each
-    residual is verified against 1e-11 * (1 + ||W|| + ||P||), as roundoff
-    scales with the solution's transient, and a larger one is a
-    BreakdownError.
+    stack of solutions.  An A not certified Schur stable (is_schur_stable) is
+    a StabilityError.  Each solution is returned exactly Hermitian after one
+    step of iterative refinement on the same certificate; each residual is
+    verified against 1e-11 * (1 + ||W|| + ||P||), as roundoff scales with the
+    solution's transient, and a larger one is a BreakdownError.
     """
     A = as_cmatrix(A, "A")
     W = np.asarray(W, dtype=complex)
@@ -92,16 +88,14 @@ def solve_stein(A, W, squarings=None):
             raise DefinitenessError(
                 f"Stein right-hand side must be PSD, min eigenvalue {wmin:.3e}")
         scales.append(scale)
-    if squarings is None:
-        squarings = schur_squarings(A)
     W = herm(W)
-    P = None if squarings is None else stein_doubling(A, W, squarings)
+    P = stein_doubling(A, W)
     if P is None:
         raise StabilityError("Stein equation requires a Schur stable A")
     # one refinement step: roundoff in the doubled sum grows with the
     # transient of A^j, and the correction's is smaller by the residual
     AH = A.conj().T
-    P = herm(P + stein_doubling(A, herm(W - P + A @ P @ AH), squarings))
+    P = herm(P + stein_doubling(A, herm(W - P + A @ P @ AH)))
     for Pi, Wi, scale in zip(P.reshape(-1, n, n), W.reshape(-1, n, n), scales):
         residual = float(np.linalg.norm(Pi - A @ Pi @ AH - Wi))
         if residual > 1e-11 * (1.0 + scale + float(np.linalg.norm(Pi))):
@@ -215,24 +209,22 @@ def _raise_first(out):
             return
 
 
-def stabilizing_riccati(A, Gamma, R0, C, squarings=None):
+def stabilizing_riccati(A, Gamma, R0, C):
     """Stabilizing solutions of a stack of Riccati equations (A, Gamma, R0, C), by SDA.
 
     Gamma (k, n, m) and R0 (k, m, m) stack k equations on the same A and C,
     solved in one doubling loop to a RiccatiSolutions tuple in stack order;
     each equation gets every field and every failure bit for bit as a stack
-    of one.  An equation leaves the stack at the doubling where it converges
-    or fails, and a failed one's iterates are zeroed first, so its NaN or inf
-    reaches no later product or eigensolve.  A failure of a stack is the
-    first in stack order: the one that solving the equations one after the
-    other would raise.  It carries `equation`, its index in the stack.
+    of one.  An equation that converges or fails rides along with its
+    iterates zeroed, so its NaN or inf reaches no later product or
+    eigensolve.  A failure of a stack is the first in stack order: the one
+    that solving the equations one after the other would raise.  It carries
+    `equation`, its index in the stack.
 
     Precondition: A Schur stable, which makes {C, A} detectable, all that a
     stabilizing solution needs (an unobservable pair gives a singular Q, and
-    nothing inverts Q).  `squarings` is A's certificate schur_squarings(A)
-    when the caller has one, and stands in for the stability test when it
-    starts at A; otherwise A is certified here.  From A_0 = Ad, G_0 = G
-    and H_0 = H (the loop keeps H_k in Q), doubling k sets S = I + G_k H_k and
+    nothing inverts Q).  From A_0 = Ad, G_0 = G and H_0 = H (the loop keeps
+    H_k in Q), doubling k sets S = I + G_k H_k and
         A_{k+1} = A_k S^{-1} A_k,   G_{k+1} = G_k + A_k S^{-1} G_k A_k*,
         H_{k+1} = H_k + A_k* H_k S^{-1} A_k;
     `iterations` counts the doublings.  As H_k = f^(2^k)(0), the module's
@@ -261,26 +253,25 @@ def stabilizing_riccati(A, Gamma, R0, C, squarings=None):
         raise DimensionError(f"Gamma stacks {count} equations, R0 {len(R0)}")
     if C.shape != (m, n):
         raise DimensionError(f"C must be {m}x{n}, got {C.shape}")
-    if not certifies(squarings, A) and not is_schur_stable(A):
+    if not is_schur_stable(A):
         raise StabilityError("Riccati data requires a Schur stable A")
 
     infeasible = "; no stabilizing solution exists for this data"
     out = [None] * count  # each equation's solution, or its failure
-    live = np.arange(count)  # the equations still in the stack
-    alive = np.ones(count, dtype=bool)  # those of the live ones yet to fail or converge
+    alive = np.ones(count, dtype=bool)  # the equations yet to fail or converge
 
     def fail(mask, error):
         bad = mask & alive
         if bad.any():
             for j in bad.nonzero()[0]:
                 exc = error(j)
-                exc.equation = int(live[j])
-                out[live[j]] = exc
+                exc.equation = int(j)
+                out[j] = exc
             alive[bad] = False
 
     def finite(k, *stacks):
         """Fail the equations with a non-finite iterate, then zero every
-        failed equation's slices of `stacks`."""
+        settled equation's slices of `stacks`."""
         ok = np.logical_and.reduce([np.isfinite(M).all(axis=(-2, -1)) for M in stacks])
         fail(~ok, lambda j: BreakdownError(f"Riccati doubling {k} produced a non-finite iterate"))
         if not alive.all():
@@ -313,15 +304,11 @@ def stabilizing_riccati(A, Gamma, R0, C, squarings=None):
         gamma2 = np.linalg.norm(Gamma, axis=(-2, -1)) ** 2
     eye = np.eye(n)
     for k in range(1, 65):
-        if not alive.all():  # equations left the stack
-            _raise_first(out)
-            keep = alive.nonzero()[0]
-            live, Gamma, R0, Ak, Gk, Q, GQG, schur, qnorm, gamma2 = (
-                M[keep] for M in (live, Gamma, R0, Ak, Gk, Q, GQG, schur, qnorm, gamma2))
-            Gh = Gamma.conj().swapaxes(-1, -2)
-            alive = np.ones(len(live), dtype=bool)
-        if len(live) == 0:
+        _raise_first(out)
+        if not alive.any():
             break
+        if not alive.all():  # a settled equation rides along as zeros
+            Ak, Gk, Q, GQG = (np.where(alive[:, None, None], M, 0.0) for M in (Ak, Gk, Q, GQG))
         fail(~(schur > 0.0), lambda j: RiccatiError(
             "Schur complement lost positive definiteness at "
             f"fixed-point iterate 2^{k - 1}" + infeasible))
@@ -339,7 +326,7 @@ def stabilizing_riccati(A, Gamma, R0, C, squarings=None):
             # doubling's Schur complement; rounding reaches Gamma* H_k Gamma at
             # about eps ||Gamma||^2 ||H_k||, as the data scales
             w = _min_eig(np.concatenate([GQGn - GQG, R0 - GQGn]))
-            fall, schur = w[:len(live)], w[len(live):]
+            fall, schur = w[:count], w[count:]
             fail(fall < -1e-12 * gamma2 * qnorm, lambda j: RiccatiError(
                 f"fixed-point iterate fell between 2^{k - 1} and 2^{k} "
                 f"(eigenvalue {fall[j]:.3e} of Gamma* step Gamma)" + infeasible))
@@ -348,10 +335,10 @@ def stabilizing_riccati(A, Gamma, R0, C, squarings=None):
         Q, GQG, qnorm = Qn, GQGn, np.linalg.norm(Qn, axis=(-2, -1))
         for j in (alive & (step <= 1e-13 * (1.0 + qnorm))).nonzero()[0]:
             try:
-                out[live[j]] = _finish(A, Gamma[j], R0[j], C, Q[j], GQG[j], k)
+                out[j] = _finish(A, Gamma[j], R0[j], C, Q[j], GQG[j], k)
             except LeechError as exc:
-                exc.equation = int(live[j])
-                out[live[j]] = exc
+                exc.equation = int(j)
+                out[j] = exc
             alive[j] = False
     else:
         fail(alive, lambda j: BreakdownError("Riccati doubling did not converge in 64 doublings"))

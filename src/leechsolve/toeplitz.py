@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, InfeasibleError, StabilityError
-from .linalg import certifies, herm, sqrtm_posdef
+from .linalg import herm, sqrtm_posdef
 from .realization import is_schur_stable, taylor_blocks
 from .riccati import observability_matrix
 
@@ -71,16 +71,13 @@ def toeplitz_gram(column, r):
     return herm(G)
 
 
-def truncate(F, N, squarings=None):
+def truncate(F, N):
     """First block column T_F E of the truncated Toeplitz compression of a
-    stable rational function: its first N Taylor blocks stacked (N out x in).
-
-    `squarings` is F.A's certificate schur_squarings(F.A) when the caller has
-    one; without it, or when it does not start at F.A, F.A is certified here."""
+    stable rational function: its first N Taylor blocks stacked (N out x in)."""
     N = int(N)
     if N < 1:
         raise DimensionError(f"truncation order must be positive, got {N}")
-    if F.state_dim and not certifies(squarings, F.A) and not is_schur_stable(F.A):
+    if F.state_dim and not is_schur_stable(F.A):
         raise StabilityError("truncation requires a stable function")
     return np.concatenate(taylor_blocks(F, N), axis=0)
 
@@ -144,17 +141,15 @@ class OracleContext:
 
     window(N) is the context of the leading N blocks: its columns and Gram
     matrices are slices of this one's, so a truncation ladder truncates
-    once, at its largest window.  `squarings` is A's certificate
-    schur_squarings(A) (validate's) when the caller has one, and serves both
-    truncations; without it each certifies A.
+    once, at its largest window.
     """
 
-    def __init__(self, data, N, squarings=None):
+    def __init__(self, data, N):
         self.data = data
         self.N = int(N)
         self.m, self.p, self.q = data.m, data.p, data.q
-        self.TgEp = truncate(data.g(), self.N, squarings)
-        self.TkEq = truncate(data.k(), self.N, squarings)
+        self.TgEp = truncate(data.g(), self.N)
+        self.TkEq = truncate(data.k(), self.N)
 
     def window(self, N):
         """The context of the leading N <= self.N blocks, sliced from this

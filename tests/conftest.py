@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from leechsolve import build_upsilon, random_problem, solve
+from leechsolve import build_upsilon, linalg, random_problem, solve
 from leechsolve.linalg import sqrtm_posdef
 from leechsolve.toeplitz import OracleContext
 
@@ -161,6 +161,27 @@ def unstable_data():
     data, _ = random_problem(3)
     rho = np.max(np.abs(np.linalg.eigvals(data.A)))
     return dataclasses.replace(data, A=data.A * (1.37 / rho))
+
+
+def squaring_builds(monkeypatch):
+    """Each matrix whose squaring sequence linalg builds from here on, in
+    order; schur_squarings' kept answer is cleared first, so nothing that ran
+    before decides a count."""
+    built = []
+    build = linalg._build_squarings
+
+    def counting(A):
+        built.append(np.array(A))
+        return build(A)
+
+    monkeypatch.setattr(linalg, "_last", (None, None))
+    monkeypatch.setattr(linalg, "_build_squarings", counting)
+    return built
+
+
+def builds_of(built, M):
+    """How many of the builds were of M's squarings."""
+    return sum(np.array_equal(A, M) for A in built)
 
 
 @pytest.fixture(scope="session")

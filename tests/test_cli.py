@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import leechsolve
-from leechsolve import cli, core, errors, linalg, riccati
+from leechsolve import cli, core, errors
 from leechsolve.cli import main
 from leechsolve.files import (
     coefficients_from_dict,
@@ -25,6 +25,8 @@ from tests.conftest import (
     circle_points,
     singular_riccati_data,
     square_numerator_data,
+    builds_of,
+    squaring_builds,
     unstable_data,
     with_unobservable_states,
 )
@@ -343,45 +345,29 @@ class TestStandingAssumptions:
                      ["oracle", str(path), "--truncation", "12"]):
             assert main(argv) == 0, argv
 
-    @pytest.mark.parametrize("argv", [["check"], ["oracle", "--truncation", "12"]],
-                             ids=["check", "oracle"])
-    def test_validates_once(self, argv, tmp_path, capsys, monkeypatch):
-        # the command's own report is the one solve uses
-        path = tmp_path / "p.json"
-        assert main(["generate", "--seed", "3", "--out", str(path)]) == 0
-        validate = core.validate
-        calls = []
-
-        def counting(data):
-            calls.append(data)
-            return validate(data)
-
-        for module in (cli, core):
-            monkeypatch.setattr(module, "validate", counting)
-        assert main([argv[0], str(path)] + argv[1:]) == 0
-        assert "verdict: FEASIBLE" in capsys.readouterr().out
-        assert len(calls) == 1
-
     def test_oracle_certificate_count(self, tmp_path, capsys, monkeypatch):
         # validate builds A's squaring sequence once; both truncations, both
-        # Gramians and both Riccati solves reuse it, and each closed loop A0
+        # Gramians and both Riccati solves read it, and each closed loop A0
         # is certified alone
         path = tmp_path / "p.json"
         assert main(["generate", "--seed", "3", "--out", str(path)]) == 0
         data, _ = read_problem(path)
-        build = linalg.schur_squarings
-        calls = []
-
-        def counting(M):
-            calls.append("A" if np.array_equal(M, data.A) else "other")
-            return build(M)
-
-        for module in (linalg, core, riccati):
-            monkeypatch.setattr(module, "schur_squarings", counting)
+        built = squaring_builds(monkeypatch)
         assert main(["oracle", str(path)]) == 0
         assert "verdict: FEASIBLE" in capsys.readouterr().out
-        assert calls.count("A") == 1
-        assert calls.count("other") == 2
+        assert builds_of(built, data.A) == 1
+        assert len(built) == 3
+
+    def test_check_certificate_count(self, tmp_path, capsys, monkeypatch):
+        # check's validate and solve's own one build A's sequence once
+        path = tmp_path / "p.json"
+        assert main(["generate", "--seed", "3", "--out", str(path)]) == 0
+        data, _ = read_problem(path)
+        built = squaring_builds(monkeypatch)
+        assert main(["check", str(path)]) == 0
+        assert "verdict: FEASIBLE" in capsys.readouterr().out
+        assert builds_of(built, data.A) == 1
+        assert len(built) == 3
 
 
 class TestGenerateAndErrors:
@@ -439,7 +425,9 @@ class TestUsage:
         ["check", "p.json", "--tol", "1e-9"],
         ["solve", "p.json", "--rank-tol", "1e-8"],
         ["oracle", "p.json", "--truncation", "abc"],
-    ], ids=["no-command", "no-file", "unknown-command", "tol", "rank-tol", "bad-truncation"])
+        ["generate", "--seed", "-1"],
+    ], ids=["no-command", "no-file", "unknown-command", "tol", "rank-tol", "bad-truncation",
+            "negative-seed"])
     def test_usage_error_exits_1(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leechsolve import core, linalg, riccati
-from leechsolve.coefficients import build_upsilon, central_solution
+from leechsolve import core, linalg
+from leechsolve.coefficients import build_upsilon, central_solution, solution_report
 from leechsolve.core import (
     DerivedMatrices,
     LeechData,
@@ -37,9 +37,11 @@ from leechsolve.realization import evaluate
 from leechsolve.riccati import is_observable, solve_stein, stabilizing_riccati
 from leechsolve.toeplitz import truncate
 from tests.conftest import (
+    builds_of,
     circle_points,
     interior_points,
     singular_riccati_data,
+    squaring_builds,
     with_unobservable_states,
 )
 
@@ -131,54 +133,62 @@ class TestGramiansAndPopov:
 
 
 class TestCertificate:
-    """validate's squarings of A sum both Gramians and stand in for the
-    stability test of both Riccati solves, and change no bit of either."""
-
-    def test_passed_certificate_changes_no_bit(self, battery):
-        for item in battery:
-            data, d = item.data, item.derived
-            squarings = validate(data).squarings
-            P1, P2 = gramians(data, squarings)
-            assert np.array_equal(P1, d.P1) and np.array_equal(P2, d.P2)
-            # the stacked pass matches one solve per Gramian, uncertified
-            for P, B in ((P1, data.B1), (P2, data.B2)):
-                assert np.array_equal(P, solve_stein(data.A, B @ B.conj().T))
-            assert all(np.array_equal(a, b) for a, b in zip((P1, P2), gramians(data)))
-            pop = popov_data(data, P1, P2)
-            for Gamma, R0, Q in ((pop.Gamma, pop.R0, d.Q), (pop.Gamma0, pop.R10, d.Q0)):
-                (mine,) = stabilizing_riccati(data.A, Gamma[None], R0[None], data.C, squarings)
-                (ref,) = stabilizing_riccati(data.A, Gamma[None], R0[None], data.C)
-                for field in ("Q", "Delta", "A0", "gain"):
-                    assert np.array_equal(getattr(mine, field), getattr(ref, field))
-                assert (mine.iterations, mine.residual) == (ref.iterations, ref.residual)
-                assert np.array_equal(mine.Q, Q)
+    """linalg keeps A's certificate, keyed on A's bits: the Gramians and the
+    Riccati solves read it, and no other matrix can."""
 
     def test_no_k_columns_give_a_zero_p2(self):
         data, _ = random_problem(50)
         empty = dataclasses.replace(data, B2=np.zeros((data.n, 0)), D2=np.zeros((data.m, 0)))
-        P1, P2 = gramians(empty, validate(empty).squarings)
+        P1, P2 = gramians(empty)
         assert np.array_equal(P2, np.zeros((data.n, data.n)))
         assert np.array_equal(P1, gramians(data)[0])
 
-    def test_another_matrix_certificate_certifies_nothing(self):
-        # a certificate stands in for the stability test only when it starts
-        # at the A it is passed with: an unstable A is still refused
+    def test_kept_certificate_is_keyed_on_the_bits_of_a(self, monkeypatch):
         data, _ = random_problem(50)
-        squarings = validate(data).squarings
-        rho = np.max(np.abs(np.linalg.eigvals(data.A)))
-        unstable = data.A * (1.2 / rho)
+        A = data.A.copy()
+        built = squaring_builds(monkeypatch)
+        kept = linalg.schur_squarings(A)
+        assert kept is not None and builds_of(built, A) == 1
+        assert linalg.schur_squarings(A.copy()) is kept
+        assert builds_of(built, A) == 1
+        # one entry moved by one ulp is another matrix: built afresh
+        ulp = A.copy()
+        ulp[0, 0] = complex(np.nextafter(ulp[0, 0].real, np.inf), ulp[0, 0].imag)
+        assert linalg.schur_squarings(ulp) is not kept
+        assert builds_of(built, ulp) == 1
+        # so is -0.0 for 0.0, though both have the same (empty) certificate
+        zero = np.zeros((3, 3))
+        assert linalg.schur_squarings(zero) == linalg.schur_squarings(-zero) == ()
+        assert len(built) == 4
+        # A changed in place is certified afresh
+        rho = np.max(np.abs(np.linalg.eigvals(A)))
+        moved = A.copy()
+        assert linalg.is_schur_stable(moved)
+        moved *= 1.3 / rho
+        assert not linalg.is_schur_stable(moved)
+        assert builds_of(built, moved) == 1 and len(built) == 6
+        # an unstable matrix of the same shape reads False, and every
+        # consumer refuses it right after A's certificate
+        unstable = A * (1.2 / rho)
+        assert validate(data).ok
+        assert not linalg.is_schur_stable(unstable)
         pop = popov_data(data, *gramians(data))
         with pytest.raises(StabilityError, match="^Riccati data requires a Schur stable A"):
-            stabilizing_riccati(unstable, pop.Gamma[None], pop.R0[None], data.C, squarings)
+            stabilizing_riccati(unstable, pop.Gamma[None], pop.R0[None], data.C)
+        validate(data)
         with pytest.raises(StabilityError, match="^truncation requires a stable function"):
-            truncate(dataclasses.replace(data, A=unstable).g(), 4, squarings)
-
-    def test_unstable_a_has_no_certificate(self):
-        data, _ = random_problem(50)
-        rho = np.max(np.abs(np.linalg.eigvals(data.A)))
-        report = validate(dataclasses.replace(data, A=data.A * (1.2 / rho)))
-        assert report.squarings is None
-        assert any(c.name == "stability" and not c.passed for c in report.checks)
+            truncate(dataclasses.replace(data, A=unstable).g(), 4)
+        validate(data)
+        with pytest.raises(StabilityError, match="^Stein equation requires a Schur stable A"):
+            solve_stein(unstable, np.eye(data.n))
+        validate(data)
+        with pytest.raises(ValidationError, match="stability: FAIL"):
+            solve(dataclasses.replace(data, A=unstable))
+        # the kept squarings cannot be written through
+        with pytest.raises(ValueError):
+            kept[0][0, 0] = 0.0
+        with pytest.raises(ValueError):
+            kept[-1][0, 0] = 0.0
 
 
 class TestSolve:
@@ -274,8 +284,8 @@ class TestSolve:
     def test_kernel_failure_names_the_kernel(self, monkeypatch):
         # the kernel equation fails at Q = 0 while the pair solves: the
         # failure keeps its class, and its message names the kernel
-        def kernel_fails(A, Gamma, R0, C, squarings):
-            return stabilizing_riccati(A, Gamma, np.stack([R0[0], -R0[1]]), C, squarings)
+        def kernel_fails(A, Gamma, R0, C):
+            return stabilizing_riccati(A, Gamma, np.stack([R0[0], -R0[1]]), C)
 
         monkeypatch.setattr(core, "stabilizing_riccati", kernel_fails)
         with pytest.raises(RiccatiError, match="^kernel Riccati equation: Schur complement lost "
@@ -455,20 +465,23 @@ class TestGapOwner:
 
     def test_certificate_count(self, monkeypatch):
         # validate builds A's squaring sequence once, and both Gramians and
-        # both Riccati solves reuse it; each closed loop A0 is certified alone
+        # both Riccati solves read it; each closed loop A0 is certified alone
         data, _ = read_problem(str(N32))
-        build = linalg.schur_squarings
-        calls = []
-
-        def counting(M):
-            calls.append("A" if np.array_equal(M, data.A) else "other")
-            return build(M)
-
-        for module in (linalg, core, riccati):
-            monkeypatch.setattr(module, "schur_squarings", counting)
+        built = squaring_builds(monkeypatch)
         solve(data)
-        assert calls.count("A") == 1
-        assert calls.count("other") == 2
+        assert builds_of(built, data.A) == 1
+        assert len(built) == 3
+
+    def test_solution_certificate_count(self, monkeypatch):
+        # apply_lft certifies X's state matrix, and solution_report's norm
+        # estimate reads that certificate
+        data, _ = read_problem(str(N32))
+        built = squaring_builds(monkeypatch)
+        d = solve(data)
+        coeffs = build_upsilon(d)
+        X = central_solution(coeffs)
+        solution_report(d, coeffs, X)
+        assert builds_of(built, X.A) == 1
 
     def test_gaps_and_margins_match_their_definitions(self, battery):
         for item in battery:

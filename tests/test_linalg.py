@@ -199,11 +199,11 @@ class TestSteinDoubling:
             assert np.array_equal(Anext, Ak @ Ak)
         B = random_complex(rng, 4, 2)
         W = np.stack([np.eye(4), B @ B.conj().T])
-        P = stein_doubling(A, W, squarings)
+        P = stein_doubling(A, W)
         for Pi, Wi in zip(P, W):
             assert np.array_equal(Pi, stein_doubling(A, Wi))
         assert schur_squarings(np.diag([1.2, 0.1])) is None
-        assert schur_squarings(np.zeros((3, 3))) == []
+        assert schur_squarings(np.zeros((3, 3))) == ()
 
 
 class TestRootsAndNorms:
