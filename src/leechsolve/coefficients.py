@@ -88,10 +88,8 @@ def build_upsilon(derived):
             [np.zeros((q, k), dtype=complex), derived.Delta0],
         ]),
     )
-    top, bottom, left, right = slice(None, p), slice(p, None), slice(None, k), slice(k, None)
     return CoefficientSet(derived.Theta0, derived.Delta0, derived.Delta1,
-                          _block(joint, top, left), _block(joint, top, right),
-                          _block(joint, bottom, left), _block(joint, bottom, right), joint)
+                          *_quadrants(joint, p, k), joint)
 
 
 def j_inner_defect(coeffs):
@@ -137,6 +135,13 @@ class RedhefferSet:
 def _block(F, rows, cols):
     """The sub-function F[rows, cols] on F's own state."""
     return Realization(F.A, F.B[:, cols], F.C[rows], F.D[rows, cols])
+
+
+def _quadrants(F, r, c):
+    """F's blocks top left, top right, bottom left and bottom right, split
+    after its first r outputs and c inputs, on F's own state."""
+    return tuple(_block(F, rows, cols) for rows in (slice(None, r), slice(r, None))
+                 for cols in (slice(None, c), slice(c, None)))
 
 
 def _partial_inverse(F, m, what):
@@ -196,10 +201,8 @@ def build_redheffer(coeffs):
     be stable (U22 outer).
     """
     joint = _partial_inverse(coeffs.joint, coeffs.q, "U22")
-    p, k = coeffs.p, coeffs.free_dim
-    top, bottom, left, right = slice(None, p), slice(p, None), slice(None, k), slice(k, None)
-    return RedhefferSet(_block(joint, bottom, left), _block(joint, bottom, right),
-                        _block(joint, top, left), _block(joint, top, right), joint)
+    phi21, phi22, phi11, phi12 = _quadrants(joint, coeffs.p, coeffs.free_dim)
+    return RedhefferSet(phi11, phi12, phi21, phi22, joint)
 
 
 def check_parameter(coeffs, Y):

@@ -28,13 +28,12 @@ from .errors import (
 )
 from .linalg import (
     as_cmatrix,
+    eigh_root,
     herm,
-    hermitian_posdef_check,
     minimal_rank_factor,
     is_schur_stable,
     singular_extremes,
     solve_hermitian,
-    sqrtm_posdef,
     DEFAULT_TOL,
     INVERT_RATIO,
     RANK_RATIO,
@@ -264,10 +263,14 @@ def _inverse(Q, name, margin):
     return np.linalg.inv(Q)
 
 
-def _omega(P1, P2, Q):
-    """Omega = (P1 - P2) gap^{-1} Q^{-1} = (I + (P2 - P1) Q)^{-1} (P1 - P2), Hermitian."""
+def _pair_gap_solve(P1, P2, Q, X):
+    """Omega = (P1 - P2) gap^{-1} Q^{-1} = (I + (P2 - P1) Q)^{-1} (P1 - P2),
+    Hermitian, and (I + (P2 - P1) Q)^{-1} X, from one solve with the pair gap
+    matrix I + (P2 - P1) Q against [P1 - P2, X]."""
     dP = P1 - P2
-    return herm(np.linalg.solve(np.eye(len(Q), dtype=complex) - dP @ Q, dP))
+    Y = np.linalg.solve(np.eye(len(Q), dtype=complex) - dP @ Q, np.hstack([dP, X]))
+    # a copy, so that a kept X-part does not keep all of Y alive
+    return herm(Y[:, :len(Q)]), Y[:, len(Q):].copy()
 
 
 @dataclass
@@ -285,8 +288,9 @@ class DerivedMatrices:
         F1 = Q^{-1} gap^{-1} B1 Theta0                        n x (p - m)
 
     E0 stacks U12(0) Delta0 over Delta0^2 - I, and E1 = Delta1^2 - I.  solve()
-    forms them by solves against I + (P2 - P1) Q and I - P1 Q0: only the gap
-    and gap0 properties invert Q or Q0, for inspection.
+    forms them by solves against I + (P2 - P1) Q (one solve gives Omega and
+    F1) and I - P1 Q0: only the gap and gap0 properties invert Q or Q0, for
+    inspection.
     """
 
     data: LeechData
@@ -329,7 +333,8 @@ class DerivedMatrices:
 
     @property
     def Omega(self):
-        return _omega(self.P1, self.P2, self.Q)
+        """The Omega solve() formed, bit for bit: the same solve, against [P1 - P2, F1]."""
+        return _pair_gap_solve(self.P1, self.P2, self.Q, self.F1)[0]
 
 
 def delta_matrices(derived):
@@ -343,22 +348,24 @@ def delta_matrices(derived):
     sides must be positive definite, and no eigenvalue of Delta1^2 - I lies
     below -DEFAULT_TOL max(1, ||Delta1^2||); a failure is a
     numerical breakdown (DefinitenessError), since solve() has already
-    established suboptimality.
+    established suboptimality.  One eigendecomposition per normalization
+    decides these and gives its square root.
     """
     p, q, k = derived.data.p, derived.data.q, derived.data.p - derived.data.m
-    d0sq = herm(np.eye(q, dtype=complex) + derived.E0[p:])
     d1sq = herm(np.eye(k, dtype=complex) + derived.E1)
-    if not hermitian_posdef_check(d0sq):
-        raise DefinitenessError("Delta0^2 is not positive definite (numerical breakdown)")
-    if not hermitian_posdef_check(d1sq):
-        raise DefinitenessError("Delta1^2 is not positive definite (numerical breakdown)")
-    excess = d1sq - np.eye(k, dtype=complex)
-    if excess.size:
-        wmin = float(np.linalg.eigvalsh(herm(excess))[0])
+    roots = []
+    for name, sq in (("Delta0^2", herm(np.eye(q, dtype=complex) + derived.E0[p:])),
+                     ("Delta1^2", d1sq)):
+        w, V = np.linalg.eigh(as_cmatrix(sq, "M"))
+        if w.size and not w[0] > 0.0:
+            raise DefinitenessError(f"{name} is not positive definite (numerical breakdown)")
+        roots.append(eigh_root(w, V))
+    if k:
+        wmin = float(w[0]) - 1.0  # w is Delta1^2's, so this is Delta1^2 - I's
         if wmin < -DEFAULT_TOL * max(1.0, float(np.linalg.norm(d1sq))):
             raise DefinitenessError(
                 f"Delta1^2 - I has negative eigenvalue {wmin:.3e}; breakdown")
-    return sqrtm_posdef(d0sq), sqrtm_posdef(d1sq)
+    return tuple(roots)
 
 
 def solve(data):
@@ -368,12 +375,14 @@ def solve(data):
     for the pair and for the kernel (one stacked stabilizing_riccati call, one
     doubling loop), the positivity gaps, and from these the
     matrices (C0, C1, C2, B0, Theta0, Delta0, Delta1) and the thin products
-    the coefficients are assembled from.  A is certified once, by validate:
-    linalg keeps that certificate, keyed on A's bits, and both Gramians and
-    both Riccati solves read it; each closed loop A0 is certified on its
-    own.  The gaps Q^-1 + P2 - P1 and Q0^-1 - P1 are decided as
-    I + Q^1/2 (P2 - P1) Q^1/2 > 0 and I - Q0^1/2 P1 Q0^1/2 > 0, so no
-    Riccati solution is inverted.  Raises ValidationError for malformed data
+    the coefficients are assembled from.  Theta0 comes before the pair
+    products: the pair gap matrix I + (P2 - P1) Q is solved once, against
+    [P1 - P2, B1 Theta0], for both Omega and F1.  A is certified once, by
+    validate: linalg keeps that certificate, keyed on A's bits, and both
+    Gramians and both Riccati solves read it; each closed loop A0 is
+    certified on its own.  The gaps Q^-1 + P2 - P1 and Q0^-1 - P1 are
+    decided as I + Q^1/2 (P2 - P1) Q^1/2 > 0 and I - Q0^1/2 P1 Q0^1/2 > 0,
+    so no Riccati solution is inverted.  Raises ValidationError for malformed data
     (a validation report that is not ok).  An InfeasibleError is the
     verdict that the data is not strictly suboptimal: a RiccatiError when
     either Riccati equation has no stabilizing solution, or a pair gap whose
@@ -414,23 +423,23 @@ def solve(data):
             f"kernel positivity gap I - Q0^1/2 P1 Q0^1/2 has min eigenvalue {gap0_min:.6e}; "
             "numerical breakdown")
 
-    C0 = ric.gain
-    C1 = D1.conj().T @ C0 + B1.conj().T @ Q @ A0
-    C2 = D2.conj().T @ C0 + B2.conj().T @ Q @ A0
-    OmegaC2 = _omega(P1, P2, Q) @ C2.conj().T
-    B = np.hstack([B1, B2])
-    DQB = np.hstack([D1, D2]) - pop.Gamma.conj().T @ Q @ B
-    DQB2 = solve_hermitian(Delta, DQB[:, data.p:], "B0")
-    B0 = B2 - pop.Gamma @ DQB2 + A0 @ OmegaC2
-    E0 = DQB.conj().T @ DQB2 + B.conj().T @ Q @ B2 + np.vstack([C1, C2]) @ OmegaC2
-
     M = _kernel_defect(data, P1, pop.Gamma0, Q0, ric0.Delta, ric0.gain, ric0.A0)
     Theta0 = theta0(M, data.p - data.m)
     w = np.linalg.eigvalsh(M)  # the gap at the rank cut
     # F1 = (gap Q)^{-1} X, so gap^{-1} X = Q F1, and likewise gap0^{-1} X
     X = B1 @ Theta0
-    F1 = np.linalg.solve(np.eye(data.n) + (P2 - P1) @ Q, X)
+    Omega, F1 = _pair_gap_solve(P1, P2, Q, X)
     E1 = X.conj().T @ (Q @ F1 - Q0 @ np.linalg.solve(np.eye(data.n) - P1 @ Q0, X))
+
+    C0 = ric.gain
+    C1 = D1.conj().T @ C0 + B1.conj().T @ Q @ A0
+    C2 = D2.conj().T @ C0 + B2.conj().T @ Q @ A0
+    OmegaC2 = Omega @ C2.conj().T
+    B = np.hstack([B1, B2])
+    DQB = np.hstack([D1, D2]) - pop.Gamma.conj().T @ Q @ B
+    DQB2 = solve_hermitian(Delta, DQB[:, data.p:], "B0")
+    B0 = B2 - pop.Gamma @ DQB2 + A0 @ OmegaC2
+    E0 = DQB.conj().T @ DQB2 + B.conj().T @ Q @ B2 + np.vstack([C1, C2]) @ OmegaC2
 
     derived = DerivedMatrices(
         data=data, P1=P1, P2=P2, R0=pop.R0, Gamma=pop.Gamma, Q=Q, Delta=Delta,

@@ -18,8 +18,13 @@ FORMAT_VERSION = 1
 
 
 def encode_matrix(M):
-    A = np.asarray(M, dtype=complex)
-    return [[[float(entry.real), float(entry.imag)] for entry in row] for row in A]
+    # each complex entry viewed as its [re, im] pair of floats
+    return np.asarray(M, dtype=complex)[..., None].view(float).tolist()
+
+
+def _is(val, kind):
+    """isinstance(val, kind), with a bool never a number."""
+    return isinstance(val, kind) and not isinstance(val, bool)
 
 
 def decode_matrix(obj, rows, cols, where):
@@ -34,12 +39,15 @@ def decode_matrix(obj, rows, cols, where):
         if len(row) != cols:
             raise FileFormatError(f"{where}, row {i}: expected {cols} entries, got {len(row)}")
         for j, entry in enumerate(row):
-            if (not isinstance(entry, list) or len(entry) != 2
-                    or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                               for v in entry)):
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and all(_is(v, (int, float)) for v in entry)):
                 raise FileFormatError(
                     f"{where}, row {i}, column {j}: expected an [re, im] pair")
-            out[i, j] = complex(entry[0], entry[1])
+            try:
+                out[i, j] = complex(entry[0], entry[1])
+            except OverflowError as exc:  # an integer beyond the float range
+                raise FileFormatError(
+                    f"{where}, row {i}, column {j}: entry out of the float range") from exc
     return out
 
 
@@ -47,7 +55,7 @@ def _require(obj, key, where, kind=None):
     if key not in obj:
         raise FileFormatError(f"{where}: missing field '{key}'")
     val = obj[key]
-    if kind is not None and not isinstance(val, kind):
+    if kind is not None and not _is(val, kind):
         raise FileFormatError(
             f"{where}: field '{key}' must be {kind.__name__}, got {type(val).__name__}")
     return val
@@ -55,7 +63,7 @@ def _require(obj, key, where, kind=None):
 
 def _dim(obj, key, where):
     val = _require(obj, key, where)
-    if not isinstance(val, int) or isinstance(val, bool) or val < 0:
+    if not _is(val, int) or val < 0:
         raise FileFormatError(f"{where}: dimension '{key}' must be a nonnegative integer")
     return val
 
@@ -103,7 +111,7 @@ def problem_from_dict(doc, where="problem"):
         raise FileFormatError(f"{where}: unknown options {unknown}; "
                               "'truncation' is the only per-file option")
     trunc = options.get("truncation", 1)
-    if not isinstance(trunc, int) or isinstance(trunc, bool) or trunc < 1:
+    if not _is(trunc, int) or trunc < 1:
         raise FileFormatError(f"{where}: options.truncation must be a positive integer")
     return data, options
 
@@ -187,12 +195,16 @@ def coefficients_from_dict(doc, where="coefficients"):
 
 
 def load(path):
+    """The JSON value in the file at path.  Malformed JSON, bytes that are not
+    UTF-8, an overlong integer or nesting past the recursion limit: FileFormatError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: invalid JSON at line {exc.lineno}, "
                               f"column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise FileFormatError(f"{path}: not readable as UTF-8 JSON: {exc}") from exc
 
 
 def _scalar_default(obj):
@@ -212,11 +224,16 @@ def dump(doc, path=None):
     return None
 
 
-def read_problem(path):
+def _read(path, from_dict):
+    """from_dict of the JSON object in the file at path."""
     doc = load(path)
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top-level value must be an object")
-    return problem_from_dict(doc, where=str(path))
+    return from_dict(doc, where=str(path))
+
+
+def read_problem(path):
+    return _read(path, problem_from_dict)
 
 
 def write_problem(data, path, options=None, provenance=None):
@@ -224,10 +241,7 @@ def write_problem(data, path, options=None, provenance=None):
 
 
 def read_realization(path):
-    doc = load(path)
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"{path}: top-level value must be an object")
-    return realization_from_dict(doc, where=str(path))
+    return _read(path, realization_from_dict)
 
 
 def write_realization(F, path):
@@ -235,10 +249,7 @@ def write_realization(F, path):
 
 
 def read_solution(path):
-    doc = load(path)
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"{path}: top-level value must be an object")
-    return solution_from_dict(doc, where=str(path))
+    return _read(path, solution_from_dict)
 
 
 def write_solution(X, verification, path):

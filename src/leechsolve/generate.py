@@ -11,8 +11,8 @@ import numpy as np
 
 from .core import LeechData, solve, validate
 from .errors import LeechError
-from .linalg import spectral_norm
-from .realization import Realization, constant, hinf_norm_estimate
+from .linalg import herm, spectral_norm
+from .realization import Realization, constant, hinf_norm_estimate, observability_blocks
 from .toeplitz import lower_block_toeplitz, toeplitz_gram
 
 EST_ORDER = 100  # truncation order of the Gram margin estimate
@@ -130,9 +130,7 @@ def _draw_once(rng, kind, dims):
     # C A^k for k < EST_ORDER - 1, once per draw: Taylor block k + 1 of G and
     # of K is C A^k times B1 or B2.  No stability test: A is stable by
     # construction, and validate certifies it below
-    powers = [C]
-    for _ in range(EST_ORDER - 2):
-        powers.append(powers[-1] @ A)
+    powers = observability_blocks(C, A, EST_ORDER - 1)
 
     def first_column(d, b):
         """First block column of the truncated Toeplitz matrix of d + z C (I - zA)^-1 b."""
@@ -174,7 +172,7 @@ def _draw_once(rng, kind, dims):
         TkEq = first_column(D2r, B2r)
         Tk = lower_block_toeplitz(TkEq, m)
         M = Tk.conj().T @ np.linalg.solve(gram, Tk)
-        lam_max = float(np.linalg.eigvalsh(0.5 * (M + M.conj().T))[-1])
+        lam_max = float(np.linalg.eigvalsh(herm(M))[-1])
         target = 0.55 if kind == "feasible" else 1.4
         scale = target / np.sqrt(lam_max)
         B2 = scale * B2r

@@ -21,8 +21,9 @@ log = logging.getLogger("leechsolve.linalg")
 # the fixed margin of the Stein certificate and the Hermitian test below, and
 # of the solver's positivity and parameter-norm gates
 DEFAULT_TOL = 1e-9
-# full column rank: sigma_min > RANK_RATIO sigma_max (validate's kernel
-# condition; is_observable's test gates nothing)
+# full column rank: sigma_min > RANK_RATIO sigma_max.  It gates validate's
+# kernel condition only; riccati.is_observable, the other reader, gates
+# nothing and has no caller in the solver
 RANK_RATIO = 1e-10
 # invertible at the origin: sigma_min(D) > INVERT_RATIO max(1, sigma_max(D))
 INVERT_RATIO = 1e-12
@@ -50,16 +51,22 @@ def herm(M):
     return 0.5 * (M + M.conj().swapaxes(-1, -2))
 
 
+def _square(M, what, name="M"):
+    """as_cmatrix(M, name), checked square for `what`, the operation that needs it."""
+    A = as_cmatrix(M, name)
+    rows, cols = A.shape
+    if rows != cols:
+        raise DimensionError(f"{what} needs a square matrix, got {rows}x{cols}")
+    return A
+
+
 def hermitian_posdef_check(M):
     """True iff M is Hermitian within DEFAULT_TOL and its smallest eigenvalue is positive.
 
     The empty 0x0 matrix counts as positive definite.
     """
-    A = as_cmatrix(M, "M")
-    rows, cols = A.shape
-    if rows != cols:
-        raise DimensionError(f"definiteness test needs a square matrix, got {rows}x{cols}")
-    if rows == 0:
+    A = _square(M, "definiteness test")
+    if len(A) == 0:
         return True
     scale = max(1.0, float(np.linalg.norm(A)))
     if np.linalg.norm(A - A.conj().T) > DEFAULT_TOL * scale:
@@ -75,11 +82,8 @@ def minimal_rank_factor(M, cut):
     are ordered by decreasing eigenvalue.  The zero matrix yields an n x 0
     factor.
     """
-    A = as_cmatrix(M, "M")
-    rows, cols = A.shape
-    if rows != cols:
-        raise DimensionError(f"rank factorization needs a square matrix, got {rows}x{cols}")
-    if rows == 0:
+    A = _square(M, "rank factorization")
+    if len(A) == 0:
         return np.zeros((0, 0), dtype=complex)
     w, V = np.linalg.eigh(herm(A))
     if np.any(w < -cut):
@@ -110,8 +114,7 @@ def spectral_norm(M):
         return 0.0 if A.ndim == 2 else np.zeros(A.shape[:-2])
     AH = A.conj().swapaxes(-1, -2)
     G = A @ AH if A.shape[-2] <= A.shape[-1] else AH @ A
-    G = 0.5 * (G + G.conj().swapaxes(-1, -2))
-    top = np.sqrt(np.maximum(np.linalg.eigvalsh(G)[..., -1], 0.0))
+    top = np.sqrt(np.maximum(np.linalg.eigvalsh(herm(G))[..., -1], 0.0))
     return float(top) if A.ndim == 2 else top
 
 
@@ -195,26 +198,22 @@ def stein_doubling(A, W):
 def is_schur_stable(A):
     """True iff A's squarings certify its spectral radius below 1 - DEFAULT_TOL
     (schur_squarings); a radius too close to that reads False."""
-    M = as_cmatrix(A, "A")
-    n, ncols = M.shape
-    if n != ncols:
-        raise DimensionError(f"stability test needs a square matrix, got {n}x{ncols}")
-    return schur_squarings(M) is not None
+    return schur_squarings(_square(A, "stability test", "A")) is not None
 
 
 def sqrtm_posdef(M):
     """Hermitian square root of a positive definite matrix (eigendecomposition)."""
-    A = as_cmatrix(M, "M")
-    rows, cols = A.shape
-    if rows != cols:
-        raise DimensionError(f"matrix square root needs a square matrix, got {rows}x{cols}")
-    if rows == 0:
-        return np.zeros((0, 0), dtype=complex)
-    w, V = np.linalg.eigh(herm(A))
-    if w[0] <= 0.0:
+    w, V = np.linalg.eigh(herm(_square(M, "matrix square root")))
+    if w.size and w[0] <= 0.0:
         raise DefinitenessError(
             f"matrix square root requires positive definiteness: min eigenvalue {w[0]:.3e}"
         )
+    return eigh_root(w, V)
+
+
+def eigh_root(w, V):
+    """V diag(w)^1/2 V*: the Hermitian square root of the matrix with the
+    eigendecomposition (w, V), every eigenvalue in w positive."""
     return (V * np.sqrt(w)) @ V.conj().T
 
 

@@ -3,6 +3,7 @@
 A realization stores F(z) = D + z C (I - z A)^{-1} B.  The Taylor
 coefficients at the origin are F_0 = D and F_j = C A^{j-1} B for j >= 1, so
 Schur stability of A is exactly analyticity of F on a disc of radius > 1.
+observability_blocks is the package's one C A^k recurrence.
 Sums, products and concatenations are formed by composing state spaces:
 their state dimension is the sum of their operands', and no minimization is
 attempted.  An inverse keeps its operand's state.  Chains of these grow the
@@ -104,16 +105,31 @@ def evaluate(F, z):
     return values if zs.ndim else values[0]
 
 
+def observability_blocks(C, A, count):
+    """The first `count` blocks [C, C A, ..., C A^(count-1)]: the one C A^k
+    recurrence, read by the Taylor coefficients, the observability matrix
+    and the generator's truncations."""
+    blocks = [C] if count > 0 else []
+    for _ in range(count - 1):
+        blocks.append(blocks[-1] @ A)
+    return blocks
+
+
+def observability_matrix(C, A, N):
+    """Stack the first N blocks [C; CA; ...; C A^{N-1}]."""
+    blocks = observability_blocks(C, A, N)
+    return np.vstack(blocks) if blocks else np.zeros((0, A.shape[0]), dtype=complex)
+
+
 def taylor_blocks(F, count):
     """First `count` Taylor coefficients [F_0, F_1, ...] of F at the origin."""
-    blocks = [F.D.copy()]
-    if count <= 1:
-        return blocks[:count]
-    CAk = F.C.copy()
-    for _ in range(count - 1):
-        blocks.append(CAk @ F.B)
-        CAk = CAk @ F.A
-    return blocks
+    return [F.D.copy()][:count] + [CAk @ F.B for CAk in observability_blocks(F.C, F.A, count - 1)]
+
+
+def _block_diag(X, Y):
+    """The block-diagonal matrix diag(X, Y), of the composed state spaces below."""
+    return np.block([[X, np.zeros((X.shape[0], Y.shape[1]), dtype=complex)],
+                     [np.zeros((Y.shape[0], X.shape[1]), dtype=complex), Y]])
 
 
 def product(F, G):
@@ -137,11 +153,7 @@ def add(F, G):
     if (F.out_dim, F.in_dim) != (G.out_dim, G.in_dim):
         raise DimensionError(
             f"sum needs matching shapes: {F.out_dim}x{F.in_dim} vs {G.out_dim}x{G.in_dim}")
-    nf, ng = F.state_dim, G.state_dim
-    A = np.block([
-        [F.A, np.zeros((nf, ng), dtype=complex)],
-        [np.zeros((ng, nf), dtype=complex), G.A],
-    ])
+    A = _block_diag(F.A, G.A)
     B = np.vstack([F.B, G.B])
     C = np.hstack([F.C, G.C])
     D = F.D + G.D
@@ -153,15 +165,8 @@ def hconcat(F, G):
     if F.out_dim != G.out_dim:
         raise DimensionError(
             f"hconcat needs matching output dimensions: {F.out_dim} vs {G.out_dim}")
-    nf, ng = F.state_dim, G.state_dim
-    A = np.block([
-        [F.A, np.zeros((nf, ng), dtype=complex)],
-        [np.zeros((ng, nf), dtype=complex), G.A],
-    ])
-    B = np.block([
-        [F.B, np.zeros((nf, G.in_dim), dtype=complex)],
-        [np.zeros((ng, F.in_dim), dtype=complex), G.B],
-    ])
+    A = _block_diag(F.A, G.A)
+    B = _block_diag(F.B, G.B)
     C = np.hstack([F.C, G.C])
     D = np.hstack([F.D, G.D])
     return Realization(A, B, C, D)
@@ -172,16 +177,9 @@ def vconcat(F, G):
     if F.in_dim != G.in_dim:
         raise DimensionError(
             f"vconcat needs matching input dimensions: {F.in_dim} vs {G.in_dim}")
-    nf, ng = F.state_dim, G.state_dim
-    A = np.block([
-        [F.A, np.zeros((nf, ng), dtype=complex)],
-        [np.zeros((ng, nf), dtype=complex), G.A],
-    ])
+    A = _block_diag(F.A, G.A)
     B = np.vstack([F.B, G.B])
-    C = np.block([
-        [F.C, np.zeros((F.out_dim, ng), dtype=complex)],
-        [np.zeros((G.out_dim, nf), dtype=complex), G.C],
-    ])
+    C = _block_diag(F.C, G.C)
     D = np.vstack([F.D, G.D])
     return Realization(A, B, C, D)
 

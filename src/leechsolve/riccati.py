@@ -21,11 +21,12 @@ indefinite Schur complement, or one that falls, proves that none exists.
 Equations on the same A and C are solved as a stack: stabilizing_riccati
 takes Gamma and R0 stacked, and one doubling loop makes every solve, product
 and eigensolve for all of them at once.  An equation that converges or fails
-keeps what that doubling gave it and stays in the stack with its iterates
-zeroed, so its NaN or inf reaches no other product or eigensolve.  A stack
-fails as solving its equations one after the other would: with the first
-failure in stack order (core.solve stacks the pair before the kernel).  One
-equation is a stack of one.
+keeps what that doubling gave it and stays in the stack.  A settled equation
+is zeroed in one place, the finiteness step of each doubling, before any
+eigensolve reads the doubling, so its NaN or inf reaches no other product or
+eigensolve.  A stack fails as solving its equations one after the other
+would: with the first failure in stack order (core.solve stacks the pair
+before the kernel).  One equation is a stack of one.
 """
 
 import logging
@@ -51,6 +52,7 @@ from .linalg import (
     solve_hermitian,
     stein_doubling,
 )
+from .realization import observability_matrix
 
 log = logging.getLogger("leechsolve.riccati")
 
@@ -101,18 +103,6 @@ def solve_stein(A, W):
         if residual > 1e-11 * (1.0 + scale + float(np.linalg.norm(Pi))):
             raise BreakdownError(f"Stein solve residual {residual:.3e} exceeds tolerance")
     return P
-
-
-def observability_matrix(C, A, N):
-    """Stack the first N blocks [C; CA; ...; C A^{N-1}]."""
-    blocks = []
-    Ck = C.copy()
-    for _ in range(N):
-        blocks.append(Ck)
-        Ck = Ck @ A
-    if not blocks:
-        return np.zeros((0, A.shape[0]), dtype=complex)
-    return np.vstack(blocks)
 
 
 def is_observable(C, A):
@@ -215,8 +205,9 @@ def stabilizing_riccati(A, Gamma, R0, C):
     Gamma (k, n, m) and R0 (k, m, m) stack k equations on the same A and C,
     solved in one doubling loop to a RiccatiSolutions tuple in stack order;
     each equation gets every field and every failure bit for bit as a stack
-    of one.  An equation that converges or fails rides along with its
-    iterates zeroed, so its NaN or inf reaches no later product or
+    of one.  An equation that converges or fails rides along; the
+    finiteness step of the doubling that settles it, or else of the next
+    one, zeroes its iterates, so its NaN or inf reaches no later product or
     eigensolve.  A failure of a stack is the first in stack order: the one
     that solving the equations one after the other would raise.  It carries
     `equation`, its index in the stack.
@@ -271,7 +262,7 @@ def stabilizing_riccati(A, Gamma, R0, C):
 
     def finite(k, *stacks):
         """Fail the equations with a non-finite iterate, then zero every
-        settled equation's slices of `stacks`."""
+        settled equation's slices of `stacks`: the one place that zeroes."""
         ok = np.logical_and.reduce([np.isfinite(M).all(axis=(-2, -1)) for M in stacks])
         fail(~ok, lambda j: BreakdownError(f"Riccati doubling {k} produced a non-finite iterate"))
         if not alive.all():
@@ -307,8 +298,6 @@ def stabilizing_riccati(A, Gamma, R0, C):
         _raise_first(out)
         if not alive.any():
             break
-        if not alive.all():  # a settled equation rides along as zeros
-            Ak, Gk, Q, GQG = (np.where(alive[:, None, None], M, 0.0) for M in (Ak, Gk, Q, GQG))
         fail(~(schur > 0.0), lambda j: RiccatiError(
             "Schur complement lost positive definiteness at "
             f"fixed-point iterate 2^{k - 1}" + infeasible))

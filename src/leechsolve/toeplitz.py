@@ -37,8 +37,12 @@ import numpy as np
 
 from .errors import DimensionError, InfeasibleError, StabilityError
 from .linalg import herm, sqrtm_posdef
-from .realization import is_schur_stable, taylor_blocks
-from .riccati import observability_matrix
+from .realization import (
+    is_schur_stable,
+    observability_blocks,
+    observability_matrix,
+    taylor_blocks,
+)
 
 
 def lower_block_toeplitz(column, r):
@@ -436,20 +440,6 @@ def delta1_appendix_defect(ctx, theta):
 # on leading blocks only, as documented per function.
 # ---------------------------------------------------------------------------
 
-def _shift_cols_left(M, r):
-    Y = np.zeros_like(M)
-    if M.shape[1] > r:
-        Y[:, :-r] = M[:, r:]
-    return Y
-
-
-def _shift_cols_right(M, r):
-    Y = np.zeros_like(M)
-    if M.shape[1] > r:
-        Y[:, r:] = M[:, :-r]
-    return Y
-
-
 def _rel(defect, scale):
     return float(defect) / max(1.0, float(scale))
 
@@ -488,7 +478,7 @@ def identity_resolvent_shift(ctx, z):
     differs only in the last block column, so compare the leading N-1."""
     Nm = ctx.N * ctx.m
     row = resolvent_up(np.eye(Nm, dtype=complex), z, ctx.m)[:ctx.m]
-    lhs = _shift_cols_left(row, ctx.m)
+    lhs = shift_up(row.T, ctx.m).T  # row S_m: the columns shifted one block left
     rhs = z * row
     lead = (ctx.N - 1) * ctx.m
     return _rel(np.linalg.norm(lhs[:, :lead] - rhs[:, :lead]),
@@ -532,7 +522,9 @@ def identity_theta_resolvent(ctx, theta, z):
     lhs = theta.sample(z) @ (theta.Nop.conj().T @ ctx.gram_inv)
     T1 = resolvent_up(ctx.Tg.conj().T, z, ctx.p)[:ctx.p]
     T2 = T1 @ ctx.gram_inv
-    T3 = _shift_cols_left(T2 - z * _shift_cols_right(T2, ctx.m), ctx.m)
+    # T2 (I - z S_m*) S_m: on the right, S_m* shifts the columns one block
+    # right and S_m one block left
+    T3 = shift_up((T2 - z * shift_down(T2.T, ctx.m).T).T, ctx.m).T
     half = (ctx.N // 2) * ctx.m
     return _rel(np.linalg.norm(lhs[:, :half] - T3[:, :half]),
                 np.linalg.norm(lhs[:, :half]))
@@ -542,10 +534,7 @@ def toeplitz_r(data, R0, Gamma, N):
     """Truncated selfadjoint Toeplitz matrix of R = G G* - K K*: block diagonal
     R0, lower blocks C A^{j-1} Gamma, upper blocks their adjoints."""
     blocks = [np.asarray(R0, dtype=complex)]
-    Ck = data.C.copy()
-    for _ in range(N - 1):
-        blocks.append(Ck @ Gamma)
-        Ck = Ck @ data.A
+    blocks += [CAk @ Gamma for CAk in observability_blocks(data.C, data.A, N - 1)]
     T = lower_block_toeplitz(np.concatenate(blocks), data.m)
     D = np.kron(np.eye(N), herm(np.asarray(R0, dtype=complex)))
     return T + T.conj().T - D

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import leechsolve
-from leechsolve import cli, core, errors
+from leechsolve import cli, core, errors, files
 from leechsolve.cli import main
 from leechsolve.files import (
     coefficients_from_dict,
@@ -520,3 +520,22 @@ class TestProcessLevel:
             env={"PATH": "/usr/bin:/bin", "PYTHONPATH": PACKAGE_PARENT})
         assert proc.returncode == 0
         assert "positivity gaps" not in proc.stderr
+
+    def test_malformed_files_are_input_errors(self, tmp_path):
+        # bytes that are not UTF-8, arrays nested past the recursion limit and
+        # an integer entry beyond the float range each end in an `error:` line
+        doc = files.problem_to_dict(random_problem(126)[0])
+        doc["A"][0][0] = [1, 10 ** 400]
+        contents = {"latin1.json": '{"type": "café"}'.encode("latin-1"),
+                    "deep.json": b"[" * 100_000 + b"]" * 100_000,
+                    "huge.json": files.dump(doc).encode()}
+        for name, content in contents.items():
+            path = tmp_path / name
+            path.write_bytes(content)
+            proc = subprocess.run(
+                [sys.executable, "-m", "leechsolve.cli", "check", str(path)],
+                capture_output=True, text=True,
+                env={"PATH": "/usr/bin:/bin", "PYTHONPATH": PACKAGE_PARENT})
+            assert proc.returncode == 1, (name, proc.stderr)
+            assert proc.stderr.startswith(f"error: {path}"), (name, proc.stderr)
+            assert "Traceback" not in proc.stderr, name

@@ -428,6 +428,24 @@ class TestDeltaMatrices:
             if excess.size:
                 assert float(np.linalg.eigvalsh(excess)[0]) >= -1e-9
 
+    def test_one_eigendecomposition_per_normalization(self, battery, monkeypatch):
+        # each normalization's definiteness test, Delta1^2 - I's bound and its
+        # root read one eigh: two eigendecompositions where there were five
+        d = battery[2].derived
+        assert d.data.p > d.data.m and d.data.q > 0
+        calls = []
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            real = getattr(np.linalg, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        Delta0, Delta1 = delta_matrices(d)
+        assert calls == ["eigh", "eigh"]
+        assert np.array_equal(Delta0, d.Delta0) and np.array_equal(Delta1, d.Delta1)
+
     def test_indefinite_normalization_is_a_breakdown(self, battery):
         # solve has already found the data suboptimal, so an indefinite
         # Delta0^2 = I + E0[p:] is a numerical breakdown, not a verdict
@@ -462,6 +480,25 @@ class TestGapOwner:
         # the gaps, Omega, Omega0 and F1 are solves, never inverses
         assert calls.count("solve") == 0
         assert calls.count("build_upsilon") == 0
+
+    def test_pair_gap_matrix_is_solved_once(self, monkeypatch):
+        # one solve with I + (P2 - P1) Q gives both Omega and F1
+        data, _ = read_problem(str(N32))
+        real = np.linalg.solve
+        matrices = []
+
+        def recording(M, B):
+            matrices.append(np.array(M))
+            return real(M, B)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        d = solve(data)
+        gap = np.eye(data.n) + (d.P2 - d.P1) @ d.Q
+        assert sum(M.shape == gap.shape and np.array_equal(M, gap) for M in matrices) == 1
+        monkeypatch.setattr(np.linalg, "solve", real)
+        Omega = herm(real(gap, d.P1 - d.P2))
+        np.testing.assert_allclose(d.Omega, Omega, rtol=0, atol=1e-12 * np.linalg.norm(Omega))
+        np.testing.assert_allclose(d.F1, real(gap, d.data.B1 @ d.Theta0), rtol=1e-12)
 
     def test_certificate_count(self, monkeypatch):
         # validate builds A's squaring sequence once, and both Gramians and

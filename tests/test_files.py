@@ -1,6 +1,7 @@
 """JSON encoding: bit-exact round trips and precise failure reporting."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +148,27 @@ class TestFailures:
         path = tmp_path / "list.json"
         path.write_text("[1, 2, 3]\n")
         with pytest.raises(FileFormatError, match="object"):
+            read_problem(path)
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"type": "leech_problem", "note": "caf\u00e9"}'.encode("latin-1"))
+        with pytest.raises(FileFormatError, match=rf"^{re.escape(str(path))}: not readable as UTF-8"):
+            read_problem(path)
+
+    def test_nesting_past_the_recursion_limit(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(FileFormatError, match=rf"^{re.escape(str(path))}: not readable as UTF-8 JSON"):
+            read_problem(path)
+
+    def test_entry_beyond_the_float_range(self, tmp_path):
+        doc = self._doc()
+        doc["C"][0][1] = [1, 10 ** 400]
+        path = tmp_path / "huge.json"
+        dump(doc, path)
+        with pytest.raises(FileFormatError, match=rf"^{re.escape(str(path))}\.C, row 0, column 1: "
+                                                  "entry out of the float range"):
             read_problem(path)
 
     def test_unserializable_scalar_raises(self):

@@ -23,6 +23,7 @@ from leechsolve.realization import (
     hinf_norm_estimate,
     identity,
     inverse,
+    observability_matrix,
     product,
     taylor_blocks,
     vconcat,
@@ -175,6 +176,20 @@ class TestTruncateBlocks:
         blocks = taylor_blocks(F, 7)
         assert len(blocks) == 7
         assert all(b.shape == (2, 3) for b in blocks)
+
+    @pytest.mark.parametrize("out_dim", [1, 2, 3])
+    def test_one_recurrence(self, out_dim):
+        # the Taylor blocks F_1 .. F_N are the blocks C A^k of the
+        # observability matrix, times B, bit for bit.  The product is taken
+        # block by block: numpy multiplies a one-row block by a matrix-vector
+        # kernel, which can differ in the last bits from the stacked product
+        F = _random_realization(16, out_dim, 2, n=5)
+        N = 9
+        W = observability_matrix(F.C, F.A, N)
+        assert W.shape == (N * out_dim, 5)
+        markov = np.concatenate([Wk @ F.B for Wk in np.split(W, N)])
+        assert markov.tobytes() == np.concatenate(taylor_blocks(F, N + 1)[1:]).tobytes()
+        assert observability_matrix(F.C, F.A, 0).shape == (0, 5)
 
 
 def _scalar_hinf(F):

@@ -9,8 +9,7 @@ from leechsolve.core import LeechData, solve
 from leechsolve.errors import DimensionError, InfeasibleError, StabilityError
 from leechsolve.generate import random_problem
 from leechsolve.linalg import spectral_norm
-from leechsolve.realization import Realization, evaluate
-from leechsolve.riccati import observability_matrix
+from leechsolve.realization import Realization, evaluate, observability_matrix
 from leechsolve.toeplitz import (
     OracleContext,
     ThetaOracle,
