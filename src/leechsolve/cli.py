@@ -21,7 +21,7 @@ from .coefficients import (
     build_upsilon,
     solution_report,
 )
-from .core import solve, theta0_defect, validate
+from .core import solve, validate
 from .errors import BreakdownError, InfeasibleError, LeechError, ValidationError
 from .generate import random_problem
 from .realization import evaluate, zeros
@@ -159,7 +159,6 @@ def cmd_oracle(args):
     U = evaluate(coeffs.joint, pts)
     p, k = coeffs.p, coeffs.free_dim
     ss = {"U11": U[:, :p, :k], "U12": U[:, :p, k:], "U21": U[:, p:, :k], "U22": U[:, p:, k:]}
-    M_ss = theta0_defect(data, derived.Q0, derived.P1)
     report["comparisons"] = {}
     for N in ladder:
         ctx = contexts[N]
@@ -170,7 +169,7 @@ def cmd_oracle(args):
                 float(np.linalg.norm(a - b)) for a, b in zip(ss[name], orc[name]))
         entry["Delta0"] = float(np.linalg.norm(orc["Delta0"] - derived.Delta0))
         entry["Delta1"] = float(np.linalg.norm(orc["Delta1"] - derived.Delta1))
-        entry["theta0_defect"] = float(np.linalg.norm(theta0_defect_oracle(ctx) - M_ss))
+        entry["theta0_defect"] = float(np.linalg.norm(theta0_defect_oracle(ctx) - derived.M))
         report["comparisons"][str(N)] = entry
         row = ", ".join(f"{name} {entry[name]:.3e}" for name in
                         names + ("Delta0", "Delta1", "theta0_defect"))

@@ -28,6 +28,11 @@ log = logging.getLogger("leechsolve.coefficients")
 REPORT_POINTS = 64  # circle samples of solution_report and j_inner_defect
 
 
+def _report_points():
+    """The REPORT_POINTS equispaced points on the unit circle, from 1."""
+    return np.exp(1j * (2.0 * np.pi * np.arange(REPORT_POINTS) / REPORT_POINTS))
+
+
 @dataclass
 class CoefficientSet:
     """The four coefficient realizations plus their constant ingredients.
@@ -98,8 +103,7 @@ def j_inner_defect(coeffs):
     p, q, k = coeffs.p, coeffs.q, coeffs.free_dim
     J1 = np.diag(np.concatenate([np.ones(p), -np.ones(q)])).astype(complex)
     J2 = np.diag(np.concatenate([np.ones(k), -np.ones(q)])).astype(complex)
-    thetas = 2.0 * np.pi * np.arange(REPORT_POINTS) / REPORT_POINTS
-    U = evaluate(coeffs.joint, np.exp(1j * thetas))
+    U = evaluate(coeffs.joint, _report_points())
     return float(np.max(spectral_norm(np.swapaxes(U.conj(), 1, 2) @ J1 @ U - J2)))
 
 
@@ -274,11 +278,10 @@ def solution_report(derived, coeffs, X):
     and indefinite-metric defect of the coefficients on REPORT_POINTS circle
     samples, the sup-norm estimate of X (hinf_norm_estimate), and the margins
     of solve, an empty extremum (inf) as None so the artifact is strict JSON."""
-    data = derived.data
-    G = data.g()
-    K = data.k()
-    zs = np.exp(1j * (2.0 * np.pi * np.arange(REPORT_POINTS) / REPORT_POINTS))
-    residual = float(np.max(spectral_norm(evaluate(G, zs) @ evaluate(X, zs) - evaluate(K, zs))))
+    zs = _report_points()
+    GK = evaluate(derived.data.joint(), zs)  # [G(z)  K(z)], one solve
+    p = derived.data.p
+    residual = float(np.max(spectral_norm(GK[:, :, :p] @ evaluate(X, zs) - GK[:, :, p:])))
     norm = hinf_norm_estimate(X)
     defect = j_inner_defect(coeffs)
     return {

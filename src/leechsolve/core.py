@@ -106,6 +106,12 @@ class LeechData:
         """Realization of K."""
         return Realization(self.A, self.B2, self.C, self.D2)
 
+    def joint(self):
+        """Realization of [G  K] on the shared state, B = [B1  B2] and
+        D = [D1  D2]: one Taylor recurrence or one resolvent solve gives both."""
+        return Realization(self.A, np.hstack([self.B1, self.B2]), self.C,
+                           np.hstack([self.D1, self.D2]))
+
 
 @dataclass
 class ValidationCheck:
@@ -187,9 +193,15 @@ def popov_data(data, P1, P2):
     dP = P1 - P2
     R0 = herm(D1 @ D1.conj().T - D2 @ D2.conj().T + C @ dP @ C.conj().T)
     Gamma = B1 @ D1.conj().T - B2 @ D2.conj().T + A @ dP @ C.conj().T
+    return PopovData(R0, Gamma, *_kernel_popov(data, P1))
+
+
+def _kernel_popov(data, P1):
+    """The kernel form (R10, Gamma0) of popov_data, for it and theta0_defect."""
+    A, B1, C, D1 = data.A, data.B1, data.C, data.D1
     R10 = herm(D1 @ D1.conj().T + C @ P1 @ C.conj().T)
     Gamma0 = B1 @ D1.conj().T + A @ P1 @ C.conj().T
-    return PopovData(R0, Gamma, R10, Gamma0)
+    return R10, Gamma0
 
 
 def theta0_defect(data, Q0, P1):
@@ -201,17 +213,18 @@ def theta0_defect(data, Q0, P1):
     the kernel Schur complement Delta10, gain and closed loop from Q0 and P1;
     solve() passes the kernel Riccati solution's own to _kernel_defect.
     """
-    A, B1, C, D1 = data.A, data.B1, data.C, data.D1
-    R10 = herm(D1 @ D1.conj().T + C @ P1 @ C.conj().T)
-    Gamma0 = B1 @ D1.conj().T + A @ P1 @ C.conj().T
+    A, C = data.A, data.C
+    R10, Gamma0 = _kernel_popov(data, P1)
     Delta10 = herm(R10 - Gamma0.conj().T @ Q0 @ Gamma0)
     C0p = solve_hermitian(Delta10, C - Gamma0.conj().T @ Q0 @ A, "kernel defect")
-    return _kernel_defect(data, P1, Gamma0, Q0, Delta10, C0p, A - Gamma0 @ C0p)
+    return _kernel_defect(data, P1, Gamma0, Q0, Delta10, C0p, A - Gamma0 @ C0p)[0]
 
 
 def _kernel_defect(data, P1, Gamma0, Q0, Delta10, C0p, A0p):
     """theta0_defect from the kernel Riccati data: Gamma0, the solution Q0, its
-    Schur complement Delta10, gain C0p and closed loop A0p."""
+    Schur complement Delta10, gain C0p and closed loop A0p.  Returns M and
+    Omega0 = (I - P1 Q0)^{-1} P1, the one solve with the kernel gap matrix,
+    which solve() reuses for E1."""
     B1, D1 = data.B1, data.D1
     C1p = D1.conj().T @ C0p + B1.conj().T @ Q0 @ A0p
     # Omega0 = P1 (Q0^{-1} - P1)^{-1} Q0^{-1} = (I - P1 Q0)^{-1} P1, with no inverse of Q0
@@ -221,7 +234,7 @@ def _kernel_defect(data, P1, Gamma0, Q0, Delta10, C0p, A0p):
          - C1p @ Omega0 @ C1p.conj().T
          - DQB.conj().T @ solve_hermitian(Delta10, DQB, "kernel defect")
          - B1.conj().T @ Q0 @ B1)
-    return herm(M)
+    return herm(M), Omega0
 
 
 def theta0(M, k):
@@ -240,13 +253,14 @@ def theta0(M, k):
     return F
 
 
-def _gap_min(Q, H):
+def _gap_min(eig, H):
     """Smallest eigenvalue of I + Q^1/2 H Q^1/2 (inf when n = 0): for PSD Q, the
     gap Q^-1 + H under congruence, so the same verdict with no inverse.  With
-    Q = V W V*, F = V W^1/2 makes F* H F unitarily similar to Q^1/2 H Q^1/2."""
-    w, V = np.linalg.eigh(Q)
+    eig = (w, V), the Riccati solution's Q = V diag(w) V*, F = V diag(w)^1/2
+    makes F* H F unitarily similar to Q^1/2 H Q^1/2."""
+    w, V = eig
     F = V * np.sqrt(np.clip(w, 0.0, None))
-    return float(np.min(np.linalg.eigvalsh(herm(np.eye(len(Q)) + F.conj().T @ H @ F)),
+    return float(np.min(np.linalg.eigvalsh(herm(np.eye(len(w)) + F.conj().T @ H @ F)),
                         initial=np.inf))
 
 
@@ -282,15 +296,23 @@ class DerivedMatrices:
     Riccati solution's), the gaps and Omega.  The coefficients read the thin
     products solve() formed from them (B = [B1  B2], D = [D1  D2]):
 
+        [C1; C2] = D* C0 + B* Q A0                            (p + q) x n
         E0 = (D - Gamma* Q B)* Delta^{-1} (D2 - Gamma* Q B2) + B* Q B2
              + [C1; C2] Omega C2*                        (p + q) x q
         E1 = Theta0* B1* (gap^{-1} - gap0^{-1}) B1 Theta0     (p - m) x (p - m)
         F1 = Q^{-1} gap^{-1} B1 Theta0                        n x (p - m)
 
     E0 stacks U12(0) Delta0 over Delta0^2 - I, and E1 = Delta1^2 - I.  solve()
-    forms them by solves against I + (P2 - P1) Q (one solve gives Omega and
-    F1) and I - P1 Q0: only the gap and gap0 properties invert Q or Q0, for
-    inspection.
+    forms them by one solve against I + (P2 - P1) Q, which gives Omega and
+    F1, and reuses the one solve against I - P1 Q0 that theta0's defect
+    makes, Omega0 = (I - P1 Q0)^{-1} P1: as (I - P1 Q0)^{-1} = I + Omega0 Q0,
+    with X = B1 Theta0
+
+        E1 = X* (Q F1 - Q0 X - Q0 Omega0 Q0 X).
+
+    Only the gap and gap0 properties invert Q or Q0, for inspection.  M is
+    the p x p Gram defect theta0 factors (theta0_defect's, bit for bit), kept
+    for the oracle's comparison.
     """
 
     data: LeechData
@@ -306,6 +328,7 @@ class DerivedMatrices:
     C2: np.ndarray
     B0: np.ndarray
     Theta0: np.ndarray
+    M: np.ndarray
     E0: np.ndarray
     E1: np.ndarray
     F1: np.ndarray
@@ -377,12 +400,14 @@ def solve(data):
     matrices (C0, C1, C2, B0, Theta0, Delta0, Delta1) and the thin products
     the coefficients are assembled from.  Theta0 comes before the pair
     products: the pair gap matrix I + (P2 - P1) Q is solved once, against
-    [P1 - P2, B1 Theta0], for both Omega and F1.  A is certified once, by
-    validate: linalg keeps that certificate, keyed on A's bits, and both
-    Gramians and both Riccati solves read it; each closed loop A0 is
-    certified on its own.  The gaps Q^-1 + P2 - P1 and Q0^-1 - P1 are
-    decided as I + Q^1/2 (P2 - P1) Q^1/2 > 0 and I - Q0^1/2 P1 Q0^1/2 > 0,
-    so no Riccati solution is inverted.  Raises ValidationError for malformed data
+    [P1 - P2, B1 Theta0], for both Omega and F1, and the kernel gap matrix
+    I - P1 Q0 once, in theta0's defect, whose solve E1 reuses.  The gap
+    verdicts read each Riccati solution's own eigendecomposition (`eig`).
+    A is certified once, by validate: linalg keeps that certificate, keyed
+    on A's bits, and both Gramians and both Riccati solves read it; each
+    closed loop A0 is certified on its own.  The gaps Q^-1 + P2 - P1 and
+    Q0^-1 - P1 are decided as I + Q^1/2 (P2 - P1) Q^1/2 > 0 and
+    I - Q0^1/2 P1 Q0^1/2 > 0, so no Riccati solution is inverted.  Raises ValidationError for malformed data
     (a validation report that is not ok).  An InfeasibleError is the
     verdict that the data is not strictly suboptimal: a RiccatiError when
     either Riccati equation has no stabilizing solution, or a pair gap whose
@@ -397,7 +422,7 @@ def solve(data):
     report = validate(data)
     if not report.ok:
         raise ValidationError("data validation failed: " + report.summary(), report)
-    A, B1, B2, C, D1, D2 = data.A, data.B1, data.B2, data.C, data.D1, data.D2
+    A, B1, B2, C = data.A, data.B1, data.B2, data.C
 
     P1, P2 = gramians(data)
     pop = popov_data(data, P1, P2)
@@ -411,8 +436,8 @@ def solve(data):
         raise type(exc)(f"{what} Riccati equation: {exc}") from exc
 
     Q, Delta, A0, Q0 = ric.Q, ric.Delta, ric.A0, ric0.Q
-    gap_min = _gap_min(Q, P2 - P1)
-    gap0_min = _gap_min(Q0, -P1)
+    gap_min = _gap_min(ric.eig, P2 - P1)
+    gap0_min = _gap_min(ric0.eig, -P1)
     log.debug("positivity gaps: pair %.6e, kernel %.6e", gap_min, gap0_min)
     if not gap_min > DEFAULT_TOL:
         raise InfeasibleError(
@@ -423,27 +448,30 @@ def solve(data):
             f"kernel positivity gap I - Q0^1/2 P1 Q0^1/2 has min eigenvalue {gap0_min:.6e}; "
             "numerical breakdown")
 
-    M = _kernel_defect(data, P1, pop.Gamma0, Q0, ric0.Delta, ric0.gain, ric0.A0)
+    M, Omega0 = _kernel_defect(data, P1, pop.Gamma0, Q0, ric0.Delta, ric0.gain, ric0.A0)
     Theta0 = theta0(M, data.p - data.m)
     w = np.linalg.eigvalsh(M)  # the gap at the rank cut
-    # F1 = (gap Q)^{-1} X, so gap^{-1} X = Q F1, and likewise gap0^{-1} X
+    # F1 = (gap Q)^{-1} X, so gap^{-1} X = Q F1; gap0^{-1} X = Q0 (I - P1 Q0)^{-1} X
     X = B1 @ Theta0
     Omega, F1 = _pair_gap_solve(P1, P2, Q, X)
-    E1 = X.conj().T @ (Q @ F1 - Q0 @ np.linalg.solve(np.eye(data.n) - P1 @ Q0, X))
+    Q0X = Q0 @ X
+    E1 = X.conj().T @ (Q @ F1 - Q0X - Q0 @ (Omega0 @ Q0X))
 
     C0 = ric.gain
-    C1 = D1.conj().T @ C0 + B1.conj().T @ Q @ A0
-    C2 = D2.conj().T @ C0 + B2.conj().T @ Q @ A0
+    GK = data.joint()
+    B, D = GK.B, GK.D
+    BQ = B.conj().T @ Q
+    C12 = D.conj().T @ C0 + BQ @ A0  # [C1; C2]
+    C1, C2 = C12[:data.p], C12[data.p:]
     OmegaC2 = Omega @ C2.conj().T
-    B = np.hstack([B1, B2])
-    DQB = np.hstack([D1, D2]) - pop.Gamma.conj().T @ Q @ B
+    DQB = D - pop.Gamma.conj().T @ Q @ B
     DQB2 = solve_hermitian(Delta, DQB[:, data.p:], "B0")
     B0 = B2 - pop.Gamma @ DQB2 + A0 @ OmegaC2
-    E0 = DQB.conj().T @ DQB2 + B.conj().T @ Q @ B2 + np.vstack([C1, C2]) @ OmegaC2
+    E0 = DQB.conj().T @ DQB2 + BQ @ B2 + C12 @ OmegaC2
 
     derived = DerivedMatrices(
         data=data, P1=P1, P2=P2, R0=pop.R0, Gamma=pop.Gamma, Q=Q, Delta=Delta,
-        Q0=Q0, C0=C0, C1=C1, C2=C2, B0=B0, Theta0=Theta0,
+        Q0=Q0, C0=C0, C1=C1, C2=C2, B0=B0, Theta0=Theta0, M=M,
         E0=E0, E1=E1, F1=F1,
         Delta0=None, Delta1=None,
         margins={

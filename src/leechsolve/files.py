@@ -28,16 +28,23 @@ def _is(val, kind):
 
 
 def decode_matrix(obj, rows, cols, where):
+    """The rows x cols complex matrix `obj` encodes.  Its shape is checked
+    against the declared one before anything is allocated, so a declared
+    dimension the file does not hold costs nothing."""
     if not isinstance(obj, list):
         raise FileFormatError(f"{where}: expected a list of rows, got {type(obj).__name__}")
     if len(obj) != rows:
         raise FileFormatError(f"{where}: expected {rows} rows, got {len(obj)}")
-    out = np.zeros((rows, cols), dtype=complex)
     for i, row in enumerate(obj):
         if not isinstance(row, list):
             raise FileFormatError(f"{where}, row {i}: expected a list, got {type(row).__name__}")
         if len(row) != cols:
             raise FileFormatError(f"{where}, row {i}: expected {cols} entries, got {len(row)}")
+    try:
+        out = np.zeros((rows, cols), dtype=complex)
+    except (ValueError, MemoryError) as exc:  # a shape no row bounds, such as 0 x 10**400
+        raise FileFormatError(f"{where}: a {rows} x {cols} matrix cannot be allocated") from exc
+    for i, row in enumerate(obj):
         for j, entry in enumerate(row):
             if not (isinstance(entry, list) and len(entry) == 2
                     and all(_is(v, (int, float)) for v in entry)):

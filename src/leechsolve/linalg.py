@@ -5,8 +5,8 @@ eigendecomposition (definiteness, rank decisions, norms, PD square roots)
 and the squared-doubling Stein solve.  Its squarings A, A^2, A^4, ... are
 the Schur stability certificate (is_schur_stable asks for nothing more).
 schur_squarings keeps its last answer, keyed on the bits of A, so the
-consumers of one A (validate, both Gramians, both Riccati solves, both
-truncations) build its sequence once and share it.
+consumers of one A (validate, both Gramians, both Riccati solves, the
+truncation of [G  K]) build its sequence once and share it.
 All operations accept 0-sized matrices.
 """
 

@@ -116,8 +116,9 @@ def is_observable(C, A):
 @dataclass
 class RiccatiSolution:
     """Stabilizing solution Q with its Schur complement Delta = R0 - Gamma* Q Gamma,
-    closed loop A0 = A - Gamma L, doubling count, final fixed-point residual
-    and gain L = Delta^{-1} (C - Gamma* Q A)."""
+    closed loop A0 = A - Gamma L, doubling count, final fixed-point residual,
+    gain L = Delta^{-1} (C - Gamma* Q A) and eigendecomposition eig = (w, V),
+    Q = V diag(w) V*, from the eigh that checks Q is PSD."""
 
     Q: np.ndarray
     Delta: np.ndarray
@@ -125,6 +126,7 @@ class RiccatiSolution:
     iterations: int
     residual: float
     gain: np.ndarray
+    eig: tuple
 
 
 class RiccatiSolutions(tuple):
@@ -180,13 +182,14 @@ def _finish(A, Gamma, R0, C, Q, GQG, k):
         raise BreakdownError(f"Riccati residual {residual:.3e} exceeds tolerance")
     if not is_schur_stable(A0):
         raise StabilityError("closed-loop matrix of the computed solution is not Schur stable")
-    # Q is a Stein sum of A^j* W* Delta^{-1} W A^j, so PSD up to the residual
-    qw = np.linalg.eigvalsh(Q)
+    # Q is a Stein sum of A^j* W* Delta^{-1} W A^j, so PSD up to the residual;
+    # its eigendecomposition is kept for the gap verdicts
+    qw, qV = np.linalg.eigh(Q)
     if qw[0] < -1e-9 * (1.0 + qw[-1]):
         raise DefinitenessError(f"stabilizing solution is not PSD: eigenvalue {qw[0]:.3e}")
     log.debug("riccati solved in %d doublings, residual %.3e, eig(Q) in [%.3e, %.3e]",
               k, residual, qw[0], qw[-1])
-    return RiccatiSolution(Q, Delta, A0, k, residual, L)
+    return RiccatiSolution(Q, Delta, A0, k, residual, L, (qw, qV))
 
 
 def _raise_first(out):
@@ -227,7 +230,8 @@ def stabilizing_riccati(A, Gamma, R0, C):
     singular S, a non-finite iterate (doubling 0 is the start), no
     convergence in 64 doublings or a large residual; DefinitenessError for a
     singular R0, the final Delta or a Q that is not PSD to roundoff (a
-    singular Q is fine); StabilityError for A0.
+    singular Q is fine); StabilityError for A0.  That PSD check is Q's one
+    eigendecomposition: each solution carries it as `eig`.
     """
     A = as_cmatrix(A, "A")
     C = as_cmatrix(C, "C")
@@ -275,7 +279,8 @@ def stabilizing_riccati(A, Gamma, R0, C):
     if n == 0:
         empty = np.zeros((0, 0), dtype=complex)
         for i in alive.nonzero()[0]:
-            out[i] = RiccatiSolution(empty, Ri[i], empty, 0, 0.0, np.zeros((m, 0), dtype=complex))
+            out[i] = RiccatiSolution(empty, Ri[i], empty, 0, 0.0, np.zeros((m, 0), dtype=complex),
+                                     (np.zeros(0), empty))
         _raise_first(out)
         return RiccatiSolutions(out)
 

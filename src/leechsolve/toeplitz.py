@@ -128,7 +128,8 @@ def resolvent_down(X, z, r):
 
 class OracleContext:
     """Truncated compressions of T_G and T_K, kept as their first block
-    columns TgEp = T_G E_p and TkEq = T_K E_q, with the Gram matrices
+    columns TgEp = T_G E_p and TkEq = T_K E_q, the column blocks of one
+    truncation of [G  K] (one Taylor recurrence), with the Gram matrices
 
         gram = T_G T_G*,   core = T_G T_G* - T_K T_K*
 
@@ -152,8 +153,8 @@ class OracleContext:
         self.data = data
         self.N = int(N)
         self.m, self.p, self.q = data.m, data.p, data.q
-        self.TgEp = truncate(data.g(), self.N)
-        self.TkEq = truncate(data.k(), self.N)
+        column = truncate(data.joint(), self.N)
+        self.TgEp, self.TkEq = column[:, :self.p], column[:, self.p:]
 
     def window(self, N):
         """The context of the leading N <= self.N blocks, sliced from this

@@ -522,13 +522,17 @@ class TestProcessLevel:
         assert "positivity gaps" not in proc.stderr
 
     def test_malformed_files_are_input_errors(self, tmp_path):
-        # bytes that are not UTF-8, arrays nested past the recursion limit and
-        # an integer entry beyond the float range each end in an `error:` line
-        doc = files.problem_to_dict(random_problem(126)[0])
-        doc["A"][0][0] = [1, 10 ** 400]
+        # bytes that are not UTF-8, arrays nested past the recursion limit, an
+        # integer entry beyond the float range and a declared dimension of
+        # 10**400 that no row holds each end in an `error:` line
+        data = random_problem(126)[0]
+        huge, wide = files.problem_to_dict(data), files.problem_to_dict(data)
+        huge["A"][0][0] = [1, 10 ** 400]
+        wide["dims"]["q"] = 10 ** 400
         contents = {"latin1.json": '{"type": "café"}'.encode("latin-1"),
                     "deep.json": b"[" * 100_000 + b"]" * 100_000,
-                    "huge.json": files.dump(doc).encode()}
+                    "huge.json": files.dump(huge).encode(),
+                    "wide.json": files.dump(wide).encode()}
         for name, content in contents.items():
             path = tmp_path / name
             path.write_bytes(content)
@@ -539,3 +543,4 @@ class TestProcessLevel:
             assert proc.returncode == 1, (name, proc.stderr)
             assert proc.stderr.startswith(f"error: {path}"), (name, proc.stderr)
             assert "Traceback" not in proc.stderr, name
+        assert ".B2, row 0: expected 1" in proc.stderr  # wide.json, the last one

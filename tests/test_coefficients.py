@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from leechsolve import coefficients
 from leechsolve.coefficients import (
     apply_lft,
     apply_redheffer,
@@ -19,6 +20,7 @@ from leechsolve.coefficients import CoefficientSet
 from leechsolve.core import LeechData, solve
 from leechsolve.errors import ParameterError, StabilityError
 from leechsolve.generate import random_contraction, random_problem
+from leechsolve.linalg import spectral_norm
 from leechsolve.realization import (
     Realization,
     constant,
@@ -247,6 +249,26 @@ class TestSolutionReport:
         assert rep["coefficient_metric_defect"] <= 1e-7
         assert rep["margins"]["gap_min_eig"] > 0.0
         assert rep["norm_grid"] == 512 and rep["circle_points"] == 64
+
+    def test_g_and_k_are_evaluated_together(self, battery, monkeypatch):
+        # the residual G X - K reads [G  K] from one evaluate on data.A
+        item = battery[5]
+        X0 = central_solution(item.coeffs)
+        real = coefficients.evaluate
+        state_matrices = []
+
+        def recording(F, z):
+            state_matrices.append(F.A)
+            return real(F, z)
+
+        monkeypatch.setattr(coefficients, "evaluate", recording)
+        rep = solution_report(item.derived, item.coeffs, X0)
+        A = item.data.A
+        assert sum(M.shape == A.shape and np.array_equal(M, A) for M in state_matrices) == 1
+        zs = np.exp(2j * np.pi * np.arange(64) / 64)
+        G, K = item.data.g(), item.data.k()
+        ref = max(spectral_norm(real(G, z) @ real(X0, z) - real(K, z)) for z in zs)
+        assert abs(rep["interpolation_residual"] - ref) <= 1e-12
 
 
 class TestSharedState:

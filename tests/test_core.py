@@ -1,6 +1,7 @@
 """Problem data, validation, Popov data, and the full solve pipeline."""
 
 import dataclasses
+import sys
 import time
 from pathlib import Path
 
@@ -407,6 +408,13 @@ class TestTheta0:
             np.testing.assert_allclose(seen[0], theta0_defect(d.data, d.Q0, d.P1),
                                        rtol=0.0, atol=1e-12)
 
+    def test_kept_defect_is_the_public_form(self, battery):
+        # solve keeps the defect it factors, bit for bit theta0_defect's
+        for item in battery:
+            d = item.derived
+            assert d.M.shape == (d.data.p, d.data.p)
+            assert np.array_equal(d.M, theta0_defect(d.data, d.Q0, d.P1))
+
     def test_defect_is_psd(self, battery):
         d = battery[1].derived
         M = theta0_defect(d.data, d.Q0, d.P1)
@@ -499,6 +507,40 @@ class TestGapOwner:
         Omega = herm(real(gap, d.P1 - d.P2))
         np.testing.assert_allclose(d.Omega, Omega, rtol=0, atol=1e-12 * np.linalg.norm(Omega))
         np.testing.assert_allclose(d.F1, real(gap, d.data.B1 @ d.Theta0), rtol=1e-12)
+
+    def test_kernel_gap_matrix_is_solved_once(self, monkeypatch):
+        # theta0's defect solves with I - P1 Q0 once, and E1 reuses that solve
+        data, _ = read_problem(str(N32))
+        real = np.linalg.solve
+        matrices = []
+
+        def recording(M, B):
+            matrices.append(np.array(M))
+            return real(M, B)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        d = solve(data)
+        gap0 = np.eye(data.n, dtype=complex) - d.P1 @ d.Q0
+        assert sum(M.shape == gap0.shape and np.array_equal(M, gap0) for M in matrices) == 1
+
+    def test_riccati_solutions_are_eigen_decomposed_once(self, monkeypatch):
+        # the PSD check of each Riccati solution is its one eigendecomposition,
+        # and the gap verdicts read it
+        data, _ = read_problem(str(N32))
+        calls = []
+
+        def recording(real):
+            def wrapper(M, *args, **kwargs):
+                calls.append((np.array(M), sys._getframe(1).f_code.co_name))
+                return real(M, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh", recording(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording(np.linalg.eigvalsh))
+        d = solve(data)
+        for Q in (d.Q, d.Q0):
+            callers = [name for M, name in calls if M.shape == Q.shape and np.array_equal(M, Q)]
+            assert callers == ["_finish"]
 
     def test_certificate_count(self, monkeypatch):
         # validate builds A's squaring sequence once, and both Gramians and

@@ -171,6 +171,34 @@ class TestFailures:
                                                   "entry out of the float range"):
             read_problem(path)
 
+    def test_declared_dimension_beyond_the_rows(self, monkeypatch):
+        # the rows are checked before anything is allocated, so a column
+        # count the file does not hold asks numpy for nothing
+        real = np.zeros
+
+        def small_zeros(shape, *args, **kwargs):
+            dims = shape if isinstance(shape, tuple) else (shape,)
+            assert np.prod([float(d) for d in dims]) < 1e6, shape
+            return real(shape, *args, **kwargs)
+
+        doc = self._doc()
+        monkeypatch.setattr(np, "zeros", small_zeros)
+        for q in (3 * 10 ** 9, 10 ** 400):
+            doc["dims"]["q"] = q
+            with pytest.raises(FileFormatError, match=rf"B2, row 0: expected {q} entries"):
+                problem_from_dict(doc)
+
+    def test_empty_rows_of_unallocatable_width(self):
+        # n = 0 and p = 10**400: B1 has no row to refuse, and its shape
+        # cannot be allocated
+        doc = {"type": "leech_problem", "dims": {"n": 0, "m": 1, "p": 10 ** 400, "q": 1},
+               "A": [], "B1": [], "B2": [], "C": [[]], "D1": [[]], "D2": [[[0.0, 0.0]]]}
+        with pytest.raises(FileFormatError, match=r"problem\.B1: a 0 x 10{400} matrix "
+                                                  "cannot be allocated"):
+            problem_from_dict(doc)
+        with pytest.raises(FileFormatError, match="cannot be allocated"):
+            decode_matrix([], 0, 10 ** 400, "M")
+
     def test_unserializable_scalar_raises(self):
         with pytest.raises(TypeError):
             dump({"bad": object()})

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from leechsolve import generate, toeplitz
+from leechsolve import generate, realization, toeplitz
 from leechsolve.cli import main
 from leechsolve.core import LeechData, solve
 from leechsolve.errors import DimensionError, InfeasibleError, StabilityError
@@ -80,6 +80,25 @@ class TestTruncate:
                     np.testing.assert_allclose(blk, column[(i - j) * m:(i - j + 1) * m], atol=0.0)
                 else:
                     np.testing.assert_allclose(blk, np.zeros((m, p)), atol=0.0)
+
+    def test_one_truncation_of_g_and_k(self, monkeypatch):
+        # a context truncates [G  K] once, one C A^k recurrence for both columns
+        data, _ = random_problem(70)
+        real = realization.observability_blocks
+        calls = []
+
+        def counting(C, A, count):
+            calls.append(count)
+            return real(C, A, count)
+
+        monkeypatch.setattr(realization, "observability_blocks", counting)
+        ctx = OracleContext(data, 40)
+        assert calls == [39]
+        monkeypatch.setattr(realization, "observability_blocks", real)
+        for column, F in ((ctx.TgEp, data.g()), (ctx.TkEq, data.k())):
+            ref = truncate(F, 40)
+            assert column.shape == ref.shape
+            assert np.linalg.norm(column - ref) <= 1e-14 * np.linalg.norm(ref)
 
     def test_bad_inputs(self):
         data, _ = random_problem(72)
