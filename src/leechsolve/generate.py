@@ -161,7 +161,10 @@ def _draw_once(rng, kind, dims):
         C = scale * C
         D1 = scale * D1
         meta["scale"] = float(scale)
-        core = scale ** 2 * gram - np.eye(gram.shape[0])
+        # gram is not read again: core is built in its place
+        core = gram
+        core *= scale ** 2
+        core[np.diag_indices_from(core)] -= 1.0
     else:
         B2r = _randc(rng, n, q)
         D2r = _randc(rng, m, q)
@@ -179,7 +182,9 @@ def _draw_once(rng, kind, dims):
         D2 = scale * D2r
         meta["scale"] = float(scale)
         meta["lambda_norm_estimate"] = float(target)
-        core = gram - scale ** 2 * toeplitz_gram(TkEq, m)
+        core = toeplitz_gram(TkEq, m)
+        core *= scale ** 2
+        np.subtract(gram, core, out=core)
 
     data = LeechData(A, B1, B2, C, D1, D2)
     report = validate(data)

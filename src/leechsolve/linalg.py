@@ -47,8 +47,17 @@ def as_cmatrix(M, name="matrix"):
 
 
 def herm(M):
-    """Hermitian part (M + M*)/2, of each matrix in a stack (..., n, n)."""
-    return 0.5 * (M + M.conj().swapaxes(-1, -2))
+    """Hermitian part (M + M*)/2, of each matrix in a stack (..., n, n).
+
+    One transposed pass writes M* into the output, then M is added and the
+    sum halved in place: addition commutes and halving is exact, so the bits
+    are those of 0.5 * (M + M*).  The output has the type of M times 0.5:
+    M's own for a floating or complex M, float for an integer one."""
+    dtype = M.dtype if M.dtype.kind in "fc" else float
+    H = np.conjugate(M.swapaxes(-1, -2), dtype=dtype, order="C")
+    H += M
+    H *= 0.5
+    return H
 
 
 def _square(M, what, name="M"):

@@ -22,6 +22,16 @@ largest window; OracleContext.window(N) hands out each smaller rung as
 leading-row slices of its columns and leading-block slices of its Gram
 matrices, with no second truncation.
 
+A ladder also eigen-solves densely only its first rung.  The window of c b
+blocks is c copies of the b-block window plus a Hermitian term E of rank
+<= 2 n (c - 1), n the state dimension of [G  K], so the margin of a rung
+that is a whole multiple of the first follows from the first rung's
+eigendecomposition by a low-rank update (ladder_margin): E is sketched
+from the dense core itself, so the oracle stays Taylor-data only, and the
+smallest eigenvalue is located by inertia counts (Haynsworth) below the
+first rung's.  Each margin is the smallest eigenvalue of its rung to
+roundoff of |core|; a dense eigvalsh answers for any other rung.
+
 The oracle path forms no N m x N m inverse: it solves once with gram and once
 with core against thin stacked right-hand sides (OracleContext.gram_solved,
 core_solved) and samples all points through one resolvent recursion.  It also
@@ -43,6 +53,13 @@ from .realization import (
     observability_matrix,
     taylor_blocks,
 )
+
+EPS = np.finfo(float).eps
+# sketch columns beyond the rank bound of a ladder update (ladder_margin)
+OVERSAMPLE = 8
+# Newton or halving steps of ladder_margin's root search: halving alone closes
+# its bracket, |E| wide, to 4 eps |core| in about 50
+MAX_STEPS = 100
 
 
 def lower_block_toeplitz(column, r):
@@ -126,6 +143,116 @@ def resolvent_down(X, z, r):
     return Y
 
 
+def ladder_margin(core, w, U, n):
+    """Smallest eigenvalue of the Hermitian `core` of a window c b blocks
+    long (c >= 2), from the eigendecomposition (w, U) of its leading
+    principal b-block window core_b, or None when the update cannot answer.
+
+    The window's T is c copies of T_b on the block diagonal plus a block
+    lower part of rank <= n (c - 1) (n the state dimension of [G  K]), so
+        E = core - blockdiag(core_b, ..., core_b)
+    has rank <= 2 n (c - 1).  E is never formed: a seeded sketch of
+    2 n (c - 1) + OVERSAMPLE columns of its range gives E ~ Q S Q*, and the
+    residual |E - Q S Q*|_F, one block row at a time, must lie below the
+    roundoff of |core|, size eps |core|.  In the eigenbasis of the block
+    diagonal, core is D + Z diag(s) Z*, with D = blockdiag(diag(w), ...),
+    S = V diag(s) V*, Z = blockdiag(U, ...)* Q V.  Interlacing puts its
+    smallest eigenvalue at or below top = w[0], and Weyl at or above
+    top - |E|.  Below top, Haynsworth's inertia formula counts the
+    eigenvalues under sigma as #neg(K(sigma)) - #pos(s), where K(sigma) is
+    the small Hermitian matrix left by eliminating the coordinates R of D
+    more than |E|/size above top; the rest, P, stay unreduced, so no weight
+    e/(D_R - sigma) exceeds size and K's roundoff stays within that of core:
+
+        K = [ (D_P - sigma)/e    Z_P a                                  ]
+            [ (Z_P a)*           -sign(s) - (Z_R a)* e (D_R - sigma)^-1 Z_R a ]
+
+    with e = max|s| and a = diag(|s|/e)^1/2.  The count is zero at top less
+    the roundoff when the margin has converged, which returns top at once;
+    otherwise Newton steps on eigenvalue #pos(s) of K, which falls as sigma
+    rises and vanishes at the margin, find the root, each step kept inside
+    the bracket that the counts close and halved where it leaves it.
+
+    None when the sketch would reach half the window, or the residual
+    fails; the caller then eigen-solves core densely.
+    """
+    size, lead = len(core), len(w)
+    c = size // lead
+    k = 2 * n * (c - 1) + OVERSAMPLE
+    if 2 * k >= size:
+        return None
+    block = core[:lead, :lead]
+
+    def update(X):
+        """E X, from core X less the block diagonal's part."""
+        return core @ X - (block @ X.reshape(c, lead, -1)).reshape(size, -1)
+
+    Q = np.linalg.qr(update(np.random.default_rng(0).standard_normal((size, k))))[0]
+    s, V = np.linalg.eigh(herm(Q.conj().T @ update(Q)))
+    scale = max(-w[0], w[-1]) + max(-s[0], s[-1])  # bounds |core|_2
+    roundoff = size * EPS * scale
+    keep = np.abs(s) > EPS * scale
+    s, Q = s[keep], Q @ V[:, keep]
+    QS, QH = Q * s, Q.conj().T
+    residual = 0.0
+    for i in range(c):
+        rows = slice(i * lead, (i + 1) * lead)
+        R = core[rows] - QS[rows] @ QH
+        R[:, rows] -= block
+        residual += float(np.linalg.norm(R)) ** 2
+    if residual > roundoff ** 2:
+        return None
+    top = float(w[0])
+    if not np.any(s < 0.0):
+        return top  # E >= 0 keeps every eigenvalue at or above top
+    e = float(np.max(np.abs(s)))
+    d = np.tile(w, c)
+    Z = (U.conj().T @ Q.reshape(c, lead, -1)).reshape(size, -1) * np.sqrt(np.abs(s) / e)
+    near = d < top + e / size
+    ZP, ZR, dP, dR = Z[near], Z[~near], d[near], d[~near]
+    ZRH, p, index = ZR.conj().T, len(dP), int(np.sum(s > 0))
+    K = np.zeros((p + len(s),) * 2, dtype=complex)
+    K[:p, p:] = ZP
+    K[p:, :p] = ZP.conj().T
+
+    def crossing(sigma):
+        """Eigenvalue #pos(s) of K(sigma), and its derivative in sigma."""
+        weights = e / (dR - sigma)
+        K[range(p), range(p)] = (dP - sigma) / e
+        K[p:, p:] = -np.diag(np.sign(s)) - (ZRH * weights) @ ZR
+        mu, X = np.linalg.eigh(K)
+        x = X[:, index]
+        y = (ZR @ x[p:]) * weights
+        slope = -(float(np.vdot(x[:p], x[:p]).real) + float(np.vdot(y, y).real)) / e
+        return float(mu[index]), slope
+
+    hi = top - roundoff
+    h, dh = crossing(hi)
+    if h >= 0.0:
+        return top
+    lo = top - e - roundoff
+    tol = 4 * EPS * scale
+    for _ in range(MAX_STEPS):
+        step = h / dh if dh < 0.0 else np.inf
+        if step <= tol:
+            return hi - step
+        sigma = hi - step
+        if not sigma > lo:
+            sigma = 0.5 * (lo + hi)
+        hs, dhs = crossing(sigma)
+        if dhs < 0.0 and abs(hs) <= -tol * dhs:
+            return sigma - hs / dhs
+        if hs < 0.0:
+            hi, h, dh = sigma, hs, dhs
+        elif hs > 0.0:
+            lo = sigma
+        else:
+            return sigma
+        if hi - lo <= tol:
+            break
+    return hi
+
+
 class OracleContext:
     """Truncated compressions of T_G and T_K, kept as their first block
     columns TgEp = T_G E_p and TkEq = T_K E_q, the column blocks of one
@@ -146,7 +273,9 @@ class OracleContext:
 
     window(N) is the context of the leading N blocks: its columns and Gram
     matrices are slices of this one's, so a truncation ladder truncates
-    once, at its largest window.
+    once, at its largest window.  The first window cut is the ladder's
+    first rung; the margins of its whole multiples update its
+    eigendecomposition (_rung_margin).
     """
 
     def __init__(self, data, N):
@@ -155,12 +284,17 @@ class OracleContext:
         self.m, self.p, self.q = data.m, data.p, data.q
         column = truncate(data.joint(), self.N)
         self.TgEp, self.TkEq = column[:, :self.p], column[:, self.p:]
+        # the sizes of the windows cut from this context, in order (its
+        # ladder's rungs), and the margins of its windows by size; a window
+        # keeps its widest context in _root, None here (no reference cycle)
+        self._root, self._rungs, self._margins = None, [], {}
 
     def window(self, N):
         """The context of the leading N <= self.N blocks, sliced from this
         one: the columns of a window are the leading rows of those of any
         larger window, and its gram and core the leading principal blocks.
-        Margins and solves of the window are its own."""
+        Solves of the window are its own; its margin is the smallest
+        eigenvalue of its own core, as the ladder answers it (margin)."""
         N = int(N)
         if not 1 <= N <= self.N:
             raise DimensionError(f"window must lie in 1..{self.N}, got {N}")
@@ -174,6 +308,8 @@ class OracleContext:
         sub.TkEq = self.TkEq[:rows]
         sub.gram = self.gram[:rows, :rows]
         sub.core = self.core[:rows, :rows]
+        sub._root = self._root or self
+        sub._root._rungs.append(N)
         return sub
 
     @cached_property
@@ -190,12 +326,53 @@ class OracleContext:
 
     @cached_property
     def core(self):
-        # toeplitz_gram returns exactly Hermitian matrices, and so is their difference
-        return self.gram - toeplitz_gram(self.TkEq, self.m)
+        # toeplitz_gram returns exactly Hermitian matrices, and so is their
+        # difference, formed in place of the second
+        core = toeplitz_gram(self.TkEq, self.m)
+        return np.subtract(self.gram, core, out=core)
 
     @cached_property
     def margin(self):
-        return float(np.linalg.eigvalsh(self.core)[0])
+        """Smallest eigenvalue of core, as its ladder answers it (_rung_margin)."""
+        return (self._root or self)._rung_margin(self.N)
+
+    def _rung_margin(self, N):
+        """Smallest eigenvalue of the core of this context's leading N-block
+        window, kept by N.
+
+        A ladder is a widest context and the windows cut from it; the first
+        window cut is its first rung, b blocks.  When the widest window is a
+        whole multiple of b, the first rung reads its margin from the
+        eigendecomposition of its core, and every rung that is a whole
+        multiple of b updates that eigendecomposition (ladder_margin),
+        reporting no more than the margin of the next rung below, where
+        interlacing puts it.  Any other window, or an update that
+        ladder_margin declines, eigen-solves its core."""
+        if N in self._margins:
+            return self._margins[N]
+        rows = N * self.m
+        core = self.core[:rows, :rows]
+        b = self._rungs[0] if self._rungs else None
+        margin = None
+        if b is not None and self.N % b == 0 and N % b == 0:
+            w, U = self._first_spectrum
+            if N == b:
+                margin = float(w[0])
+            else:
+                found = ladder_margin(core, w, U, self.data.n)
+                if found is not None:
+                    below = max(size for size in self._rungs if size < N)
+                    margin = min(found, self._rung_margin(below))
+        if margin is None:
+            margin = float(np.linalg.eigvalsh(core)[0])
+        self._margins[N] = margin
+        return margin
+
+    @cached_property
+    def _first_spectrum(self):
+        """Eigendecomposition (w, U) of the first rung's core, eigenvalues ascending."""
+        rows = self._rungs[0] * self.m
+        return np.linalg.eigh(self.core[:rows, :rows])
 
     @cached_property
     def gram_margin(self):

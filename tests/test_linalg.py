@@ -206,6 +206,28 @@ class TestSteinDoubling:
         assert schur_squarings(np.zeros((3, 3))) == ()
 
 
+class TestHerm:
+    def test_bits_of_the_two_pass_formula(self):
+        """herm keeps the bits and the type of 0.5 * (M + M*) on stacks,
+        real, empty, strided, integer, single-precision and subnormal input,
+        and returns a fresh C-ordered array."""
+        rng = np.random.default_rng(13)
+        wide = random_complex(rng, 9, 9)
+        cases = [np.stack([random_complex(rng, 5, 5) for _ in range(3)]),
+                 rng.standard_normal((6, 6)),
+                 np.zeros((0, 0), dtype=complex), np.zeros((2, 0, 0)),
+                 wide[::2, ::2], wide.T, wide[1:8, 1:8],
+                 np.arange(16).reshape(4, 4),
+                 rng.standard_normal((4, 4)).astype(np.float32),
+                 np.array([[5e-324 + 1e-310j, -0.0], [0.0, -5e-324]])]
+        for M in cases:
+            old = 0.5 * (M + M.conj().swapaxes(-1, -2))
+            new = herm(M)
+            assert new.dtype == old.dtype and new.shape == old.shape
+            assert new.tobytes() == old.tobytes()
+            assert new.flags.c_contiguous and not np.shares_memory(new, M)
+
+
 class TestRootsAndNorms:
     def test_sqrtm_posdef_squares_back(self):
         rng = np.random.default_rng(3)

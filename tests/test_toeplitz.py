@@ -1,5 +1,7 @@
 """Truncated-operator oracle: truncations, margins, kernel function, identities."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from leechsolve import generate, realization, toeplitz
 from leechsolve.cli import main
 from leechsolve.core import LeechData, solve
 from leechsolve.errors import DimensionError, InfeasibleError, StabilityError
+from leechsolve.files import load, read_problem, write_problem
 from leechsolve.generate import random_problem
 from leechsolve.linalg import spectral_norm
 from leechsolve.realization import Realization, evaluate, observability_matrix
@@ -298,6 +301,134 @@ class TestMargins:
         assert ctx.margin < 0.0
         with pytest.raises(InfeasibleError):
             ctx.require_definite()
+
+
+def _ladder(data, ladder):
+    """The contexts of a ladder as `oracle` cuts them: windows of the widest,
+    the smallest first."""
+    widest = OracleContext(data, ladder[-1])
+    return [widest.window(N) for N in ladder]
+
+
+def _dense_margin(ctx):
+    return float(np.linalg.eigvalsh(ctx.core)[0])
+
+
+@pytest.fixture
+def updates(monkeypatch):
+    """The answers of toeplitz.ladder_margin, None where it declined."""
+    answers = []
+    update = toeplitz.ladder_margin
+
+    def recording(*args):
+        answers.append(update(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(toeplitz, "ladder_margin", recording)
+    return answers
+
+
+class TestLadderMargins:
+    """Rungs that are whole multiples of a ladder's first rung take their
+    margins from its eigendecomposition (ladder_margin); the dense eigvalsh
+    of each rung's core is the reference."""
+
+    @staticmethod
+    def _check_ladder(data, ladder):
+        contexts = _ladder(data, ladder)
+        margins = [ctx.margin for ctx in contexts]
+        for ctx, margin in zip(contexts, margins):
+            scale = max(1.0, float(np.linalg.norm(ctx.core, 2)))
+            assert abs(margin - _dense_margin(ctx)) <= 1e-12 * scale
+        assert all(b <= a for a, b in zip(margins, margins[1:]))
+
+    def test_updates_match_dense_on_draws(self, updates):
+        ms = set()
+        for seed in range(40):
+            data, _ = random_problem(seed)
+            ms.add(data.m)
+            for ladder in ((50, 100, 200), (30, 60, 120)):
+                self._check_ladder(data, ladder)
+        assert ms == {1, 2}
+        assert len(updates) == 160 and None not in updates
+
+    def test_updates_match_dense_on_battery(self, battery, updates):
+        for item in battery:
+            for ladder in ((50, 100, 200), (30, 60, 120)):
+                self._check_ladder(item.data, ladder)
+        assert len(updates) == 4 * len(battery) and None not in updates
+
+    def test_report_reads_the_window_margins(self, tmp_path):
+        problem, report = str(tmp_path / "p.json"), str(tmp_path / "r.json")
+        for seed in (3, 7):
+            assert main(["generate", "--seed", str(seed), "--out", problem]) == 0
+            assert main(["oracle", problem, "--out", report]) == 0
+            margins = load(report)["margins"]
+            data = read_problem(problem)[0]
+            contexts = _ladder(data, (50, 100, 200))
+            assert margins == {str(ctx.N): ctx.margin for ctx in contexts}
+
+    def test_non_multiple_ladder_is_dense(self, tmp_path, updates):
+        problem, report = str(tmp_path / "p.json"), str(tmp_path / "r.json")
+        assert main(["generate", "--seed", "3", "--out", problem]) == 0
+        assert main(["oracle", problem, "--truncation", "150", "--out", report]) == 0
+        doc = load(report)
+        assert doc["truncations"] == [37, 75, 150] and updates == []
+        data = read_problem(problem)[0]
+        contexts = _ladder(data, (37, 75, 150))
+        assert doc["margins"] == {str(ctx.N): _dense_margin(ctx) for ctx in contexts}
+
+    def test_update_of_half_the_window_is_dense(self, updates):
+        # at N = 200 the sketch of 2 n (c - 1) + 8 = 200 columns reaches half
+        # of the 400 rows; at N = 100 it has 72
+        data, _ = random_problem(1000, dims=(32, 2, 3, 2))
+        _, middle, widest = _ladder(data, (50, 100, 200))
+        scale = max(1.0, float(np.linalg.norm(middle.core, 2)))
+        assert abs(middle.margin - _dense_margin(middle)) <= 1e-12 * scale
+        assert widest.margin == _dense_margin(widest)
+        assert len(updates) == 2 and updates[0] is not None and updates[1] is None
+
+    def test_failed_residual_is_dense(self, battery):
+        # a state dimension below the true one leaves part of E outside the sketch
+        data = battery[0].data
+        first, _, widest = _ladder(data, (10, 20, 40))
+        w, U = np.linalg.eigh(first.core)
+        assert toeplitz.ladder_margin(widest.core, w, U, 0) is None
+
+    def test_static_data_has_no_update(self, updates):
+        # n = 0: the window is c copies of the first rung, E = 0
+        rng = np.random.default_rng(21)
+        D1 = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        D2 = 0.3 * (rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1)))
+        data = LeechData(A=np.zeros((0, 0)), B1=np.zeros((0, 3)), B2=np.zeros((0, 1)),
+                         C=np.zeros((2, 0)), D1=D1, D2=D2)
+        expected = float(np.linalg.eigvalsh(D1 @ D1.conj().T - D2 @ D2.conj().T)[0])
+        for ctx in _ladder(data, (10, 20, 40)):
+            assert ctx.margin == pytest.approx(expected, abs=1e-13)
+        assert len(updates) == 2 and None not in updates
+
+    def test_infeasible_report_names_its_first_nonpositive_rung(self, tmp_path):
+        # K of draw 2 scaled by t: the margin turns nonpositive at N = 200,
+        # 100 and 50 in turn
+        problem, report = str(tmp_path / "p.json"), str(tmp_path / "r.json")
+        base, _ = random_problem(2)
+        for t, first in ((1.8, 200), (1.85, 100), (2.0, 50)):
+            data = LeechData(base.A, base.B1, t * base.B2, base.C, base.D1, t * base.D2)
+            contexts = _ladder(data, (50, 100, 200))
+            dense = {ctx.N: _dense_margin(ctx) for ctx in contexts}
+            assert next(N for N, m in dense.items() if m <= 0.0) == first
+            write_problem(data, problem)
+            assert main(["oracle", problem, "--out", report]) == InfeasibleError.exit_code
+            doc = load(report)
+            for ctx in contexts:
+                scale = max(1.0, float(np.linalg.norm(ctx.core, 2)))
+                assert abs(doc["margins"][str(ctx.N)] - dense[ctx.N]) <= 1e-12 * scale
+            assert f"at N={first})" in doc["verdict"]
+
+    def test_traced_names_stay_cached_properties(self):
+        for name in ("gram", "core", "margin", "gram_margin", "core_inv", "gram_inv",
+                     "lam", "ill_inv"):
+            assert isinstance(OracleContext.__dict__[name], functools.cached_property)
 
 
 class TestLambda:
