@@ -4,10 +4,15 @@ Subcommands: check, solve, coefficients, oracle, generate.  Exit codes:
 0 success/feasible, 1 input error (usage, parse, validation, missing file),
 2 infeasible data or numerical breakdown, 3 free-parameter violation.
 A failure's exit code and verdict are those of its class (see errors).
-The LEECH_LOG environment variable sets the logging level on stderr.
+The parser is built once per process, on the first call of main, and a
+command runs the function `cmd_<command>` found in this module at call time.
+Without --out a command's JSON artifact goes to stdout as one line.  The
+LEECH_LOG environment variable, read on every call, sets the level of the
+package's log records on stderr.
 """
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -37,13 +42,27 @@ NORM_SLACK = 1e-6
 log = logging.getLogger("leechsolve.cli")
 
 
+class _Stderr(logging.StreamHandler):
+    """A handler writing to whatever sys.stderr is when a record arrives."""
+
+    def __init__(self):
+        logging.Handler.__init__(self)
+        self.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
 def _setup_logging():
-    level_name = os.environ.get("LEECH_LOG", "WARNING").upper()
-    level = getattr(logging, level_name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(stream=sys.stderr, level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
+    """The package's records at LEECH_LOG's level (WARNING when unset or
+    unknown) through one stderr handler."""
+    level = getattr(logging, os.environ.get("LEECH_LOG", "WARNING").upper(), None)
+    logger = logging.getLogger("leechsolve")
+    logger.setLevel(level if isinstance(level, int) else logging.WARNING)
+    if not any(isinstance(handler, _Stderr) for handler in logger.handlers):
+        logger.addHandler(_Stderr())
+        logger.propagate = False
 
 
 def _emit(doc, out_path, summary_lines):
@@ -221,7 +240,6 @@ def build_parser():
 
     sp = sub.add_parser("check", help="validate a problem and decide feasibility")
     sp.add_argument("problem")
-    sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("solve", help="compute a solution (central unless a "
                                       "parameter file is given)")
@@ -229,13 +247,11 @@ def build_parser():
     sp.add_argument("parameter", nargs="?", default=None,
                     help="optional realization file for the free parameter Y")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("coefficients",
                         help="write the parametrization coefficients")
     sp.add_argument("problem")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.set_defaults(func=cmd_coefficients)
 
     sp = sub.add_parser("oracle",
                         help="cross-validate against truncated Toeplitz compressions")
@@ -243,22 +259,25 @@ def build_parser():
     sp.add_argument("--truncation", type=int, default=None,
                     help="largest truncation order (ladder N/4, N/2, N; default 200)")
     sp.add_argument("--out", default=None, help="optional JSON report path")
-    sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("generate", help="generate a random feasible problem")
     sp.add_argument("--seed", type=_seed, default=None)
     sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.set_defaults(func=cmd_generate)
 
     return parser
 
 
+@functools.cache
+def _parser():
+    # parse_args leaves a parser as it found it, so one serves every call
+    return build_parser()
+
+
 def main(argv=None):
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (LeechError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, LeechError) else EXIT_INPUT

@@ -3,7 +3,8 @@
 Matrices are encoded as nested lists with every entry an [re, im] pair, and
 every object carries its dimensions explicitly — shapes are validated against
 the declared dimensions, never inferred.  Floats go through repr, so a
-write/read round trip reproduces every entry bit for bit.
+write/read round trip reproduces every entry bit for bit.  A document is
+written as one line with no indentation; readers accept any layout.
 """
 
 import json
@@ -223,7 +224,8 @@ def _scalar_default(obj):
 
 
 def dump(doc, path=None):
-    text = json.dumps(doc, indent=2, default=_scalar_default)
+    # no indent: CPython encodes in C only then, and the file is one line
+    text = json.dumps(doc, default=_scalar_default)
     if path is None:
         return text
     with open(path, "w", encoding="utf-8") as fh:

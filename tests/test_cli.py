@@ -125,6 +125,7 @@ class TestSolve:
         path, _ = problem_file
         assert main(["solve", str(path)]) == 0
         captured = capsys.readouterr()
+        assert captured.out.count("\n") == 1  # the artifact is one line
         doc = json.loads(captured.out)
         assert doc["type"] == "leech_solution"
         assert "solution:" in captured.err
@@ -477,6 +478,82 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_generate", failing)
         assert main(["generate", "--seed", "1"]) == code
         assert "error: planted failure" in capsys.readouterr().err
+
+
+def _run(argv, capsys):
+    """Exit code, stdout and stderr of one in-process command."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestOneProcess:
+    """Several commands in one process, as a caller of main makes them."""
+
+    def test_shared_parser_matches_fresh_parsers(self, tmp_path, monkeypatch, capsys):
+        problem = str(tmp_path / "problem.json")
+
+        def planted(args):
+            raise errors.ParameterError("planted failure")
+
+        def sequence(before_each):
+            results = []
+            for argv in (["generate", "--seed", "-1"],
+                         ["generate", "--seed", "5", "--out", problem],
+                         ["check", problem]):
+                before_each()
+                results.append(_run(argv, capsys))
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "cmd_generate", planted)
+                before_each()
+                results.append(_run(["generate", "--seed", "5"], capsys))
+            return results
+
+        # a parser built for every command, as each call of main once did
+        fresh = sequence(cli._parser.cache_clear)
+        real, built = cli.build_parser, []
+
+        def counted():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        shared = sequence(lambda: None)
+        assert shared == fresh
+        assert len(built) == 1
+        assert [code for code, _, _ in shared] == [1, 0, 0, 3]
+        assert "error: argument --seed: must be a non-negative integer" in shared[0][2]
+        assert shared[1][1].startswith("generated: seed 5, dims ")
+        assert shared[2][1].endswith("verdict: FEASIBLE\n")
+        assert shared[3][2] == "error: planted failure\n"
+
+    def test_leech_log_is_read_on_every_call(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "problem.json"
+        write_problem(random_problem(126)[0], path)
+        errs = []
+        try:
+            for level in (None, "DEBUG", None):
+                if level is None:
+                    monkeypatch.delenv("LEECH_LOG", raising=False)
+                else:
+                    monkeypatch.setenv("LEECH_LOG", level)
+                code, out, err = _run(["check", str(path)], capsys)
+                assert code == 0 and "verdict: FEASIBLE" in out
+                errs.append(err)
+        finally:
+            # back to the default level for the tests that follow
+            monkeypatch.delenv("LEECH_LOG", raising=False)
+            cli._setup_logging()
+        assert errs[0] == errs[2] == ""
+        lines = errs[1].splitlines()
+        assert lines and all(line.startswith("DEBUG leechsolve.") for line in lines)
+        assert any(line.startswith("DEBUG leechsolve.riccati: riccati doubling 1: ")
+                   for line in lines)
+        assert any("positivity gaps" in line for line in lines)
 
 
 # The child process gets a minimal environment so that an outer LEECH_LOG

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from leechsolve import cli, files
 from leechsolve.errors import FileFormatError
 from leechsolve.files import (
     coefficients_from_dict,
@@ -24,7 +25,7 @@ from leechsolve.files import (
     write_realization,
 )
 from leechsolve.coefficients import build_redheffer, central_solution
-from leechsolve.generate import random_problem
+from leechsolve.generate import random_contraction, random_problem
 
 
 class TestRoundTrip:
@@ -74,6 +75,60 @@ class TestRoundTrip:
         assert np.array_equal(out["Theta0"], c.Theta0)
         assert np.array_equal(out["U22"].D, c.U22.D)
         assert np.array_equal(out["Phi12"].A, out["Phi12"].A)
+
+
+def _same_value(got, doc, where="doc"):
+    """got, a decoded JSON value, is the value of doc, every float bit for bit."""
+    if isinstance(doc, dict):
+        assert isinstance(got, dict) and list(got) == [str(key) for key in doc], where
+        for key, val in doc.items():
+            _same_value(got[str(key)], val, f"{where}.{key}")
+    elif isinstance(doc, (list, tuple)):
+        assert isinstance(got, list) and len(got) == len(doc), where
+        for i, (a, b) in enumerate(zip(got, doc)):
+            _same_value(a, b, f"{where}[{i}]")
+    elif isinstance(doc, (float, np.floating)):
+        assert type(got) is float and got.hex() == float(doc).hex(), where
+    elif isinstance(doc, (bool, str)) or doc is None:
+        assert type(got) is type(doc) and got == doc, where
+    else:
+        assert type(got) is int and got == int(doc), where
+
+
+class TestLayout:
+    """Each document is written as one line of JSON holding its value."""
+
+    def test_every_document_is_one_line(self, tmp_path, monkeypatch, capsys):
+        written = []
+        real = files.dump
+
+        def recording(doc, path=None):
+            written.append((doc, path))
+            return real(doc, path)
+
+        monkeypatch.setattr(files, "dump", recording)
+        problem, y = str(tmp_path / "problem.json"), str(tmp_path / "y.json")
+        assert cli.main(["generate", "--seed", "3", "--out", problem]) == 0
+        coeffs = str(tmp_path / "coefficients.json")
+        assert cli.main(["coefficients", problem, "--out", coeffs]) == 0
+        dims = load(coeffs)["dims"]
+        write_realization(random_contraction(4, dims["free"], dims["q"], 0.5), y)
+        assert cli.main(["solve", problem, y, "--out", str(tmp_path / "solution.json")]) == 0
+        assert cli.main(["oracle", problem, "--truncation", "40",
+                         "--out", str(tmp_path / "report.json")]) == 0
+        capsys.readouterr()
+        assert sorted(doc["type"] for doc, _ in written) == [
+            "leech_coefficients", "leech_problem", "leech_solution", "oracle_report",
+            "realization"]
+
+        def no_constant(name):
+            raise AssertionError(f"{name} in an artifact")
+
+        for doc, path in written:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            assert text.endswith("\n") and text.count("\n") == 1, doc["type"]
+            _same_value(json.loads(text, parse_constant=no_constant), doc, doc["type"])
 
 
 class TestFailures:
