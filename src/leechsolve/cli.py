@@ -184,8 +184,7 @@ def cmd_oracle(args):
         orc = oracle_upsilon(ctx, derived.Theta0, pts)
         entry = {}
         for name in names:
-            entry[name] = max(
-                float(np.linalg.norm(a - b)) for a, b in zip(ss[name], orc[name]))
+            entry[name] = float(np.linalg.norm(ss[name] - orc[name], axis=(1, 2)).max())
         entry["Delta0"] = float(np.linalg.norm(orc["Delta0"] - derived.Delta0))
         entry["Delta1"] = float(np.linalg.norm(orc["Delta1"] - derived.Delta1))
         entry["theta0_defect"] = float(np.linalg.norm(theta0_defect_oracle(ctx) - derived.M))

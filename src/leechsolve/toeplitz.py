@@ -30,10 +30,15 @@ eigendecomposition by a low-rank update (ladder_margin): E is sketched
 from the dense core itself, so the oracle stays Taylor-data only, and the
 smallest eigenvalue is located by inertia counts (Haynsworth) below the
 first rung's.  Each margin is the smallest eigenvalue of its rung to
-roundoff of |core|; a dense eigvalsh answers for any other rung.
+roundoff of |core|; a dense eigvalsh answers for any other rung.  The same
+factorization solves with each such rung's core (ladder_solve): the first
+rung's by its eigenvectors, a later one's by the Sherman-Morrison-Woodbury
+identity on the verified update, with one refinement step and a residual
+gate; such a rung LU-solves its core only when that gate fails.
 
-The oracle path forms no N m x N m inverse: it solves once with gram and once
-with core against thin stacked right-hand sides (OracleContext.gram_solved,
+The oracle path forms no N m x N m inverse: per rung it solves once with gram
+(an LU) and once with core (by the ladder's update, or an LU where there is
+none) against thin stacked right-hand sides (OracleContext.gram_solved,
 core_solved) and samples all points through one resolvent recursion.  It also
 eigen-solves only core: gram - core = T_K T_K* is positive semidefinite, so a
 positive core margin already proves gram definite, and the Gram margin is
@@ -41,6 +46,7 @@ computed only when the core margin is not positive.  The explicit inverses
 serve the operator identities at the end of this module.
 """
 
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -143,10 +149,23 @@ def resolvent_down(X, z, r):
     return Y
 
 
+@dataclass(frozen=True)
+class LadderUpdate:
+    """A window's core as ladder_margin verified it: blockdiag(core_b, ...)
+    + Q diag(s) Q* to roundoff of `scale`, an upper bound on |core|_2, and
+    its smallest eigenvalue `margin`.  The first rung's is Q = 0."""
+    margin: float
+    Q: np.ndarray
+    s: np.ndarray
+    scale: float
+
+
 def ladder_margin(core, w, U, n):
     """Smallest eigenvalue of the Hermitian `core` of a window c b blocks
     long (c >= 2), from the eigendecomposition (w, U) of its leading
-    principal b-block window core_b, or None when the update cannot answer.
+    principal b-block window core_b, with the update that gave it (a
+    LadderUpdate, which ladder_solve reuses), or None when the update cannot
+    answer.
 
     The window's T is c copies of T_b on the block diagonal plus a block
     lower part of rank <= n (c - 1) (n the state dimension of [G  K]), so
@@ -202,6 +221,15 @@ def ladder_margin(core, w, U, n):
         residual += float(np.linalg.norm(R)) ** 2
     if residual > roundoff ** 2:
         return None
+    return LadderUpdate(_updated_margin(w, U, Q, s, scale), Q, s, scale)
+
+
+def _updated_margin(w, U, Q, s, scale):
+    """Smallest eigenvalue of blockdiag(U diag(w) U*, ...) + Q diag(s) Q*,
+    to roundoff of scale, by the inertia counts of ladder_margin."""
+    size, lead = len(Q), len(w)
+    c = size // lead
+    roundoff = size * EPS * scale
     top = float(w[0])
     if not np.any(s < 0.0):
         return top  # E >= 0 keeps every eigenvalue at or above top
@@ -253,6 +281,53 @@ def ladder_margin(core, w, U, n):
     return hi
 
 
+def ladder_solve(core, w, U, update, X):
+    """core^{-1} X for the Hermitian `core` of a window c b blocks long whose
+    margin ladder_margin answered as `update` (c = 1 for the first rung,
+    Q = 0), or None when the answer fails its residual gate.
+
+    core = D + Q diag(s) Q* with D = blockdiag(U diag(w) U*, ...), so by the
+    Sherman-Morrison-Woodbury identity
+
+        core^{-1} X = D^{-1} X - D^{-1} Q C^{-1} diag(s) Q* D^{-1} X,
+        C = I + diag(s) Q* D^{-1} Q,
+
+    with D^{-1} applied to all c blocks as one (b, c cols) product and C
+    r x r, r the rank of the update.  One refinement step against core
+    itself follows, and the answer Y stands only when |X - core Y|_F <=
+    size eps scale |Y|_F, the roundoff gate of ladder_margin; the caller
+    LU-solves core otherwise.  It is called only on a positive margin, which
+    interlacing puts at or below w[0], so D is definite.
+    """
+    size, lead = len(core), len(w)
+    c, r = size // lead, len(update.s)
+
+    def block_solve(Y):
+        """D^{-1} Y, the c row blocks of Y side by side in one product."""
+        cols = Y.shape[1]
+        Y = Y.reshape(c, lead, cols).transpose(1, 0, 2).reshape(lead, c * cols)
+        Y = U @ ((U.conj().T @ Y) / w[:, None])
+        return Y.reshape(lead, c, cols).transpose(1, 0, 2).reshape(size, cols)
+
+    DQX = block_solve(np.hstack([update.Q, X]))
+    DQ, sQH = DQX[:, :r], update.s[:, None] * update.Q.conj().T
+    capacitance = np.eye(r) + sQH @ DQ
+
+    def woodbury(DY):
+        """core^{-1} Y from D^{-1} Y."""
+        return DY - DQ @ np.linalg.solve(capacitance, sQH @ DY)
+
+    try:
+        Y = woodbury(DQX[:, r:])
+        Y += woodbury(block_solve(X - core @ Y))
+    except np.linalg.LinAlgError:
+        return None  # a singular capacitance matrix
+    residual = float(np.linalg.norm(X - core @ Y))
+    if not residual <= size * EPS * update.scale * float(np.linalg.norm(Y)):
+        return None
+    return Y
+
+
 class OracleContext:
     """Truncated compressions of T_G and T_K, kept as their first block
     columns TgEp = T_G E_p and TkEq = T_K E_q, the column blocks of one
@@ -267,7 +342,8 @@ class OracleContext:
     a positive margin since gram - core = T_K T_K* >= 0; only when the
     margin is not positive does the guard compute the Gram margin itself.
     The oracle itself needs only the columns and the thin solves gram_solved
-    and core_solved; the full matrices Tg, Tk and the explicit inverses
+    (an LU) and core_solved (through the ladder's update where its margin
+    has one, else an LU); the full matrices Tg, Tk and the explicit inverses
     core_inv, gram_inv and ill_inv are built on first use, for Lambda and
     the operator identities below.
 
@@ -275,7 +351,8 @@ class OracleContext:
     matrices are slices of this one's, so a truncation ladder truncates
     once, at its largest window.  The first window cut is the ladder's
     first rung; the margins of its whole multiples update its
-    eigendecomposition (_rung_margin).
+    eigendecomposition (_rung_margin), and their core solves reuse that
+    update (core_solved).
     """
 
     def __init__(self, data, N):
@@ -285,9 +362,10 @@ class OracleContext:
         column = truncate(data.joint(), self.N)
         self.TgEp, self.TkEq = column[:, :self.p], column[:, self.p:]
         # the sizes of the windows cut from this context, in order (its
-        # ladder's rungs), and the margins of its windows by size; a window
-        # keeps its widest context in _root, None here (no reference cycle)
-        self._root, self._rungs, self._margins = None, [], {}
+        # ladder's rungs), the margins of its windows and the updates that
+        # gave them (LadderUpdate), by size; a window keeps its widest
+        # context in _root, None here (no reference cycle)
+        self._root, self._rungs, self._margins, self._updates = None, [], {}, {}
 
     def window(self, N):
         """The context of the leading N <= self.N blocks, sliced from this
@@ -346,25 +424,28 @@ class OracleContext:
         eigendecomposition of its core, and every rung that is a whole
         multiple of b updates that eigendecomposition (ladder_margin),
         reporting no more than the margin of the next rung below, where
-        interlacing puts it.  Any other window, or an update that
-        ladder_margin declines, eigen-solves its core."""
+        interlacing puts it; each keeps its update for core_solved.  Any
+        other window, or an update that ladder_margin declines, eigen-solves
+        its core."""
         if N in self._margins:
             return self._margins[N]
         rows = N * self.m
         core = self.core[:rows, :rows]
         b = self._rungs[0] if self._rungs else None
-        margin = None
+        update = None
         if b is not None and self.N % b == 0 and N % b == 0:
             w, U = self._first_spectrum
             if N == b:
-                margin = float(w[0])
+                update = LadderUpdate(float(w[0]), U[:, :0], w[:0], float(max(-w[0], w[-1])))
             else:
-                found = ladder_margin(core, w, U, self.data.n)
-                if found is not None:
+                update = ladder_margin(core, w, U, self.data.n)
+                if update is not None:
                     below = max(size for size in self._rungs if size < N)
-                    margin = min(found, self._rung_margin(below))
-        if margin is None:
+                    update = replace(update, margin=min(update.margin, self._rung_margin(below)))
+        if update is None:
             margin = float(np.linalg.eigvalsh(core)[0])
+        else:
+            margin, self._updates[N] = update.margin, update
         self._margins[N] = margin
         return margin
 
@@ -415,9 +496,18 @@ class OracleContext:
 
     @cached_property
     def core_solved(self):
-        """core^{-1} [T_K E_q, S_m* T_G E_p], in one solve."""
+        """core^{-1} [T_K E_q, S_m* T_G E_p], in one solve: on a ladder rung
+        whose margin came from the first rung's eigendecomposition, through
+        that factorization and the rung's update (ladder_solve); by LU where
+        there is none or its answer fails the residual gate."""
         self.require_definite()
-        return np.linalg.solve(self.core, np.hstack([self.TkEq, shift_up(self.TgEp, self.m)]))
+        rhs = np.hstack([self.TkEq, shift_up(self.TgEp, self.m)])
+        root = self._root or self
+        update = root._updates.get(self.N)
+        solved = None
+        if update is not None:
+            solved = ladder_solve(self.core, *root._first_spectrum, update, rhs)
+        return np.linalg.solve(self.core, rhs) if solved is None else solved
 
     @cached_property
     def lam(self):

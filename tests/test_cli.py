@@ -11,6 +11,7 @@ import pytest
 import leechsolve
 from leechsolve import cli, core, errors, files
 from leechsolve.cli import main
+from leechsolve.coefficients import build_upsilon
 from leechsolve.files import (
     coefficients_from_dict,
     load,
@@ -21,6 +22,7 @@ from leechsolve.files import (
 )
 from leechsolve.generate import random_contraction, random_problem
 from leechsolve.realization import Realization, constant, evaluate, product
+from leechsolve.toeplitz import OracleContext, oracle_upsilon
 from tests.conftest import (
     circle_points,
     singular_riccati_data,
@@ -268,6 +270,28 @@ class TestOracle:
         for key in ("U11", "U12", "U21", "U22", "Delta0", "Delta1"):
             assert c120[key] <= c30[key] + 1e-12
         assert c120["U11"] <= 1e-5
+
+    def test_comparisons_are_per_point_sups(self, problem_file, tmp_path):
+        # the report takes each sup over the points in one batched norm; the
+        # reference takes one norm per point, in another summation order
+        path, data = problem_file
+        out_path = tmp_path / "report.json"
+        assert main(["oracle", str(path), "--truncation", "60", "--out", str(out_path)]) == 0
+        report = load(out_path)
+        derived = core.solve(data)
+        coeffs = build_upsilon(derived)
+        pts = [0j] + [r * np.exp(2j * np.pi * (j + 0.25) / 5)
+                      for r in (0.3, 0.6, 0.9) for j in range(5)]
+        U = evaluate(coeffs.joint, pts)
+        p, k = coeffs.p, coeffs.free_dim
+        ss = {"U11": U[:, :p, :k], "U12": U[:, :p, k:], "U21": U[:, p:, :k], "U22": U[:, p:, k:]}
+        widest = OracleContext(data, 60)
+        for N in report["truncations"]:
+            orc = oracle_upsilon(widest.window(N), derived.Theta0, pts)
+            sups = report["comparisons"][str(N)]
+            for name in ss:
+                ref = max(float(np.linalg.norm(a - b)) for a, b in zip(ss[name], orc[name]))
+                assert abs(sups[name] - ref) <= 8 * np.finfo(float).eps * ref
 
     @pytest.mark.parametrize("top, ladder", [(12, [8, 12]), (4, [4])])
     def test_small_ladder_stays_within_truncation(self, problem_file, tmp_path, capsys,

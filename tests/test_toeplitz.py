@@ -431,6 +431,111 @@ class TestLadderMargins:
             assert isinstance(OracleContext.__dict__[name], functools.cached_property)
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """Whether each call of toeplitz.ladder_solve answered (False where its
+    residual gate failed)."""
+    answered = []
+    solve = toeplitz.ladder_solve
+
+    def recording(*args):
+        out = solve(*args)
+        answered.append(out is not None)
+        return out
+
+    monkeypatch.setattr(toeplitz, "ladder_solve", recording)
+    return answered
+
+
+def _dense_solves(ctx):
+    """The LU solve that core_solved makes where no ladder update serves."""
+    return np.linalg.solve(ctx.core, np.hstack([ctx.TkEq, toeplitz.shift_up(ctx.TgEp, ctx.m)]))
+
+
+class TestLadderSolves:
+    """A rung whose margin came from the first rung's eigendecomposition
+    solves with its core through that factorization and its update
+    (ladder_solve); every other rung, and an answer that fails the residual
+    gate, LU-solves the dense core, bit for bit as before."""
+
+    @staticmethod
+    def _check_ladder(data, ladder):
+        contexts = _ladder(data, ladder)
+        for ctx in contexts:
+            ctx.require_definite()
+        for ctx in contexts:
+            ref = _dense_solves(ctx)
+            assert np.linalg.norm(ctx.core_solved - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_solves_match_dense_on_draws(self, solves):
+        for seed in range(40):
+            data, _ = random_problem(seed)
+            for ladder in ((50, 100, 200), (30, 60, 120)):
+                self._check_ladder(data, ladder)
+        assert len(solves) == 240 and all(solves)
+
+    def test_solves_match_dense_on_battery(self, battery, solves):
+        for item in battery:
+            for ladder in ((50, 100, 200), (30, 60, 120)):
+                self._check_ladder(item.data, ladder)
+        assert len(solves) == 6 * len(battery) and all(solves)
+
+    def test_default_ladder_makes_no_dense_core_solve(self, monkeypatch, tmp_path, solves):
+        problem, report = str(tmp_path / "p.json"), str(tmp_path / "r.json")
+        lu = np.linalg.solve
+        solved = []
+
+        def spy(a, b):
+            solved.append(np.array(a))
+            return lu(a, b)
+
+        for seed in (3, 7):
+            assert main(["generate", "--seed", str(seed), "--out", problem]) == 0
+            solved.clear()
+            monkeypatch.setattr(np.linalg, "solve", spy)
+            assert main(["oracle", problem, "--out", report]) == 0
+            monkeypatch.setattr(np.linalg, "solve", lu)
+            data = read_problem(problem)[0]
+            contexts = _ladder(data, (50, 100, 200))
+            big = [a for a in solved if len(a) >= 50 * data.m]
+            # the three Gram solves, and no core
+            assert len(big) == 3
+            for ctx in contexts:
+                assert not any(a.shape == ctx.core.shape and np.array_equal(a, ctx.core)
+                               for a in big)
+        assert len(solves) == 6 and all(solves)
+
+    def test_non_multiple_ladder_is_dense(self, solves):
+        data, _ = random_problem(3)
+        for ctx in _ladder(data, (37, 75, 150)):  # oracle --truncation 150
+            ctx.require_definite()
+            np.testing.assert_array_equal(ctx.core_solved, _dense_solves(ctx))
+        assert solves == []
+
+    def test_declined_update_is_dense(self, solves):
+        # the N = 200 margin of this draw is dense (test_update_of_half_the_window_is_dense)
+        data, _ = random_problem(1000, dims=(32, 2, 3, 2))
+        contexts = _ladder(data, (50, 100, 200))
+        for ctx in contexts:
+            ctx.require_definite()
+        widest = contexts[-1]
+        np.testing.assert_array_equal(widest.core_solved, _dense_solves(widest))
+        middle = contexts[1]
+        ref = _dense_solves(middle)
+        assert np.linalg.norm(middle.core_solved - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert solves == [True]
+
+    def test_failed_residual_gate_is_dense(self, battery, monkeypatch, solves):
+        contexts = _ladder(battery[0].data, (50, 100, 200))
+        for ctx in contexts:
+            ctx.require_definite()
+        # no roundoff allowed: no answer passes the gate
+        monkeypatch.setattr(toeplitz, "EPS", 0.0)
+        for ctx in contexts:
+            np.testing.assert_array_equal(ctx.core_solved, _dense_solves(ctx))
+        assert solves == [False] * 3
+
+
 class TestLambda:
     def test_zero_numerator(self, kernel_case):
         ctx = OracleContext(kernel_case.data, 10)
