@@ -6,44 +6,57 @@ Taylor blocks.  Sums and products of such compressions are exact compressions
 again as long as no truncated tail enters; quantities involving an inverse
 carry a boundary error decaying like rho^(distance to the truncation edge).
 All oracle comparisons therefore restrict to leading blocks and to sample
-points in the interior of the disc, and every formula here is evaluated
-purely from Taylor data, independent of the state-space solution path.
+points in the interior of the disc.  Every formula here factors or solves
+the truncated Taylor-data matrices exactly, reading only the Taylor blocks
+and, in the Gram sweep, the realization (A, B1, C, D1) of G that generates
+them; no Riccati or Stein solution enters, so the oracle stays independent
+of the state-space solution path.
 
 A truncation is kept as its first block column T E, the stacked Taylor
 blocks (truncate); lower_block_toeplitz assembles the full matrix from it
 only where an operator identity needs T itself.  The Gram matrices
 gram = T_G T_G* and core = T_G T_G* - T_K T_K* are built from their
-displacement: T T* - S T T* S* = (T E)(T E)* gives each from the first block
-column alone (toeplitz_gram), with no dense product.  Block (i, j) depends
-only on the first max(i, j) + 1 Taylor blocks, so the matrices of window N
-are the leading principal blocks of those of window 2N, and the margins fall
-along a ladder of windows.  A ladder therefore builds one context at its
-largest window; OracleContext.window(N) hands out each smaller rung as
-leading-row slices of its columns and leading-block slices of its Gram
-matrices, with no second truncation.
+displacement: T J T* - S T J T* S* = (T E) J (T E)* gives each from the
+first block column alone (toeplitz_gram), with no dense product; core is
+one recursion of the joint column of [G  K] with J = diag(I_p, -I_q).
+Block (i, j) depends only on the first max(i, j) + 1 Taylor blocks, so the
+matrices of window N are the leading principal blocks of those of window
+2N, and the margins fall along a ladder of windows.  A ladder therefore
+builds one context at its largest window; OracleContext.window(N) hands out
+each smaller rung as leading-row slices of its columns and leading-block
+slices of its Gram matrices (gram only when asked for), with no second
+truncation.
 
 A ladder also eigen-solves densely only its first rung.  The window of c b
 blocks is c copies of the b-block window plus a Hermitian term E of rank
 <= 2 n (c - 1), n the state dimension of [G  K], so the margin of a rung
 that is a whole multiple of the first follows from the first rung's
 eigendecomposition by a low-rank update (ladder_margin): E is sketched
-from the dense core itself, so the oracle stays Taylor-data only, and the
-smallest eigenvalue is located by inertia counts (Haynsworth) below the
-first rung's.  Each margin is the smallest eigenvalue of its rung to
-roundoff of |core|; a dense eigvalsh answers for any other rung.  The same
-factorization solves with each such rung's core (ladder_solve): the first
-rung's by its eigenvectors, a later one's by the Sherman-Morrison-Woodbury
-identity on the verified update, with one refinement step and a residual
-gate; such a rung LU-solves its core only when that gate fails.
+from the dense core itself, and the smallest eigenvalue is located by
+inertia counts (Haynsworth) below the first rung's.  Each margin is the
+smallest eigenvalue of its rung to roundoff of |core|; a dense eigvalsh
+answers for any other rung.  The same factorization solves with each such
+rung's core (ladder_solve): the first rung's by its eigenvectors, a later
+one's by the Sherman-Morrison-Woodbury identity on the verified update,
+gated on its residual and refined once only when the gate fails; such a
+rung LU-solves its core only when the refined answer fails too.
 
-The oracle path forms no N m x N m inverse: per rung it solves once with gram
-(an LU) and once with core (by the ladder's update, or an LU where there is
-none) against thin stacked right-hand sides (OracleContext.gram_solved,
-core_solved) and samples all points through one resolvent recursion.  It also
-eigen-solves only core: gram - core = T_K T_K* is positive semidefinite, so a
-positive core margin already proves gram definite, and the Gram margin is
-computed only when the core margin is not positive.  The explicit inverses
-serve the operator identities at the end of this module.
+The oracle path forms no N m x N m inverse.  Per rung it solves once with
+core (by the ladder's update, or an LU where there is none) against thin
+stacked right-hand sides (OracleContext.core_solved), and reads the forms
+X* gram^{-1} X of X = [T_G E_p, S_m* T_G E_p] (OracleContext.gram_forms)
+from one forward sweep of G lifted to chunks of the first rung
+(gram_sweep): the sweep's pivots are the Schur complements of the block
+LDL* of the truncated gram (the finite-horizon Kalman filter; Hassibi,
+Sayed & Kailath 1999), so one sweep of the widest window serves every rung
+with solves of the first rung's size, and neither the widest gram nor an
+LU with it is formed.  A window that is not a whole multiple of the first
+rung is one chunk, an LU solve with its own gram.  All points are sampled
+through one resolvent recursion.  The path eigen-solves only core:
+gram - core = T_K T_K* is positive semidefinite, so a positive core margin
+already proves gram definite, and the Gram margin is computed only when the
+core margin is not positive.  The explicit inverses and the LU solve
+gram_solved serve the operator identities at the end of this module.
 """
 
 from dataclasses import dataclass, replace
@@ -82,16 +95,17 @@ def lower_block_toeplitz(column, r):
     return T
 
 
-def toeplitz_gram(column, r):
+def toeplitz_gram(column, r, signature=None):
     """T T* for the lower block Toeplitz T whose first block column (blocks
     r rows high) is `column`, from the displacement identity
 
         T T* - S T T* S* = (T E)(T E)*:
 
     block (i, j) is block (i-1, j-1) plus c_i c_j*, so one thin product and
-    N block-row updates replace the dense N r x N r product."""
+    N block-row updates replace the dense N r x N r product.  With a
+    `signature` J (one sign per column) it is T J T*, from c_i J c_j*."""
     N = column.shape[0] // r
-    G = column @ column.conj().T
+    G = (column if signature is None else column * signature) @ column.conj().T
     blocks = G.reshape(N, r, N, r)
     for i in range(1, N):
         blocks[i, :, 1:] += blocks[i - 1, :, :-1]
@@ -293,11 +307,12 @@ def ladder_solve(core, w, U, update, X):
         C = I + diag(s) Q* D^{-1} Q,
 
     with D^{-1} applied to all c blocks as one (b, c cols) product and C
-    r x r, r the rank of the update.  One refinement step against core
-    itself follows, and the answer Y stands only when |X - core Y|_F <=
-    size eps scale |Y|_F, the roundoff gate of ladder_margin; the caller
-    LU-solves core otherwise.  It is called only on a positive margin, which
-    interlacing puts at or below w[0], so D is definite.
+    r x r, r the rank of the update.  The answer Y stands when |X - core
+    Y|_F <= size eps scale |Y|_F, the roundoff gate of ladder_margin; one
+    that fails takes one refinement step against core itself and is gated
+    again, and the caller LU-solves core when it still fails.  It is called
+    only on a positive margin, which interlacing puts at or below w[0], so D
+    is definite.
     """
     size, lead = len(core), len(w)
     c, r = size // lead, len(update.s)
@@ -317,15 +332,91 @@ def ladder_solve(core, w, U, update, X):
         """core^{-1} Y from D^{-1} Y."""
         return DY - DQ @ np.linalg.solve(capacitance, sQH @ DY)
 
+    def passes(R, Y):
+        return float(np.linalg.norm(R)) <= size * EPS * update.scale * float(np.linalg.norm(Y))
+
     try:
         Y = woodbury(DQX[:, r:])
-        Y += woodbury(block_solve(X - core @ Y))
+        R = X - core @ Y
+        if passes(R, Y):
+            return Y
+        Y += woodbury(block_solve(R))
     except np.linalg.LinAlgError:
         return None  # a singular capacitance matrix
-    residual = float(np.linalg.norm(X - core @ Y))
-    if not residual <= size * EPS * update.scale * float(np.linalg.norm(Y)):
-        return None
-    return Y
+    return Y if passes(X - core @ Y, Y) else None
+
+
+def gram_sweep(data, column, b):
+    """X* gram^{-1} X at every window of a whole multiple k b of b blocks,
+    {k b: forms}, by one forward sweep of G lifted to chunks of b blocks.
+
+    `column` is T_G E_p of a window N = c b blocks long, X = [T_G E_p,
+    S_m* T_G E_p] that window's and gram = T_G T_G*.  In chunks of b blocks
+    T_G is the lower block Toeplitz matrix of the lifted system (Phi, B_L,
+    C_L, D_L) of G = (A, B1, C, D1): Phi = A^b, C_L = [C; ...; C A^(b-1)],
+    B_L = [A^(b-1) B1, ..., B1] and D_L the b-block T_G.  The block LDL* of
+    gram in chunk order is the Kalman filter of that system from P = 0:
+
+        Re = C_L P C_L* + gram_b,   M = Phi P C_L* + B_L D_L*,
+        P <- Phi P Phi* + B_L B_L* - M Re^{-1} M*,
+
+    each Re the Schur complement of the leading chunks in the next, so
+
+        X* gram^{-1} X = sum_k eps_k* Re_k^{-1} eps_k,
+        eps_k = X_k - C_L s_k,   s <- Phi s + M Re^{-1} eps_k.
+
+    gram_b is toeplitz_gram of the first b blocks, and block i of B_L D_L*
+    is A^(b-1-i) sum_{l<=i} A^l B1 c_l* (_lifted): D_L is never assembled.
+    The window of k b blocks has the same leading chunks, except that the
+    last block of its S_m* T_G E_p is zero, which its last chunk applies.
+    With b = N the sweep is one LU solve with gram itself.
+    """
+    m, p = data.m, column.shape[1]
+    rows = b * m
+    c = len(column) // rows
+    X = np.hstack([column, shift_up(column, m)])
+    Re = gram_b = toeplitz_gram(column[:rows], m)
+    if c > 1:
+        Phi, CL, BB, BD = _lifted(data, column[:rows], b)
+        M, P, s = BD, np.zeros_like(BB), np.zeros((len(BB), 2 * p), dtype=complex)
+    total = np.zeros((2 * p, 2 * p), dtype=complex)
+    forms = {}
+    for k in range(c):
+        Xk = X[k * rows:(k + 1) * rows]
+        eps = Xk
+        if k:
+            PC = P @ CL.conj().T
+            Re = herm(CL @ PC + gram_b)
+            M = Phi @ PC + BD
+            eps = Xk - CL @ s
+        ends = eps.copy()
+        ends[-m:, p:] -= Xk[-m:, p:]  # the window ending here: zero last block of S_m* T_G E_p
+        more = k < c - 1
+        solved = np.linalg.solve(Re, np.hstack([eps, ends] + ([M.conj().T] if more else [])))
+        forms[(k + 1) * b] = total + ends.conj().T @ solved[:, 2 * p:4 * p]
+        if more:
+            total += eps.conj().T @ solved[:, :2 * p]
+            s = Phi @ s + M @ solved[:, :2 * p]
+            P = herm(Phi @ P @ Phi.conj().T + BB - M @ solved[:, 4 * p:])
+    return forms
+
+
+def _lifted(data, lead, b):
+    """Phi = A^b, C_L, B_L B_L* and B_L D_L* of G lifted to chunks of b
+    blocks (gram_sweep), from the powers A^0 .. A^(b-1); `lead` stacks the
+    first b Taylor blocks c_l of G."""
+    A, B1, C = (np.asarray(M, dtype=complex) for M in (data.A, data.B1, data.C))
+    n, m = len(A), len(C)
+    powers = np.empty((b, n, n), dtype=complex)
+    powers[0] = np.eye(n)
+    for j in range(1, b):
+        powers[j] = powers[j - 1] @ A
+    AB = powers @ B1  # A^l B1
+    CL = (C @ powers).reshape(b * m, n)
+    BL = AB.transpose(1, 0, 2).reshape(n, -1)  # B_L, its blocks reversed
+    partial = np.cumsum(AB @ lead.reshape(b, m, -1).conj().transpose(0, 2, 1), axis=0)
+    BD = (powers[::-1] @ partial).transpose(1, 0, 2).reshape(n, b * m)
+    return powers[-1] @ A, CL, herm(BL @ BL.conj().T), BD
 
 
 class OracleContext:
@@ -341,18 +432,20 @@ class OracleContext:
     Every solve with gram requires gram to be definite, which follows from
     a positive margin since gram - core = T_K T_K* >= 0; only when the
     margin is not positive does the guard compute the Gram margin itself.
-    The oracle itself needs only the columns and the thin solves gram_solved
-    (an LU) and core_solved (through the ladder's update where its margin
-    has one, else an LU); the full matrices Tg, Tk and the explicit inverses
-    core_inv, gram_inv and ill_inv are built on first use, for Lambda and
-    the operator identities below.
+    The oracle itself needs only the columns, the Gram forms gram_forms
+    (by gram_sweep) and the thin solve core_solved (through the ladder's
+    update where its margin has one, else an LU); the full matrices Tg, Tk,
+    the LU solve gram_solved and the explicit inverses core_inv, gram_inv
+    and ill_inv are built on first use, for Lambda and the operator
+    identities below.
 
     window(N) is the context of the leading N blocks: its columns and Gram
-    matrices are slices of this one's, so a truncation ladder truncates
-    once, at its largest window.  The first window cut is the ladder's
-    first rung; the margins of its whole multiples update its
-    eigendecomposition (_rung_margin), and their core solves reuse that
-    update (core_solved).
+    matrices are slices of this one's (gram sliced only when asked for), so
+    a truncation ladder truncates once, at its largest window.  The first
+    window cut is the ladder's first rung; the margins of its whole
+    multiples update its eigendecomposition (_rung_margin), their core
+    solves reuse that update (core_solved), and their Gram forms come from
+    one sweep of this window in chunks of the first rung (gram_forms).
     """
 
     def __init__(self, data, N):
@@ -362,10 +455,12 @@ class OracleContext:
         column = truncate(data.joint(), self.N)
         self.TgEp, self.TkEq = column[:, :self.p], column[:, self.p:]
         # the sizes of the windows cut from this context, in order (its
-        # ladder's rungs), the margins of its windows and the updates that
-        # gave them (LadderUpdate), by size; a window keeps its widest
-        # context in _root, None here (no reference cycle)
-        self._root, self._rungs, self._margins, self._updates = None, [], {}, {}
+        # ladder's rungs), the margins of its windows, the updates that gave
+        # them (LadderUpdate) and the Gram forms of its rungs (gram_sweep), by
+        # size; a window keeps its widest context in _root, None here (no
+        # reference cycle)
+        self._root, self._rungs = None, []
+        self._margins, self._updates, self._forms = {}, {}, {}
 
     def window(self, N):
         """The context of the leading N <= self.N blocks, sliced from this
@@ -384,7 +479,6 @@ class OracleContext:
         sub.m, sub.p, sub.q = self.m, self.p, self.q
         sub.TgEp = self.TgEp[:rows]
         sub.TkEq = self.TkEq[:rows]
-        sub.gram = self.gram[:rows, :rows]
         sub.core = self.core[:rows, :rows]
         sub._root = self._root or self
         sub._root._rungs.append(N)
@@ -400,14 +494,17 @@ class OracleContext:
 
     @cached_property
     def gram(self):
+        if self._root is not None:  # a window's, sliced only when asked for
+            rows = self.N * self.m
+            return self._root.gram[:rows, :rows]
         return toeplitz_gram(self.TgEp, self.m)
 
     @cached_property
     def core(self):
-        # toeplitz_gram returns exactly Hermitian matrices, and so is their
-        # difference, formed in place of the second
-        core = toeplitz_gram(self.TkEq, self.m)
-        return np.subtract(self.gram, core, out=core)
+        """T J T* for the joint T = [T_G  T_K], J = diag(I_p, -I_q): one
+        displacement recursion of the joint column."""
+        signature = np.repeat([1.0, -1.0], [self.p, self.q])
+        return toeplitz_gram(np.hstack([self.TgEp, self.TkEq]), self.m, signature)
 
     @cached_property
     def margin(self):
@@ -431,9 +528,9 @@ class OracleContext:
             return self._margins[N]
         rows = N * self.m
         core = self.core[:rows, :rows]
-        b = self._rungs[0] if self._rungs else None
+        b = self._lifted_rung(N)
         update = None
-        if b is not None and self.N % b == 0 and N % b == 0:
+        if b is not None:
             w, U = self._first_spectrum
             if N == b:
                 update = LadderUpdate(float(w[0]), U[:, :0], w[:0], float(max(-w[0], w[-1])))
@@ -448,6 +545,14 @@ class OracleContext:
             margin, self._updates[N] = update.margin, update
         self._margins[N] = margin
         return margin
+
+    def _lifted_rung(self, N):
+        """The ladder's first rung b when this widest window and its N-block
+        window are both whole multiples of it, else None: such a window's
+        margin updates the first rung's eigendecomposition (_rung_margin)
+        and its Gram forms come from one sweep in chunks of b (gram_forms)."""
+        b = self._rungs[0] if self._rungs else None
+        return b if b is not None and self.N % b == 0 and N % b == 0 else None
 
     @cached_property
     def _first_spectrum(self):
@@ -490,9 +595,25 @@ class OracleContext:
 
     @cached_property
     def gram_solved(self):
-        """gram^{-1} [T_G E_p, S_m* T_G E_p], in one solve.  N = S_m* T_G E_p
-        Theta0, so every Gram solve of the oracle is a slice of this one."""
+        """gram^{-1} [T_G E_p, S_m* T_G E_p], in one LU solve: the reference
+        for gram_forms, and the kernel function's samples (ThetaOracle.w)."""
         return self.solve_gram(np.hstack([self.TgEp, shift_up(self.TgEp, self.m)]))
+
+    @cached_property
+    def gram_forms(self):
+        """X* gram^{-1} X for X = [T_G E_p, S_m* T_G E_p], by gram_sweep: on
+        a ladder rung that is a whole multiple of the first (_lifted_rung),
+        one sweep of the widest window in chunks of the first rung serves
+        every rung; any other window is one chunk, an LU solve with its own
+        gram."""
+        self.require_gram_definite()
+        root = self._root or self
+        b = root._lifted_rung(self.N)
+        if b is None:
+            return gram_sweep(self.data, self.TgEp, self.N)[self.N]
+        if self.N not in root._forms:
+            root._forms.update(gram_sweep(self.data, root.TgEp, b))
+        return root._forms[self.N]
 
     @cached_property
     def core_solved(self):
@@ -525,8 +646,7 @@ class OracleContext:
 def theta0_defect_oracle(ctx):
     """I_p minus the Gram matrix of the first block column of T_G:
     the defect whose minimal-rank factor is Theta0."""
-    E = ctx.TgEp
-    return herm(np.eye(ctx.p, dtype=complex) - E.conj().T @ ctx.gram_solved[:, :ctx.p])
+    return herm(np.eye(ctx.p, dtype=complex) - ctx.gram_forms[:ctx.p, :ctx.p])
 
 
 class ThetaOracle:
@@ -540,10 +660,16 @@ class ThetaOracle:
         if Theta0.shape != (ctx.p, ctx.p - ctx.m):
             raise DimensionError(
                 f"Theta0 must be {ctx.p}x{ctx.p - ctx.m}, got {Theta0.shape}")
+        ctx.require_gram_definite()
         self.ctx = ctx
         self.Theta0 = np.asarray(Theta0, dtype=complex)
         self.Nop = shift_up(ctx.TgEp, ctx.m) @ self.Theta0
-        self.w = ctx.gram_solved[:, ctx.p:] @ self.Theta0
+
+    @cached_property
+    def w(self):
+        """gram^{-1} N, by LU (gram_solved): only sample, blocks and the
+        operator identities read it."""
+        return self.ctx.gram_solved[:, self.ctx.p:] @ self.Theta0
 
     @property
     def core_n(self):
@@ -578,10 +704,10 @@ def oracle_theta(ctx, Theta0):
 def _delta_squares(ctx, theta):
     """Delta0^2 = I_q + E_q* T_K* core^{-1} T_K E_q and
     Delta1^2 = I_k + N* (core^{-1} - gram^{-1}) N."""
-    E, N = ctx.TkEq, theta.Nop
+    E, N, T0 = ctx.TkEq, theta.Nop, theta.Theta0
     d0sq = herm(np.eye(ctx.q, dtype=complex) + E.conj().T @ ctx.core_solved[:, :ctx.q])
-    d1sq = herm(np.eye(ctx.p - ctx.m, dtype=complex)
-                + N.conj().T @ theta.core_n - N.conj().T @ theta.w)
+    d1sq = herm(np.eye(ctx.p - ctx.m, dtype=complex) + N.conj().T @ theta.core_n
+                - T0.conj().T @ ctx.gram_forms[ctx.p:, ctx.p:] @ T0)
     return d0sq, d1sq
 
 

@@ -187,6 +187,7 @@ class TestStructuredPaths:
         with pytest.raises(InfeasibleError):
             oracle_theta(ctx, Theta0)
         assert "gram_solved" not in vars(ctx) and "core_solved" not in vars(ctx)
+        assert "gram_forms" not in vars(ctx)
 
 
 class TestNoAssembly:
@@ -481,28 +482,32 @@ class TestLadderSolves:
         assert len(solves) == 6 * len(battery) and all(solves)
 
     def test_default_ladder_makes_no_dense_core_solve(self, monkeypatch, tmp_path, solves):
+        # nor a dense Gram solve: the Gram sweep solves one first rung (50 m
+        # rows) at a time, and the widest gram is never built
         problem, report = str(tmp_path / "p.json"), str(tmp_path / "r.json")
         lu = np.linalg.solve
-        solved = []
+        sizes, made = [], []
 
         def spy(a, b):
-            solved.append(np.array(a))
+            sizes.append(len(a))
             return lu(a, b)
 
+        def recording(*args):
+            made.append(OracleContext(*args))
+            return made[-1]
+
+        monkeypatch.setattr("leechsolve.cli.OracleContext", recording)
         for seed in (3, 7):
             assert main(["generate", "--seed", str(seed), "--out", problem]) == 0
-            solved.clear()
+            sizes.clear()
+            made.clear()
             monkeypatch.setattr(np.linalg, "solve", spy)
             assert main(["oracle", problem, "--out", report]) == 0
             monkeypatch.setattr(np.linalg, "solve", lu)
-            data = read_problem(problem)[0]
-            contexts = _ladder(data, (50, 100, 200))
-            big = [a for a in solved if len(a) >= 50 * data.m]
-            # the three Gram solves, and no core
-            assert len(big) == 3
-            for ctx in contexts:
-                assert not any(a.shape == ctx.core.shape and np.array_equal(a, ctx.core)
-                               for a in big)
+            m = read_problem(problem)[0].m
+            assert sizes and max(sizes) <= 50 * m
+            (widest,) = made
+            assert widest.N == 200 and "gram" not in vars(widest)
         assert len(solves) == 6 and all(solves)
 
     def test_non_multiple_ladder_is_dense(self, solves):
@@ -534,6 +539,64 @@ class TestLadderSolves:
         for ctx in contexts:
             np.testing.assert_array_equal(ctx.core_solved, _dense_solves(ctx))
         assert solves == [False] * 3
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The (window, chunk) sizes in blocks of each call of toeplitz.gram_sweep."""
+    calls = []
+    sweep = toeplitz.gram_sweep
+
+    def recording(data, column, b):
+        calls.append((len(column) // data.m, b))
+        return sweep(data, column, b)
+
+    monkeypatch.setattr(toeplitz, "gram_sweep", recording)
+    return calls
+
+
+def _dense_forms(ctx):
+    """X* gram^{-1} X for X = [T_G E_p, S_m* T_G E_p], by the LU gram_solved."""
+    X = np.hstack([ctx.TgEp, toeplitz.shift_up(ctx.TgEp, ctx.m)])
+    return X.conj().T @ ctx.gram_solved
+
+
+class TestGramForms:
+    """gram_forms against X* gram^{-1} X by LU: a ladder whose rungs are
+    whole multiples of its first sweeps its widest window once in chunks of
+    the first rung; every other window is one chunk."""
+
+    LADDERS = ((50, 100, 200), (30, 60, 120), (37, 75, 150))
+
+    @classmethod
+    def _check(cls, data, sweeps):
+        for ladder in cls.LADDERS:
+            sweeps.clear()
+            for ctx in _ladder(data, ladder):
+                ref = _dense_forms(ctx)
+                assert np.linalg.norm(ctx.gram_forms - ref) <= 1e-12 * np.linalg.norm(ref)
+            if ladder[-1] % ladder[0]:
+                assert sweeps == [(N, N) for N in ladder]
+            else:
+                assert sweeps == [(ladder[-1], ladder[0])]
+
+    def test_forms_match_dense_on_draws(self, sweeps):
+        ms = set()
+        for seed in range(20):
+            data, _ = random_problem(seed)
+            ms.add(data.m)
+            self._check(data, sweeps)
+        assert ms == {1, 2}
+
+    def test_forms_match_dense_on_battery(self, battery, sweeps):
+        for item in battery:
+            self._check(item.data, sweeps)
+
+    def test_forms_on_an_infeasible_draw(self, sweeps):
+        data, _ = random_problem(0, kind="infeasible")
+        contexts = _ladder(data, (50, 100, 200))
+        assert contexts[-1].margin <= 0.0 < contexts[-1].gram_margin
+        self._check(data, sweeps)
 
 
 class TestLambda:
