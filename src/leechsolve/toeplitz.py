@@ -8,9 +8,9 @@ carry a boundary error decaying like rho^(distance to the truncation edge).
 All oracle comparisons therefore restrict to leading blocks and to sample
 points in the interior of the disc.  Every formula here factors or solves
 the truncated Taylor-data matrices exactly, reading only the Taylor blocks
-and, in the Gram sweep, the realization (A, B1, C, D1) of G that generates
-them; no Riccati or Stein solution enters, so the oracle stays independent
-of the state-space solution path.
+and, in the solves, the realization of [G  K] that generates them; no
+Riccati or Stein solution enters, so the oracle stays independent of the
+state-space solution path.
 
 A truncation is kept as its first block column T E, the stacked Taylor
 blocks (truncate); lower_block_toeplitz assembles the full matrix from it
@@ -35,31 +35,26 @@ eigendecomposition by a low-rank update (ladder_margin): E is sketched
 from the dense core itself, and the smallest eigenvalue is located by
 inertia counts (Haynsworth) below the first rung's.  Each margin is the
 smallest eigenvalue of its rung to roundoff of |core|; a dense eigvalsh
-answers for any other rung.  The same factorization solves with each such
-rung's core (ladder_solve): the first rung's by its eigenvectors, a later
-one's by the Sherman-Morrison-Woodbury identity on the verified update,
-gated on its residual and refined once only when the gate fails; such a
-rung LU-solves its core only when the refined answer fails too.
+answers for any other rung.
 
-The oracle path forms no N m x N m inverse.  Per rung it solves once with
-core (by the ladder's update, or an LU where there is none) against thin
-stacked right-hand sides (OracleContext.core_solved), and reads the forms
-X* gram^{-1} X of X = [T_G E_p, S_m* T_G E_p] (OracleContext.gram_forms)
-from one forward sweep of G lifted to chunks of the first rung
-(gram_sweep): the sweep's pivots are the Schur complements of the block
-LDL* of the truncated gram (the finite-horizon Kalman filter; Hassibi,
-Sayed & Kailath 1999), so one sweep of the widest window serves every rung
-with solves of the first rung's size, and neither the widest gram nor an
-LU with it is formed.  A window that is not a whole multiple of the first
-rung is one chunk, an LU solve with its own gram.  All points are sampled
-through one resolvent recursion.  The path eigen-solves only core:
-gram - core = T_K T_K* is positive semidefinite, so a positive core margin
-already proves gram definite, and the Gram margin is computed only when the
-core margin is not positive.  The explicit inverses and the LU solve
-gram_solved serve the operator identities at the end of this module.
+The oracle path forms no N m x N m inverse.  Every thin solve, with gram
+(J = I on G) or with core (J = diag(I_p, -I_q) on [G  K]), is one block
+LDL* of T J T* (ldl_sweep): a forward sweep of the realization lifted to
+chunks of b blocks, the finite-horizon Krein-space Kalman filter whose
+pivots are the Schur complements of the leading chunks (Hassibi, Sayed &
+Kailath 1999), then a backward adjoint sweep of products.  Every window
+of a whole multiple of b blocks is a leading block of the widest, so on a
+ladder one forward sweep per matrix, in chunks of the first rung, serves
+every rung, each with its own backward sweep, and neither the widest gram
+nor an LU wider than the first rung is formed; a window that is not such
+a multiple is one chunk, an LU with its own Gram matrix.  All points are
+sampled through one resolvent recursion.  The path eigen-solves only
+core: gram - core = T_K T_K* is positive semidefinite, so a positive core
+margin already proves gram definite, and the Gram margin is computed only
+when the core margin is not positive.  The explicit inverses serve the
+operator identities at the end of this module.
 """
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -163,23 +158,10 @@ def resolvent_down(X, z, r):
     return Y
 
 
-@dataclass(frozen=True)
-class LadderUpdate:
-    """A window's core as ladder_margin verified it: blockdiag(core_b, ...)
-    + Q diag(s) Q* to roundoff of `scale`, an upper bound on |core|_2, and
-    its smallest eigenvalue `margin`.  The first rung's is Q = 0."""
-    margin: float
-    Q: np.ndarray
-    s: np.ndarray
-    scale: float
-
-
 def ladder_margin(core, w, U, n):
     """Smallest eigenvalue of the Hermitian `core` of a window c b blocks
     long (c >= 2), from the eigendecomposition (w, U) of its leading
-    principal b-block window core_b, with the update that gave it (a
-    LadderUpdate, which ladder_solve reuses), or None when the update cannot
-    answer.
+    principal b-block window core_b, or None when the update cannot answer.
 
     The window's T is c copies of T_b on the block diagonal plus a block
     lower part of rank <= n (c - 1) (n the state dimension of [G  K]), so
@@ -235,7 +217,7 @@ def ladder_margin(core, w, U, n):
         residual += float(np.linalg.norm(R)) ** 2
     if residual > roundoff ** 2:
         return None
-    return LadderUpdate(_updated_margin(w, U, Q, s, scale), Q, s, scale)
+    return _updated_margin(w, U, Q, s, scale)
 
 
 def _updated_margin(w, U, Q, s, scale):
@@ -295,128 +277,94 @@ def _updated_margin(w, U, Q, s, scale):
     return hi
 
 
-def ladder_solve(core, w, U, update, X):
-    """core^{-1} X for the Hermitian `core` of a window c b blocks long whose
-    margin ladder_margin answered as `update` (c = 1 for the first rung,
-    Q = 0), or None when the answer fails its residual gate.
+def ldl_sweep(F, lead, gram_b, Y, Z, signature=None):
+    """(T J T*)^{-1} X of every window of a whole multiple k b of b blocks,
+    as a function of k, from one forward sweep of F lifted to chunks of b
+    blocks; X = [Y, S_m* Z] of each window, so a shorter window's S_m* Z has
+    a zero last block.
 
-    core = D + Q diag(s) Q* with D = blockdiag(U diag(w) U*, ...), so by the
-    Sherman-Morrison-Woodbury identity
+    T is the truncation of F = (A, B, C, D) on the widest window, c b
+    blocks of m rows, whose rows Y and Z hold; `lead` is the first b blocks
+    of T E, gram_b the first chunk's T J T*, and J the `signature`, one sign
+    per column of F (J = I when None).  In chunks of b blocks T is the lower
+    block Toeplitz matrix of the lifted system (Phi, B_L, C_L, D_L): Phi =
+    A^b, C_L = [C; ...; C A^(b-1)], B_L = [A^(b-1) B, ..., B] and D_L the
+    b-block T.  The block LDL* of T J T* in chunk order is the Krein-space
+    Kalman filter of that system from P = 0:
 
-        core^{-1} X = D^{-1} X - D^{-1} Q C^{-1} diag(s) Q* D^{-1} X,
-        C = I + diag(s) Q* D^{-1} Q,
+        Re = C_L P C_L* + gram_b,   M = Phi P C_L* + B_L J D_L*,
+        u_k = Re^{-1} (X_k - C_L s),   s <- Phi s + M u_k,
+        P <- Phi P Phi* + B_L J B_L* - M Re^{-1} M*,
 
-    with D^{-1} applied to all c blocks as one (b, c cols) product and C
-    r x r, r the rank of the update.  The answer Y stands when |X - core
-    Y|_F <= size eps scale |Y|_F, the roundoff gate of ladder_margin; one
-    that fails takes one refinement step against core itself and is gated
-    again, and the caller LU-solves core when it still fails.  It is called
-    only on a positive margin, which interlacing puts at or below w[0], so D
-    is definite.
+    each Re the Schur complement of the leading chunks in the next, definite
+    when T J T* is.  Block i of B_L J D_L* is A^(b-1-i) sum_{l<=i} A^l B J
+    c_l* (_lifted): D_L is never assembled.  The window of k chunks has the
+    same leading chunks; its own last chunk, with the zero last block of
+    S_m* Z, rides in the same chunk solve.  The backward adjoint sweep of
+    that window is products only: y_k = u_k, lambda = C_L* y_k, and for j < k
+
+        y_j = u_j - Re_j^{-1} M_j* lambda,   lambda <- Phi* lambda + C_L* y_j.
+
+    With b = N the sweep is one LU solve with gram_b, T J T* itself.
     """
-    size, lead = len(core), len(w)
-    c, r = size // lead, len(update.s)
-
-    def block_solve(Y):
-        """D^{-1} Y, the c row blocks of Y side by side in one product."""
-        cols = Y.shape[1]
-        Y = Y.reshape(c, lead, cols).transpose(1, 0, 2).reshape(lead, c * cols)
-        Y = U @ ((U.conj().T @ Y) / w[:, None])
-        return Y.reshape(lead, c, cols).transpose(1, 0, 2).reshape(size, cols)
-
-    DQX = block_solve(np.hstack([update.Q, X]))
-    DQ, sQH = DQX[:, :r], update.s[:, None] * update.Q.conj().T
-    capacitance = np.eye(r) + sQH @ DQ
-
-    def woodbury(DY):
-        """core^{-1} Y from D^{-1} Y."""
-        return DY - DQ @ np.linalg.solve(capacitance, sQH @ DY)
-
-    def passes(R, Y):
-        return float(np.linalg.norm(R)) <= size * EPS * update.scale * float(np.linalg.norm(Y))
-
-    try:
-        Y = woodbury(DQX[:, r:])
-        R = X - core @ Y
-        if passes(R, Y):
-            return Y
-        Y += woodbury(block_solve(R))
-    except np.linalg.LinAlgError:
-        return None  # a singular capacitance matrix
-    return Y if passes(X - core @ Y, Y) else None
-
-
-def gram_sweep(data, column, b):
-    """X* gram^{-1} X at every window of a whole multiple k b of b blocks,
-    {k b: forms}, by one forward sweep of G lifted to chunks of b blocks.
-
-    `column` is T_G E_p of a window N = c b blocks long, X = [T_G E_p,
-    S_m* T_G E_p] that window's and gram = T_G T_G*.  In chunks of b blocks
-    T_G is the lower block Toeplitz matrix of the lifted system (Phi, B_L,
-    C_L, D_L) of G = (A, B1, C, D1): Phi = A^b, C_L = [C; ...; C A^(b-1)],
-    B_L = [A^(b-1) B1, ..., B1] and D_L the b-block T_G.  The block LDL* of
-    gram in chunk order is the Kalman filter of that system from P = 0:
-
-        Re = C_L P C_L* + gram_b,   M = Phi P C_L* + B_L D_L*,
-        P <- Phi P Phi* + B_L B_L* - M Re^{-1} M*,
-
-    each Re the Schur complement of the leading chunks in the next, so
-
-        X* gram^{-1} X = sum_k eps_k* Re_k^{-1} eps_k,
-        eps_k = X_k - C_L s_k,   s <- Phi s + M Re^{-1} eps_k.
-
-    gram_b is toeplitz_gram of the first b blocks, and block i of B_L D_L*
-    is A^(b-1-i) sum_{l<=i} A^l B1 c_l* (_lifted): D_L is never assembled.
-    The window of k b blocks has the same leading chunks, except that the
-    last block of its S_m* T_G E_p is zero, which its last chunk applies.
-    With b = N the sweep is one LU solve with gram itself.
-    """
-    m, p = data.m, column.shape[1]
-    rows = b * m
-    c = len(column) // rows
-    X = np.hstack([column, shift_up(column, m)])
-    Re = gram_b = toeplitz_gram(column[:rows], m)
+    m, rows, cols = len(F.C), len(lead), Y.shape[1]
+    c = len(Y) // rows
+    X = np.hstack([Y, shift_up(Z, m)])
+    width = X.shape[1]
+    Re = gram_b
     if c > 1:
-        Phi, CL, BB, BD = _lifted(data, column[:rows], b)
-        M, P, s = BD, np.zeros_like(BB), np.zeros((len(BB), 2 * p), dtype=complex)
-    total = np.zeros((2 * p, 2 * p), dtype=complex)
-    forms = {}
+        Phi, CL, BB, BD = _lifted(F, lead, rows // m, signature)
+        M, P, s = BD, np.zeros_like(BB), np.zeros((len(BB), width), dtype=complex)
+    ends, solved, gains = [], [], []
     for k in range(c):
         Xk = X[k * rows:(k + 1) * rows]
-        eps = Xk
+        v = Xk
         if k:
             PC = P @ CL.conj().T
             Re = herm(CL @ PC + gram_b)
             M = Phi @ PC + BD
-            eps = Xk - CL @ s
-        ends = eps.copy()
-        ends[-m:, p:] -= Xk[-m:, p:]  # the window ending here: zero last block of S_m* T_G E_p
+            v = Xk - CL @ s
+        end = v.copy()
+        end[-m:, cols:] -= Xk[-m:, cols:]  # the window ending here: S_m* Z's last block is zero
         more = k < c - 1
-        solved = np.linalg.solve(Re, np.hstack([eps, ends] + ([M.conj().T] if more else [])))
-        forms[(k + 1) * b] = total + ends.conj().T @ solved[:, 2 * p:4 * p]
+        out = np.linalg.solve(Re, np.hstack([end] + ([v, M.conj().T] if more else [])))
+        ends.append(out[:, :width])
         if more:
-            total += eps.conj().T @ solved[:, :2 * p]
-            s = Phi @ s + M @ solved[:, :2 * p]
-            P = herm(Phi @ P @ Phi.conj().T + BB - M @ solved[:, 4 * p:])
-    return forms
+            u, gain = out[:, width:2 * width], out[:, 2 * width:]
+            solved.append(u)
+            gains.append(gain)
+            s = Phi @ s + M @ u
+            P = herm(Phi @ P @ Phi.conj().T + BB - M @ gain)
+
+    def window(k):
+        """(T J T*)^{-1} X of the window of k chunks, by its backward sweep."""
+        y = [ends[k - 1]]
+        lam = np.zeros((len(F.A), width), dtype=complex)
+        for j in range(k - 2, -1, -1):
+            lam = Phi.conj().T @ lam + CL.conj().T @ y[-1]
+            y.append(solved[j] - gains[j] @ lam)
+        return np.concatenate(y[::-1])
+    return window
 
 
-def _lifted(data, lead, b):
-    """Phi = A^b, C_L, B_L B_L* and B_L D_L* of G lifted to chunks of b
-    blocks (gram_sweep), from the powers A^0 .. A^(b-1); `lead` stacks the
-    first b Taylor blocks c_l of G."""
-    A, B1, C = (np.asarray(M, dtype=complex) for M in (data.A, data.B1, data.C))
+def _lifted(F, lead, b, signature=None):
+    """Phi = A^b, C_L, B_L J B_L* and B_L J D_L* of F = (A, B, C, D) lifted
+    to chunks of b blocks (ldl_sweep), from the powers A^0 .. A^(b-1);
+    `lead` stacks the first b Taylor blocks c_l of F."""
+    A, B, C = F.A, F.B, F.C
     n, m = len(A), len(C)
     powers = np.empty((b, n, n), dtype=complex)
     powers[0] = np.eye(n)
     for j in range(1, b):
         powers[j] = powers[j - 1] @ A
-    AB = powers @ B1  # A^l B1
+    AB = powers @ B  # A^l B
+    ABJ = AB if signature is None else AB * signature
     CL = (C @ powers).reshape(b * m, n)
-    BL = AB.transpose(1, 0, 2).reshape(n, -1)  # B_L, its blocks reversed
-    partial = np.cumsum(AB @ lead.reshape(b, m, -1).conj().transpose(0, 2, 1), axis=0)
+    # B_L and B_L J, their blocks reversed
+    BL, BLJ = (M.transpose(1, 0, 2).reshape(n, b * B.shape[1]) for M in (AB, ABJ))
+    partial = np.cumsum(ABJ @ lead.reshape(b, m, -1).conj().transpose(0, 2, 1), axis=0)
     BD = (powers[::-1] @ partial).transpose(1, 0, 2).reshape(n, b * m)
-    return powers[-1] @ A, CL, herm(BL @ BL.conj().T), BD
+    return powers[-1] @ A, CL, herm(BLJ @ BL.conj().T), BD
 
 
 class OracleContext:
@@ -432,10 +380,9 @@ class OracleContext:
     Every solve with gram requires gram to be definite, which follows from
     a positive margin since gram - core = T_K T_K* >= 0; only when the
     margin is not positive does the guard compute the Gram margin itself.
-    The oracle itself needs only the columns, the Gram forms gram_forms
-    (by gram_sweep) and the thin solve core_solved (through the ladder's
-    update where its margin has one, else an LU); the full matrices Tg, Tk,
-    the LU solve gram_solved and the explicit inverses core_inv, gram_inv
+    The oracle itself needs only the columns and the thin solves
+    gram_solved and core_solved, each by one block LDL* sweep (ldl_sweep);
+    the full matrices Tg, Tk and the explicit inverses core_inv, gram_inv
     and ill_inv are built on first use, for Lambda and the operator
     identities below.
 
@@ -443,9 +390,9 @@ class OracleContext:
     matrices are slices of this one's (gram sliced only when asked for), so
     a truncation ladder truncates once, at its largest window.  The first
     window cut is the ladder's first rung; the margins of its whole
-    multiples update its eigendecomposition (_rung_margin), their core
-    solves reuse that update (core_solved), and their Gram forms come from
-    one sweep of this window in chunks of the first rung (gram_forms).
+    multiples update its eigendecomposition (_rung_margin), and their
+    solves share one forward sweep per matrix of this window in chunks of
+    the first rung (_solved).
     """
 
     def __init__(self, data, N):
@@ -455,12 +402,11 @@ class OracleContext:
         column = truncate(data.joint(), self.N)
         self.TgEp, self.TkEq = column[:, :self.p], column[:, self.p:]
         # the sizes of the windows cut from this context, in order (its
-        # ladder's rungs), the margins of its windows, the updates that gave
-        # them (LadderUpdate) and the Gram forms of its rungs (gram_sweep), by
-        # size; a window keeps its widest context in _root, None here (no
-        # reference cycle)
+        # ladder's rungs), the margins of its windows by size, and the
+        # forward sweeps of its gram and core (ldl_sweep) by name; a window
+        # keeps its widest context in _root, None here (no reference cycle)
         self._root, self._rungs = None, []
-        self._margins, self._updates, self._forms = {}, {}, {}
+        self._margins, self._sweeps = {}, {}
 
     def window(self, N):
         """The context of the leading N <= self.N blocks, sliced from this
@@ -503,8 +449,13 @@ class OracleContext:
     def core(self):
         """T J T* for the joint T = [T_G  T_K], J = diag(I_p, -I_q): one
         displacement recursion of the joint column."""
+        column, signature = self._joint()
+        return toeplitz_gram(column, self.m, signature)
+
+    def _joint(self):
+        """The joint column [T_G E_p, T_K E_q] and J = diag(I_p, -I_q)."""
         signature = np.repeat([1.0, -1.0], [self.p, self.q])
-        return toeplitz_gram(np.hstack([self.TgEp, self.TkEq]), self.m, signature)
+        return np.hstack([self.TgEp, self.TkEq]), signature
 
     @cached_property
     def margin(self):
@@ -521,28 +472,25 @@ class OracleContext:
         eigendecomposition of its core, and every rung that is a whole
         multiple of b updates that eigendecomposition (ladder_margin),
         reporting no more than the margin of the next rung below, where
-        interlacing puts it; each keeps its update for core_solved.  Any
-        other window, or an update that ladder_margin declines, eigen-solves
-        its core."""
+        interlacing puts it.  Any other window, or an update that
+        ladder_margin declines, eigen-solves its core."""
         if N in self._margins:
             return self._margins[N]
         rows = N * self.m
         core = self.core[:rows, :rows]
         b = self._lifted_rung(N)
-        update = None
+        margin = None
         if b is not None:
             w, U = self._first_spectrum
             if N == b:
-                update = LadderUpdate(float(w[0]), U[:, :0], w[:0], float(max(-w[0], w[-1])))
+                margin = float(w[0])
             else:
-                update = ladder_margin(core, w, U, self.data.n)
-                if update is not None:
+                margin = ladder_margin(core, w, U, self.data.n)
+                if margin is not None:
                     below = max(size for size in self._rungs if size < N)
-                    update = replace(update, margin=min(update.margin, self._rung_margin(below)))
-        if update is None:
+                    margin = min(margin, self._rung_margin(below))
+        if margin is None:
             margin = float(np.linalg.eigvalsh(core)[0])
-        else:
-            margin, self._updates[N] = update.margin, update
         self._margins[N] = margin
         return margin
 
@@ -550,7 +498,7 @@ class OracleContext:
         """The ladder's first rung b when this widest window and its N-block
         window are both whole multiples of it, else None: such a window's
         margin updates the first rung's eigendecomposition (_rung_margin)
-        and its Gram forms come from one sweep in chunks of b (gram_forms)."""
+        and its solves share one sweep in chunks of b (_solved)."""
         b = self._rungs[0] if self._rungs else None
         return b if b is not None and self.N % b == 0 and N % b == 0 else None
 
@@ -578,11 +526,6 @@ class OracleContext:
                 f"truncated Gram matrix of G is not positive definite "
                 f"(margin {self.gram_margin:.6e} at N={self.N})")
 
-    def solve_gram(self, X):
-        """gram^{-1} X."""
-        self.require_gram_definite()
-        return np.linalg.solve(self.gram, X)
-
     @cached_property
     def core_inv(self):
         self.require_definite()
@@ -595,45 +538,50 @@ class OracleContext:
 
     @cached_property
     def gram_solved(self):
-        """gram^{-1} [T_G E_p, S_m* T_G E_p], in one LU solve: the reference
-        for gram_forms, and the kernel function's samples (ThetaOracle.w)."""
-        return self.solve_gram(np.hstack([self.TgEp, shift_up(self.TgEp, self.m)]))
-
-    @cached_property
-    def gram_forms(self):
-        """X* gram^{-1} X for X = [T_G E_p, S_m* T_G E_p], by gram_sweep: on
-        a ladder rung that is a whole multiple of the first (_lifted_rung),
-        one sweep of the widest window in chunks of the first rung serves
-        every rung; any other window is one chunk, an LU solve with its own
-        gram."""
+        """gram^{-1} [T_G E_p, S_m* T_G E_p]: J = I on G (_solved)."""
         self.require_gram_definite()
-        root = self._root or self
-        b = root._lifted_rung(self.N)
-        if b is None:
-            return gram_sweep(self.data, self.TgEp, self.N)[self.N]
-        if self.N not in root._forms:
-            root._forms.update(gram_sweep(self.data, root.TgEp, b))
-        return root._forms[self.N]
+        return self._solved("gram")
 
     @cached_property
     def core_solved(self):
-        """core^{-1} [T_K E_q, S_m* T_G E_p], in one solve: on a ladder rung
-        whose margin came from the first rung's eigendecomposition, through
-        that factorization and the rung's update (ladder_solve); by LU where
-        there is none or its answer fails the residual gate."""
+        """core^{-1} [T_K E_q, S_m* T_G E_p]: J = diag(I_p, -I_q) on [G  K]
+        (_solved)."""
         self.require_definite()
-        rhs = np.hstack([self.TkEq, shift_up(self.TgEp, self.m)])
+        return self._solved("core")
+
+    def _solved(self, name):
+        """(T J T*)^{-1} X of this window for its gram or core, by ldl_sweep:
+        on a ladder rung that is a whole multiple of the first (_lifted_rung),
+        one forward sweep of the widest window in chunks of the first rung,
+        kept for every rung, and this rung's backward sweep; any other
+        window is one chunk, an LU solve with its own Gram matrix."""
         root = self._root or self
-        update = root._updates.get(self.N)
-        solved = None
-        if update is not None:
-            solved = ladder_solve(self.core, *root._first_spectrum, update, rhs)
-        return np.linalg.solve(self.core, rhs) if solved is None else solved
+        b = root._lifted_rung(self.N)
+        if b is None:
+            return self._sweep(name, self.N)(1)
+        if name not in root._sweeps:
+            root._sweeps[name] = root._sweep(name, b)
+        return root._sweeps[name](self.N // b)
+
+    def _sweep(self, name, b):
+        """The forward sweep of this context's gram or core in chunks of b
+        blocks; the first chunk's matrix is a block of core, or of gram when
+        the chunk is the whole window (a chunk of a ladder builds no gram
+        wider than itself)."""
+        rows = b * self.m
+        if name == "core":
+            column, signature = self._joint()
+            return ldl_sweep(self.data.joint(), column[:rows], self.core[:rows, :rows],
+                             self.TkEq, self.TgEp, signature)
+        lead = self.TgEp[:rows]
+        gram_b = self.gram if b == self.N else toeplitz_gram(lead, self.m)
+        return ldl_sweep(self.data.g(), lead, gram_b, self.TgEp, self.TgEp)
 
     @cached_property
     def lam(self):
         """The contraction Lambda = T_G* (T_G T_G*)^{-1} T_K."""
-        return self.Tg.conj().T @ self.solve_gram(self.Tk)
+        self.require_gram_definite()
+        return self.Tg.conj().T @ np.linalg.solve(self.gram, self.Tk)
 
     @cached_property
     def ill_inv(self):
@@ -646,7 +594,7 @@ class OracleContext:
 def theta0_defect_oracle(ctx):
     """I_p minus the Gram matrix of the first block column of T_G:
     the defect whose minimal-rank factor is Theta0."""
-    return herm(np.eye(ctx.p, dtype=complex) - ctx.gram_forms[:ctx.p, :ctx.p])
+    return herm(np.eye(ctx.p, dtype=complex) - ctx.TgEp.conj().T @ ctx.gram_solved[:, :ctx.p])
 
 
 class ThetaOracle:
@@ -667,8 +615,7 @@ class ThetaOracle:
 
     @cached_property
     def w(self):
-        """gram^{-1} N, by LU (gram_solved): only sample, blocks and the
-        operator identities read it."""
+        """gram^{-1} N, from gram_solved."""
         return self.ctx.gram_solved[:, self.ctx.p:] @ self.Theta0
 
     @property
@@ -704,10 +651,9 @@ def oracle_theta(ctx, Theta0):
 def _delta_squares(ctx, theta):
     """Delta0^2 = I_q + E_q* T_K* core^{-1} T_K E_q and
     Delta1^2 = I_k + N* (core^{-1} - gram^{-1}) N."""
-    E, N, T0 = ctx.TkEq, theta.Nop, theta.Theta0
+    E, N = ctx.TkEq, theta.Nop
     d0sq = herm(np.eye(ctx.q, dtype=complex) + E.conj().T @ ctx.core_solved[:, :ctx.q])
-    d1sq = herm(np.eye(ctx.p - ctx.m, dtype=complex) + N.conj().T @ theta.core_n
-                - T0.conj().T @ ctx.gram_forms[ctx.p:, ctx.p:] @ T0)
+    d1sq = herm(np.eye(ctx.p - ctx.m, dtype=complex) + N.conj().T @ (theta.core_n - theta.w))
     return d0sq, d1sq
 
 

@@ -198,6 +198,12 @@ def battery():
 
 
 @pytest.fixture(scope="session")
+def draws():
+    """The default-kind problems of generator seeds 0..39 (m = 1 and m = 2)."""
+    return [random_problem(seed)[0] for seed in range(40)]
+
+
+@pytest.fixture(scope="session")
 def oracle_cache():
     """Memoized OracleContext factory; contexts are reused across tests."""
     cache = {}

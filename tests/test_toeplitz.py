@@ -55,6 +55,15 @@ def _static_row_data():
                      D1=np.array([[1.0, 0.0]]), D2=np.zeros((1, 1)))
 
 
+def _static_pair_data():
+    """Static G (2 x 3) and K (2 x 1), n = 0: a window is copies of one block."""
+    rng = np.random.default_rng(21)
+    D1 = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    D2 = 0.3 * (rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1)))
+    return LeechData(A=np.zeros((0, 0)), B1=np.zeros((0, 3)), B2=np.zeros((0, 1)),
+                     C=np.zeros((2, 0)), D1=D1, D2=D2)
+
+
 def _proportional_data(seed, factor=0.5):
     base, _ = random_problem(seed)
     return LeechData(base.A, base.B1, factor * base.B1, base.C,
@@ -187,7 +196,6 @@ class TestStructuredPaths:
         with pytest.raises(InfeasibleError):
             oracle_theta(ctx, Theta0)
         assert "gram_solved" not in vars(ctx) and "core_solved" not in vars(ctx)
-        assert "gram_forms" not in vars(ctx)
 
 
 class TestNoAssembly:
@@ -343,14 +351,11 @@ class TestLadderMargins:
             assert abs(margin - _dense_margin(ctx)) <= 1e-12 * scale
         assert all(b <= a for a, b in zip(margins, margins[1:]))
 
-    def test_updates_match_dense_on_draws(self, updates):
-        ms = set()
-        for seed in range(40):
-            data, _ = random_problem(seed)
-            ms.add(data.m)
+    def test_updates_match_dense_on_draws(self, draws, updates):
+        assert {data.m for data in draws} == {1, 2}
+        for data in draws:
             for ladder in ((50, 100, 200), (30, 60, 120)):
                 self._check_ladder(data, ladder)
-        assert ms == {1, 2}
         assert len(updates) == 160 and None not in updates
 
     def test_updates_match_dense_on_battery(self, battery, updates):
@@ -398,11 +403,8 @@ class TestLadderMargins:
 
     def test_static_data_has_no_update(self, updates):
         # n = 0: the window is c copies of the first rung, E = 0
-        rng = np.random.default_rng(21)
-        D1 = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        D2 = 0.3 * (rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1)))
-        data = LeechData(A=np.zeros((0, 0)), B1=np.zeros((0, 3)), B2=np.zeros((0, 1)),
-                         C=np.zeros((2, 0)), D1=D1, D2=D2)
+        data = _static_pair_data()
+        D1, D2 = data.D1, data.D2
         expected = float(np.linalg.eigvalsh(D1 @ D1.conj().T - D2 @ D2.conj().T)[0])
         for ctx in _ladder(data, (10, 20, 40)):
             assert ctx.margin == pytest.approx(expected, abs=1e-13)
@@ -433,57 +435,82 @@ class TestLadderMargins:
 
 
 @pytest.fixture
-def solves(monkeypatch):
-    """Whether each call of toeplitz.ladder_solve answered (False where its
-    residual gate failed)."""
-    answered = []
-    solve = toeplitz.ladder_solve
+def sweeps(monkeypatch):
+    """The matrix ("gram" or "core") and the (window, chunk) sizes in blocks
+    of each forward sweep of toeplitz.ldl_sweep."""
+    calls = []
+    sweep = toeplitz.ldl_sweep
 
-    def recording(*args):
-        out = solve(*args)
-        answered.append(out is not None)
-        return out
+    def recording(F, lead, gram_b, Y, Z, signature=None):
+        name = "gram" if signature is None else "core"
+        calls.append((name, len(Y) // len(F.C), len(lead) // len(F.C)))
+        return sweep(F, lead, gram_b, Y, Z, signature)
 
-    monkeypatch.setattr(toeplitz, "ladder_solve", recording)
-    return answered
+    monkeypatch.setattr(toeplitz, "ldl_sweep", recording)
+    return calls
 
 
-def _dense_solves(ctx):
-    """The LU solve that core_solved makes where no ladder update serves."""
-    return np.linalg.solve(ctx.core, np.hstack([ctx.TkEq, toeplitz.shift_up(ctx.TgEp, ctx.m)]))
+def _lu_solve(ctx, name):
+    """core^{-1} [T_K E_q, S_m* T_G E_p] or gram^{-1} [T_G E_p, S_m* T_G E_p] by LU."""
+    Y = ctx.TkEq if name == "core" else ctx.TgEp
+    return np.linalg.solve(getattr(ctx, name), np.hstack([Y, toeplitz.shift_up(ctx.TgEp, ctx.m)]))
 
 
 class TestLadderSolves:
-    """A rung whose margin came from the first rung's eigendecomposition
-    solves with its core through that factorization and its update
-    (ladder_solve); every other rung, and an answer that fails the residual
-    gate, LU-solves the dense core, bit for bit as before."""
+    """core_solved and gram_solved against LU.  A ladder whose rungs are
+    whole multiples of its first sweeps its widest window once per matrix in
+    chunks of the first rung, and each rung takes its own backward sweep;
+    every window of any other ladder is one chunk (ldl_sweep)."""
 
-    @staticmethod
-    def _check_ladder(data, ladder):
-        contexts = _ladder(data, ladder)
-        for ctx in contexts:
-            ctx.require_definite()
-        for ctx in contexts:
-            ref = _dense_solves(ctx)
-            assert np.linalg.norm(ctx.core_solved - ref) <= 1e-12 * np.linalg.norm(ref)
+    LADDERS = ((50, 100, 200), (30, 60, 120), (37, 75, 150))
 
-    def test_solves_match_dense_on_draws(self, solves):
-        for seed in range(40):
-            data, _ = random_problem(seed)
-            for ladder in ((50, 100, 200), (30, 60, 120)):
-                self._check_ladder(data, ladder)
-        assert len(solves) == 240 and all(solves)
+    @classmethod
+    def _check(cls, data, sweeps, ladders=LADDERS):
+        """Every solve of every ladder within 1e-12 of LU; a rung whose core
+        is not definite raises instead of solving with it."""
+        for ladder in ladders:
+            contexts = _ladder(data, ladder)
+            definite = [ctx.margin > 0.0 for ctx in contexts]
+            sweeps.clear()
+            for ctx, solves_core in zip(contexts, definite):
+                names = ("gram", "core") if solves_core else ("gram",)
+                for name in names:
+                    ref = _lu_solve(ctx, name)
+                    solved = getattr(ctx, f"{name}_solved")
+                    assert np.linalg.norm(solved - ref) <= 1e-12 * np.linalg.norm(ref)
+                if not solves_core:
+                    with pytest.raises(InfeasibleError):
+                        ctx.core_solved
+            if ladder[-1] % ladder[0]:
+                expected = [(name, N, N) for N, solves_core in zip(ladder, definite)
+                            for name in ("gram", "core")[:1 + solves_core]]
+            else:
+                expected = [(name, ladder[-1], ladder[0])
+                            for name in ("gram", "core")[:1 + any(definite)]]
+            assert sweeps == expected
 
-    def test_solves_match_dense_on_battery(self, battery, solves):
+    def test_solves_match_dense_on_draws(self, draws, sweeps):
+        assert {data.m for data in draws} == {1, 2}
+        for data in draws:
+            self._check(data, sweeps)
+
+    def test_solves_match_dense_on_battery(self, battery, sweeps):
         for item in battery:
-            for ladder in ((50, 100, 200), (30, 60, 120)):
-                self._check_ladder(item.data, ladder)
-        assert len(solves) == 6 * len(battery) and all(solves)
+            self._check(item.data, sweeps)
 
-    def test_default_ladder_makes_no_dense_core_solve(self, monkeypatch, tmp_path, solves):
-        # nor a dense Gram solve: the Gram sweep solves one first rung (50 m
-        # rows) at a time, and the widest gram is never built
+    def test_static_data_sweeps(self, sweeps):
+        # n = 0: the lifted system has no state, and every chunk is gram_b
+        self._check(_static_pair_data(), sweeps)
+
+    def test_solves_on_an_infeasible_draw(self, sweeps):
+        data, _ = random_problem(0, kind="infeasible")
+        widest = _ladder(data, (50, 100, 200))[-1]
+        assert widest.margin <= 0.0 < widest.gram_margin
+        self._check(data, sweeps)
+
+    def test_default_ladder_makes_no_dense_core_solve(self, monkeypatch, tmp_path, sweeps):
+        # every solve is a chunk of the first rung (50 m rows), and the
+        # widest gram is never built
         problem, report = str(tmp_path / "p.json"), str(tmp_path / "r.json")
         lu = np.linalg.solve
         sizes, made = [], []
@@ -501,6 +528,7 @@ class TestLadderSolves:
             assert main(["generate", "--seed", str(seed), "--out", problem]) == 0
             sizes.clear()
             made.clear()
+            sweeps.clear()
             monkeypatch.setattr(np.linalg, "solve", spy)
             assert main(["oracle", problem, "--out", report]) == 0
             monkeypatch.setattr(np.linalg, "solve", lu)
@@ -508,95 +536,22 @@ class TestLadderSolves:
             assert sizes and max(sizes) <= 50 * m
             (widest,) = made
             assert widest.N == 200 and "gram" not in vars(widest)
-        assert len(solves) == 6 and all(solves)
+            assert sorted(sweeps) == [("core", 200, 50), ("gram", 200, 50)]
 
-    def test_non_multiple_ladder_is_dense(self, solves):
-        data, _ = random_problem(3)
-        for ctx in _ladder(data, (37, 75, 150)):  # oracle --truncation 150
-            ctx.require_definite()
-            np.testing.assert_array_equal(ctx.core_solved, _dense_solves(ctx))
-        assert solves == []
+    def test_non_multiple_ladder_is_dense(self, tmp_path, sweeps):
+        # oracle --truncation 150: every window is one chunk, an LU of its own
+        problem, report = str(tmp_path / "p.json"), str(tmp_path / "r.json")
+        assert main(["generate", "--seed", "3", "--out", problem]) == 0
+        assert main(["oracle", problem, "--truncation", "150", "--out", report]) == 0
+        assert load(report)["truncations"] == [37, 75, 150]
+        assert sorted(sweeps) == [(name, N, N) for name in ("core", "gram") for N in (37, 75, 150)]
 
-    def test_declined_update_is_dense(self, solves):
-        # the N = 200 margin of this draw is dense (test_update_of_half_the_window_is_dense)
+    def test_solves_do_not_read_the_margin_updates(self, sweeps):
+        # the N = 200 margin of this draw is dense
+        # (test_update_of_half_the_window_is_dense); its solves still sweep
         data, _ = random_problem(1000, dims=(32, 2, 3, 2))
-        contexts = _ladder(data, (50, 100, 200))
-        for ctx in contexts:
-            ctx.require_definite()
-        widest = contexts[-1]
-        np.testing.assert_array_equal(widest.core_solved, _dense_solves(widest))
-        middle = contexts[1]
-        ref = _dense_solves(middle)
-        assert np.linalg.norm(middle.core_solved - ref) <= 1e-12 * np.linalg.norm(ref)
-        assert solves == [True]
-
-    def test_failed_residual_gate_is_dense(self, battery, monkeypatch, solves):
-        contexts = _ladder(battery[0].data, (50, 100, 200))
-        for ctx in contexts:
-            ctx.require_definite()
-        # no roundoff allowed: no answer passes the gate
-        monkeypatch.setattr(toeplitz, "EPS", 0.0)
-        for ctx in contexts:
-            np.testing.assert_array_equal(ctx.core_solved, _dense_solves(ctx))
-        assert solves == [False] * 3
-
-
-@pytest.fixture
-def sweeps(monkeypatch):
-    """The (window, chunk) sizes in blocks of each call of toeplitz.gram_sweep."""
-    calls = []
-    sweep = toeplitz.gram_sweep
-
-    def recording(data, column, b):
-        calls.append((len(column) // data.m, b))
-        return sweep(data, column, b)
-
-    monkeypatch.setattr(toeplitz, "gram_sweep", recording)
-    return calls
-
-
-def _dense_forms(ctx):
-    """X* gram^{-1} X for X = [T_G E_p, S_m* T_G E_p], by the LU gram_solved."""
-    X = np.hstack([ctx.TgEp, toeplitz.shift_up(ctx.TgEp, ctx.m)])
-    return X.conj().T @ ctx.gram_solved
-
-
-class TestGramForms:
-    """gram_forms against X* gram^{-1} X by LU: a ladder whose rungs are
-    whole multiples of its first sweeps its widest window once in chunks of
-    the first rung; every other window is one chunk."""
-
-    LADDERS = ((50, 100, 200), (30, 60, 120), (37, 75, 150))
-
-    @classmethod
-    def _check(cls, data, sweeps):
-        for ladder in cls.LADDERS:
-            sweeps.clear()
-            for ctx in _ladder(data, ladder):
-                ref = _dense_forms(ctx)
-                assert np.linalg.norm(ctx.gram_forms - ref) <= 1e-12 * np.linalg.norm(ref)
-            if ladder[-1] % ladder[0]:
-                assert sweeps == [(N, N) for N in ladder]
-            else:
-                assert sweeps == [(ladder[-1], ladder[0])]
-
-    def test_forms_match_dense_on_draws(self, sweeps):
-        ms = set()
-        for seed in range(20):
-            data, _ = random_problem(seed)
-            ms.add(data.m)
-            self._check(data, sweeps)
-        assert ms == {1, 2}
-
-    def test_forms_match_dense_on_battery(self, battery, sweeps):
-        for item in battery:
-            self._check(item.data, sweeps)
-
-    def test_forms_on_an_infeasible_draw(self, sweeps):
-        data, _ = random_problem(0, kind="infeasible")
-        contexts = _ladder(data, (50, 100, 200))
-        assert contexts[-1].margin <= 0.0 < contexts[-1].gram_margin
-        self._check(data, sweeps)
+        self._check(data, sweeps, ((50, 100, 200),))
+        assert sweeps == [("gram", 200, 50), ("core", 200, 50)]
 
 
 class TestLambda:
