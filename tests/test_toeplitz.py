@@ -554,6 +554,35 @@ class TestLadderSolves:
         assert sweeps == [("gram", 200, 50), ("core", 200, 50)]
 
 
+class TestGramForms:
+    """The Gram forms X* gram^{-1} X, X = [T_G E_p, S_m* T_G E_p], that
+    theta0_defect_oracle and _delta_squares read from gram_solved, against
+    the same forms by LU; a gram-only ladder makes gram sweeps only."""
+
+    @staticmethod
+    def _check(data, sweeps):
+        for ladder in TestLadderSolves.LADDERS:
+            sweeps.clear()
+            for ctx in _ladder(data, ladder):
+                X = np.hstack([ctx.TgEp, toeplitz.shift_up(ctx.TgEp, ctx.m)])
+                ref = X.conj().T @ _lu_solve(ctx, "gram")
+                forms = X.conj().T @ ctx.gram_solved
+                assert np.linalg.norm(forms - ref) <= 1e-12 * np.linalg.norm(ref)
+            if ladder[-1] % ladder[0]:
+                assert sweeps == [("gram", N, N) for N in ladder]
+            else:
+                assert sweeps == [("gram", ladder[-1], ladder[0])]
+
+    def test_forms_match_dense_on_draws(self, draws, sweeps):
+        assert {data.m for data in draws[:20]} == {1, 2}
+        for data in draws[:20]:
+            self._check(data, sweeps)
+
+    def test_forms_match_dense_on_battery(self, battery, sweeps):
+        for item in battery:
+            self._check(item.data, sweeps)
+
+
 class TestLambda:
     def test_zero_numerator(self, kernel_case):
         ctx = OracleContext(kernel_case.data, 10)
