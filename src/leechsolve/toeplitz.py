@@ -23,19 +23,21 @@ Block (i, j) depends only on the first max(i, j) + 1 Taylor blocks, so the
 matrices of window N are the leading principal blocks of those of window
 2N, and the margins fall along a ladder of windows.  A ladder therefore
 builds one context at its largest window; OracleContext.window(N) hands out
-each smaller rung as leading-row slices of its columns and leading-block
-slices of its Gram matrices (gram only when asked for), with no second
-truncation.
+each smaller rung as leading-row slices of its columns, with no second
+truncation; a window's Gram matrices come from its own columns, and only a
+dense path builds them.
 
 A ladder also eigen-solves densely only its first rung.  The window of c b
 blocks is c copies of the b-block window plus a Hermitian term E of rank
 <= 2 n (c - 1), n the state dimension of [G  K], so the margin of a rung
 that is a whole multiple of the first follows from the first rung's
-eigendecomposition by a low-rank update (ladder_margin): E is sketched
-from the dense core itself, and the smallest eigenvalue is located by
-inertia counts (Haynsworth) below the first rung's.  Each margin is the
-smallest eigenvalue of its rung to roundoff of |core|; a dense eigvalsh
-answers for any other rung.
+eigendecomposition by a low-rank update (ladder_margin): E is factored
+exactly from the realization of [G  K] lifted to chunks of the first rung,
+the chunk form of the displacement identity, and the smallest eigenvalue
+is located by inertia counts (Haynsworth) below the first rung's
+(_updated_margin).  Each margin is the smallest eigenvalue of its rung to
+roundoff of |core|, and on such a ladder no core wider than the first rung
+is formed; a dense eigvalsh answers for any other rung.
 
 The oracle path forms no N m x N m inverse.  Every thin solve, with gram
 (J = I on G) or with core (J = diag(I_p, -I_q) on [G  K]), is one block
@@ -45,8 +47,8 @@ pivots are the Schur complements of the leading chunks (Hassibi, Sayed &
 Kailath 1999), then a backward adjoint sweep of products.  Every window
 of a whole multiple of b blocks is a leading block of the widest, so on a
 ladder one forward sweep per matrix, in chunks of the first rung, serves
-every rung, each with its own backward sweep, and neither the widest gram
-nor an LU wider than the first rung is formed; a window that is not such
+every rung, each with its own backward sweep, and no Gram matrix nor LU
+wider than the first rung is formed; a window that is not such
 a multiple is one chunk, an LU with its own Gram matrix.  All points are
 sampled through one resolvent recursion.  The path eigen-solves only
 core: gram - core = T_K T_K* is positive semidefinite, so a positive core
@@ -69,10 +71,8 @@ from .realization import (
 )
 
 EPS = np.finfo(float).eps
-# sketch columns beyond the rank bound of a ladder update (ladder_margin)
-OVERSAMPLE = 8
-# Newton or halving steps of ladder_margin's root search: halving alone closes
-# its bracket, |E| wide, to 4 eps |core| in about 50
+# Newton or halving steps of _updated_margin's root search: halving alone
+# closes its bracket, |E| wide, to 4 eps |core| in about 50
 MAX_STEPS = 100
 
 
@@ -158,26 +158,58 @@ def resolvent_down(X, z, r):
     return Y
 
 
-def ladder_margin(core, w, U, n):
-    """Smallest eigenvalue of the Hermitian `core` of a window c b blocks
-    long (c >= 2), from the eigendecomposition (w, U) of its leading
-    principal b-block window core_b, or None when the update cannot answer.
+def ladder_margin(w, U, lifted, c):
+    """Smallest eigenvalue of the core of a window of c >= 2 chunks of b
+    blocks, from the eigendecomposition (w, U) of the first chunk's core_b
+    and the lift (Phi, C_L, B_L J B_L*, B_L J D_L*) of [G  K] to chunks of b
+    blocks (_lifted), or None when the update would reach half the window.
 
-    The window's T is c copies of T_b on the block diagonal plus a block
-    lower part of rank <= n (c - 1) (n the state dimension of [G  K]), so
+    In chunks, T is lower block Toeplitz with first column T E = e + a B_L,
+    e = [D_L; 0] and a = [0; C_L; C_L Phi; ...; C_L Phi^(c-2)].  The
+    displacement identity T J T* = sum_i Z^i (T E) J (T E)* Z^i* (Z the
+    chunk shift) gives e J e* the block diagonal, so with d = e J B_L*
+
         E = core - blockdiag(core_b, ..., core_b)
-    has rank <= 2 n (c - 1).  E is never formed: a seeded sketch of
-    2 n (c - 1) + OVERSAMPLE columns of its range gives E ~ Q S Q*, and the
-    residual |E - Q S Q*|_F, one block row at a time, must lie below the
-    roundoff of |core|, size eps |core|.  In the eigenbasis of the block
-    diagonal, core is D + Z diag(s) Z*, with D = blockdiag(diag(w), ...),
-    S = V diag(s) V*, Z = blockdiag(U, ...)* Q V.  Interlacing puts its
-    smallest eigenvalue at or below top = w[0], and Weyl at or above
-    top - |E|.  Below top, Haynsworth's inertia formula counts the
-    eigenvalues under sigma as #neg(K(sigma)) - #pos(s), where K(sigma) is
-    the small Hermitian matrix left by eliminating the coordinates R of D
-    more than |E|/size above top; the rest, P, stay unreduced, so no weight
-    e/(D_R - sigma) exceeds size and K's roundoff stays within that of core:
+          = sum_{i<c-1} Z^i (a B_L J B_L* a* + a d* + d a*) Z^i*
+          = F H F*,   F = [Z^i a, Z^i d],   H = [[I (x) B_L J B_L*, I], [I, 0]]
+
+    exactly (Z^(c-1) a = 0), of rank <= 2 n (c - 1), n the state dimension
+    of [G  K].  A QR of F and an eigh of R H R* give E = Q diag(s) Q*;
+    static data (n = 0) has E = 0 and the margin w[0]."""
+    Phi, CL, BB, BD = lifted
+    n, rows = len(Phi), len(CL)
+    size, k = c * rows, 2 * n * (c - 1)
+    if 2 * k >= size:
+        return None
+    if not n:
+        return float(w[0])
+    O = observability_matrix(CL, Phi, c - 1)
+    F = np.zeros((size, 2, c - 1, n), dtype=complex)
+    for i in range(c - 1):
+        F[(i + 1) * rows:, 0, i] = O[:size - (i + 1) * rows]  # Z^i a
+        F[i * rows:(i + 1) * rows, 1, i] = BD.conj().T  # Z^i d
+    Q, R = np.linalg.qr(F.reshape(size, k))
+    eye = np.eye(k // 2)
+    H = np.block([[np.kron(np.eye(c - 1), BB), eye], [eye, np.zeros_like(eye)]])
+    s, V = np.linalg.eigh(herm(R @ H @ R.conj().T))
+    scale = max(-w[0], w[-1]) + max(-s[0], s[-1])  # bounds |core|_2
+    keep = np.abs(s) > EPS * scale
+    return _updated_margin(w, U, Q @ V[:, keep], s[keep], scale)
+
+
+def _updated_margin(w, U, Q, s, scale):
+    """Smallest eigenvalue of core = blockdiag(U diag(w) U*, ...) + Q diag(s) Q*,
+    to roundoff of scale, size eps scale, by inertia counts.
+
+    In the eigenbasis of the block diagonal, core is D + Z diag(s) Z*, with
+    D = blockdiag(diag(w), ...) and Z = blockdiag(U, ...)* Q.  Interlacing
+    puts its smallest eigenvalue at or below top = w[0], and Weyl at or
+    above top - |E|, E = Q diag(s) Q*.  Below top, Haynsworth's inertia
+    formula counts the eigenvalues under sigma as #neg(K(sigma)) - #pos(s),
+    where K(sigma) is the small Hermitian matrix left by eliminating the
+    coordinates R of D more than |E|/size above top; the rest, P, stay
+    unreduced, so no weight e/(D_R - sigma) exceeds size and K's roundoff
+    stays within that of core:
 
         K = [ (D_P - sigma)/e    Z_P a                                  ]
             [ (Z_P a)*           -sign(s) - (Z_R a)* e (D_R - sigma)^-1 Z_R a ]
@@ -186,43 +218,7 @@ def ladder_margin(core, w, U, n):
     the roundoff when the margin has converged, which returns top at once;
     otherwise Newton steps on eigenvalue #pos(s) of K, which falls as sigma
     rises and vanishes at the margin, find the root, each step kept inside
-    the bracket that the counts close and halved where it leaves it.
-
-    None when the sketch would reach half the window, or the residual
-    fails; the caller then eigen-solves core densely.
-    """
-    size, lead = len(core), len(w)
-    c = size // lead
-    k = 2 * n * (c - 1) + OVERSAMPLE
-    if 2 * k >= size:
-        return None
-    block = core[:lead, :lead]
-
-    def update(X):
-        """E X, from core X less the block diagonal's part."""
-        return core @ X - (block @ X.reshape(c, lead, -1)).reshape(size, -1)
-
-    Q = np.linalg.qr(update(np.random.default_rng(0).standard_normal((size, k))))[0]
-    s, V = np.linalg.eigh(herm(Q.conj().T @ update(Q)))
-    scale = max(-w[0], w[-1]) + max(-s[0], s[-1])  # bounds |core|_2
-    roundoff = size * EPS * scale
-    keep = np.abs(s) > EPS * scale
-    s, Q = s[keep], Q @ V[:, keep]
-    QS, QH = Q * s, Q.conj().T
-    residual = 0.0
-    for i in range(c):
-        rows = slice(i * lead, (i + 1) * lead)
-        R = core[rows] - QS[rows] @ QH
-        R[:, rows] -= block
-        residual += float(np.linalg.norm(R)) ** 2
-    if residual > roundoff ** 2:
-        return None
-    return _updated_margin(w, U, Q, s, scale)
-
-
-def _updated_margin(w, U, Q, s, scale):
-    """Smallest eigenvalue of blockdiag(U diag(w) U*, ...) + Q diag(s) Q*,
-    to roundoff of scale, by the inertia counts of ladder_margin."""
+    the bracket that the counts close and halved where it leaves it."""
     size, lead = len(Q), len(w)
     c = size // lead
     roundoff = size * EPS * scale
@@ -386,13 +382,14 @@ class OracleContext:
     and ill_inv are built on first use, for Lambda and the operator
     identities below.
 
-    window(N) is the context of the leading N blocks: its columns and Gram
-    matrices are slices of this one's (gram sliced only when asked for), so
-    a truncation ladder truncates once, at its largest window.  The first
-    window cut is the ladder's first rung; the margins of its whole
-    multiples update its eigendecomposition (_rung_margin), and their
-    solves share one forward sweep per matrix of this window in chunks of
-    the first rung (_solved).
+    window(N) is the context of the leading N blocks: its columns are
+    slices of this one's, so a truncation ladder truncates once, at its
+    largest window.  The first window cut is the ladder's first rung; the
+    margins of its whole multiples update its eigendecomposition through the
+    lifted realization (_rung_margin), and their solves share one forward
+    sweep per matrix of this window in chunks of the first rung (_solved),
+    so such a ladder builds gram and core of no window wider than the first
+    rung unless a dense path asks for them.
     """
 
     def __init__(self, data, N):
@@ -411,9 +408,10 @@ class OracleContext:
     def window(self, N):
         """The context of the leading N <= self.N blocks, sliced from this
         one: the columns of a window are the leading rows of those of any
-        larger window, and its gram and core the leading principal blocks.
-        Solves of the window are its own; its margin is the smallest
-        eigenvalue of its own core, as the ladder answers it (margin)."""
+        larger window.  Its gram and core, read only by dense paths, come
+        from its own columns.  Solves of the window are its own; its margin
+        is the smallest eigenvalue of its own core, as the ladder answers it
+        (margin)."""
         N = int(N)
         if not 1 <= N <= self.N:
             raise DimensionError(f"window must lie in 1..{self.N}, got {N}")
@@ -425,7 +423,6 @@ class OracleContext:
         sub.m, sub.p, sub.q = self.m, self.p, self.q
         sub.TgEp = self.TgEp[:rows]
         sub.TkEq = self.TkEq[:rows]
-        sub.core = self.core[:rows, :rows]
         sub._root = self._root or self
         sub._root._rungs.append(N)
         return sub
@@ -440,17 +437,19 @@ class OracleContext:
 
     @cached_property
     def gram(self):
-        if self._root is not None:  # a window's, sliced only when asked for
-            rows = self.N * self.m
-            return self._root.gram[:rows, :rows]
         return toeplitz_gram(self.TgEp, self.m)
 
     @cached_property
     def core(self):
         """T J T* for the joint T = [T_G  T_K], J = diag(I_p, -I_q): one
         displacement recursion of the joint column."""
+        return self._window_core(self.N)
+
+    def _window_core(self, N):
+        """The core of this context's leading N-block window, from that
+        window's own leading column."""
         column, signature = self._joint()
-        return toeplitz_gram(column, self.m, signature)
+        return toeplitz_gram(column[:N * self.m], self.m, signature)
 
     def _joint(self):
         """The joint column [T_G E_p, T_K E_q] and J = diag(I_p, -I_q)."""
@@ -460,9 +459,9 @@ class OracleContext:
     @cached_property
     def margin(self):
         """Smallest eigenvalue of core, as its ladder answers it (_rung_margin)."""
-        return (self._root or self)._rung_margin(self.N)
+        return (self._root or self)._rung_margin(self.N, self)
 
-    def _rung_margin(self, N):
+    def _rung_margin(self, N, window=None):
         """Smallest eigenvalue of the core of this context's leading N-block
         window, kept by N.
 
@@ -470,14 +469,14 @@ class OracleContext:
         window cut is its first rung, b blocks.  When the widest window is a
         whole multiple of b, the first rung reads its margin from the
         eigendecomposition of its core, and every rung that is a whole
-        multiple of b updates that eigendecomposition (ladder_margin),
-        reporting no more than the margin of the next rung below, where
-        interlacing puts it.  Any other window, or an update that
-        ladder_margin declines, eigen-solves its core."""
+        multiple of b updates that eigendecomposition through the lift of
+        [G  K] to chunks of b blocks (ladder_margin), reporting no more than
+        the margin of the next rung below, where interlacing puts it.  Any
+        other window, or an update that would reach half the window,
+        eigen-solves its core: that of `window`, the N-block context, when
+        given, else one built from the leading column."""
         if N in self._margins:
             return self._margins[N]
-        rows = N * self.m
-        core = self.core[:rows, :rows]
         b = self._lifted_rung(N)
         margin = None
         if b is not None:
@@ -485,11 +484,12 @@ class OracleContext:
             if N == b:
                 margin = float(w[0])
             else:
-                margin = ladder_margin(core, w, U, self.data.n)
+                margin = ladder_margin(w, U, self._first_lift, N // b)
                 if margin is not None:
                     below = max(size for size in self._rungs if size < N)
                     margin = min(margin, self._rung_margin(below))
         if margin is None:
+            core = self._window_core(N) if window is None else window.core
             margin = float(np.linalg.eigvalsh(core)[0])
         self._margins[N] = margin
         return margin
@@ -503,10 +503,24 @@ class OracleContext:
         return b if b is not None and self.N % b == 0 and N % b == 0 else None
 
     @cached_property
+    def _first_core(self):
+        """The first rung's core, from its own leading column: the
+        eigendecomposition of the margins (_first_spectrum) and the first
+        pivot of the core sweep (_sweep)."""
+        return self._window_core(self._rungs[0])
+
+    @cached_property
     def _first_spectrum(self):
         """Eigendecomposition (w, U) of the first rung's core, eigenvalues ascending."""
-        rows = self._rungs[0] * self.m
-        return np.linalg.eigh(self.core[:rows, :rows])
+        return np.linalg.eigh(self._first_core)
+
+    @cached_property
+    def _first_lift(self):
+        """[G  K] lifted to chunks of the first rung with J = diag(I_p, -I_q)
+        (_lifted), for the margin updates (ladder_margin)."""
+        b = self._rungs[0]
+        column, signature = self._joint()
+        return _lifted(self.data.joint(), column[:b * self.m], b, signature)
 
     @cached_property
     def gram_margin(self):
@@ -565,13 +579,14 @@ class OracleContext:
 
     def _sweep(self, name, b):
         """The forward sweep of this context's gram or core in chunks of b
-        blocks; the first chunk's matrix is a block of core, or of gram when
-        the chunk is the whole window (a chunk of a ladder builds no gram
-        wider than itself)."""
+        blocks; the first chunk's matrix is this context's own when the chunk
+        is the whole window, else built from the chunk's leading column (a
+        chunk of a ladder builds no Gram matrix wider than itself)."""
         rows = b * self.m
         if name == "core":
             column, signature = self._joint()
-            return ldl_sweep(self.data.joint(), column[:rows], self.core[:rows, :rows],
+            core_b = self.core if b == self.N else self._first_core
+            return ldl_sweep(self.data.joint(), column[:rows], core_b,
                              self.TkEq, self.TgEp, signature)
         lead = self.TgEp[:rows]
         gram_b = self.gram if b == self.N else toeplitz_gram(lead, self.m)
@@ -888,20 +903,15 @@ def gram_riccati_defect(ctx, R0, Gamma, Q):
     return _rel(np.linalg.norm(W.conj().T @ W0 - Q), np.linalg.norm(Q))
 
 
-def woodbury_defect(ctx, R0, Gamma, Omega, probes=20, seed=0):
-    """Quadratic-form defect of core^{-1} = T_R^{-1} + W_0 Omega W_0* with
-    W_0 = T_R^{-1} W_obs, probed on random vectors supported on the leading
-    half of the window (the tail is polluted by the truncation boundary)."""
+def woodbury_defect(ctx, R0, Gamma, Omega):
+    """Relative defect of core^{-1} = T_R^{-1} + W_0 Omega W_0* with
+    W_0 = T_R^{-1} W_obs, compared on the leading half block rows and columns
+    of the window (the tail is polluted by the truncation boundary)."""
     TR = toeplitz_r(ctx.data, R0, Gamma, ctx.N)
     W = observability_matrix(ctx.data.C, ctx.data.A, ctx.N)
-    W0 = np.linalg.solve(TR, W)
-    Nm = ctx.N * ctx.m
-    half = (ctx.N // 2) * ctx.m
-    rng = np.random.default_rng(seed)
-    X = np.zeros((Nm, probes), dtype=complex)
-    X[:half] = rng.standard_normal((half, probes)) + 1j * rng.standard_normal((half, probes))
-    lhs = np.sum(X.conj() * (ctx.core_inv @ X), axis=0)
-    rhs = (np.sum(X.conj() * np.linalg.solve(TR, X), axis=0)
-           + np.sum((X.conj().T @ W0) @ Omega * (W0.conj().T @ X).T, axis=1))
-    scale = np.maximum(1.0, np.abs(lhs))
-    return float(np.max(np.abs(lhs - rhs) / scale))
+    n, half = W.shape[1], (ctx.N // 2) * ctx.m
+    X = np.linalg.solve(TR, np.hstack([W, np.eye(len(TR), half)]))[:half]
+    W0 = X[:, :n]
+    rhs = X[:, n:] + W0 @ Omega @ W0.conj().T
+    lhs = ctx.core_inv[:half, :half]
+    return _rel(np.linalg.norm(lhs - rhs), np.linalg.norm(rhs))

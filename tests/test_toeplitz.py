@@ -337,6 +337,21 @@ def updates(monkeypatch):
     return answers
 
 
+@pytest.fixture
+def factors(monkeypatch):
+    """The factors (Q, s) of E = Q diag(s) Q* that toeplitz.ladder_margin
+    hands to _updated_margin."""
+    calls = []
+    updated = toeplitz._updated_margin
+
+    def recording(w, U, Q, s, scale):
+        calls.append((Q, s))
+        return updated(w, U, Q, s, scale)
+
+    monkeypatch.setattr(toeplitz, "_updated_margin", recording)
+    return calls
+
+
 class TestLadderMargins:
     """Rungs that are whole multiples of a ladder's first rung take their
     margins from its eigendecomposition (ladder_margin); the dense eigvalsh
@@ -364,6 +379,30 @@ class TestLadderMargins:
                 self._check_ladder(item.data, ladder)
         assert len(updates) == 4 * len(battery) and None not in updates
 
+    @staticmethod
+    def _check_factors(data, factors):
+        """Each update's Q diag(s) Q* is E = core - blockdiag(core_b, ...)."""
+        for ladder in ((50, 100, 200), (30, 60, 120)):
+            first, *rungs = _ladder(data, ladder)
+            first.margin  # the first rung's own eigendecomposition: no update
+            assert factors == []
+            for ctx in rungs:
+                ctx.margin
+                ((Q, s),) = factors
+                factors.clear()
+                core = ctx.core
+                E = core - np.kron(np.eye(ctx.N // first.N), first.core)
+                scale = max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(core)))))
+                assert np.linalg.norm((Q * s) @ Q.conj().T - E) <= 1e-13 * scale
+
+    def test_update_factor_is_exact_on_draws(self, draws, factors):
+        for data in draws:
+            self._check_factors(data, factors)
+
+    def test_update_factor_is_exact_on_battery(self, battery, factors):
+        for item in battery:
+            self._check_factors(item.data, factors)
+
     def test_report_reads_the_window_margins(self, tmp_path):
         problem, report = str(tmp_path / "p.json"), str(tmp_path / "r.json")
         for seed in (3, 7):
@@ -385,21 +424,14 @@ class TestLadderMargins:
         assert doc["margins"] == {str(ctx.N): _dense_margin(ctx) for ctx in contexts}
 
     def test_update_of_half_the_window_is_dense(self, updates):
-        # at N = 200 the sketch of 2 n (c - 1) + 8 = 200 columns reaches half
-        # of the 400 rows; at N = 100 it has 72
-        data, _ = random_problem(1000, dims=(32, 2, 3, 2))
+        # at N = 200 the update's 2 n (c - 1) = 204 columns reach half of the
+        # 400 rows; at N = 100 it has 68
+        data, _ = random_problem(1000, dims=(34, 2, 3, 2))
         _, middle, widest = _ladder(data, (50, 100, 200))
         scale = max(1.0, float(np.linalg.norm(middle.core, 2)))
         assert abs(middle.margin - _dense_margin(middle)) <= 1e-12 * scale
         assert widest.margin == _dense_margin(widest)
         assert len(updates) == 2 and updates[0] is not None and updates[1] is None
-
-    def test_failed_residual_is_dense(self, battery):
-        # a state dimension below the true one leaves part of E outside the sketch
-        data = battery[0].data
-        first, _, widest = _ladder(data, (10, 20, 40))
-        w, U = np.linalg.eigh(first.core)
-        assert toeplitz.ladder_margin(widest.core, w, U, 0) is None
 
     def test_static_data_has_no_update(self, updates):
         # n = 0: the window is c copies of the first rung, E = 0
@@ -509,15 +541,20 @@ class TestLadderSolves:
         self._check(data, sweeps)
 
     def test_default_ladder_makes_no_dense_core_solve(self, monkeypatch, tmp_path, sweeps):
-        # every solve is a chunk of the first rung (50 m rows), and the
-        # widest gram is never built
+        # every solve is a chunk of the first rung (50 m rows), and neither
+        # the widest gram nor the widest core is built: no Gram matrix is
+        # wider than the first rung
         problem, report = str(tmp_path / "p.json"), str(tmp_path / "r.json")
-        lu = np.linalg.solve
-        sizes, made = [], []
+        lu, gram = np.linalg.solve, toeplitz.toeplitz_gram
+        sizes, made, columns = [], [], []
 
         def spy(a, b):
             sizes.append(len(a))
             return lu(a, b)
+
+        def gram_spy(column, r, signature=None):
+            columns.append(len(column))
+            return gram(column, r, signature)
 
         def recording(*args):
             made.append(OracleContext(*args))
@@ -529,13 +566,18 @@ class TestLadderSolves:
             sizes.clear()
             made.clear()
             sweeps.clear()
+            columns.clear()
             monkeypatch.setattr(np.linalg, "solve", spy)
+            monkeypatch.setattr(toeplitz, "toeplitz_gram", gram_spy)
             assert main(["oracle", problem, "--out", report]) == 0
             monkeypatch.setattr(np.linalg, "solve", lu)
+            monkeypatch.setattr(toeplitz, "toeplitz_gram", gram)
             m = read_problem(problem)[0].m
             assert sizes and max(sizes) <= 50 * m
+            assert columns and max(columns) <= 50 * m
             (widest,) = made
-            assert widest.N == 200 and "gram" not in vars(widest)
+            assert widest.N == 200
+            assert "gram" not in vars(widest) and "core" not in vars(widest)
             assert sorted(sweeps) == [("core", 200, 50), ("gram", 200, 50)]
 
     def test_non_multiple_ladder_is_dense(self, tmp_path, sweeps):
@@ -549,7 +591,7 @@ class TestLadderSolves:
     def test_solves_do_not_read_the_margin_updates(self, sweeps):
         # the N = 200 margin of this draw is dense
         # (test_update_of_half_the_window_is_dense); its solves still sweep
-        data, _ = random_problem(1000, dims=(32, 2, 3, 2))
+        data, _ = random_problem(1000, dims=(34, 2, 3, 2))
         self._check(data, sweeps, ((50, 100, 200),))
         assert sweeps == [("gram", 200, 50), ("core", 200, 50)]
 
