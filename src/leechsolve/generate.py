@@ -12,7 +12,7 @@ import numpy as np
 from .core import LeechData, solve, validate
 from .errors import LeechError
 from .linalg import herm, spectral_norm
-from .realization import Realization, constant, hinf_norm_estimate, observability_blocks
+from .realization import Realization, constant, hinf_norm_estimate, observability_matrix
 from .toeplitz import lower_block_toeplitz, toeplitz_gram
 
 EST_ORDER = 100  # truncation order of the Gram margin estimate
@@ -110,13 +110,14 @@ def _draw_once(rng, kind, dims):
     """One draw: A, B1, C and D1, then up to six boosts of D1's leading block,
     then K of the requested kind, validated and with its margin estimate.
 
-    The C A^k sequence is built once; G's and K's first block columns are its
-    products with B1 and B2, and a boost replaces only block 0 of G's.  A probe
-    asks whether lambda_min(T_G T_G*) reaches 0.2 by one Cholesky factorization
-    of T_G T_G* - 0.2 I; it answers as an eigen-solve would, except where
-    lambda_min equals 0.2 to roundoff.  After six boosts a feasible or
-    infeasible draw decides T_G T_G* definite the same way, and eigen-solves
-    it only for the error message.
+    The C A^k sequence is built once, by doubling; G's and K's first block
+    columns are its products with B1 and B2, one product each, and a boost
+    replaces only block 0 of G's.  A probe asks whether lambda_min(T_G T_G*)
+    reaches 0.2 by one Cholesky factorization of T_G T_G* - 0.2 I; it
+    answers as an eigen-solve would, except where lambda_min equals 0.2 to
+    roundoff.  After six boosts a feasible or infeasible draw decides
+    T_G T_G* definite the same way, and eigen-solves it only for the error
+    message.
     """
     n, m, p, q = dims if dims is not None else _draw_dims(rng)
     if kind == "corona":
@@ -130,11 +131,12 @@ def _draw_once(rng, kind, dims):
     # C A^k for k < EST_ORDER - 1, once per draw: Taylor block k + 1 of G and
     # of K is C A^k times B1 or B2.  No stability test: A is stable by
     # construction, and validate certifies it below
-    powers = observability_blocks(C, A, EST_ORDER - 1)
+    powers = observability_matrix(C, A, EST_ORDER - 1)
 
     def first_column(d, b):
-        """First block column of the truncated Toeplitz matrix of d + z C (I - zA)^-1 b."""
-        return np.concatenate([d] + [CAk @ b for CAk in powers])
+        """First block column of the truncated Toeplitz matrix of d + z C (I - zA)^-1 b:
+        every Taylor block after d in one product."""
+        return np.concatenate([d, powers @ b])
 
     # boost the constant part of G until its Gram matrix has a real margin; a
     # boost replaces only block 0 of G's column

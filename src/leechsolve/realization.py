@@ -3,7 +3,9 @@
 A realization stores F(z) = D + z C (I - z A)^{-1} B.  The Taylor
 coefficients at the origin are F_0 = D and F_j = C A^{j-1} B for j >= 1, so
 Schur stability of A is exactly analyticity of F on a disc of radius > 1.
-observability_blocks is the package's one C A^k recurrence.
+observability_blocks is the package's one C A^k recurrence, by recursive
+doubling (log2 N products, not N), and taylor_blocks multiplies all its
+blocks by B in one batched product.
 Sums, products and concatenations are formed by composing state spaces:
 their state dimension is the sum of their operands', and no minimization is
 attempted.  An inverse keeps its operand's state.  Chains of these grow the
@@ -106,24 +108,44 @@ def evaluate(F, z):
 
 
 def observability_blocks(C, A, count):
-    """The first `count` blocks [C, C A, ..., C A^(count-1)]: the one C A^k
-    recurrence, read by the Taylor coefficients, the observability matrix
-    and the generator's truncations."""
-    blocks = [C] if count > 0 else []
-    for _ in range(count - 1):
-        blocks.append(blocks[-1] @ A)
-    return blocks
+    """The first `count` blocks C, C A, ..., C A^(count-1), stacked with shape
+    (count, rows of C, n): the one C A^k recurrence, read by the Taylor
+    coefficients, the observability matrix, the generator's truncations and
+    (with C = I) the powers of the oracle's lifted realization.
+
+    Recursive doubling (Kogge & Stone 1973): with the first s blocks and
+    A^s known, the next s are the one product [C; ...; C A^(s-1)] A^s, and
+    A^2s = A^s A^s, so about 2 log2(count) products replace count - 1.
+    Each block carries the componentwise error of any order of the same
+    product, a modest multiple of k (n + 1) eps |C| |A|^k for block k."""
+    C = np.asarray(C)
+    rows, n = C.shape
+    O = np.empty((count, rows, n), dtype=np.result_type(C, A))
+    O[:1] = C
+    power, s = A, 1
+    while s < count:
+        t = min(s, count - s)
+        O[s:s + t] = (O[:t].reshape(t * rows, n) @ power).reshape(t, rows, n)
+        s += t
+        if s < count:
+            power = power @ power
+    return O
 
 
 def observability_matrix(C, A, N):
     """Stack the first N blocks [C; CA; ...; C A^{N-1}]."""
-    blocks = observability_blocks(C, A, N)
-    return np.vstack(blocks) if blocks else np.zeros((0, A.shape[0]), dtype=complex)
+    return observability_blocks(C, A, N).reshape(N * len(C), A.shape[0])
 
 
 def taylor_blocks(F, count):
-    """First `count` Taylor coefficients [F_0, F_1, ...] of F at the origin."""
-    return [F.D.copy()][:count] + [CAk @ F.B for CAk in observability_blocks(F.C, F.A, count - 1)]
+    """First `count` Taylor coefficients F_0, F_1, ... of F at the origin,
+    stacked with shape (count, out_dim, in_dim): D, then the blocks C A^k
+    times B in one batched product."""
+    blocks = np.empty((count, F.out_dim, F.in_dim), dtype=complex)
+    if count:
+        blocks[0] = F.D
+        blocks[1:] = observability_blocks(F.C, F.A, count - 1) @ F.B
+    return blocks
 
 
 def _block_diag(X, Y):

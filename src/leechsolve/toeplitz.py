@@ -13,8 +13,9 @@ Riccati or Stein solution enters, so the oracle stays independent of the
 state-space solution path.
 
 A truncation is kept as its first block column T E, the stacked Taylor
-blocks (truncate); lower_block_toeplitz assembles the full matrix from it
-only where an operator identity needs T itself.  The Gram matrices
+blocks (truncate: one doubling recurrence for C A^k and one batched product
+with B); lower_block_toeplitz gathers the full matrix from it only where an
+operator identity needs T itself.  The Gram matrices
 gram = T_G T_G* and core = T_G T_G* - T_K T_K* are built from their
 displacement: T J T* - S T J T* S* = (T E) J (T E)* gives each from the
 first block column alone (toeplitz_gram), with no dense product; core is
@@ -32,8 +33,9 @@ blocks is c copies of the b-block window plus a Hermitian term E of rank
 <= 2 n (c - 1), n the state dimension of [G  K], so the margin of a rung
 that is a whole multiple of the first follows from the first rung's
 eigendecomposition by a low-rank update (ladder_margin): E is factored
-exactly from the realization of [G  K] lifted to chunks of the first rung,
-the chunk form of the displacement identity, and the smallest eigenvalue
+exactly from the realization of [G  K] lifted to chunks of the first rung
+(_lifted, once per ladder, its powers A^0 .. A^b by doubling), the chunk
+form of the displacement identity, and the smallest eigenvalue
 is located by inertia counts (Haynsworth) below the first rung's
 (_updated_margin).  Each margin is the smallest eigenvalue of its rung to
 roundoff of |core|, and on such a ladder no core wider than the first rung
@@ -47,13 +49,17 @@ pivots are the Schur complements of the leading chunks (Hassibi, Sayed &
 Kailath 1999), then a backward adjoint sweep of products.  Every window
 of a whole multiple of b blocks is a leading block of the widest, so on a
 ladder one forward sweep per matrix, in chunks of the first rung, serves
-every rung, each with its own backward sweep, and no Gram matrix nor LU
-wider than the first rung is formed; a window that is not such
-a multiple is one chunk, an LU with its own Gram matrix.  All points are
-sampled through one resolvent recursion.  The path eigen-solves only
-core: gram - core = T_K T_K* is positive semidefinite, so a positive core
-margin already proves gram definite, and the Gram margin is computed only
-when the core margin is not positive.  The explicit inverses serve the
+every rung, each with its own backward sweep; both sweeps and the margin
+updates read the one lift, and no Gram matrix nor LU wider than the first
+rung is formed.  A window that is not such a multiple is one chunk, an LU
+with its own Gram matrix.  The samples at all points read one resolvent of
+the widest column, (I - conj(z) S)^{-1} [T_G E_p, T_K E_q], scanned once
+per ladder at every point (column_resolvent); each rung reads its leading
+rows.  The resolvents are log-depth scans (Kogge & Stone 1973), log2 N
+array steps at all points at once.  The path eigen-solves only core:
+gram - core = T_K T_K* is positive semidefinite, so a positive core margin
+already proves gram definite, and the Gram margin is computed only when the
+core margin is not positive.  The explicit inverses serve the
 operator identities at the end of this module.
 """
 
@@ -80,14 +86,14 @@ def lower_block_toeplitz(column, r):
     """Assemble the lower block-triangular Toeplitz matrix whose first block
     column (blocks r rows high) is `column`.
 
-    Block column j is the column shifted down by j blocks, so the matrix is
-    filled one whole block column at a time."""
-    N = column.shape[0] // r
-    c = column.shape[1]
-    T = np.zeros((N * r, N * c), dtype=complex)
-    for j in range(N):
-        T[j * r:, j * c:(j + 1) * c] = column[:(N - j) * r]
-    return T
+    Block (i, j) is block i - j of the column, or zero above the diagonal,
+    so the matrix is one gather from the column's blocks and a zero block."""
+    N, c = column.shape[0] // r, column.shape[1]
+    blocks = np.zeros((N + 1, r, c), dtype=complex)
+    blocks[:N] = column.reshape(N, r, c)
+    index = np.subtract.outer(np.arange(N), np.arange(N))
+    index[index < 0] = N
+    return blocks[index].swapaxes(1, 2).reshape(N * r, N * c)
 
 
 def toeplitz_gram(column, r, signature=None):
@@ -115,7 +121,7 @@ def truncate(F, N):
         raise DimensionError(f"truncation order must be positive, got {N}")
     if F.state_dim and not is_schur_stable(F.A):
         raise StabilityError("truncation requires a stable function")
-    return np.concatenate(taylor_blocks(F, N), axis=0)
+    return taylor_blocks(F, N).reshape(N * F.out_dim, F.in_dim)
 
 
 def shift_down(X, r):
@@ -135,26 +141,39 @@ def shift_up(X, r):
 
 
 def resolvent_up(X, z, r):
-    """(I - z S*)^{-1} X by backward block recursion (exact: S* is nilpotent).
+    """(I - z S*)^{-1} X (exact: S* is nilpotent): block i is the sum over
+    j >= i of z^(j-i) X_j, by a log-depth scan (_resolvent_scan).
 
     With an array of points z the result is the stack over the points,
-    shape z.shape + X.shape, from the same N-step recursion."""
+    shape z.shape + X.shape."""
+    return _resolvent_scan(X, z, r, up=True)
+
+
+def resolvent_down(X, z, r):
+    """(I - z S)^{-1} X: block i is the sum over j <= i of z^(i-j) X_j, by
+    the same scan as resolvent_up, for one point or an array of points."""
+    return _resolvent_scan(X, z, r, up=False)
+
+
+def _resolvent_scan(X, z, r, up):
+    """The recursive-doubling scan (Kogge & Stone 1973) of the resolvents:
+    after the step of span s each block holds its sum over the next 2 s
+    blocks (up) or the previous 2 s (down), so log2 N array steps replace
+    the N block steps of the Horner recursion."""
     z = np.asarray(z, dtype=complex)
     Y = np.empty(z.shape + X.shape, dtype=complex)
     Y[...] = X
     blocks = Y.reshape(z.shape + (X.shape[0] // r, r, X.shape[1]))
-    zb = z[..., None, None]
-    for i in range(blocks.shape[-3] - 2, -1, -1):
-        blocks[..., i, :, :] += zb * blocks[..., i + 1, :, :]
-    return Y
-
-
-def resolvent_down(X, z, r):
-    """(I - z S)^{-1} X by forward block recursion."""
-    Y = X.astype(complex).copy()
-    nblocks = X.shape[0] // r
-    for i in range(1, nblocks):
-        Y[i * r:(i + 1) * r] += z * Y[(i - 1) * r:i * r]
+    zs = z[..., None, None, None]
+    s = 1
+    while s < blocks.shape[-3]:
+        early, late = blocks[..., :-s, :, :], blocks[..., s:, :, :]
+        if up:
+            early += zs * late
+        else:
+            late += zs * early
+        zs = zs * zs
+        s *= 2
     return Y
 
 
@@ -273,43 +292,43 @@ def _updated_margin(w, U, Q, s, scale):
     return hi
 
 
-def ldl_sweep(F, lead, gram_b, Y, Z, signature=None):
+def ldl_sweep(gram_b, Y, Z, m, lifted=None):
     """(T J T*)^{-1} X of every window of a whole multiple k b of b blocks,
-    as a function of k, from one forward sweep of F lifted to chunks of b
-    blocks; X = [Y, S_m* Z] of each window, so a shorter window's S_m* Z has
-    a zero last block.
+    as a function of k, from one forward sweep of the realization lifted to
+    chunks of b blocks; X = [Y, S_m* Z] of each window, so a shorter
+    window's S_m* Z has a zero last block.
 
-    T is the truncation of F = (A, B, C, D) on the widest window, c b
-    blocks of m rows, whose rows Y and Z hold; `lead` is the first b blocks
-    of T E, gram_b the first chunk's T J T*, and J the `signature`, one sign
-    per column of F (J = I when None).  In chunks of b blocks T is the lower
-    block Toeplitz matrix of the lifted system (Phi, B_L, C_L, D_L): Phi =
-    A^b, C_L = [C; ...; C A^(b-1)], B_L = [A^(b-1) B, ..., B] and D_L the
-    b-block T.  The block LDL* of T J T* in chunk order is the Krein-space
-    Kalman filter of that system from P = 0:
+    T is the truncation of a realization (A, B, C, D) on the widest window,
+    c b blocks of m rows, whose rows Y and Z hold; gram_b is the first
+    chunk's T J T*, J one sign per column of B (the identity for gram).  In
+    chunks of b blocks T is the lower block Toeplitz matrix of the lifted
+    system (Phi, B_L, C_L, D_L): Phi = A^b, C_L = [C; ...; C A^(b-1)], B_L =
+    [A^(b-1) B, ..., B] and D_L the b-block T, and `lifted` is (Phi, C_L,
+    B_L J B_L*, B_L J D_L*) (_lifted); with one chunk (b = N) it is not
+    read.  The block LDL* of T J T* in chunk order is the Krein-space Kalman
+    filter of that system from P = 0:
 
         Re = C_L P C_L* + gram_b,   M = Phi P C_L* + B_L J D_L*,
         u_k = Re^{-1} (X_k - C_L s),   s <- Phi s + M u_k,
         P <- Phi P Phi* + B_L J B_L* - M Re^{-1} M*,
 
     each Re the Schur complement of the leading chunks in the next, definite
-    when T J T* is.  Block i of B_L J D_L* is A^(b-1-i) sum_{l<=i} A^l B J
-    c_l* (_lifted): D_L is never assembled.  The window of k chunks has the
-    same leading chunks; its own last chunk, with the zero last block of
-    S_m* Z, rides in the same chunk solve.  The backward adjoint sweep of
-    that window is products only: y_k = u_k, lambda = C_L* y_k, and for j < k
+    when T J T* is.  The window of k chunks has the same leading chunks; its
+    own last chunk, with the zero last block of S_m* Z, rides in the same
+    chunk solve.  The backward adjoint sweep of that window is products
+    only: y_k = u_k, lambda = C_L* y_k, and for j < k
 
         y_j = u_j - Re_j^{-1} M_j* lambda,   lambda <- Phi* lambda + C_L* y_j.
 
     With b = N the sweep is one LU solve with gram_b, T J T* itself.
     """
-    m, rows, cols = len(F.C), len(lead), Y.shape[1]
+    rows, cols = len(gram_b), Y.shape[1]
     c = len(Y) // rows
     X = np.hstack([Y, shift_up(Z, m)])
     width = X.shape[1]
     Re = gram_b
     if c > 1:
-        Phi, CL, BB, BD = _lifted(F, lead, rows // m, signature)
+        Phi, CL, BB, BD = lifted
         M, P, s = BD, np.zeros_like(BB), np.zeros((len(BB), width), dtype=complex)
     ends, solved, gains = [], [], []
     for k in range(c):
@@ -334,33 +353,44 @@ def ldl_sweep(F, lead, gram_b, Y, Z, signature=None):
 
     def window(k):
         """(T J T*)^{-1} X of the window of k chunks, by its backward sweep."""
-        y = [ends[k - 1]]
-        lam = np.zeros((len(F.A), width), dtype=complex)
+        y, lam = [ends[k - 1]], 0.0  # lam holds Phi* lambda
         for j in range(k - 2, -1, -1):
-            lam = Phi.conj().T @ lam + CL.conj().T @ y[-1]
+            lam = CL.conj().T @ y[-1] + lam
             y.append(solved[j] - gains[j] @ lam)
+            lam = Phi.conj().T @ lam
         return np.concatenate(y[::-1])
     return window
 
 
-def _lifted(F, lead, b, signature=None):
-    """Phi = A^b, C_L, B_L J B_L* and B_L J D_L* of F = (A, B, C, D) lifted
-    to chunks of b blocks (ldl_sweep), from the powers A^0 .. A^(b-1);
-    `lead` stacks the first b Taylor blocks c_l of F."""
+def _lifted(F, lead, b, p):
+    """[G  K] = F = (A, [B1 B2], C, [D1 D2]) lifted to chunks of b blocks,
+    as ldl_sweep reads it: {"gram": (Phi, C_L, B_L1 B_L1*, B_L1 D_L1*) of
+    G, "core": (Phi, C_L, B_L J B_L*, B_L J D_L*) of [G  K] with J =
+    diag(I_p, -I_q)}; the two share Phi = A^b and C_L, and the margin
+    updates read "core" (ladder_margin).
+
+    The powers A^0 .. A^b come from one doubling recurrence
+    (observability_blocks of the identity); `lead` stacks the first b Taylor
+    blocks c_l of F.  Block i of B_L J D_L* is A^(b-1-i) sum_{l<=i} A^l B J
+    c_l*, so D_L is never assembled."""
     A, B, C = F.A, F.B, F.C
     n, m = len(A), len(C)
-    powers = np.empty((b, n, n), dtype=complex)
-    powers[0] = np.eye(n)
-    for j in range(1, b):
-        powers[j] = powers[j - 1] @ A
-    AB = powers @ B  # A^l B
-    ABJ = AB if signature is None else AB * signature
-    CL = (C @ powers).reshape(b * m, n)
-    # B_L and B_L J, their blocks reversed
-    BL, BLJ = (M.transpose(1, 0, 2).reshape(n, b * B.shape[1]) for M in (AB, ABJ))
-    partial = np.cumsum(ABJ @ lead.reshape(b, m, -1).conj().transpose(0, 2, 1), axis=0)
-    BD = (powers[::-1] @ partial).transpose(1, 0, 2).reshape(n, b * m)
-    return powers[-1] @ A, CL, herm(BLJ @ BL.conj().T), BD
+    powers = observability_blocks(np.eye(n, dtype=complex), A, b + 1)
+    AB = powers[:b] @ B  # A^l B
+    CL = (C @ powers[:b]).reshape(b * m, n)
+    # A^l B c_l* and A^l B J c_l*, and the blocks of B_L, reversed, for G and for K
+    leadH = lead.reshape(b, m, -1).conj().transpose(0, 2, 1)
+    BL1, BL2 = (M.transpose(1, 0, 2).reshape(n, b * M.shape[2])
+                for M in (AB[..., :p], AB[..., p:]))
+    BB1 = herm(BL1 @ BL1.conj().T)
+    terms = AB[..., :p] @ leadH[:, :p]
+    termsJ = terms - AB[..., p:] @ leadH[:, p:]
+    partial = np.cumsum(np.concatenate([terms, termsJ], axis=2), axis=0)
+    BD = (powers[b - 1::-1] @ partial).transpose(1, 0, 2)
+    BD1, BDJ = (BD[..., half].reshape(n, b * m) for half in (slice(None, m), slice(m, None)))
+    Phi = powers[b]
+    return {"gram": (Phi, CL, BB1, BD1),
+            "core": (Phi, CL, herm(BB1 - BL2 @ BL2.conj().T), BDJ)}
 
 
 class OracleContext:
@@ -388,8 +418,10 @@ class OracleContext:
     margins of its whole multiples update its eigendecomposition through the
     lifted realization (_rung_margin), and their solves share one forward
     sweep per matrix of this window in chunks of the first rung (_solved),
-    so such a ladder builds gram and core of no window wider than the first
-    rung unless a dense path asks for them.
+    all three reading one lift (_first_lift), so such a ladder builds gram
+    and core of no window wider than the first rung unless a dense path asks
+    for them.  The sample points' resolvent of the column is this window's
+    too, and each rung reads its leading rows (column_resolvent).
     """
 
     def __init__(self, data, N):
@@ -399,11 +431,14 @@ class OracleContext:
         column = truncate(data.joint(), self.N)
         self.TgEp, self.TkEq = column[:, :self.p], column[:, self.p:]
         # the sizes of the windows cut from this context, in order (its
-        # ladder's rungs), the margins of its windows by size, and the
-        # forward sweeps of its gram and core (ldl_sweep) by name; a window
-        # keeps its widest context in _root, None here (no reference cycle)
+        # ladder's rungs), the margins of its windows by size, the forward
+        # sweeps of its gram and core (ldl_sweep) by name, and its last
+        # column resolvent with the bytes of its points (column_resolvent);
+        # a window keeps its widest context in _root, None here (no
+        # reference cycle)
         self._root, self._rungs = None, []
         self._margins, self._sweeps = {}, {}
+        self._resolvent = (None, None)
 
     def window(self, N):
         """The context of the leading N <= self.N blocks, sliced from this
@@ -484,7 +519,7 @@ class OracleContext:
             if N == b:
                 margin = float(w[0])
             else:
-                margin = ladder_margin(w, U, self._first_lift, N // b)
+                margin = ladder_margin(w, U, self._first_lift["core"], N // b)
                 if margin is not None:
                     below = max(size for size in self._rungs if size < N)
                     margin = min(margin, self._rung_margin(below))
@@ -516,11 +551,12 @@ class OracleContext:
 
     @cached_property
     def _first_lift(self):
-        """[G  K] lifted to chunks of the first rung with J = diag(I_p, -I_q)
-        (_lifted), for the margin updates (ladder_margin)."""
+        """[G  K] lifted to chunks of the first rung (_lifted), once per
+        ladder: the margin updates (ladder_margin) and the forward sweeps of
+        core and gram (_sweep) all read it."""
         b = self._rungs[0]
-        column, signature = self._joint()
-        return _lifted(self.data.joint(), column[:b * self.m], b, signature)
+        column, _ = self._joint()
+        return _lifted(self.data.joint(), column[:b * self.m], b, self.p)
 
     @cached_property
     def gram_margin(self):
@@ -582,15 +618,25 @@ class OracleContext:
         blocks; the first chunk's matrix is this context's own when the chunk
         is the whole window, else built from the chunk's leading column (a
         chunk of a ladder builds no Gram matrix wider than itself)."""
-        rows = b * self.m
+        lifted = None if b == self.N else self._first_lift[name]
         if name == "core":
-            column, signature = self._joint()
             core_b = self.core if b == self.N else self._first_core
-            return ldl_sweep(self.data.joint(), column[:rows], core_b,
-                             self.TkEq, self.TgEp, signature)
-        lead = self.TgEp[:rows]
-        gram_b = self.gram if b == self.N else toeplitz_gram(lead, self.m)
-        return ldl_sweep(self.data.g(), lead, gram_b, self.TgEp, self.TgEp)
+            return ldl_sweep(core_b, self.TkEq, self.TgEp, self.m, lifted)
+        gram_b = self.gram if b == self.N else toeplitz_gram(self.TgEp[:b * self.m], self.m)
+        return ldl_sweep(gram_b, self.TgEp, self.TgEp, self.m, lifted)
+
+    def column_resolvent(self, z):
+        """(I - conj(z) S_m)^{-1} [T_G E_p, T_K E_q] at the 1-D array of
+        points z, stacked (len(z), N m, p + q).  S_m is lower triangular, so
+        a window's resolvent is the leading rows of its widest context's:
+        the widest scans once per set of points (resolvent_down), keeps the
+        last, and every window reads its leading rows."""
+        root = self._root or self
+        key = z.tobytes()
+        if root._resolvent[0] != key:
+            column, _ = root._joint()
+            root._resolvent = (key, resolvent_down(column, z.conj(), self.m))
+        return root._resolvent[1][:, :self.N * self.m]
 
     @cached_property
     def lam(self):
@@ -686,9 +732,11 @@ def oracle_upsilon(ctx, Theta0, zs):
         U12(z) =          E_p* T_G* (I-zS_m*)^{-1} core^{-1} T_K E_q Delta0^{-1}
         U22(z) = Delta0^{-1} + E_q* T_K* (I-zS_m*)^{-1} core^{-1} T_K E_q Delta0^{-1}
 
-    All points share one resolvent recursion on the stacked core^{-1} [N, T_K E_q].
-    Returns the samples, stacked over the points, plus the operator-side
-    Delta0, Delta1.
+    The four share V(z) = ((I - conj(z) S_m)^{-1} [T_G E_p, T_K E_q])*
+    core^{-1} [N, T_K E_q], whose left factor depends only on the column and
+    the points: a ladder scans it once at its widest window for all points
+    (column_resolvent), and each rung reads its leading rows.  Returns the
+    samples, stacked over the points, plus the operator-side Delta0, Delta1.
     """
     theta = oracle_theta(ctx, Theta0)
     Delta0, Delta1 = oracle_deltas(ctx, theta)
@@ -697,8 +745,8 @@ def oracle_upsilon(ctx, Theta0, zs):
     d1i = np.linalg.inv(Delta1)
     p = ctx.p
     z = np.asarray(zs, dtype=complex).reshape(-1)
-    R = resolvent_up(np.hstack([theta.core_n, ctx.core_solved[:, :ctx.q]]), z, ctx.m)
-    V = np.hstack([ctx.TgEp, ctx.TkEq]).conj().T @ R
+    X = np.hstack([theta.core_n, ctx.core_solved[:, :ctx.q]])
+    V = ctx.column_resolvent(z).conj().transpose(0, 2, 1) @ X
     zc = z[:, None, None]
     return {"U11": (theta.Theta0 - zc * V[:, :p, :k]) @ d1i,
             "U21": (-zc * V[:, p:, :k]) @ d1i,
@@ -888,9 +936,9 @@ def identity_theta_resolvent(ctx, theta, z):
 def toeplitz_r(data, R0, Gamma, N):
     """Truncated selfadjoint Toeplitz matrix of R = G G* - K K*: block diagonal
     R0, lower blocks C A^{j-1} Gamma, upper blocks their adjoints."""
-    blocks = [np.asarray(R0, dtype=complex)]
-    blocks += [CAk @ Gamma for CAk in observability_blocks(data.C, data.A, N - 1)]
-    T = lower_block_toeplitz(np.concatenate(blocks), data.m)
+    column = np.concatenate([np.asarray(R0, dtype=complex),
+                             observability_matrix(data.C, data.A, N - 1) @ Gamma])
+    T = lower_block_toeplitz(column, data.m)
     D = np.kron(np.eye(N), herm(np.asarray(R0, dtype=complex)))
     return T + T.conj().T - D
 

@@ -75,11 +75,44 @@ def dense_core(ctx):
     return 0.5 * (M + M.conj().T)
 
 
-def _resolvent_up_loop(X, z, r):
+def resolvent_loop(X, z, r, up=True):
+    """Reference (I - z S*)^{-1} X (up) or (I - z S)^{-1} X at one point z:
+    the Horner recursion, one block at a time."""
     Y = X.astype(complex).copy()
-    for i in range(X.shape[0] // r - 2, -1, -1):
-        Y[i * r:(i + 1) * r] += z * Y[(i + 1) * r:(i + 2) * r]
+    N = X.shape[0] // r
+    order = range(N - 2, -1, -1) if up else range(1, N)
+    step = 1 if up else -1
+    for i in order:
+        Y[i * r:(i + 1) * r] += z * Y[(i + step) * r:(i + step + 1) * r]
     return Y
+
+
+def power_loop(C, A, count):
+    """Reference [C, C A, ..., C A^(count-1)], one product per block."""
+    blocks = [np.asarray(C)]
+    for _ in range(count - 1):
+        blocks.append(blocks[-1] @ A)
+    return np.array(blocks[:count])
+
+
+def lifted_loop(F, lead, b, signature=None):
+    """Reference lift of F = (A, B, C, D) to chunks of b blocks, (A^b, C_L,
+    B_L J B_L*, B_L J D_L*) with J the signature (the identity when None),
+    from the powers A^0 .. A^(b-1) one product at a time; `lead` stacks the
+    first b Taylor blocks c_l of F, and block i of B_L J D_L* is
+    A^(b-1-i) sum_{l<=i} A^l B J c_l*."""
+    A, B, C = F.A, F.B, F.C
+    n, m = len(A), len(C)
+    powers = power_loop(np.eye(n, dtype=complex), A, b)
+    J = np.ones(B.shape[1]) if signature is None else signature
+    CL = np.vstack([C @ P for P in powers])
+    BL = np.hstack([P @ B for P in powers[::-1]])
+    c = lead.reshape(b, m, -1)
+    partial, BD = np.zeros((n, m), dtype=complex), []
+    for i in range(b):
+        partial = partial + powers[i] @ (B * J) @ c[i].conj().T
+        BD.append(powers[b - 1 - i] @ partial)
+    return powers[-1] @ A, CL, (BL * np.tile(J, b)) @ BL.conj().T, np.hstack(BD)
 
 
 def upsilon_per_point(ctx, Theta0, zs):
@@ -99,7 +132,7 @@ def upsilon_per_point(ctx, Theta0, zs):
     wn, wk = core_inv @ N, core_inv @ TkEq
     out = {"U11": [], "U12": [], "U21": [], "U22": [], "Delta0": Delta0, "Delta1": Delta1}
     for z in zs:
-        rn, rk = _resolvent_up_loop(wn, z, m), _resolvent_up_loop(wk, z, m)
+        rn, rk = resolvent_loop(wn, z, m), resolvent_loop(wk, z, m)
         out["U11"].append((Theta0 - z * (TgEp.conj().T @ rn)) @ d1i)
         out["U21"].append((-z * (TkEq.conj().T @ rn)) @ d1i)
         out["U12"].append((TgEp.conj().T @ rk) @ d0i)

@@ -73,6 +73,26 @@ class TestSolveStein:
             assert np.linalg.norm(Pi - A @ Pi @ A.conj().T - Wi) <= 1e-11 * (1 + np.linalg.norm(Wi))
         assert np.array_equal(P[2], np.zeros((2, 2)))
 
+    def test_refines_only_the_slices_that_miss_the_gate(self, monkeypatch):
+        # the doubled sum of the radius-0.999 case misses 1e-11 (1 + ||W||)
+        # by about 3x, so that slice alone takes the refinement step; a zero
+        # right-hand side and a well-damped A need none
+        calls = []
+        doubling = riccati.stein_doubling
+
+        def counting(A, W):
+            calls.append(len(W))
+            return doubling(A, W)
+
+        monkeypatch.setattr(riccati, "stein_doubling", counting)
+        radius = np.array([[0.999, 3.0], [0.0, 0.999j]])
+        P = solve_stein(radius, np.stack([np.eye(2), np.zeros((2, 2))]))
+        assert calls == [2, 1]
+        assert np.linalg.norm(P[0] - radius @ P[0] @ radius.conj().T - np.eye(2)) <= 1e-11
+        calls.clear()
+        solve_stein(np.diag([0.5, 0.3]), np.stack([np.eye(2), np.ones((2, 2))]))
+        assert calls == [2]
+
     @pytest.mark.parametrize("scale", [1.0, np.sqrt(0.5)], ids=["unit", "half-variance"])
     def test_large_transient_passes_the_residual_check(self, scale):
         # ||A^j|| peaks near 1e4, so P is 5e8 to 1e9 and its residual 6e-9 to

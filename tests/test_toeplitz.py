@@ -12,7 +12,12 @@ from leechsolve.errors import DimensionError, InfeasibleError, StabilityError
 from leechsolve.files import load, read_problem, write_problem
 from leechsolve.generate import random_problem
 from leechsolve.linalg import spectral_norm
-from leechsolve.realization import Realization, evaluate, observability_matrix
+from leechsolve.realization import (
+    Realization,
+    evaluate,
+    observability_blocks,
+    observability_matrix,
+)
 from leechsolve.toeplitz import (
     OracleContext,
     ThetaOracle,
@@ -28,6 +33,8 @@ from leechsolve.toeplitz import (
     identity_theta_resolvent,
     lower_block_toeplitz,
     oracle_appendix_phi,
+    resolvent_down,
+    resolvent_up,
     oracle_deltas,
     oracle_theta,
     oracle_upsilon,
@@ -43,6 +50,9 @@ from tests.conftest import (
     dense_core,
     dense_gram,
     interior_points,
+    lifted_loop,
+    power_loop,
+    resolvent_loop,
     unstable_data,
     upsilon_per_point,
 )
@@ -120,6 +130,88 @@ class TestTruncate:
                         np.array([[1.0]]), np.array([[0.0]]))
         with pytest.raises(StabilityError):
             truncate(F, 4)
+
+
+def _non_normal_realization():
+    """A = [[0.5, 1e4], [0, 0.5]]: |A^k| peaks near 7e6 before it decays, with
+    three input columns (two of G, one of K) and two output rows."""
+    rng = np.random.default_rng(5)
+    B, C, D = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+               for shape in ((2, 3), (2, 2), (2, 3)))
+    return Realization(np.array([[0.5, 1e4], [0.0, 0.5]]), B, C, D), 2
+
+
+class TestLogDepthRecurrences:
+    """Each doubling recurrence against its sequential reference (tests.conftest),
+    on a draw's [G  K] and on a non-normal A, at lengths around the powers of
+    two.  The stated bound: both orders of evaluation carry a componentwise
+    error of at most about k d eps times the same recurrence run on absolute
+    values (Higham, Accuracy and Stability of Numerical Algorithms, 3.5), k the
+    length and d the inner dimension, so they agree within 8 (k + 1) (d + 1)
+    eps of that majorant."""
+
+    LENGTHS = (1, 2, 3, 5, 63, 64, 65, 99, 200)
+
+    @pytest.fixture(params=["draw", "non-normal"])
+    def realization(self, request):
+        """A realization of [G  K] and the number p of G's columns."""
+        if request.param == "non-normal":
+            return _non_normal_realization()
+        data, _ = random_problem(7)
+        return data.joint(), data.p
+
+    @staticmethod
+    def _within(fast, ref, majorant, k, d):
+        assert fast.shape == ref.shape
+        bound = 8 * (k + 1) * (d + 1) * toeplitz.EPS * majorant
+        assert np.all(np.abs(fast - ref) <= bound)
+
+    def test_observability_blocks(self, realization):
+        F, _ = realization
+        for k in self.LENGTHS:
+            fast = observability_blocks(F.C, F.A, k)
+            assert fast.shape == (k, F.out_dim, F.state_dim)
+            majorant = power_loop(np.abs(F.C), np.abs(F.A), k)
+            self._within(fast, power_loop(F.C, F.A, k), majorant, k, F.state_dim)
+
+    def test_lifted_powers(self, realization):
+        F, p = realization
+        G = Realization(F.A, F.B[:, :p], F.C, F.D[:, :p])
+        absolute = Realization(*(np.abs(M) for M in (F.A, F.B, F.C, F.D)))
+        signature = np.repeat([1.0, -1.0], [p, F.in_dim - p])
+        d = F.state_dim + F.in_dim
+        for b in self.LENGTHS:
+            lead = truncate(F, b)
+            lift = toeplitz._lifted(F, lead, b, p)
+            majorants = lifted_loop(absolute, np.abs(lead), b)
+            for name, refs in (("gram", lifted_loop(G, lead[:, :p], b)),
+                               ("core", lifted_loop(F, lead, b, signature))):
+                for fast, ref, majorant in zip(lift[name], refs, majorants):
+                    self._within(fast, ref, majorant, b, d)
+
+    def test_resolvents_over_an_array_of_points(self, realization):
+        F, _ = realization
+        z = np.concatenate([[0.0], interior_points(7), circle_points(4)])
+        r = F.out_dim
+        for N in self.LENGTHS:
+            X = truncate(F, N)
+            for up, scan in ((True, resolvent_up), (False, resolvent_down)):
+                fast = scan(X, z, r)
+                assert fast.shape == z.shape + X.shape
+                for point, Y in zip(z, fast):
+                    ref = resolvent_loop(X, point, r, up)
+                    majorant = resolvent_loop(np.abs(X), abs(point), r, up)
+                    self._within(Y, ref, majorant, N, 1)
+                    self._within(scan(X, point, r), ref, majorant, N, 1)
+
+    def test_lower_block_toeplitz_is_the_block_loop(self, realization):
+        # a gather: no arithmetic, so bit for bit
+        F, _ = realization
+        for N in self.LENGTHS:
+            column = truncate(F, N)
+            blocks = list(column.reshape(N, F.out_dim, F.in_dim))
+            np.testing.assert_array_equal(lower_block_toeplitz(column, F.out_dim),
+                                          block_toeplitz_loop(blocks))
 
 
 def _rel_diff(a, b):
@@ -469,14 +561,14 @@ class TestLadderMargins:
 @pytest.fixture
 def sweeps(monkeypatch):
     """The matrix ("gram" or "core") and the (window, chunk) sizes in blocks
-    of each forward sweep of toeplitz.ldl_sweep."""
+    of each forward sweep of toeplitz.ldl_sweep: a gram sweep solves with
+    the T_G E_p it shifts (Y is Z), a core sweep with T_K E_q."""
     calls = []
     sweep = toeplitz.ldl_sweep
 
-    def recording(F, lead, gram_b, Y, Z, signature=None):
-        name = "gram" if signature is None else "core"
-        calls.append((name, len(Y) // len(F.C), len(lead) // len(F.C)))
-        return sweep(F, lead, gram_b, Y, Z, signature)
+    def recording(gram_b, Y, Z, m, lifted=None):
+        calls.append(("gram" if Y is Z else "core", len(Y) // m, len(gram_b) // m))
+        return sweep(gram_b, Y, Z, m, lifted)
 
     monkeypatch.setattr(toeplitz, "ldl_sweep", recording)
     return calls
@@ -543,10 +635,13 @@ class TestLadderSolves:
     def test_default_ladder_makes_no_dense_core_solve(self, monkeypatch, tmp_path, sweeps):
         # every solve is a chunk of the first rung (50 m rows), and neither
         # the widest gram nor the widest core is built: no Gram matrix is
-        # wider than the first rung
+        # wider than the first rung.  [G  K] is lifted to chunks of the first
+        # rung once, for the margins and both sweeps, and the widest column
+        # is scanned once, at all the sample points, for every rung
         problem, report = str(tmp_path / "p.json"), str(tmp_path / "r.json")
         lu, gram = np.linalg.solve, toeplitz.toeplitz_gram
-        sizes, made, columns = [], [], []
+        lift, scan = toeplitz._lifted, toeplitz.resolvent_down
+        sizes, made, columns, lifts, scans = [], [], [], [], []
 
         def spy(a, b):
             sizes.append(len(a))
@@ -560,25 +655,36 @@ class TestLadderSolves:
             made.append(OracleContext(*args))
             return made[-1]
 
+        def lift_spy(F, lead, b, p):
+            lifts.append(b)
+            return lift(F, lead, b, p)
+
+        def scan_spy(X, z, r):
+            scans.append((np.shape(z), X.shape))
+            return scan(X, z, r)
+
         monkeypatch.setattr("leechsolve.cli.OracleContext", recording)
+        monkeypatch.setattr(toeplitz, "_lifted", lift_spy)
+        monkeypatch.setattr(toeplitz, "resolvent_down", scan_spy)
         for seed in (3, 7):
             assert main(["generate", "--seed", str(seed), "--out", problem]) == 0
-            sizes.clear()
-            made.clear()
-            sweeps.clear()
-            columns.clear()
+            for calls in (sizes, made, sweeps, columns, lifts, scans):
+                calls.clear()
             monkeypatch.setattr(np.linalg, "solve", spy)
             monkeypatch.setattr(toeplitz, "toeplitz_gram", gram_spy)
             assert main(["oracle", problem, "--out", report]) == 0
             monkeypatch.setattr(np.linalg, "solve", lu)
             monkeypatch.setattr(toeplitz, "toeplitz_gram", gram)
-            m = read_problem(problem)[0].m
+            data = read_problem(problem)[0]
+            m = data.m
             assert sizes and max(sizes) <= 50 * m
             assert columns and max(columns) <= 50 * m
             (widest,) = made
             assert widest.N == 200
             assert "gram" not in vars(widest) and "core" not in vars(widest)
             assert sorted(sweeps) == [("core", 200, 50), ("gram", 200, 50)]
+            assert lifts == [50]
+            assert scans == [((16,), (200 * m, data.p + data.q))]
 
     def test_non_multiple_ladder_is_dense(self, tmp_path, sweeps):
         # oracle --truncation 150: every window is one chunk, an LU of its own
