@@ -145,29 +145,19 @@ def cmd_oracle(args):
     validation = validate(data)
     if not validation.ok:
         raise ValidationError("data validation failed: " + validation.summary(), validation)
-    trunc = args.truncation if args.truncation is not None else options.get("truncation")
-    if trunc is None:
-        ladder = [50, 100, 200]
-    else:
-        ladder = sorted({min(trunc, rung) for rung in
-                         (max(8, trunc // 4), max(16, trunc // 2), trunc)})
+    trunc = args.truncation if args.truncation is not None else options.get("truncation", 200)
     # every rung is a leading block of the largest window
-    widest = OracleContext(data, ladder[-1])
-    contexts = {N: widest.window(N) for N in ladder}
-    margins = {N: contexts[N].margin for N in ladder}
-    for N in ladder:
-        print(f"margin: N={N} smallest eigenvalue {margins[N]:.6e}")
-    report = {"type": "oracle_report", "truncations": ladder,
-              "margins": {str(N): margins[N] for N in ladder}}
+    contexts = OracleContext(data, trunc).ladder()
+    summary = [f"margin: N={ctx.N} smallest eigenvalue {ctx.margin:.6e}" for ctx in contexts]
+    report = {"type": "oracle_report", "truncations": [ctx.N for ctx in contexts],
+              "margins": {str(ctx.N): ctx.margin for ctx in contexts}}
     try:
-        for N in ladder:
-            contexts[N].require_definite()
+        for ctx in contexts:
+            ctx.require_definite()
         derived = solve(data)
     except (InfeasibleError, BreakdownError) as exc:
         report["verdict"] = f"{exc.verdict.lower()}: {exc}"
-        print(f"verdict: {exc.verdict} -- oracle comparison skipped")
-        if args.out:
-            files.dump(report, args.out)
+        _emit(report, args.out, summary + [f"verdict: {exc.verdict} -- oracle comparison skipped"])
         return exc.exit_code
 
     coeffs = build_upsilon(derived)
@@ -179,8 +169,7 @@ def cmd_oracle(args):
     p, k = coeffs.p, coeffs.free_dim
     ss = {"U11": U[:, :p, :k], "U12": U[:, :p, k:], "U21": U[:, p:, :k], "U22": U[:, p:, k:]}
     report["comparisons"] = {}
-    for N in ladder:
-        ctx = contexts[N]
+    for ctx in contexts:
         orc = oracle_upsilon(ctx, derived.Theta0, pts)
         entry = {}
         for name in names:
@@ -188,14 +177,12 @@ def cmd_oracle(args):
         entry["Delta0"] = float(np.linalg.norm(orc["Delta0"] - derived.Delta0))
         entry["Delta1"] = float(np.linalg.norm(orc["Delta1"] - derived.Delta1))
         entry["theta0_defect"] = float(np.linalg.norm(theta0_defect_oracle(ctx) - derived.M))
-        report["comparisons"][str(N)] = entry
+        report["comparisons"][str(ctx.N)] = entry
         row = ", ".join(f"{name} {entry[name]:.3e}" for name in
                         names + ("Delta0", "Delta1", "theta0_defect"))
-        print(f"compare: N={N} {row}")
+        summary.append(f"compare: N={ctx.N} {row}")
     report["verdict"] = "feasible"
-    print("verdict: FEASIBLE")
-    if args.out:
-        files.dump(report, args.out)
+    _emit(report, args.out, summary + ["verdict: FEASIBLE"])
     return EXIT_OK
 
 
@@ -256,8 +243,9 @@ def build_parser():
                         help="cross-validate against truncated Toeplitz compressions")
     sp.add_argument("problem")
     sp.add_argument("--truncation", type=int, default=None,
-                    help="largest truncation order (ladder N/4, N/2, N; default 200)")
-    sp.add_argument("--out", default=None, help="optional JSON report path")
+                    help="largest truncation order N (default 200); the ladder "
+                         "is N/4, N/2, N with floors of 8 and 16, capped at N")
+    sp.add_argument("--out", default=None, help="output path (default stdout)")
 
     sp = sub.add_parser("generate", help="generate a random feasible problem")
     sp.add_argument("--seed", type=_seed, default=None)

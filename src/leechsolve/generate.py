@@ -13,7 +13,7 @@ from .core import LeechData, solve, validate
 from .errors import LeechError
 from .linalg import herm, spectral_norm
 from .realization import Realization, constant, hinf_norm_estimate, observability_matrix
-from .toeplitz import lower_block_toeplitz, toeplitz_gram
+from .toeplitz import OracleContext, lower_block_toeplitz, toeplitz_gram
 
 EST_ORDER = 100  # truncation order of the Gram margin estimate
 MAX_ATTEMPTS = 60
@@ -77,7 +77,9 @@ def random_problem(seed, kind="feasible", dims=None, closed_loop_band=None):
     A draw eigen-solves only the N-block matrices (N = EST_ORDER) whose values
     it reports: lambda_max of T_K* (T_G T_G*)^-1 T_K for a feasible or
     infeasible scale, lambda_min of T_G T_G* for a corona scale, and the
-    margin_estimate; the boost probes are Cholesky factorizations (_draw_once).
+    margin_estimate, which is the oracle's margin at N,
+    OracleContext(data, EST_ORDER).margin; the boost probes are Cholesky
+    factorizations (_draw_once).
     """
     rng = np.random.default_rng(seed)
     last_error = None
@@ -108,7 +110,8 @@ def random_problem(seed, kind="feasible", dims=None, closed_loop_band=None):
 
 def _draw_once(rng, kind, dims):
     """One draw: A, B1, C and D1, then up to six boosts of D1's leading block,
-    then K of the requested kind, validated and with its margin estimate.
+    then K of the requested kind, validated, with the margin of one dense
+    OracleContext at N = EST_ORDER as its margin estimate.
 
     The C A^k sequence is built once, by doubling; G's and K's first block
     columns are its products with B1 and B2, one product each, and a boost
@@ -150,12 +153,10 @@ def _draw_once(rng, kind, dims):
         column[:m] = D1
         gram = toeplitz_gram(column, m)
 
-    # the final core T_G T_G* - T_K T_K* from the Gram matrix of the last probe
     meta = {"dims": {"n": n, "m": m, "p": p, "q": q}, "boosts": boosts}
     if kind == "kernel":
         B2 = np.zeros((n, q), dtype=complex)
         D2 = np.zeros((m, q), dtype=complex)
-        core = gram
     elif kind == "corona":
         B2 = np.zeros((n, m), dtype=complex)
         D2 = np.eye(m, dtype=complex)
@@ -163,10 +164,6 @@ def _draw_once(rng, kind, dims):
         C = scale * C
         D1 = scale * D1
         meta["scale"] = float(scale)
-        # gram is not read again: core is built in its place
-        core = gram
-        core *= scale ** 2
-        core[np.diag_indices_from(core)] -= 1.0
     else:
         B2r = _randc(rng, n, q)
         D2r = _randc(rng, m, q)
@@ -174,8 +171,7 @@ def _draw_once(rng, kind, dims):
         if boosts == 6 and not _definite_above(gram, 0.0):
             raise LeechError("Gram matrix of G is not positive definite "
                              f"({float(np.linalg.eigvalsh(gram)[0]):.3e})")
-        TkEq = first_column(D2r, B2r)
-        Tk = lower_block_toeplitz(TkEq, m)
+        Tk = lower_block_toeplitz(first_column(D2r, B2r), m)
         M = Tk.conj().T @ np.linalg.solve(gram, Tk)
         lam_max = float(np.linalg.eigvalsh(herm(M))[-1])
         target = 0.55 if kind == "feasible" else 1.4
@@ -184,15 +180,12 @@ def _draw_once(rng, kind, dims):
         D2 = scale * D2r
         meta["scale"] = float(scale)
         meta["lambda_norm_estimate"] = float(target)
-        core = toeplitz_gram(TkEq, m)
-        core *= scale ** 2
-        np.subtract(gram, core, out=core)
 
     data = LeechData(A, B1, B2, C, D1, D2)
     report = validate(data)
     if not report.ok:
         raise LeechError("drawn instance failed validation: " + report.summary())
-    margin = float(np.linalg.eigvalsh(core)[0])
+    margin = OracleContext(data, EST_ORDER).margin
     meta["margin_estimate"] = margin
     if kind in ("feasible", "kernel", "corona") and margin <= 0.0:
         raise LeechError("drawn instance lost its positivity margin")

@@ -23,10 +23,10 @@ one recursion of the joint column of [G  K] with J = diag(I_p, -I_q).
 Block (i, j) depends only on the first max(i, j) + 1 Taylor blocks, so the
 matrices of window N are the leading principal blocks of those of window
 2N, and the margins fall along a ladder of windows.  A ladder therefore
-builds one context at its largest window; OracleContext.window(N) hands out
-each smaller rung as leading-row slices of its columns, with no second
-truncation; a window's Gram matrices come from its own columns, and only a
-dense path builds them.
+builds one context at its largest window N; OracleContext.ladder() owns the
+rung rule (N/4, N/2, N) and hands out each smaller rung as leading-row
+slices of its columns (window), with no second truncation; a window's Gram
+matrices come from its own columns, and only a dense path builds them.
 
 A ladder also eigen-solves densely only its first rung.  The window of c b
 blocks is c copies of the b-block window plus a Hermitian term E of rank
@@ -414,14 +414,16 @@ class OracleContext:
 
     window(N) is the context of the leading N blocks: its columns are
     slices of this one's, so a truncation ladder truncates once, at its
-    largest window.  The first window cut is the ladder's first rung; the
-    margins of its whole multiples update its eigendecomposition through the
-    lifted realization (_rung_margin), and their solves share one forward
-    sweep per matrix of this window in chunks of the first rung (_solved),
-    all three reading one lift (_first_lift), so such a ladder builds gram
-    and core of no window wider than the first rung unless a dense path asks
-    for them.  The sample points' resolvent of the column is this window's
-    too, and each rung reads its leading rows (column_resolvent).
+    largest window.  ladder() cuts the windows N/4, N/2 and N and records
+    them as this context's rungs; the margins of the whole multiples of the
+    first rung update its eigendecomposition through the lifted realization
+    (_rung_margin), and their solves share one forward sweep per matrix of
+    this window in chunks of the first rung (_solved), all three reading one
+    lift (_first_lift), so such a ladder builds gram and core of no window
+    wider than the first rung unless a dense path asks for them.  Any other
+    window, and every window of a context with no ladder, is dense.  The
+    sample points' resolvent of the column is this window's too, and each
+    rung reads its leading rows (column_resolvent).
     """
 
     def __init__(self, data, N):
@@ -430,15 +432,26 @@ class OracleContext:
         self.m, self.p, self.q = data.m, data.p, data.q
         column = truncate(data.joint(), self.N)
         self.TgEp, self.TkEq = column[:, :self.p], column[:, self.p:]
-        # the sizes of the windows cut from this context, in order (its
-        # ladder's rungs), the margins of its windows by size, the forward
-        # sweeps of its gram and core (ldl_sweep) by name, and its last
-        # column resolvent with the bytes of its points (column_resolvent);
-        # a window keeps its widest context in _root, None here (no
-        # reference cycle)
+        # the rungs of its ladder (ladder), the cores and margins of its
+        # windows by size, the forward sweeps of its gram and core
+        # (ldl_sweep) by name, and its last column resolvent with the bytes
+        # of its points (column_resolvent); a window keeps its widest
+        # context in _root, None here (no reference cycle)
         self._root, self._rungs = None, []
-        self._margins, self._sweeps = {}, {}
+        self._cores, self._margins, self._sweeps = {}, {}, {}
         self._resolvent = (None, None)
+
+    def ladder(self):
+        """The windows N/4, N/2 and N of this context, smallest first: the
+        first two with floors of 8 and 16, every rung capped at N and
+        duplicates dropped.  The rungs are recorded here, so whole multiples
+        of the first take their margins and solves from it (_rung_margin,
+        _solved); a ladder of one rung records nothing and stays dense."""
+        N = self.N
+        sizes = sorted({min(N, size) for size in (max(8, N // 4), max(16, N // 2), N)})
+        if len(sizes) > 1:
+            self._rungs = sizes
+        return [self.window(size) for size in sizes]
 
     def window(self, N):
         """The context of the leading N <= self.N blocks, sliced from this
@@ -446,7 +459,9 @@ class OracleContext:
         larger window.  Its gram and core, read only by dense paths, come
         from its own columns.  Solves of the window are its own; its margin
         is the smallest eigenvalue of its own core, as the ladder answers it
-        (margin)."""
+        (margin).  Cutting a window records nothing, so the order of the
+        cuts changes nothing: a window is dense, one LU chunk, unless it is
+        a whole multiple of a first rung that ladder() recorded."""
         N = int(N)
         if not 1 <= N <= self.N:
             raise DimensionError(f"window must lie in 1..{self.N}, got {N}")
@@ -459,7 +474,6 @@ class OracleContext:
         sub.TgEp = self.TgEp[:rows]
         sub.TkEq = self.TkEq[:rows]
         sub._root = self._root or self
-        sub._root._rungs.append(N)
         return sub
 
     @cached_property
@@ -477,14 +491,20 @@ class OracleContext:
     @cached_property
     def core(self):
         """T J T* for the joint T = [T_G  T_K], J = diag(I_p, -I_q): one
-        displacement recursion of the joint column."""
-        return self._window_core(self.N)
+        displacement recursion of the joint column, kept by the widest
+        context (_window_core)."""
+        return (self._root or self)._window_core(self.N)
 
     def _window_core(self, N):
         """The core of this context's leading N-block window, from that
-        window's own leading column."""
-        column, signature = self._joint()
-        return toeplitz_gram(column[:N * self.m], self.m, signature)
+        window's own leading column, built once per N: the window's core,
+        its dense margin (_rung_margin) and, for the first rung, the
+        eigendecomposition of the margin updates (_first_spectrum) and the
+        first pivot of the core sweep (_sweep) read the same matrix."""
+        if N not in self._cores:
+            column, signature = self._joint()
+            self._cores[N] = toeplitz_gram(column[:N * self.m], self.m, signature)
+        return self._cores[N]
 
     def _joint(self):
         """The joint column [T_G E_p, T_K E_q] and J = diag(I_p, -I_q)."""
@@ -494,22 +514,21 @@ class OracleContext:
     @cached_property
     def margin(self):
         """Smallest eigenvalue of core, as its ladder answers it (_rung_margin)."""
-        return (self._root or self)._rung_margin(self.N, self)
+        return (self._root or self)._rung_margin(self.N)
 
-    def _rung_margin(self, N, window=None):
+    def _rung_margin(self, N):
         """Smallest eigenvalue of the core of this context's leading N-block
         window, kept by N.
 
-        A ladder is a widest context and the windows cut from it; the first
-        window cut is its first rung, b blocks.  When the widest window is a
-        whole multiple of b, the first rung reads its margin from the
+        A ladder is a widest context and the rungs that ladder() records;
+        its first rung is b blocks.  When the widest window is a whole
+        multiple of b, the first rung reads its margin from the
         eigendecomposition of its core, and every rung that is a whole
         multiple of b updates that eigendecomposition through the lift of
         [G  K] to chunks of b blocks (ladder_margin), reporting no more than
         the margin of the next rung below, where interlacing puts it.  Any
         other window, or an update that would reach half the window,
-        eigen-solves its core: that of `window`, the N-block context, when
-        given, else one built from the leading column."""
+        eigen-solves its core (_window_core)."""
         if N in self._margins:
             return self._margins[N]
         b = self._lifted_rung(N)
@@ -524,8 +543,7 @@ class OracleContext:
                     below = max(size for size in self._rungs if size < N)
                     margin = min(margin, self._rung_margin(below))
         if margin is None:
-            core = self._window_core(N) if window is None else window.core
-            margin = float(np.linalg.eigvalsh(core)[0])
+            margin = float(np.linalg.eigvalsh(self._window_core(N))[0])
         self._margins[N] = margin
         return margin
 
@@ -538,16 +556,9 @@ class OracleContext:
         return b if b is not None and self.N % b == 0 and N % b == 0 else None
 
     @cached_property
-    def _first_core(self):
-        """The first rung's core, from its own leading column: the
-        eigendecomposition of the margins (_first_spectrum) and the first
-        pivot of the core sweep (_sweep)."""
-        return self._window_core(self._rungs[0])
-
-    @cached_property
     def _first_spectrum(self):
         """Eigendecomposition (w, U) of the first rung's core, eigenvalues ascending."""
-        return np.linalg.eigh(self._first_core)
+        return np.linalg.eigh(self._window_core(self._rungs[0]))
 
     @cached_property
     def _first_lift(self):
@@ -620,7 +631,7 @@ class OracleContext:
         chunk of a ladder builds no Gram matrix wider than itself)."""
         lifted = None if b == self.N else self._first_lift[name]
         if name == "core":
-            core_b = self.core if b == self.N else self._first_core
+            core_b = self.core if b == self.N else self._window_core(b)
             return ldl_sweep(core_b, self.TkEq, self.TgEp, self.m, lifted)
         gram_b = self.gram if b == self.N else toeplitz_gram(self.TgEp[:b * self.m], self.m)
         return ldl_sweep(gram_b, self.TgEp, self.TgEp, self.m, lifted)

@@ -285,10 +285,11 @@ class TestOracle:
         U = evaluate(coeffs.joint, pts)
         p, k = coeffs.p, coeffs.free_dim
         ss = {"U11": U[:, :p, :k], "U12": U[:, :p, k:], "U21": U[:, p:, :k], "U22": U[:, p:, k:]}
-        widest = OracleContext(data, 60)
-        for N in report["truncations"]:
-            orc = oracle_upsilon(widest.window(N), derived.Theta0, pts)
-            sups = report["comparisons"][str(N)]
+        contexts = OracleContext(data, 60).ladder()
+        assert [ctx.N for ctx in contexts] == report["truncations"]
+        for ctx in contexts:
+            orc = oracle_upsilon(ctx, derived.Theta0, pts)
+            sups = report["comparisons"][str(ctx.N)]
             for name in ss:
                 ref = max(float(np.linalg.norm(a - b)) for a, b in zip(ss[name], orc[name]))
                 assert abs(sups[name] - ref) <= 8 * np.finfo(float).eps * ref
@@ -318,6 +319,25 @@ class TestOracle:
         report = load(out_path)
         assert report["verdict"].startswith("infeasible")
         assert "comparisons" not in report
+
+    @pytest.mark.parametrize("seed, kind, code", [(120, "feasible", 0), (124, "infeasible", 2)])
+    def test_report_on_stdout_without_out(self, tmp_path, capsys, seed, kind, code):
+        # without --out the report is one line on stdout and the summary goes
+        # to stderr; --out writes the same report and prints the same summary
+        data, _ = random_problem(seed, kind=kind)
+        path, out_path = tmp_path / "p.json", tmp_path / "report.json"
+        write_problem(data, path)
+        assert main(["oracle", str(path), "--truncation", "60"]) == code
+        captured = capsys.readouterr()
+        assert captured.out.count("\n") == 1  # the artifact is one line
+        doc = json.loads(captured.out)
+        assert doc["type"] == "oracle_report" and doc["verdict"].startswith(kind)
+        summary = captured.err.splitlines()
+        assert summary[0].startswith("margin: N=15 ")
+        assert summary[-1].startswith(f"verdict: {kind.upper()}")
+        assert main(["oracle", str(path), "--truncation", "60", "--out", str(out_path)]) == code
+        assert out_path.read_text() == captured.out
+        assert capsys.readouterr() == (captured.err, "")
 
     def test_breakdown_writes_report(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "p.json"
@@ -379,7 +399,7 @@ class TestStandingAssumptions:
         data, _ = read_problem(path)
         built = squaring_builds(monkeypatch)
         assert main(["oracle", str(path)]) == 0
-        assert "verdict: FEASIBLE" in capsys.readouterr().out
+        assert "verdict: FEASIBLE" in capsys.readouterr().err
         assert builds_of(built, data.A) == 1
         assert len(built) == 3
 

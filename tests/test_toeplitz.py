@@ -405,10 +405,12 @@ class TestMargins:
 
 
 def _ladder(data, ladder):
-    """The contexts of a ladder as `oracle` cuts them: windows of the widest,
-    the smallest first."""
-    widest = OracleContext(data, ladder[-1])
-    return [widest.window(N) for N in ladder]
+    """The contexts of a ladder as `oracle` cuts them: the rungs of
+    OracleContext.ladder() at the widest window, the smallest first, which
+    must be `ladder`."""
+    contexts = OracleContext(data, ladder[-1]).ladder()
+    assert [ctx.N for ctx in contexts] == list(ladder)
+    return contexts
 
 
 def _dense_margin(ctx):
@@ -574,6 +576,20 @@ def sweeps(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def lifts(monkeypatch):
+    """The chunk sizes b of the toeplitz._lifted calls."""
+    calls = []
+    lift = toeplitz._lifted
+
+    def recording(F, lead, b, p):
+        calls.append(b)
+        return lift(F, lead, b, p)
+
+    monkeypatch.setattr(toeplitz, "_lifted", recording)
+    return calls
+
+
 def _lu_solve(ctx, name):
     """core^{-1} [T_K E_q, S_m* T_G E_p] or gram^{-1} [T_G E_p, S_m* T_G E_p] by LU."""
     Y = ctx.TkEq if name == "core" else ctx.TgEp
@@ -632,16 +648,16 @@ class TestLadderSolves:
         assert widest.margin <= 0.0 < widest.gram_margin
         self._check(data, sweeps)
 
-    def test_default_ladder_makes_no_dense_core_solve(self, monkeypatch, tmp_path, sweeps):
+    def test_default_ladder_makes_no_dense_core_solve(self, monkeypatch, tmp_path, sweeps,
+                                                      lifts):
         # every solve is a chunk of the first rung (50 m rows), and neither
         # the widest gram nor the widest core is built: no Gram matrix is
         # wider than the first rung.  [G  K] is lifted to chunks of the first
         # rung once, for the margins and both sweeps, and the widest column
         # is scanned once, at all the sample points, for every rung
         problem, report = str(tmp_path / "p.json"), str(tmp_path / "r.json")
-        lu, gram = np.linalg.solve, toeplitz.toeplitz_gram
-        lift, scan = toeplitz._lifted, toeplitz.resolvent_down
-        sizes, made, columns, lifts, scans = [], [], [], [], []
+        lu, gram, scan = np.linalg.solve, toeplitz.toeplitz_gram, toeplitz.resolvent_down
+        sizes, made, columns, scans = [], [], [], []
 
         def spy(a, b):
             sizes.append(len(a))
@@ -655,16 +671,11 @@ class TestLadderSolves:
             made.append(OracleContext(*args))
             return made[-1]
 
-        def lift_spy(F, lead, b, p):
-            lifts.append(b)
-            return lift(F, lead, b, p)
-
         def scan_spy(X, z, r):
             scans.append((np.shape(z), X.shape))
             return scan(X, z, r)
 
         monkeypatch.setattr("leechsolve.cli.OracleContext", recording)
-        monkeypatch.setattr(toeplitz, "_lifted", lift_spy)
         monkeypatch.setattr(toeplitz, "resolvent_down", scan_spy)
         for seed in (3, 7):
             assert main(["generate", "--seed", str(seed), "--out", problem]) == 0
@@ -686,13 +697,23 @@ class TestLadderSolves:
             assert lifts == [50]
             assert scans == [((16,), (200 * m, data.p + data.q))]
 
-    def test_non_multiple_ladder_is_dense(self, tmp_path, sweeps):
-        # oracle --truncation 150: every window is one chunk, an LU of its own
+    def test_non_multiple_ladder_is_dense(self, monkeypatch, tmp_path, sweeps):
+        # oracle --truncation 150: every window is one chunk, an LU of its own,
+        # and its core, built once, serves both its margin and its sweep
         problem, report = str(tmp_path / "p.json"), str(tmp_path / "r.json")
         assert main(["generate", "--seed", "3", "--out", problem]) == 0
+        gram, cores = toeplitz.toeplitz_gram, []
+
+        def gram_spy(column, r, signature=None):
+            if signature is not None:
+                cores.append(len(column) // r)
+            return gram(column, r, signature)
+
+        monkeypatch.setattr(toeplitz, "toeplitz_gram", gram_spy)
         assert main(["oracle", problem, "--truncation", "150", "--out", report]) == 0
         assert load(report)["truncations"] == [37, 75, 150]
         assert sorted(sweeps) == [(name, N, N) for name in ("core", "gram") for N in (37, 75, 150)]
+        assert cores == [37, 75, 150]
 
     def test_solves_do_not_read_the_margin_updates(self, sweeps):
         # the N = 200 margin of this draw is dense
@@ -700,6 +721,53 @@ class TestLadderSolves:
         data, _ = random_problem(1000, dims=(34, 2, 3, 2))
         self._check(data, sweeps, ((50, 100, 200),))
         assert sweeps == [("gram", 200, 50), ("core", 200, 50)]
+
+
+class TestLadderOwner:
+    """OracleContext.ladder() alone fixes a ladder's rungs: a window cut by
+    hand records nothing, so the order of the cuts cannot change the lift
+    chunk, and the answers of a ladder do not depend on the order its rungs
+    are read in."""
+
+    @staticmethod
+    def _solve(contexts):
+        """Margin, gram_solved and core_solved of each context, in order."""
+        return [(ctx.margin, ctx.gram_solved, ctx.core_solved) for ctx in contexts]
+
+    def test_hand_cut_windows_are_dense(self, battery, sweeps, lifts):
+        for item in battery[:3]:
+            for ladder in (False, True):
+                widest = OracleContext(item.data, 120)
+                rungs = [ctx.N for ctx in widest.ladder()] if ladder else []
+                for order in ((1, 37, 60), (60, 30)):
+                    sweeps.clear()
+                    self._solve([widest.window(N) for N in order])
+                    # no sweep runs in chunks shorter than its window but
+                    # the ladder's own, of the widest in chunks of its first rung
+                    assert all(chunk == N or rungs[:1] == [chunk] and N == 120
+                               for _, N, chunk in sweeps), sweeps
+                    assert widest._rungs == rungs
+                assert lifts == ([30] if ladder else [])
+                lifts.clear()
+
+    def test_ladder_lifts_once_in_chunks_of_its_first_rung(self, battery, sweeps, lifts):
+        for item in battery[:3]:
+            sweeps.clear()
+            lifts.clear()
+            contexts = OracleContext(item.data, 120).ladder()
+            assert [ctx.N for ctx in contexts] == [30, 60, 120]
+            self._solve(contexts)
+            assert lifts == [30]
+            assert sweeps == [("gram", 120, 30), ("core", 120, 30)]
+
+    def test_rung_order_changes_no_bit(self, battery, draws):
+        for data in [item.data for item in battery[:3]] + draws[:4]:
+            ascending = self._solve(OracleContext(data, 120).ladder())
+            descending = self._solve(OracleContext(data, 120).ladder()[::-1])[::-1]
+            for (m1, g1, c1), (m2, g2, c2) in zip(ascending, descending):
+                assert m1 == m2
+                np.testing.assert_array_equal(g1, g2)
+                np.testing.assert_array_equal(c1, c2)
 
 
 class TestGramForms:
