@@ -76,10 +76,11 @@ def random_problem(seed, kind="feasible", dims=None, closed_loop_band=None):
 
     A draw eigen-solves only the N-block matrices (N = EST_ORDER) whose values
     it reports: lambda_max of T_K* (T_G T_G*)^-1 T_K for a feasible or
-    infeasible scale, lambda_min of T_G T_G* for a corona scale, and the
-    margin_estimate, which is the oracle's margin at N,
-    OracleContext(data, EST_ORDER).margin; the boost probes are Cholesky
-    factorizations (_draw_once).
+    infeasible scale and lambda_min of T_G T_G* for a corona scale; the
+    boost probes are Cholesky factorizations (_draw_once).  margin_estimate
+    is the widest rung's of OracleContext(data, EST_ORDER).ladder(): an
+    update of the N/4-block rung's eigendecomposition where update_pays
+    (m = 2 and n <= 8, or m = 1 and n <= 3), else an eigvalsh of the core.
     """
     rng = np.random.default_rng(seed)
     last_error = None
@@ -110,8 +111,9 @@ def random_problem(seed, kind="feasible", dims=None, closed_loop_band=None):
 
 def _draw_once(rng, kind, dims):
     """One draw: A, B1, C and D1, then up to six boosts of D1's leading block,
-    then K of the requested kind, validated, with the margin of one dense
-    OracleContext at N = EST_ORDER as its margin estimate.
+    then K of the requested kind, validated, with the oracle ladder's
+    margin at N = EST_ORDER as its margin estimate, which only reports a
+    number and gates its sign.
 
     The C A^k sequence is built once, by doubling; G's and K's first block
     columns are its products with B1 and B2, one product each, and a boost
@@ -185,7 +187,7 @@ def _draw_once(rng, kind, dims):
     report = validate(data)
     if not report.ok:
         raise LeechError("drawn instance failed validation: " + report.summary())
-    margin = OracleContext(data, EST_ORDER).margin
+    margin = OracleContext(data, EST_ORDER).ladder()[-1].margin
     meta["margin_estimate"] = margin
     if kind in ("feasible", "kernel", "corona") and margin <= 0.0:
         raise LeechError("drawn instance lost its positivity margin")

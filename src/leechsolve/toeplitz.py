@@ -28,7 +28,7 @@ rung rule (N/4, N/2, N) and hands out each smaller rung as leading-row
 slices of its columns (window), with no second truncation; a window's Gram
 matrices come from its own columns, and only a dense path builds them.
 
-A ladder also eigen-solves densely only its first rung.  The window of c b
+A ladder can eigen-solve densely only its first rung.  The window of c b
 blocks is c copies of the b-block window plus a Hermitian term E of rank
 <= 2 n (c - 1), n the state dimension of [G  K], so the margin of a rung
 that is a whole multiple of the first follows from the first rung's
@@ -38,8 +38,10 @@ exactly from the realization of [G  K] lifted to chunks of the first rung
 form of the displacement identity, and the smallest eigenvalue
 is located by inertia counts (Haynsworth) below the first rung's
 (_updated_margin).  Each margin is the smallest eigenvalue of its rung to
-roundoff of |core|, and on such a ladder no core wider than the first rung
-is formed; a dense eigvalsh answers for any other rung.
+roundoff of |core|.  A rung updates only where update_pays finds that
+cheaper than a dense eigvalsh, which answers for every other rung; on a
+ladder whose rungs all update no core wider than the first rung is
+formed.
 
 The oracle path forms no N m x N m inverse.  Every thin solve, with gram
 (J = I on G) or with core (J = diag(I_p, -I_q) on [G  K]), is one block
@@ -59,8 +61,8 @@ rows.  The resolvents are log-depth scans (Kogge & Stone 1973), log2 N
 array steps at all points at once.  The path eigen-solves only core:
 gram - core = T_K T_K* is positive semidefinite, so a positive core margin
 already proves gram definite, and the Gram margin is computed only when the
-core margin is not positive.  The explicit inverses serve the
-operator identities at the end of this module.
+core margin is not positive.  The explicit inverses serve the test-side
+operator identities (tests/reference.py).
 """
 
 from functools import cached_property
@@ -124,14 +126,6 @@ def truncate(F, N):
     return taylor_blocks(F, N).reshape(N * F.out_dim, F.in_dim)
 
 
-def shift_down(X, r):
-    """Apply the block shift S (one block down) to block-stacked columns."""
-    Y = np.zeros_like(X)
-    if X.shape[0] > r:
-        Y[r:] = X[:-r]
-    return Y
-
-
 def shift_up(X, r):
     """Apply the adjoint shift S* (one block up)."""
     Y = np.zeros_like(X)
@@ -181,7 +175,8 @@ def ladder_margin(w, U, lifted, c):
     """Smallest eigenvalue of the core of a window of c >= 2 chunks of b
     blocks, from the eigendecomposition (w, U) of the first chunk's core_b
     and the lift (Phi, C_L, B_L J B_L*, B_L J D_L*) of [G  K] to chunks of b
-    blocks (_lifted), or None when the update would reach half the window.
+    blocks (_lifted); update_pays says where that is cheaper than a dense
+    eigen-solve of the same core.
 
     In chunks, T is lower block Toeplitz with first column T E = e + a B_L,
     e = [D_L; 0] and a = [0; C_L; C_L Phi; ...; C_L Phi^(c-2)].  The
@@ -198,8 +193,6 @@ def ladder_margin(w, U, lifted, c):
     Phi, CL, BB, BD = lifted
     n, rows = len(Phi), len(CL)
     size, k = c * rows, 2 * n * (c - 1)
-    if 2 * k >= size:
-        return None
     if not n:
         return float(w[0])
     O = observability_matrix(CL, Phi, c - 1)
@@ -214,6 +207,17 @@ def ladder_margin(w, U, lifted, c):
     scale = max(-w[0], w[-1]) + max(-s[0], s[-1])  # bounds |core|_2
     keep = np.abs(s) > EPS * scale
     return _updated_margin(w, U, Q @ V[:, keep], s[keep], scale)
+
+
+def update_pays(k, size):
+    """True where the exact update of rank k (ladder_margin) finds the margin
+    of a core of `size` rows faster than a dense eigvalsh of that core.
+
+    Measured on one BLAS thread at 50 to 400 rows, the update is the cheaper
+    up to about a third of the rows, less 40 rows for its fixed cost (the
+    first rung's eigenvectors, the lift, the root search's small
+    eigen-solves): no core of 50 rows updates, one of 100 below rank 20."""
+    return 3 * k + 40 < size
 
 
 def _updated_margin(w, U, Q, s, scale):
@@ -409,21 +413,24 @@ class OracleContext:
     The oracle itself needs only the columns and the thin solves
     gram_solved and core_solved, each by one block LDL* sweep (ldl_sweep);
     the full matrices Tg, Tk and the explicit inverses core_inv, gram_inv
-    and ill_inv are built on first use, for Lambda and the operator
-    identities below.
+    and ill_inv are built on first use, for Lambda and the test-side
+    operator identities (tests/reference.py).
 
     window(N) is the context of the leading N blocks: its columns are
     slices of this one's, so a truncation ladder truncates once, at its
-    largest window.  ladder() cuts the windows N/4, N/2 and N and records
-    them as this context's rungs; the margins of the whole multiples of the
-    first rung update its eigendecomposition through the lifted realization
-    (_rung_margin), and their solves share one forward sweep per matrix of
-    this window in chunks of the first rung (_solved), all three reading one
-    lift (_first_lift), so such a ladder builds gram and core of no window
-    wider than the first rung unless a dense path asks for them.  Any other
-    window, and every window of a context with no ladder, is dense.  The
-    sample points' resolvent of the column is this window's too, and each
-    rung reads its leading rows (column_resolvent).
+    largest window; a window has no ladder of its own.  ladder() cuts the
+    windows N/4, N/2 and N and records them as this context's rungs.  The
+    solves of the whole multiples of the first rung share one forward sweep
+    per matrix of this window in chunks of the first rung (_solved), and
+    their margins update its eigendecomposition through the lifted
+    realization where update_pays (_updated_rungs), all reading one lift
+    (_first_lift); a ladder whose rungs all update builds gram and core of
+    no window wider than the first rung unless a dense path asks for them.
+    The margin of any other rung is dense, and so are the margin and the
+    solves of a rung that is no whole multiple of the first and of every
+    window of a context with no ladder.  The sample points' resolvent of
+    the column is this window's too, and each rung reads its leading rows
+    (column_resolvent).
     """
 
     def __init__(self, data, N):
@@ -445,8 +452,14 @@ class OracleContext:
         """The windows N/4, N/2 and N of this context, smallest first: the
         first two with floors of 8 and 16, every rung capped at N and
         duplicates dropped.  The rungs are recorded here, so whole multiples
-        of the first take their margins and solves from it (_rung_margin,
-        _solved); a ladder of one rung records nothing and stays dense."""
+        of the first take their solves and, where update_pays, their margins
+        from it (_solved, _rung_margin); a ladder of one rung records
+        nothing and stays dense.  A window answers through its widest
+        context, which would not read rungs recorded on the window, so a
+        window has no ladder."""
+        if self._root is not None:
+            raise DimensionError(f"a window of {self.N} blocks has no ladder of its own; "
+                                 f"cut it from OracleContext(data, {self.N})")
         N = self.N
         sizes = sorted({min(N, size) for size in (max(8, N // 4), max(16, N // 2), N)})
         if len(sizes) > 1:
@@ -521,36 +534,44 @@ class OracleContext:
         window, kept by N.
 
         A ladder is a widest context and the rungs that ladder() records;
-        its first rung is b blocks.  When the widest window is a whole
-        multiple of b, the first rung reads its margin from the
-        eigendecomposition of its core, and every rung that is a whole
-        multiple of b updates that eigendecomposition through the lift of
-        [G  K] to chunks of b blocks (ladder_margin), reporting no more than
-        the margin of the next rung below, where interlacing puts it.  Any
-        other window, or an update that would reach half the window,
+        its first rung is b blocks.  A rung that _updated_rungs names updates
+        the eigendecomposition (w, U) of the first rung's core through the
+        lift of [G  K] to chunks of b blocks (ladder_margin), and the first
+        rung then reads its margin w[0] from it.  Interlacing orders these
+        margins, and each updated rung reports within them: no more than
+        w[0], and no less than the next updated rung above it, so a read of
+        the widest rung alone updates nothing below it.  Any other window
         eigen-solves its core (_window_core)."""
         if N in self._margins:
             return self._margins[N]
-        b = self._lifted_rung(N)
-        margin = None
-        if b is not None:
+        updated = self._updated_rungs()
+        if N in updated:
             w, U = self._first_spectrum
-            if N == b:
-                margin = float(w[0])
-            else:
-                margin = ladder_margin(w, U, self._first_lift["core"], N // b)
-                if margin is not None:
-                    below = max(size for size in self._rungs if size < N)
-                    margin = min(margin, self._rung_margin(below))
-        if margin is None:
+            margin = ladder_margin(w, U, self._first_lift["core"], N // self._rungs[0])
+            margin = min(margin, float(w[0]))
+            above = [size for size in updated if size > N]
+            if above:
+                margin = max(margin, self._rung_margin(above[0]))
+        elif updated and N == self._rungs[0]:
+            margin = float(self._first_spectrum[0][0])
+        else:
             margin = float(np.linalg.eigvalsh(self._window_core(N))[0])
         self._margins[N] = margin
         return margin
 
+    def _updated_rungs(self):
+        """The rungs c b that update the first rung b's eigendecomposition:
+        whole multiples of b (_lifted_rung) where update_pays for the rank
+        2 n (c - 1) and the c b m rows, settled from sizes alone before any
+        eigen-solve, whatever order the rungs are read in."""
+        n = self.data.n
+        return [N for N in self._rungs[1:] if self._lifted_rung(N) is not None
+                and update_pays(2 * n * (N // self._rungs[0] - 1), N * self.m)]
+
     def _lifted_rung(self, N):
         """The ladder's first rung b when this widest window and its N-block
         window are both whole multiples of it, else None: such a window's
-        margin updates the first rung's eigendecomposition (_rung_margin)
+        margin may update the first rung's eigendecomposition (_updated_rungs)
         and its solves share one sweep in chunks of b (_solved)."""
         b = self._rungs[0] if self._rungs else None
         return b if b is not None and self.N % b == 0 and N % b == 0 else None
@@ -699,21 +720,6 @@ class ThetaOracle:
         ctx = self.ctx
         return self.Theta0 - z * (ctx.TgEp.conj().T @ resolvent_up(self.w, z, ctx.m))
 
-    def blocks(self, count):
-        """First `count` Taylor blocks of Theta."""
-        ctx = self.ctx
-        out = [self.Theta0.copy()]
-        wj = self.w
-        for _ in range(count - 1):
-            out.append(-(ctx.TgEp.conj().T @ wj))
-            wj = shift_up(wj, ctx.m)
-        return out[:count]
-
-    @cached_property
-    def toeplitz(self):
-        """Truncated T_Theta on the same window as the context."""
-        return lower_block_toeplitz(np.concatenate(self.blocks(self.ctx.N)), self.ctx.p)
-
 
 def oracle_theta(ctx, Theta0):
     ctx.require_definite()
@@ -764,213 +770,3 @@ def oracle_upsilon(ctx, Theta0, zs):
             "U12": V[:, :p, k:] @ d0i,
             "U22": d0i + V[:, p:, k:] @ d0i,
             "Delta0": Delta0, "Delta1": Delta1}
-
-
-def bnabla(ctx, theta):
-    """B_nabla = (I - Lambda* Lambda)^{-1} Lambda* S_p* T_Theta E_k,
-    computed through the equivalent compact form -T_K* core^{-1} N."""
-    return -(ctx.Tk.conj().T @ theta.core_n)
-
-
-def bnabla_defect(ctx, theta):
-    """Defect between the defining form of B_nabla and the compact form."""
-    k = ctx.p - ctx.m
-    TTEk = theta.toeplitz[:, :k]
-    direct = ctx.ill_inv @ (ctx.lam.conj().T @ shift_up(TTEk, ctx.p))
-    # shift_up on stacked rows applies S_p* on the left of T_Theta E_k
-    compact = bnabla(ctx, theta)
-    scale = max(1.0, float(np.linalg.norm(compact)))
-    return float(np.linalg.norm(direct - compact)) / scale
-
-
-def _feedback_matrix(ctx):
-    """Dense matrix of M = S_q* - S_q* (I - Lambda* Lambda)^{-1} E_q Delta0^{-2} E_q*."""
-    Nq = ctx.N * ctx.q
-    E = ctx.TkEq
-    d0sq = np.eye(ctx.q, dtype=complex) + E.conj().T @ ctx.core_solved[:, :ctx.q]
-    A = np.eye(Nq, dtype=complex)
-    A[:, :ctx.q] -= ctx.ill_inv[:, :ctx.q] @ np.linalg.inv(d0sq)
-    return shift_up(A, ctx.q)
-
-
-def oracle_appendix_phi(ctx, theta, zs):
-    """Sample the feedback coefficients of the lifting form at points zs,
-    together with the outer-fraction data U, V and det V.
-
-    Phi11(z) = -z Delta0^{-1} E_q* (I - z M)^{-1} B_nabla Delta1^{-1}
-    Phi12(z) =    Delta0^{-1} E_q* (I - z M)^{-1} E_q
-    Phi21(z) = Theta(z) Delta1 - Theta(z) E_k* T_Theta* S_p Lambda (I - z M)^{-1} B_nabla Delta1^{-1}
-    Phi22(z) = E_p* (I - z S_p*)^{-1} Lambda E_q + Theta(z) E_k* T_Theta* S_p Lambda M (I - z M)^{-1} E_q
-    U(z)     = E_p* (I - z S_p*)^{-1} Lambda (I - Lambda* Lambda)^{-1} E_q
-    V(z)     = E_q* (I - z S_q*)^{-1} (I - Lambda* Lambda)^{-1} E_q
-    """
-    p, q, k = ctx.p, ctx.q, ctx.p - ctx.m
-    Delta0, Delta1 = oracle_deltas(ctx, theta)
-    d0i = np.linalg.inv(Delta0)
-    d1i = np.linalg.inv(Delta1)
-    M = _feedback_matrix(ctx)
-    Nq = M.shape[0]
-    Bn = bnabla(ctx, theta)
-    TTEk = theta.toeplitz[:, :k]
-    hook = TTEk.conj().T @ shift_down(ctx.lam, p)   # E_k* T_Theta* S_p Lambda
-    lamEq = ctx.lam[:, :q]
-    illEq = ctx.ill_inv[:, :q]
-    out = {"Phi11": [], "Phi12": [], "Phi21": [], "Phi22": [],
-           "U": [], "V": [], "detV": [],
-           "Delta0": Delta0, "Delta1": Delta1}
-    eye = np.eye(Nq, dtype=complex)
-    for z in zs:
-        thz = theta.sample(z)
-        rhs = np.linalg.solve(eye - z * M, np.hstack([Bn, eye[:, :q]]))
-        rB, rE = rhs[:, :k], rhs[:, k:]
-        out["Phi11"].append(-z * d0i @ rB[:q] @ d1i)
-        out["Phi12"].append(d0i @ rE[:q])
-        out["Phi21"].append(thz @ Delta1 - thz @ hook @ rB @ d1i)
-        out["Phi22"].append(resolvent_up(lamEq, z, p)[:p]
-                            + thz @ hook @ (M @ rE))
-        Uz = resolvent_up(ctx.lam @ illEq, z, p)[:p]
-        Vz = resolvent_up(illEq, z, q)[:q]
-        out["U"].append(Uz)
-        out["V"].append(Vz)
-        out["detV"].append(complex(np.linalg.det(Vz)) if q else 1.0 + 0j)
-    return out
-
-
-def delta1_appendix_defect(ctx, theta):
-    """Defect between the lifting-form Delta1^2 (via T_Theta and Lambda) and
-    the compact Delta1^2; both should agree to truncation accuracy."""
-    k = ctx.p - ctx.m
-    TTEk = theta.toeplitz[:, :k]
-    hook = TTEk.conj().T @ shift_down(ctx.lam, ctx.p)
-    d1sq_app = np.eye(k, dtype=complex) + hook @ (ctx.ill_inv @ hook.conj().T)
-    d1sq = _delta_squares(ctx, theta)[1]
-    scale = max(1.0, float(np.linalg.norm(d1sq)))
-    return float(np.linalg.norm(d1sq_app - d1sq)) / scale
-
-
-# ---------------------------------------------------------------------------
-# Operator identities used to certify the truncation itself.  Each returns a
-# relative defect; identities touched by the truncation boundary are compared
-# on leading blocks only, as documented per function.
-# ---------------------------------------------------------------------------
-
-def _rel(defect, scale):
-    return float(defect) / max(1.0, float(scale))
-
-
-def identity_gram_inverse(ctx):
-    """(I - Lambda* Lambda)^{-1} = I + T_K* core^{-1} T_K  (exact on the window)."""
-    lhs = ctx.ill_inv
-    rhs = np.eye(lhs.shape[0], dtype=complex) + ctx.Tk.conj().T @ (ctx.core_inv @ ctx.Tk)
-    return _rel(np.linalg.norm(lhs - rhs), np.linalg.norm(rhs))
-
-
-def identity_lambda_gram(ctx):
-    """Lambda (I - Lambda* Lambda)^{-1} = T_G* core^{-1} T_K  (exact on the window)."""
-    lhs = ctx.lam @ ctx.ill_inv
-    rhs = ctx.Tg.conj().T @ (ctx.core_inv @ ctx.Tk)
-    return _rel(np.linalg.norm(lhs - rhs), np.linalg.norm(rhs))
-
-
-def identity_shift_compression(ctx, which="g"):
-    """T_F E E* T_F* = T_F T_F* - S T_F T_F* S* for F in {G, K}; the truncated
-    version is exact on the leading N-1 block rows and columns."""
-    T = ctx.Tg if which == "g" else ctx.Tk
-    cols = ctx.p if which == "g" else ctx.q
-    E = T[:, :cols]
-    prod = herm(T @ T.conj().T)
-    lhs = E @ E.conj().T
-    shifted = shift_down(shift_down(prod, ctx.m).T, ctx.m).T
-    rhs = prod - shifted
-    lead = (ctx.N - 1) * ctx.m
-    return _rel(np.linalg.norm(lhs[:lead, :lead] - rhs[:lead, :lead]),
-                np.linalg.norm(rhs[:lead, :lead]))
-
-
-def identity_resolvent_shift(ctx, z):
-    """E_m* (I - z S_m*)^{-1} S_m = z E_m* (I - z S_m*)^{-1}; the truncation
-    differs only in the last block column, so compare the leading N-1."""
-    Nm = ctx.N * ctx.m
-    row = resolvent_up(np.eye(Nm, dtype=complex), z, ctx.m)[:ctx.m]
-    lhs = shift_up(row.T, ctx.m).T  # row S_m: the columns shifted one block left
-    rhs = z * row
-    lead = (ctx.N - 1) * ctx.m
-    return _rel(np.linalg.norm(lhs[:, :lead] - rhs[:, :lead]),
-                np.linalg.norm(rhs[:, :lead]))
-
-
-def identity_resolvent_compression(ctx, X, z):
-    """E_m* (I-zS*)^{-1} (X - S X S*) (I-zS*)^{-1} = E_m* (I-zS*)^{-1} X.
-
-    Needs the left E_m* row compression; the full-operator version of the
-    truncated identity diverges.  Compared on the leading half block columns
-    at interior z."""
-    m = ctx.m
-    SXS = shift_down(shift_down(X, m).T, m).T
-    W = resolvent_up(X - SXS, z, m)
-    lhs = resolvent_down(W.T, z, m).T[:m]
-    rhs = resolvent_up(X, z, m)[:m]
-    half = (ctx.N // 2) * m
-    return _rel(np.linalg.norm(lhs[:, :half] - rhs[:, :half]),
-                np.linalg.norm(rhs[:, :half]))
-
-
-def identity_kernel_resolvent(ctx, z, Gz, Kz):
-    """G(z) A(z) - K(z) B(z) = E_m* (I - z S_m*)^{-1} core, with
-    A(z) = E_p* T_G* (I-zS_m*)^{-1} and B(z) = E_q* T_K* (I-zS_m*)^{-1};
-    compared on the leading half block columns."""
-    m = ctx.m
-    # E* T* (I - z S*)^{-1} computed as a plain transpose of a forward recursion
-    Az = resolvent_down(ctx.TgEp.conj(), z, m).T
-    Bz = resolvent_down(ctx.TkEq.conj(), z, m).T
-    lhs = Gz @ Az - Kz @ Bz
-    rhs = resolvent_up(ctx.core, z, m)[:m]
-    half = (ctx.N // 2) * m
-    return _rel(np.linalg.norm(lhs[:, :half] - rhs[:, :half]),
-                np.linalg.norm(rhs[:, :half]))
-
-
-def identity_theta_resolvent(ctx, theta, z):
-    """Theta(z) N* gram^{-1} = E_p* (I-zS_p*)^{-1} T_G* gram^{-1} (I-zS_m*) S_m,
-    compared on the leading half block columns at interior z."""
-    lhs = theta.sample(z) @ (theta.Nop.conj().T @ ctx.gram_inv)
-    T1 = resolvent_up(ctx.Tg.conj().T, z, ctx.p)[:ctx.p]
-    T2 = T1 @ ctx.gram_inv
-    # T2 (I - z S_m*) S_m: on the right, S_m* shifts the columns one block
-    # right and S_m one block left
-    T3 = shift_up((T2 - z * shift_down(T2.T, ctx.m).T).T, ctx.m).T
-    half = (ctx.N // 2) * ctx.m
-    return _rel(np.linalg.norm(lhs[:, :half] - T3[:, :half]),
-                np.linalg.norm(lhs[:, :half]))
-
-
-def toeplitz_r(data, R0, Gamma, N):
-    """Truncated selfadjoint Toeplitz matrix of R = G G* - K K*: block diagonal
-    R0, lower blocks C A^{j-1} Gamma, upper blocks their adjoints."""
-    column = np.concatenate([np.asarray(R0, dtype=complex),
-                             observability_matrix(data.C, data.A, N - 1) @ Gamma])
-    T = lower_block_toeplitz(column, data.m)
-    D = np.kron(np.eye(N), herm(np.asarray(R0, dtype=complex)))
-    return T + T.conj().T - D
-
-
-def gram_riccati_defect(ctx, R0, Gamma, Q):
-    """Relative defect of Q = W_obs* T_R^{-1} W_obs on the truncation."""
-    TR = toeplitz_r(ctx.data, R0, Gamma, ctx.N)
-    W = observability_matrix(ctx.data.C, ctx.data.A, ctx.N)
-    W0 = np.linalg.solve(TR, W)
-    return _rel(np.linalg.norm(W.conj().T @ W0 - Q), np.linalg.norm(Q))
-
-
-def woodbury_defect(ctx, R0, Gamma, Omega):
-    """Relative defect of core^{-1} = T_R^{-1} + W_0 Omega W_0* with
-    W_0 = T_R^{-1} W_obs, compared on the leading half block rows and columns
-    of the window (the tail is polluted by the truncation boundary)."""
-    TR = toeplitz_r(ctx.data, R0, Gamma, ctx.N)
-    W = observability_matrix(ctx.data.C, ctx.data.A, ctx.N)
-    n, half = W.shape[1], (ctx.N // 2) * ctx.m
-    X = np.linalg.solve(TR, np.hstack([W, np.eye(len(TR), half)]))[:half]
-    W0 = X[:, :n]
-    rhs = X[:, n:] + W0 @ Omega @ W0.conj().T
-    lhs = ctx.core_inv[:half, :half]
-    return _rel(np.linalg.norm(lhs - rhs), np.linalg.norm(rhs))

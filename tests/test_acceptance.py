@@ -25,6 +25,12 @@ from leechsolve.linalg import herm, hermitian_posdef_check
 from leechsolve.realization import evaluate, hinf_norm_estimate, inverse, product
 from leechsolve.riccati import stabilizing_riccati
 from leechsolve.toeplitz import (
+    oracle_deltas,
+    oracle_theta,
+    oracle_upsilon,
+    theta0_defect_oracle,
+)
+from tests.reference import (
     delta1_appendix_defect,
     gram_riccati_defect,
     identity_gram_inverse,
@@ -33,10 +39,6 @@ from leechsolve.toeplitz import (
     identity_resolvent_compression,
     identity_resolvent_shift,
     identity_shift_compression,
-    oracle_deltas,
-    oracle_theta,
-    oracle_upsilon,
-    theta0_defect_oracle,
 )
 from tests.conftest import circle_points, fixed_point_riccati, interior_points
 

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from leechsolve import generate
+from leechsolve import generate, toeplitz
 from leechsolve.core import solve, validate
 from leechsolve.errors import InfeasibleError
 from leechsolve.generate import (
@@ -113,7 +113,9 @@ class TestBoostProbe:
             self.check_rule(*random_problem(seed, dims=(n, 2, 3, 2)))
 
     def test_eigensolves_per_draw(self, monkeypatch):
-        attempts = []  # per _draw_once call: eigvalsh and cholesky calls on N-block matrices
+        # per _draw_once call: eigvalsh and cholesky calls on N-block
+        # matrices, and margin updates (ladder_margin)
+        attempts = []
 
         def counting(name, fn):
             def wrapper(M, *args, **kwargs):
@@ -128,14 +130,28 @@ class TestBoostProbe:
             attempts.append(Counter())
             return draw_once(*args)
 
+        update = toeplitz.ladder_margin
+
+        def updating(*args):
+            attempts[-1]["ladder_margin"] += 1
+            return update(*args)
+
         monkeypatch.setattr(generate, "_draw_once", tracking)
+        monkeypatch.setattr(toeplitz, "ladder_margin", updating)
         for name in ("eigvalsh", "cholesky"):
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-        eigensolves = {"feasible": 2, "infeasible": 2, "kernel": 1, "corona": 2}
-        draws = [(seed, kind, None) for kind in eigensolves for seed in range(10)]
-        draws += [(seed, kind, (32, 2, 3, 2)) for kind in ("feasible", "infeasible")
-                  for seed in range(1000, 1010)]
-        seen = set()
+        # the eigen-solves of the scale: lambda_max for a feasible or
+        # infeasible draw, lambda_min of the Gram matrix for a corona draw
+        scales = {"feasible": 1, "infeasible": 1, "kernel": 0, "corona": 1}
+        # the margin, read from the widest rung of the ladder 25, 50, 100
+        # (update_pays): one update where it updates (m = 2 and n <= 8, or
+        # m = 1 and n <= 3), else one eigvalsh of the 100-block core
+        updated = {(2, 2), (2, 3), (2, 4), (2, 8), (1, 2), (1, 3)}
+        # seeds 11 and 12 draw m = 1 at n = 2 and 3
+        draws = [(seed, kind, None) for kind in scales for seed in range(13)]
+        draws += [(seed, kind, (n, 2, 3, 2)) for kind in ("feasible", "infeasible")
+                  for n in (8, 32) for seed in range(1000, 1010)]
+        seen, paths = set(), set()
         for seed, kind, dims in draws:
             attempts.clear()
             _, meta = random_problem(seed, kind=kind, dims=dims)
@@ -144,8 +160,35 @@ class TestBoostProbe:
             # one Cholesky per probe; after six boosts one more decides that the
             # Gram matrix is definite at all
             probes = boosts + 1 if boosts < 6 else 6 + (kind in ("feasible", "infeasible"))
-            assert attempts[-1] == Counter(eigvalsh=eigensolves[kind], cholesky=probes)
+            updates = int((meta["dims"]["m"], meta["dims"]["n"]) in updated)
+            dense = 1 - updates
+            paths.add((dense, updates))
+            assert attempts[-1] == Counter(eigvalsh=scales[kind] + dense, cholesky=probes,
+                                           ladder_margin=updates)
         assert {0, 1, 6} <= seen
+        assert paths == {(0, 1), (1, 0)}
+
+
+class TestMarginEstimate:
+    """margin_estimate is the smallest eigenvalue of the N = EST_ORDER core,
+    whichever path the oracle ladder takes to it."""
+
+    @staticmethod
+    def check(data, meta):
+        core = OracleContext(data, EST_ORDER).core
+        w = np.linalg.eigvalsh(core)
+        scale = max(1.0, float(np.max(np.abs(w))))  # |core|_2
+        assert abs(meta["margin_estimate"] - float(w[0])) <= 1e-11 * scale
+
+    @pytest.mark.parametrize("kind", ["feasible", "infeasible", "kernel", "corona"])
+    def test_matches_dense_core(self, kind):
+        for seed in range(40):
+            self.check(*random_problem(seed, kind=kind))
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_matches_dense_core_at_larger_n(self, n):
+        for seed in range(40):
+            self.check(*random_problem(seed, dims=(n, 2, 3, 2)))
 
 
 class TestLadder:

@@ -21,6 +21,18 @@ from leechsolve.realization import (
 from leechsolve.toeplitz import (
     OracleContext,
     ThetaOracle,
+    lower_block_toeplitz,
+    resolvent_down,
+    resolvent_up,
+    oracle_deltas,
+    oracle_theta,
+    oracle_upsilon,
+    theta0_defect_oracle,
+    toeplitz_gram,
+    truncate,
+)
+from leechsolve.coefficients import build_redheffer
+from tests.reference import (
     bnabla_defect,
     delta1_appendix_defect,
     gram_riccati_defect,
@@ -31,19 +43,9 @@ from leechsolve.toeplitz import (
     identity_resolvent_shift,
     identity_shift_compression,
     identity_theta_resolvent,
-    lower_block_toeplitz,
     oracle_appendix_phi,
-    resolvent_down,
-    resolvent_up,
-    oracle_deltas,
-    oracle_theta,
-    oracle_upsilon,
-    theta0_defect_oracle,
-    toeplitz_gram,
-    truncate,
     woodbury_defect,
 )
-from leechsolve.coefficients import build_redheffer
 from tests.conftest import (
     block_toeplitz_loop,
     circle_points,
@@ -419,7 +421,7 @@ def _dense_margin(ctx):
 
 @pytest.fixture
 def updates(monkeypatch):
-    """The answers of toeplitz.ladder_margin, None where it declined."""
+    """The answers of toeplitz.ladder_margin, one per updated rung."""
     answers = []
     update = toeplitz.ladder_margin
 
@@ -429,6 +431,14 @@ def updates(monkeypatch):
 
     monkeypatch.setattr(toeplitz, "ladder_margin", recording)
     return answers
+
+
+@pytest.fixture
+def every_update(monkeypatch):
+    """Every whole multiple of a ladder's first rung updates its margin,
+    whatever toeplitz.update_pays says, so a test of the update's accuracy
+    covers every such rung."""
+    monkeypatch.setattr(toeplitz, "update_pays", lambda k, size: True)
 
 
 @pytest.fixture
@@ -460,14 +470,14 @@ class TestLadderMargins:
             assert abs(margin - _dense_margin(ctx)) <= 1e-12 * scale
         assert all(b <= a for a, b in zip(margins, margins[1:]))
 
-    def test_updates_match_dense_on_draws(self, draws, updates):
+    def test_updates_match_dense_on_draws(self, draws, updates, every_update):
         assert {data.m for data in draws} == {1, 2}
         for data in draws:
             for ladder in ((50, 100, 200), (30, 60, 120)):
                 self._check_ladder(data, ladder)
         assert len(updates) == 160 and None not in updates
 
-    def test_updates_match_dense_on_battery(self, battery, updates):
+    def test_updates_match_dense_on_battery(self, battery, updates, every_update):
         for item in battery:
             for ladder in ((50, 100, 200), (30, 60, 120)):
                 self._check_ladder(item.data, ladder)
@@ -480,7 +490,8 @@ class TestLadderMargins:
             first, *rungs = _ladder(data, ladder)
             first.margin  # the first rung's own eigendecomposition: no update
             assert factors == []
-            for ctx in rungs:
+            # widest first: a rung's margin reads the updated rung above it
+            for ctx in rungs[::-1]:
                 ctx.margin
                 ((Q, s),) = factors
                 factors.clear()
@@ -489,11 +500,11 @@ class TestLadderMargins:
                 scale = max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(core)))))
                 assert np.linalg.norm((Q * s) @ Q.conj().T - E) <= 1e-13 * scale
 
-    def test_update_factor_is_exact_on_draws(self, draws, factors):
+    def test_update_factor_is_exact_on_draws(self, draws, factors, every_update):
         for data in draws:
             self._check_factors(data, factors)
 
-    def test_update_factor_is_exact_on_battery(self, battery, factors):
+    def test_update_factor_is_exact_on_battery(self, battery, factors, every_update):
         for item in battery:
             self._check_factors(item.data, factors)
 
@@ -517,17 +528,69 @@ class TestLadderMargins:
         contexts = _ladder(data, (37, 75, 150))
         assert doc["margins"] == {str(ctx.N): _dense_margin(ctx) for ctx in contexts}
 
-    def test_update_of_half_the_window_is_dense(self, updates):
-        # at N = 200 the update's 2 n (c - 1) = 204 columns reach half of the
-        # 400 rows; at N = 100 it has 68
-        data, _ = random_problem(1000, dims=(34, 2, 3, 2))
-        _, middle, widest = _ladder(data, (50, 100, 200))
-        scale = max(1.0, float(np.linalg.norm(middle.core, 2)))
-        assert abs(middle.margin - _dense_margin(middle)) <= 1e-12 * scale
-        assert widest.margin == _dense_margin(widest)
-        assert len(updates) == 2 and updates[0] is not None and updates[1] is None
+    # update_pays(k, rows) at m = 1 on the ladder 50, 100, 200: the rung of
+    # 100 rows updates with rank k = 2 n, that of 200 rows with k = 6 n, so
+    # n = 9 | 10 straddles the rule at 100 rows and n = 8 | 9 at 200 rows
+    RULE_LADDER = (50, 100, 200)
+    RULE_CASES = {8: (100, 200), 9: (100,), 10: ()}
 
-    def test_static_data_has_no_update(self, updates):
+    def test_update_rule_picks_each_path(self, monkeypatch, updates):
+        assert toeplitz.update_pays(18, 100) and not toeplitz.update_pays(20, 100)
+        assert toeplitz.update_pays(48, 200) and not toeplitz.update_pays(54, 200)
+        eigvalsh, dense = np.linalg.eigvalsh, []
+
+        def counting(M, *args, **kwargs):
+            dense.append(len(M))
+            return eigvalsh(M, *args, **kwargs)
+
+        for n, updated in self.RULE_CASES.items():
+            data, _ = random_problem(1000, dims=(n, 1, 2, 2))
+            contexts = _ladder(data, self.RULE_LADDER)
+            updates.clear()
+            dense.clear()
+            monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+            margins = [ctx.margin for ctx in contexts]
+            monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+            # the first rung eigen-solves with its vectors only when a rung
+            # above it updates; every other rung is dense
+            first = self.RULE_LADDER[0]
+            assert len(updates) == len(updated), n
+            assert dense == [N for N in self.RULE_LADDER
+                             if N not in updated and not (N == first and updated)], n
+            for ctx, margin in zip(contexts, margins):
+                scale = max(1.0, float(np.linalg.norm(ctx.core, 2)))
+                assert abs(margin - _dense_margin(ctx)) <= 1e-12 * scale
+
+    def test_both_paths_agree(self, monkeypatch):
+        # each rung of RULE_CASES, updated and dense, the two margins within
+        # roundoff of |core|; the updated ladder stays monotone
+        for n in self.RULE_CASES:
+            data, _ = random_problem(1000, dims=(n, 1, 2, 2))
+            paths = []
+            for forced in (True, False):
+                monkeypatch.setattr(toeplitz, "update_pays", lambda k, size: forced)
+                paths.append([ctx.margin for ctx in _ladder(data, self.RULE_LADDER)])
+            updated, dense = paths
+            assert all(b <= a for a, b in zip(updated, updated[1:]))
+            for ctx, a, b in zip(_ladder(data, self.RULE_LADDER), updated, dense):
+                scale = max(1.0, float(np.linalg.norm(ctx.core, 2)))
+                assert abs(a - b) <= 1e-11 * scale
+
+    def test_widest_rung_reads_alone(self, updates):
+        # n = 8: both rungs above the first update; the widest margin, read
+        # first, is one update and reads no other rung, and the middle one,
+        # read next, is one more, reported between the two
+        data, _ = random_problem(1000, dims=(8, 1, 2, 2))
+        first, middle, widest = _ladder(data, self.RULE_LADDER)
+        widest.margin
+        assert len(updates) == 1 and list(widest._margins) == [200]
+        assert widest.margin <= middle.margin <= first.margin
+        assert len(updates) == 2
+        for ctx in (middle, widest):
+            scale = max(1.0, float(np.linalg.norm(ctx.core, 2)))
+            assert abs(ctx.margin - _dense_margin(ctx)) <= 1e-12 * scale
+
+    def test_static_data_has_no_update(self, updates, every_update):
         # n = 0: the window is c copies of the first rung, E = 0
         data = _static_pair_data()
         D1, D2 = data.D1, data.D2
@@ -716,8 +779,8 @@ class TestLadderSolves:
         assert cores == [37, 75, 150]
 
     def test_solves_do_not_read_the_margin_updates(self, sweeps):
-        # the N = 200 margin of this draw is dense
-        # (test_update_of_half_the_window_is_dense); its solves still sweep
+        # the margins of this draw are dense (update_pays); its solves
+        # still sweep
         data, _ = random_problem(1000, dims=(34, 2, 3, 2))
         self._check(data, sweeps, ((50, 100, 200),))
         assert sweeps == [("gram", 200, 50), ("core", 200, 50)]
@@ -749,6 +812,16 @@ class TestLadderOwner:
                     assert widest._rungs == rungs
                 assert lifts == ([30] if ladder else [])
                 lifts.clear()
+
+    def test_window_has_no_ladder(self):
+        # a window answers through its widest context, which would not read
+        # rungs recorded on the window, so cutting a ladder from it is an
+        # error; the widest window is the context itself and cuts one
+        widest = OracleContext(random_problem(3)[0], 200)
+        with pytest.raises(DimensionError):
+            widest.window(100).ladder()
+        assert widest._rungs == []
+        assert [ctx.N for ctx in widest.window(200).ladder()] == [50, 100, 200]
 
     def test_ladder_lifts_once_in_chunks_of_its_first_rung(self, battery, sweeps, lifts):
         for item in battery[:3]:
