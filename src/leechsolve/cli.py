@@ -244,7 +244,12 @@ def build_parser():
     sp.add_argument("problem")
     sp.add_argument("--truncation", type=int, default=None,
                     help="largest truncation order N (default 200); the ladder "
-                         "is N/4, N/2, N with floors of 8 and 16, capped at N")
+                         "is N/4, N/2, N with floors of 8 and 16, capped at N. "
+                         "N = 16, 24 or a multiple of 4 from 32 up keeps every rung "
+                         "a whole multiple of the first, so the rungs share lifted "
+                         "sweeps and, where they pay, margin updates; any other N "
+                         "(150: rungs 37, 75, 150) solves and eigen-solves every "
+                         "rung densely")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
 
     sp = sub.add_parser("generate", help="generate a random feasible problem")

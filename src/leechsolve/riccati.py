@@ -20,13 +20,12 @@ indefinite Schur complement, or one that falls, proves that none exists.
 
 Equations on the same A and C are solved as a stack: stabilizing_riccati
 takes Gamma and R0 stacked, and one doubling loop makes every solve, product
-and eigensolve for all of them at once.  An equation that converges or fails
-keeps what that doubling gave it and stays in the stack.  A settled equation
-is zeroed in one place, the finiteness step of each doubling, before any
-eigensolve reads the doubling, so its NaN or inf reaches no other product or
-eigensolve.  A stack fails as solving its equations one after the other
-would: with the first failure in stack order (core.solve stacks the pair
-before the kernel).  One equation is a stack of one.
+and eigensolve for all of them at once; an equation that converges rides
+along until the last one does.  The loop raises on the first problem in any
+slice.  A stack that fails is solved again one equation at a time, in stack
+order (core.solve stacks the pair before the kernel), and fails as those
+solves do, with the first failure: at most one more loop, up to the failing
+equation.  One equation is a stack of one.
 """
 
 import logging
@@ -163,21 +162,6 @@ def _min_eig(M):
     return np.linalg.eigvalsh(herm(M)).min(axis=-1, initial=np.inf)
 
 
-def _solve_each(M, B):
-    """X[i] = M[i]^{-1} B[i] over a stack, and which M[i] are singular (X[i] NaN)."""
-    try:
-        return np.linalg.solve(M, B), np.zeros(len(M), dtype=bool)
-    except np.linalg.LinAlgError:
-        X = np.full(B.shape, np.nan, dtype=complex)
-        singular = np.zeros(len(M), dtype=bool)
-        for i in range(len(M)):
-            try:
-                X[i] = np.linalg.solve(M[i], B[i])
-            except np.linalg.LinAlgError:
-                singular[i] = True
-        return X, singular
-
-
 def _finish(A, Gamma, R0, C, Q, GQG, k):
     """The solution from the converged iterate Q after k doublings (GQG =
     Gamma* Q Gamma), once its postconditions hold."""
@@ -202,28 +186,91 @@ def _finish(A, Gamma, R0, C, Q, GQG, k):
     return RiccatiSolution(Q, Delta, A0, k, residual, L, (qw, qV))
 
 
-def _raise_first(out):
-    """Raise the first failure in stack order once every equation before it has
-    a solution: the verdict of solving the stack one equation at a time."""
-    for sol in out:
-        if isinstance(sol, LeechError):
-            raise sol
-        if sol is None:
-            return
+def _check_finite(k, *stacks):
+    """Raise the BreakdownError of doubling k if any iterate is not finite."""
+    if not all(np.isfinite(M).all() for M in stacks):
+        raise BreakdownError(f"Riccati doubling {k} produced a non-finite iterate")
+
+
+def _doubling(A, Gamma, R0, C):
+    """The SDA loop of stabilizing_riccati on checked data: the solutions in
+    stack order, each finished at the doubling where it converges, or the
+    first problem in any slice, raised."""
+    n, count, m = A.shape[0], len(Gamma), R0.shape[-1]
+    infeasible = "; no stabilizing solution exists for this data"
+    Ri = herm(R0)
+    if not np.all(_min_eig(Ri) > 0.0):
+        raise RiccatiError("Schur complement lost positive definiteness at Q = 0" + infeasible)
+    if n == 0:
+        empty = np.zeros((0, 0), dtype=complex)
+        return [RiccatiSolution(empty, R, empty, 0, 0.0, np.zeros((m, 0), dtype=complex),
+                                (np.zeros(0), empty)) for R in Ri]
+
+    Gh = Gamma.conj().swapaxes(-1, -2)
+    # an iterate may overflow or go NaN, here and in the loop; the finiteness
+    # check raises before any eigensolve reads it
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            X = np.linalg.solve(Ri, np.concatenate([np.broadcast_to(C, (count, m, n)), Gh],
+                                                   axis=-1))
+        except np.linalg.LinAlgError as exc:
+            raise DefinitenessError("riccati R0: coefficient matrix is singular") from exc
+        RiC, RiG = X[..., :n], X[..., n:]
+        Ak, Gk, Q = A - Gamma @ RiC, -herm(Gamma @ RiG), herm(C.conj().T @ RiC)
+        GQG = Gh @ Q @ Gamma
+        _check_finite(0, Ak, Gk, Q, GQG)
+        schur = _min_eig(R0 - GQG)
+        qnorm = np.linalg.norm(Q, axis=(-2, -1))
+        gamma2 = np.linalg.norm(Gamma, axis=(-2, -1)) ** 2
+    out = [None] * count  # each equation's solution, once it converges
+    eye = np.eye(n)
+    for k in range(1, 65):
+        if not np.all(schur > 0.0):
+            raise RiccatiError("Schur complement lost positive definiteness at "
+                               f"fixed-point iterate 2^{k - 1}" + infeasible)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                X = np.linalg.solve(eye + Gk @ Q, np.concatenate([Ak, Gk], axis=-1))
+            except np.linalg.LinAlgError as exc:
+                raise BreakdownError(f"Riccati doubling {k}: I + G H is singular") from exc
+            SA, SG = X[..., :n], X[..., n:]
+            AkH = Ak.conj().swapaxes(-1, -2)
+            Qn = herm(Q + AkH @ Q @ SA)
+            Gk = herm(Gk + Ak @ SG @ AkH)
+            Ak = Ak @ SA
+            GQGn = Gh @ Qn @ Gamma
+            _check_finite(k, Qn, Gk, Ak, GQGn)
+            # one eigensolve gives the fall from Gamma* H_k Gamma and the next
+            # doubling's Schur complement; rounding reaches Gamma* H_k Gamma at
+            # about eps ||Gamma||^2 ||H_k||, as the data scales
+            w = _min_eig(np.concatenate([GQGn - GQG, R0 - GQGn]))
+            fall, schur = w[:count], w[count:]
+            fell = fall < -1e-12 * gamma2 * qnorm
+            if fell.any():
+                raise RiccatiError(
+                    f"fixed-point iterate fell between 2^{k - 1} and 2^{k} "
+                    f"(eigenvalue {fall[fell.argmax()]:.3e} of Gamma* step Gamma)" + infeasible)
+            step = np.linalg.norm(Qn - Q, axis=(-2, -1))
+        log.debug("riccati doubling %d: steps %s", k, step)
+        Q, GQG, qnorm = Qn, GQGn, np.linalg.norm(Qn, axis=(-2, -1))
+        for j in np.flatnonzero(step <= 1e-13 * (1.0 + qnorm)):
+            if out[j] is None:
+                out[j] = _finish(A, Gamma[j], R0[j], C, Q[j], GQG[j], k)
+        if all(sol is not None for sol in out):
+            return out
+    raise BreakdownError("Riccati doubling did not converge in 64 doublings")
 
 
 def stabilizing_riccati(A, Gamma, R0, C):
     """Stabilizing solutions of a stack of Riccati equations (A, Gamma, R0, C), by SDA.
 
     Gamma (k, n, m) and R0 (k, m, m) stack k equations on the same A and C,
-    solved in one doubling loop to a RiccatiSolutions tuple in stack order;
-    each equation gets every field and every failure bit for bit as a stack
-    of one.  An equation that converges or fails rides along; the
-    finiteness step of the doubling that settles it, or else of the next
-    one, zeroes its iterates, so its NaN or inf reaches no later product or
-    eigensolve.  A failure of a stack is the first in stack order: the one
-    that solving the equations one after the other would raise.  It carries
-    `equation`, its index in the stack.
+    solved in one doubling loop to a RiccatiSolutions tuple in stack order,
+    each bit for bit as a stack of one; an equation that converges is
+    finished at that doubling and rides along.  The loop raises on the first
+    problem in any slice; a stack of more than one then solves its equations
+    alone, in stack order, and raises the first failure, with its index in
+    the stack as `equation`: at most one more loop, up to that equation.
 
     Precondition: A Schur stable, which makes {C, A} detectable, all that a
     stabilizing solution needs (an unobservable pair gives a singular Q, and
@@ -237,17 +284,17 @@ def stabilizing_riccati(A, Gamma, R0, C):
     a RiccatiError: no stabilizing solution exists, an infeasible verdict.
     Gamma* H_{k+1} Gamma is formed once: it is also the next doubling's Schur
     complement.  A failed computation is a breakdown: BreakdownError for a
-    singular S, a non-finite iterate (doubling 0 is the start), no
-    convergence in 64 doublings or a large residual; DefinitenessError for a
-    singular R0, the final Delta or a Q that is not PSD to roundoff (a
-    singular Q is fine); StabilityError for A0.  That PSD check is Q's one
-    eigendecomposition: each solution carries it as `eig`.
+    singular S, a non-finite iterate (doubling 0 is the start; checked before
+    any eigensolve reads it), no convergence in 64 doublings or a large
+    residual; DefinitenessError for a singular R0, the final Delta or a Q
+    that is not PSD to roundoff (a singular Q is fine); StabilityError for
+    A0.  That PSD check is Q's one eigendecomposition: each solution carries
+    it as `eig`.
     """
     A = as_cmatrix(A, "A")
     C = as_cmatrix(C, "C")
     Gamma, R0 = _as_stack(Gamma, "Gamma"), _as_stack(R0, "R0")
-    n, count = A.shape[0], len(Gamma)
-    m = R0.shape[-1]
+    n, count, m = A.shape[0], len(Gamma), R0.shape[-1]
     if A.shape != (n, n):
         raise DimensionError(f"A must be square, got {A.shape}")
     if Gamma.shape[1:] != (n, m):
@@ -261,90 +308,19 @@ def stabilizing_riccati(A, Gamma, R0, C):
     if not is_schur_stable(A):
         raise StabilityError("Riccati data requires a Schur stable A")
 
-    infeasible = "; no stabilizing solution exists for this data"
-    out = [None] * count  # each equation's solution, or its failure
-    alive = np.ones(count, dtype=bool)  # the equations yet to fail or converge
-
-    def fail(mask, error):
-        bad = mask & alive
-        if bad.any():
-            for j in bad.nonzero()[0]:
-                exc = error(j)
-                exc.equation = int(j)
-                out[j] = exc
-            alive[bad] = False
-
-    def finite(k, *stacks):
-        """Fail the equations with a non-finite iterate, then zero every
-        settled equation's slices of `stacks`: the one place that zeroes."""
-        ok = np.logical_and.reduce([np.isfinite(M).all(axis=(-2, -1)) for M in stacks])
-        fail(~ok, lambda j: BreakdownError(f"Riccati doubling {k} produced a non-finite iterate"))
-        if not alive.all():
-            for M in stacks:
-                M[~alive] = 0.0
-
-    Ri = herm(R0)
-    fail(~(_min_eig(Ri) > 0.0), lambda j: RiccatiError(
-        "Schur complement lost positive definiteness at Q = 0" + infeasible))
-    if n == 0:
-        empty = np.zeros((0, 0), dtype=complex)
-        for i in alive.nonzero()[0]:
-            out[i] = RiccatiSolution(empty, Ri[i], empty, 0, 0.0, np.zeros((m, 0), dtype=complex),
-                                     (np.zeros(0), empty))
-        _raise_first(out)
-        return RiccatiSolutions(out)
-
-    Gh = Gamma.conj().swapaxes(-1, -2)
-    # a failed slice may overflow or go NaN on its own, here and in the loop;
-    # the others are untouched, and finite() zeroes it before any eigensolve
-    with np.errstate(over="ignore", invalid="ignore"):
-        X, singular = _solve_each(Ri, np.concatenate([np.broadcast_to(C, (count, m, n)), Gh],
-                                                     axis=-1))
-        fail(singular, lambda j: DefinitenessError("riccati R0: coefficient matrix is singular"))
-        RiC, RiG = X[..., :n], X[..., n:]
-        Ak, Gk, Q = A - Gamma @ RiC, -herm(Gamma @ RiG), herm(C.conj().T @ RiC)
-        GQG = Gh @ Q @ Gamma
-        finite(0, Ak, Gk, Q, GQG)
-        schur = _min_eig(R0 - GQG)
-        qnorm = np.linalg.norm(Q, axis=(-2, -1))
-        gamma2 = np.linalg.norm(Gamma, axis=(-2, -1)) ** 2
-    eye = np.eye(n)
-    for k in range(1, 65):
-        _raise_first(out)
-        if not alive.any():
-            break
-        fail(~(schur > 0.0), lambda j: RiccatiError(
-            "Schur complement lost positive definiteness at "
-            f"fixed-point iterate 2^{k - 1}" + infeasible))
-        with np.errstate(over="ignore", invalid="ignore"):
-            X, singular = _solve_each(eye + Gk @ Q, np.concatenate([Ak, Gk], axis=-1))
-            fail(singular, lambda j: BreakdownError(f"Riccati doubling {k}: I + G H is singular"))
-            SA, SG = X[..., :n], X[..., n:]
-            AkH = Ak.conj().swapaxes(-1, -2)
-            Qn = herm(Q + AkH @ Q @ SA)
-            Gk = herm(Gk + Ak @ SG @ AkH)
-            Ak = Ak @ SA
-            GQGn = Gh @ Qn @ Gamma
-            finite(k, Qn, Gk, Ak, GQGn)
-            # one eigensolve gives the fall from Gamma* H_k Gamma and the next
-            # doubling's Schur complement; rounding reaches Gamma* H_k Gamma at
-            # about eps ||Gamma||^2 ||H_k||, as the data scales
-            w = _min_eig(np.concatenate([GQGn - GQG, R0 - GQGn]))
-            fall, schur = w[:count], w[count:]
-            fail(fall < -1e-12 * gamma2 * qnorm, lambda j: RiccatiError(
-                f"fixed-point iterate fell between 2^{k - 1} and 2^{k} "
-                f"(eigenvalue {fall[j]:.3e} of Gamma* step Gamma)" + infeasible))
-            step = np.linalg.norm(Qn - Q, axis=(-2, -1))
-        log.debug("riccati doubling %d: steps %s", k, step)
-        Q, GQG, qnorm = Qn, GQGn, np.linalg.norm(Qn, axis=(-2, -1))
-        for j in (alive & (step <= 1e-13 * (1.0 + qnorm))).nonzero()[0]:
-            try:
-                out[j] = _finish(A, Gamma[j], R0[j], C, Q[j], GQG[j], k)
-            except LeechError as exc:
-                exc.equation = int(j)
-                out[j] = exc
-            alive[j] = False
-    else:
-        fail(alive, lambda j: BreakdownError("Riccati doubling did not converge in 64 doublings"))
-    _raise_first(out)
+    try:
+        return RiccatiSolutions(_doubling(A, Gamma, R0, C))
+    except LeechError as exc:
+        if count == 1:
+            exc.equation = 0
+            raise
+        log.debug("riccati stack of %d failed (%s); solving its equations one at a time",
+                  count, exc)
+    out = []
+    for j in range(count):
+        try:
+            out += _doubling(A, Gamma[j:j + 1], R0[j:j + 1], C)
+        except LeechError as exc:
+            exc.equation = j
+            raise
     return RiccatiSolutions(out)

@@ -263,8 +263,38 @@ class TestStack:
     def test_pair_and_kernel_match_single_calls(self, battery):
         static = LeechData(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((0, 1)),
                            np.zeros((2, 0)), np.eye(2), np.array([[0.3], [0.1]]))
-        for data in [item.data for item in battery] + [singular_riccati_data(), static]:
+        # at n = 16 the pair converges at doubling 12 and the kernel at 11, so
+        # the kernel rides along converged for one doubling
+        wide, _ = random_problem(1000, dims=(16, 2, 3, 2))
+        for data in [item.data for item in battery] + [singular_riccati_data(), static, wide]:
             assert _stack_matches_single_calls(data.A, *_pair_and_kernel(data), data.C) is None
+
+    def test_a_failed_stack_solves_its_equations_alone_up_to_the_failure(self, monkeypatch):
+        loop, runs = riccati._doubling, []
+
+        def counting(A, Gamma, R0, C):
+            runs.append(Gamma)
+            return loop(A, Gamma, R0, C)
+
+        monkeypatch.setattr(riccati, "_doubling", counting)
+        wide, _ = random_problem(1000, dims=(16, 2, 3, 2))
+        Gammas, R0s = _pair_and_kernel(wide)
+        pair, kernel = stabilizing_riccati(wide.A, np.stack(Gammas), np.stack(R0s), wide.C)
+        assert (pair.iterations, kernel.iterations) == (12, 11)
+        assert [len(Gamma) for Gamma in runs] == [2]
+        # the pair falls at doubling 5: the stack's loop, then the pair's alone,
+        # and never the kernel's
+        runs.clear()
+        data, _ = random_problem(9, kind="infeasible")
+        Gammas, R0s = _pair_and_kernel(data)
+        debug = []
+        monkeypatch.setattr(riccati.log, "debug", lambda msg, *args: debug.append(msg))
+        with pytest.raises(RiccatiError, match=r"^fixed-point iterate fell between 2\^4 and 2\^5 ") as info:
+            stabilizing_riccati(data.A, np.stack(Gammas), np.stack(R0s), data.C)
+        assert info.value.equation == 0
+        assert [len(Gamma) for Gamma in runs] == [2, 1]
+        assert np.array_equal(runs[1][0], Gammas[0])
+        assert sum("one at a time" in msg for msg in debug) == 1
 
     @pytest.mark.parametrize("seed", [2, 7, 9, 10])
     def test_boundary_bisection_matches_single_calls(self, seed):
@@ -326,31 +356,39 @@ def _guard_eigensolves(monkeypatch):
     monkeypatch.setattr(riccati, "_min_eig", guarded)
 
 
-def _break_first_doubling(monkeypatch, slot, how):
-    """Break doubling 1's solve with S = I + G H for stack slot `slot`:
-    "singular" zeroes its S, "overflow" puts inf in its S^{-1} [A_k  G_k]."""
-    real = riccati._solve_each
-    calls = []
+def _break_first_doubling(monkeypatch, broken, how):
+    """Break doubling 1's solve with S = I + G H for the equation whose Gamma
+    is `broken`, in every doubling loop that solves it: "singular" zeroes its
+    S, "overflow" puts inf in its S^{-1} [A_k  G_k]."""
+    loop, solve = riccati._doubling, np.linalg.solve
 
-    def broken(M, B):
-        calls.append(M)
-        if len(calls) != 2:  # the first solve is R0's, the second doubling 1's
-            return real(M, B)
-        if how == "singular":
-            M = M.copy()
-            M[slot] = 0.0
-            return real(M, B)
-        X, singular = real(M, B)
-        X[slot] = np.inf
-        return X, singular
+    def run(A, Gamma, R0, C):
+        slots = [i for i, G in enumerate(Gamma) if np.array_equal(G, broken)]
+        calls = []
 
-    monkeypatch.setattr(riccati, "_solve_each", broken)
+        def breaking(M, B):
+            calls.append(M)
+            if len(calls) != 2:  # the first solve is R0's, the second doubling 1's
+                return solve(M, B)
+            if how == "singular":
+                M = M.copy()
+                M[slots] = 0.0
+                return solve(M, B)
+            X = solve(M, B)
+            X[slots] = np.inf
+            return X
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "solve", breaking)
+            return loop(A, Gamma, R0, C)
+
+    monkeypatch.setattr(riccati, "_doubling", run)
 
 
 class TestFailedEquations:
-    """A failed equation's NaN or inf reaches no later product or eigensolve:
-    it is a LeechError with its index, alone or in a stack, raised once the
-    equations before it have solved."""
+    """A failed equation's NaN or inf reaches no eigensolve: it is a
+    LeechError with its index, alone or in a stack, raised once the equations
+    before it have solved."""
 
     @pytest.mark.parametrize("how, message", [
         ("singular", r"^Riccati doubling 1: I \+ G H is singular"),
@@ -361,7 +399,7 @@ class TestFailedEquations:
         data, _ = random_problem(40)
         Gammas, R0s = _pair_and_kernel(data)
         _guard_eigensolves(monkeypatch)
-        _break_first_doubling(monkeypatch, slot, how)
+        _break_first_doubling(monkeypatch, Gammas[slot], how)
         with pytest.raises(BreakdownError, match=message) as info:
             stabilizing_riccati(data.A, np.stack(Gammas[:count]), np.stack(R0s[:count]), data.C)
         assert info.value.equation == slot
