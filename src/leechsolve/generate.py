@@ -78,7 +78,7 @@ def random_problem(seed, kind="feasible", dims=None, closed_loop_band=None):
     it reports: lambda_max of T_K* (T_G T_G*)^-1 T_K for a feasible or
     infeasible scale and lambda_min of T_G T_G* for a corona scale; the
     boost probes are Cholesky factorizations (_draw_once).  margin_estimate
-    is the widest rung's of OracleContext(data, EST_ORDER).ladder(): an
+    is OracleContext(data, EST_ORDER).margin, as its ladder answers it: an
     update of the N/4-block rung's eigendecomposition where update_pays
     (m = 2 and n <= 8, or m = 1 and n <= 3), else an eigvalsh of the core.
     """
@@ -187,7 +187,7 @@ def _draw_once(rng, kind, dims):
     report = validate(data)
     if not report.ok:
         raise LeechError("drawn instance failed validation: " + report.summary())
-    margin = OracleContext(data, EST_ORDER).ladder()[-1].margin
+    margin = OracleContext(data, EST_ORDER).margin
     meta["margin_estimate"] = margin
     if kind in ("feasible", "kernel", "corona") and margin <= 0.0:
         raise LeechError("drawn instance lost its positivity margin")

@@ -11,7 +11,7 @@ their state dimension is the sum of their operands', and no minimization is
 attempted.  An inverse keeps its operand's state.  Chains of these grow the
 state, so the coefficients module forms solutions in closed form on the
 shared state instead.  `evaluate` takes one point or a 1-D array of points,
-the latter in one batched solve.
+the latter in batched solves of at most EVAL_ENTRIES resolvent entries each.
 """
 
 from dataclasses import dataclass
@@ -22,6 +22,9 @@ from .errors import DimensionError, EvaluationError, NotInvertibleError, Stabili
 from .linalg import INVERT_RATIO, as_cmatrix, is_schur_stable, spectral_norm
 
 NORM_GRID = 512  # circle points hinf_norm_estimate starts from
+# n x n entries that one batched resolvent solve of evaluate holds at most:
+# 16 MB of complex numbers, so up to n = 45 the 512-point grid is one solve
+EVAL_ENTRIES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -88,22 +91,30 @@ def evaluate(F, z):
     """Value F(z) = D + z C (I - z A)^{-1} B; raises if I - z A is singular.
 
     For a 1-D array of points the values are stacked with shape
-    (len(z), out_dim, in_dim), from one solve on the stacked resolvents.
+    (len(z), out_dim, in_dim), from solves on the stacked resolvents, in
+    chunks of points of at most EVAL_ENTRIES resolvent entries, so the
+    memory stays O(n^2) at any number of points.
     """
     zs = np.asarray(z, dtype=complex)
     if zs.ndim > 1:
         raise DimensionError(f"evaluation points must be a 1-D array, got ndim={zs.ndim}")
     w = zs.reshape(-1, 1, 1)
-    if F.state_dim == 0:
+    n = F.state_dim
+    if n == 0:
         values = np.repeat(F.D[None], w.shape[0], axis=0)
     else:
-        M = np.eye(F.state_dim, dtype=complex) - w * F.A
-        try:
-            X = np.linalg.solve(M, np.broadcast_to(F.B, (w.shape[0],) + F.B.shape))
-        except np.linalg.LinAlgError as exc:
-            where = f"z = {z}" if zs.ndim == 0 else f"one of {zs.size} points"
-            raise EvaluationError(f"resolvent singular at {where}") from exc
-        values = F.D + w * (F.C @ X)
+        step = max(1, EVAL_ENTRIES // (n * n))
+        chunks = []
+        for start in range(0, max(w.shape[0], 1), step):  # no points: one empty solve
+            wc = w[start:start + step]
+            M = np.eye(n, dtype=complex) - wc * F.A
+            try:
+                X = np.linalg.solve(M, np.broadcast_to(F.B, (wc.shape[0],) + F.B.shape))
+            except np.linalg.LinAlgError as exc:
+                where = f"z = {z}" if zs.ndim == 0 else f"one of {zs.size} points"
+                raise EvaluationError(f"resolvent singular at {where}") from exc
+            chunks.append(F.D + wc * (F.C @ X))
+        values = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     return values if zs.ndim else values[0]
 
 

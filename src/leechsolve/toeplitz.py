@@ -23,10 +23,11 @@ one recursion of the joint column of [G  K] with J = diag(I_p, -I_q).
 Block (i, j) depends only on the first max(i, j) + 1 Taylor blocks, so the
 matrices of window N are the leading principal blocks of those of window
 2N, and the margins fall along a ladder of windows.  A ladder therefore
-builds one context at its largest window N; OracleContext.ladder() owns the
-rung rule (N/4, N/2, N) and hands out each smaller rung as leading-row
-slices of its columns (window), with no second truncation; a window's Gram
-matrices come from its own columns, and only a dense path builds them.
+builds one context at its largest window N, which fixes its rungs (N/4,
+N/2, N) when it is built; ladder() and window() hand out each smaller
+window as leading-row slices of its columns, with no second truncation; a
+window's Gram matrices come from its own columns, and only a dense path
+builds them.
 
 A ladder can eigen-solve densely only its first rung.  The window of c b
 blocks is c copies of the b-block window plus a Hermitian term E of rank
@@ -418,63 +419,64 @@ class OracleContext:
 
     window(N) is the context of the leading N blocks: its columns are
     slices of this one's, so a truncation ladder truncates once, at its
-    largest window; a window has no ladder of its own.  ladder() cuts the
-    windows N/4, N/2 and N and records them as this context's rungs.  The
-    solves of the whole multiples of the first rung share one forward sweep
-    per matrix of this window in chunks of the first rung (_solved), and
-    their margins update its eigendecomposition through the lifted
-    realization where update_pays (_updated_rungs), all reading one lift
-    (_first_lift); a ladder whose rungs all update builds gram and core of
-    no window wider than the first rung unless a dense path asks for them.
-    The margin of any other rung is dense, and so are the margin and the
-    solves of a rung that is no whole multiple of the first and of every
-    window of a context with no ladder.  The sample points' resolvent of
-    the column is this window's too, and each rung reads its leading rows
-    (column_resolvent).
+    largest window; a window has no ladder of its own.  A context fixes its
+    ladder from N, n and m when it is built: the rungs N/4, N/2 and N, the
+    chunk b of its lifted sweeps (the first rung, when N is a whole
+    multiple of it) and the rungs whose margins update b's
+    eigendecomposition through the lifted realization (where update_pays),
+    all reading one lift (_first_lift).  ladder() only cuts the rungs.  The
+    solves of every window that is a whole multiple of b share one forward
+    sweep per matrix of this window in chunks of b (_solved); a ladder
+    whose rungs all update builds gram and core of no window wider than b
+    unless a dense path asks for them.  The margin of any other window is
+    dense, and so are its solves when it is no whole multiple of b.  The
+    sample points' resolvent of the column is this window's too, and each
+    window reads its leading rows (column_resolvent).
     """
 
     def __init__(self, data, N):
         self.data = data
-        self.N = int(N)
+        self.N = N = int(N)
         self.m, self.p, self.q = data.m, data.p, data.q
-        column = truncate(data.joint(), self.N)
-        self.TgEp, self.TkEq = column[:, :self.p], column[:, self.p:]
-        # the rungs of its ladder (ladder), the cores and margins of its
-        # windows by size, the forward sweeps of its gram and core
-        # (ldl_sweep) by name, and its last column resolvent with the bytes
-        # of its points (column_resolvent); a window keeps its widest
-        # context in _root, None here (no reference cycle)
-        self._root, self._rungs = None, []
+        # the joint column [T_G E_p, T_K E_q] of one truncation of [G  K]
+        self._column = truncate(data.joint(), N)
+        self.TgEp, self.TkEq = self._column[:, :self.p], self._column[:, self.p:]
+        # the ladder: its rungs, the chunk of its lifted sweeps (_lifted_rung)
+        # and the rungs whose margins update the chunk's eigendecomposition,
+        # settled from sizes alone before any eigen-solve
+        self._rungs = sorted({min(N, size) for size in (max(8, N // 4), max(16, N // 2), N)})
+        b = self._rungs[0]
+        self._chunk = b if N % b == 0 else None
+        self._updated = [size for size in self._rungs[1:] if self._lifted_rung(size)
+                         and update_pays(2 * data.n * (size // b - 1), size * self.m)]
+        # the cores and margins of its windows by size, the forward sweeps of
+        # its gram and core (ldl_sweep) by name, and its last column
+        # resolvent with the bytes of its points (column_resolvent); a window
+        # keeps its widest context in _root, None here (no reference cycle)
+        self._root = None
         self._cores, self._margins, self._sweeps = {}, {}, {}
         self._resolvent = (None, None)
 
     def ladder(self):
-        """The windows N/4, N/2 and N of this context, smallest first: the
-        first two with floors of 8 and 16, every rung capped at N and
-        duplicates dropped.  The rungs are recorded here, so whole multiples
-        of the first take their solves and, where update_pays, their margins
-        from it (_solved, _rung_margin); a ladder of one rung records
-        nothing and stays dense.  A window answers through its widest
-        context, which would not read rungs recorded on the window, so a
-        window has no ladder."""
+        """The windows of this context's rungs, smallest first: N/4, N/2 and
+        N, the first two with floors of 8 and 16, every rung capped at N and
+        duplicates dropped, as the context fixed them when it was built.  A
+        window answers through its widest context, whose ladder is fixed by
+        the widest N, so a window has no ladder."""
         if self._root is not None:
             raise DimensionError(f"a window of {self.N} blocks has no ladder of its own; "
                                  f"cut it from OracleContext(data, {self.N})")
-        N = self.N
-        sizes = sorted({min(N, size) for size in (max(8, N // 4), max(16, N // 2), N)})
-        if len(sizes) > 1:
-            self._rungs = sizes
-        return [self.window(size) for size in sizes]
+        return [self.window(size) for size in self._rungs]
 
     def window(self, N):
         """The context of the leading N <= self.N blocks, sliced from this
         one: the columns of a window are the leading rows of those of any
         larger window.  Its gram and core, read only by dense paths, come
         from its own columns.  Solves of the window are its own; its margin
-        is the smallest eigenvalue of its own core, as the ladder answers it
-        (margin).  Cutting a window records nothing, so the order of the
-        cuts changes nothing: a window is dense, one LU chunk, unless it is
-        a whole multiple of a first rung that ladder() recorded."""
+        is the smallest eigenvalue of its own core (margin).  Both follow
+        the ladder its widest context fixed, so a window reads the same
+        answer whether or not ladder() cut it: one lifted sweep when N is a
+        whole multiple of the chunk, else one LU chunk."""
         N = int(N)
         if not 1 <= N <= self.N:
             raise DimensionError(f"window must lie in 1..{self.N}, got {N}")
@@ -511,18 +513,13 @@ class OracleContext:
     def _window_core(self, N):
         """The core of this context's leading N-block window, from that
         window's own leading column, built once per N: the window's core,
-        its dense margin (_rung_margin) and, for the first rung, the
+        its dense margin (_rung_margin) and, for the chunk, the
         eigendecomposition of the margin updates (_first_spectrum) and the
         first pivot of the core sweep (_sweep) read the same matrix."""
         if N not in self._cores:
-            column, signature = self._joint()
-            self._cores[N] = toeplitz_gram(column[:N * self.m], self.m, signature)
+            signature = np.repeat([1.0, -1.0], [self.p, self.q])
+            self._cores[N] = toeplitz_gram(self._column[:N * self.m], self.m, signature)
         return self._cores[N]
-
-    def _joint(self):
-        """The joint column [T_G E_p, T_K E_q] and J = diag(I_p, -I_q)."""
-        signature = np.repeat([1.0, -1.0], [self.p, self.q])
-        return np.hstack([self.TgEp, self.TkEq]), signature
 
     @cached_property
     def margin(self):
@@ -533,62 +530,49 @@ class OracleContext:
         """Smallest eigenvalue of the core of this context's leading N-block
         window, kept by N.
 
-        A ladder is a widest context and the rungs that ladder() records;
-        its first rung is b blocks.  A rung that _updated_rungs names updates
-        the eigendecomposition (w, U) of the first rung's core through the
-        lift of [G  K] to chunks of b blocks (ladder_margin), and the first
-        rung then reads its margin w[0] from it.  Interlacing orders these
+        A rung that the ladder updates takes it from the eigendecomposition
+        (w, U) of the core of the chunk b (the first rung) through the lift
+        of [G  K] to chunks of b blocks (ladder_margin), and the first rung
+        then reads its margin w[0] from it.  Interlacing orders these
         margins, and each updated rung reports within them: no more than
         w[0], and no less than the next updated rung above it, so a read of
         the widest rung alone updates nothing below it.  Any other window
         eigen-solves its core (_window_core)."""
         if N in self._margins:
             return self._margins[N]
-        updated = self._updated_rungs()
-        if N in updated:
+        if N in self._updated:
             w, U = self._first_spectrum
-            margin = ladder_margin(w, U, self._first_lift["core"], N // self._rungs[0])
+            margin = ladder_margin(w, U, self._first_lift["core"], N // self._chunk)
             margin = min(margin, float(w[0]))
-            above = [size for size in updated if size > N]
+            above = [size for size in self._updated if size > N]
             if above:
                 margin = max(margin, self._rung_margin(above[0]))
-        elif updated and N == self._rungs[0]:
+        elif self._updated and N == self._chunk:
             margin = float(self._first_spectrum[0][0])
         else:
             margin = float(np.linalg.eigvalsh(self._window_core(N))[0])
         self._margins[N] = margin
         return margin
 
-    def _updated_rungs(self):
-        """The rungs c b that update the first rung b's eigendecomposition:
-        whole multiples of b (_lifted_rung) where update_pays for the rank
-        2 n (c - 1) and the c b m rows, settled from sizes alone before any
-        eigen-solve, whatever order the rungs are read in."""
-        n = self.data.n
-        return [N for N in self._rungs[1:] if self._lifted_rung(N) is not None
-                and update_pays(2 * n * (N // self._rungs[0] - 1), N * self.m)]
-
     def _lifted_rung(self, N):
-        """The ladder's first rung b when this widest window and its N-block
-        window are both whole multiples of it, else None: such a window's
-        margin may update the first rung's eigendecomposition (_updated_rungs)
-        and its solves share one sweep in chunks of b (_solved)."""
-        b = self._rungs[0] if self._rungs else None
-        return b if b is not None and self.N % b == 0 and N % b == 0 else None
+        """The chunk b of this widest context's ladder when its N-block
+        window is a whole multiple of it, else None: such a window's solves
+        share one sweep in chunks of b (_solved)."""
+        b = self._chunk
+        return b if b is not None and N % b == 0 else None
 
     @cached_property
     def _first_spectrum(self):
-        """Eigendecomposition (w, U) of the first rung's core, eigenvalues ascending."""
-        return np.linalg.eigh(self._window_core(self._rungs[0]))
+        """Eigendecomposition (w, U) of the chunk's core, eigenvalues ascending."""
+        return np.linalg.eigh(self._window_core(self._chunk))
 
     @cached_property
     def _first_lift(self):
-        """[G  K] lifted to chunks of the first rung (_lifted), once per
-        ladder: the margin updates (ladder_margin) and the forward sweeps of
-        core and gram (_sweep) all read it."""
-        b = self._rungs[0]
-        column, _ = self._joint()
-        return _lifted(self.data.joint(), column[:b * self.m], b, self.p)
+        """[G  K] lifted to chunks of b blocks (_lifted), once per ladder:
+        the margin updates (ladder_margin) and the forward sweeps of core
+        and gram (_sweep) all read it."""
+        b = self._chunk
+        return _lifted(self.data.joint(), self._column[:b * self.m], b, self.p)
 
     @cached_property
     def gram_margin(self):
@@ -633,10 +617,10 @@ class OracleContext:
 
     def _solved(self, name):
         """(T J T*)^{-1} X of this window for its gram or core, by ldl_sweep:
-        on a ladder rung that is a whole multiple of the first (_lifted_rung),
-        one forward sweep of the widest window in chunks of the first rung,
-        kept for every rung, and this rung's backward sweep; any other
-        window is one chunk, an LU solve with its own Gram matrix."""
+        on a window that is a whole multiple of the ladder's chunk
+        (_lifted_rung), one forward sweep of the widest window in chunks of
+        b, kept for every such window, and this window's backward sweep; any
+        other window is one chunk, an LU solve with its own Gram matrix."""
         root = self._root or self
         b = root._lifted_rung(self.N)
         if b is None:
@@ -666,8 +650,7 @@ class OracleContext:
         root = self._root or self
         key = z.tobytes()
         if root._resolvent[0] != key:
-            column, _ = root._joint()
-            root._resolvent = (key, resolvent_down(column, z.conj(), self.m))
+            root._resolvent = (key, resolvent_down(root._column, z.conj(), self.m))
         return root._resolvent[1][:, :self.N * self.m]
 
     @cached_property

@@ -15,6 +15,7 @@ from leechsolve.coefficients import (
     apply_lft,
     apply_redheffer,
     build_redheffer,
+    build_upsilon,
     central_solution,
     j_inner_defect,
 )
@@ -327,3 +328,87 @@ def test_criterion_11_operator_identities(battery, oracle_cache):
     _report(11, "operator identities with documented window exclusions", ok, detail)
     for label, value, tol in entries:
         assert value <= tol, f"{label}: {value:.3e} > {tol:.1e}"
+
+
+# the converse of the theorem, pointwise on CONVERSE_POINTS circle points:
+# relative consistency residual of a solution, the least a control (no
+# solution) may reach, negative Fourier coefficients of an analytic Y
+# relative to its largest, and the round trip LFT(Y) = X'
+CONVERSE_POINTS = 512
+CONVERSE_TOL, CONTROL_MIN, ANALYTIC_TOL, ROUND_TRIP_TOL = 1e-12, 1e-3, 1e-8, 1e-12
+
+
+def _kernel_vector(G):
+    """N(z) with G(z) N(z) = 0: the signed m x m minors of the first m + 1
+    columns of G (Cramer), zero below them; analytic because G is."""
+    m, p = G.shape[1:]
+    N = np.zeros((len(G), p, 1), dtype=complex)
+    for j in range(m + 1):
+        N[:, j, 0] = (-1) ** j * np.linalg.det(np.delete(G[:, :, :m + 1], j, axis=2))
+    return N
+
+
+def _parameter_of(U, X):
+    """Y with (U11 - X U21) Y = X U22 - U12 by least squares at each point,
+    and the largest relative residual over the points."""
+    U11, U12, U21, U22 = U
+    L, R = U11 - X @ U21, X @ U22 - U12
+    Y = np.linalg.pinv(L) @ R
+    residual = _pointwise_norm(L @ Y - R) / (_pointwise_norm(L) * _pointwise_norm(Y)
+                                             + _pointwise_norm(R))
+    return Y, float(residual.max())
+
+
+def _pointwise_norm(M):
+    """Frobenius norm of each matrix of a stack over the points."""
+    return np.linalg.norm(M, axis=(1, 2))
+
+
+def test_criterion_12_every_solution_is_in_the_range():
+    # X' = X_c + eps N Z solves G X = K for every stable row Z, and no
+    # coefficient enters it; the parameter it is the LFT of must exist, be
+    # analytic and be contractive exactly when X' is.  The control
+    # X_c + eps e_1 Z solves nothing, so its equation is inconsistent.
+    zs = circle_points(CONVERSE_POINTS)
+    negative = slice(CONVERSE_POINTS // 2 + 1, None)  # Fourier indices -255 .. -1
+    worst = {"consistency": 0.0, "analytic": 0.0, "round trip": 0.0}
+    control, mismatched, contractive = np.inf, [], 0
+    for seed in range(12):
+        data, _ = random_problem(seed)
+        coeffs = build_upsilon(solve(data))
+        p, k = coeffs.p, coeffs.free_dim
+        joint = evaluate(coeffs.joint, zs)
+        U = (joint[:, :p, :k], joint[:, :p, k:], joint[:, p:, :k], joint[:, p:, k:])
+        Xc = evaluate(central_solution(coeffs), zs)
+        N = _kernel_vector(evaluate(data.g(), zs))
+        Z = evaluate(random_contraction(seed, 1, data.q), zs)
+        e1 = np.zeros_like(N)
+        e1[:, 0] = 1.0
+        for eps in (0.05, 0.6):
+            X = Xc + eps * N @ Z
+            Y, residual = _parameter_of(U, X)
+            worst["consistency"] = max(worst["consistency"], residual)
+            control = min(control, _parameter_of(U, Xc + eps * e1 @ Z)[1])
+            X_norm = float(np.max(np.linalg.norm(X, 2, axis=(1, 2))))
+            Y_norm = float(np.max(np.linalg.norm(Y, 2, axis=(1, 2))))
+            if (X_norm < 1.0) != (Y_norm < 1.0):
+                mismatched.append((seed, eps, X_norm, Y_norm))
+            if X_norm < 1.0:
+                # a parameter past the unit ball need not be analytic
+                contractive += 1
+                coefficients = _pointwise_norm(np.fft.fft(Y, axis=0))
+                worst["analytic"] = max(worst["analytic"],
+                                        float(coefficients[negative].max() / coefficients.max()))
+            U11, U12, U21, U22 = U
+            X_back = (U11 @ Y + U12) @ np.linalg.inv(U21 @ Y + U22)
+            worst["round trip"] = max(worst["round trip"], float(
+                np.max(_pointwise_norm(X_back - X)) / max(1.0, X_norm)))
+    ok = (worst["consistency"] <= CONVERSE_TOL and control >= CONTROL_MIN
+          and worst["analytic"] <= ANALYTIC_TOL and worst["round trip"] <= ROUND_TRIP_TOL
+          and not mismatched and 12 <= contractive < 24)  # each side of the iff is met
+    _report(12, "every solution is the image of a parameter", ok,
+            f"consistency {worst['consistency']:.1e} against control {control:.1e}; "
+            f"negative Fourier coefficients {worst['analytic']:.1e} on {contractive} "
+            f"contractive solutions; contractive iff the parameter is, mismatches "
+            f"{mismatched}; round trip {worst['round trip']:.1e}")
+    assert ok

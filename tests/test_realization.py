@@ -235,11 +235,37 @@ class TestBatchedEvaluation:
         for z, value in zip(self.POINTS, values):
             np.testing.assert_array_equal(value, evaluate(constant(D), z))
 
-    def test_singular_resolvent_raises(self):
+    def test_singular_resolvent_raises(self, monkeypatch):
+        # in the one solve, and in the last of three one-point solves
         F = Realization(np.array([[2.0]]), np.array([[1.0]]),
                         np.array([[1.0]]), np.array([[0.0]]))
         with pytest.raises(EvaluationError):
             evaluate(F, np.array([0.1, 0.5, -0.3]))
+        monkeypatch.setattr(realization, "EVAL_ENTRIES", 1)
+        with pytest.raises(EvaluationError, match="one of 3 points"):
+            evaluate(F, np.array([0.1, -0.3, 0.5]))
+
+    def test_chunks_of_points_change_no_bit(self, monkeypatch):
+        # 5 points per solve at n = 4, then one point per solve: the values
+        # are those of the one solve at the default size, bit for bit, and
+        # no points give no values at any size
+        F = _random_realization(17, 2, 3, n=4)
+        solve, sizes = np.linalg.solve, []
+
+        def counted(a, b):
+            sizes.append(len(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        whole = evaluate(F, self.POINTS)
+        assert sizes == [self.POINTS.size]
+        for entries, step in ((5 * 16, 5), (15, 1)):
+            sizes.clear()
+            monkeypatch.setattr(realization, "EVAL_ENTRIES", entries)
+            np.testing.assert_array_equal(evaluate(F, self.POINTS), whole)
+            assert sizes == [min(step, self.POINTS.size - start)
+                             for start in range(0, self.POINTS.size, step)]
+            assert evaluate(F, np.zeros(0)).shape == (0, 2, 3)
 
     def test_norm_estimate_matches_scalar_loop(self, battery):
         for F in _function_battery(battery):

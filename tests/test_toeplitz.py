@@ -787,40 +787,41 @@ class TestLadderSolves:
 
 
 class TestLadderOwner:
-    """OracleContext.ladder() alone fixes a ladder's rungs: a window cut by
-    hand records nothing, so the order of the cuts cannot change the lift
-    chunk, and the answers of a ladder do not depend on the order its rungs
-    are read in."""
+    """A context fixes its ladder when it is built: the rungs, the chunk of
+    its lifted sweeps and the rungs that update their margins.  So neither
+    ladder() nor the order of the cuts nor the order of the reads changes
+    an answer."""
 
     @staticmethod
     def _solve(contexts):
         """Margin, gram_solved and core_solved of each context, in order."""
         return [(ctx.margin, ctx.gram_solved, ctx.core_solved) for ctx in contexts]
 
-    def test_hand_cut_windows_are_dense(self, battery, sweeps, lifts):
+    def test_hand_cut_windows_follow_the_ladder(self, battery, sweeps, lifts):
+        # rungs 30, 60 and 120: a cut that is a whole multiple of 30 reads
+        # the one forward sweep of the widest in chunks of 30, any other cut
+        # is one chunk of its own, whether or not ladder() ran
+        lifted = [("core", 120, 30), ("gram", 120, 30)]
         for item in battery[:3]:
             for ladder in (False, True):
                 widest = OracleContext(item.data, 120)
-                rungs = [ctx.N for ctx in widest.ladder()] if ladder else []
-                for order in ((1, 37, 60), (60, 30)):
-                    sweeps.clear()
-                    self._solve([widest.window(N) for N in order])
-                    # no sweep runs in chunks shorter than its window but
-                    # the ladder's own, of the widest in chunks of its first rung
-                    assert all(chunk == N or rungs[:1] == [chunk] and N == 120
-                               for _, N, chunk in sweeps), sweeps
-                    assert widest._rungs == rungs
-                assert lifts == ([30] if ladder else [])
+                if ladder:
+                    assert [ctx.N for ctx in widest.ladder()] == [30, 60, 120]
+                sweeps.clear()
                 lifts.clear()
+                for order in ((1, 37, 60), (60, 30)):
+                    self._solve([widest.window(N) for N in order])
+                assert sorted(sweeps) == sorted(
+                    [(name, N, N) for N in (1, 37) for name in ("core", "gram")] + lifted)
+                assert lifts == [30]
 
     def test_window_has_no_ladder(self):
-        # a window answers through its widest context, which would not read
-        # rungs recorded on the window, so cutting a ladder from it is an
-        # error; the widest window is the context itself and cuts one
+        # a window answers through its widest context, whose ladder is fixed
+        # by the widest N, so cutting a ladder from it is an error; the
+        # widest window is the context itself and cuts one
         widest = OracleContext(random_problem(3)[0], 200)
         with pytest.raises(DimensionError):
             widest.window(100).ladder()
-        assert widest._rungs == []
         assert [ctx.N for ctx in widest.window(200).ladder()] == [50, 100, 200]
 
     def test_ladder_lifts_once_in_chunks_of_its_first_rung(self, battery, sweeps, lifts):
@@ -834,10 +835,14 @@ class TestLadderOwner:
             assert sweeps == [("gram", 120, 30), ("core", 120, 30)]
 
     def test_rung_order_changes_no_bit(self, battery, draws):
+        # the rungs read ascending and descending, and a bare context read
+        # before ladder() against the ladder's widest rung
         for data in [item.data for item in battery[:3]] + draws[:4]:
             ascending = self._solve(OracleContext(data, 120).ladder())
             descending = self._solve(OracleContext(data, 120).ladder()[::-1])[::-1]
-            for (m1, g1, c1), (m2, g2, c2) in zip(ascending, descending):
+            bare = self._solve([OracleContext(data, 120)])
+            for (m1, g1, c1), (m2, g2, c2) in zip(ascending + ascending[-1:],
+                                                  descending + bare):
                 assert m1 == m2
                 np.testing.assert_array_equal(g1, g2)
                 np.testing.assert_array_equal(c1, c2)
