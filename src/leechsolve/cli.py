@@ -245,11 +245,9 @@ def build_parser():
     sp.add_argument("--truncation", type=int, default=None,
                     help="largest truncation order N (default 200); the ladder "
                          "is N/4, N/2, N with floors of 8 and 16, capped at N. "
-                         "N = 16, 24 or a multiple of 4 from 32 up keeps every rung "
-                         "a whole multiple of the first, so the rungs share lifted "
-                         "sweeps and, where they pay, margin updates; any other N "
-                         "(150: rungs 37, 75, 150) solves and eigen-solves every "
-                         "rung densely")
+                         "A window of at most one chunk (the first rung) is dense; "
+                         "any wider one reads the lifted sweep in chunks of the "
+                         "first rung, and its margin updates where that pays")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
 
     sp = sub.add_parser("generate", help="generate a random feasible problem")

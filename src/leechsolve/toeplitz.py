@@ -29,37 +29,40 @@ window as leading-row slices of its columns, with no second truncation; a
 window's Gram matrices come from its own columns, and only a dense path
 builds them.
 
-A ladder can eigen-solve densely only its first rung.  The window of c b
-blocks is c copies of the b-block window plus a Hermitian term E of rank
-<= 2 n (c - 1), n the state dimension of [G  K], so the margin of a rung
-that is a whole multiple of the first follows from the first rung's
-eigendecomposition by a low-rank update (ladder_margin): E is factored
-exactly from the realization of [G  K] lifted to chunks of the first rung
-(_lifted, once per ladder, its powers A^0 .. A^b by doubling), the chunk
-form of the displacement identity, and the smallest eigenvalue
-is located by inertia counts (Haynsworth) below the first rung's
-(_updated_margin).  Each margin is the smallest eigenvalue of its rung to
-roundoff of |core|.  A rung updates only where update_pays finds that
-cheaper than a dense eigvalsh, which answers for every other rung; on a
-ladder whose rungs all update no core wider than the first rung is
-formed.
+A ladder can eigen-solve densely only its first rung, of b blocks.  A
+window of c chunks of b blocks, the last perhaps partial, is the block
+diagonal of the b-block window's core (the leading block of it in the last
+chunk) plus a Hermitian term E of rank <= 2 n (c - 1), n the state
+dimension of [G  K], so the margin of every rung above the first follows
+from the eigendecompositions of the first rung and of the last chunk by a
+low-rank update (ladder_margin): E is factored exactly from the
+realization of [G  K] lifted to chunks of the first rung (_lifted, once
+per ladder, its powers A^0 .. A^b by doubling), the chunk form of the
+displacement identity, and the smallest eigenvalue is located by inertia
+counts (Haynsworth) below the first rung's (_updated_margin).  Each margin
+is the smallest eigenvalue of its rung to roundoff of |core|.  A rung
+updates only where update_pays finds that cheaper than a dense eigvalsh,
+which answers for every other rung; on a ladder whose rungs all update no
+core wider than the first rung is formed.
 
 The oracle path forms no N m x N m inverse.  Every thin solve, with gram
 (J = I on G) or with core (J = diag(I_p, -I_q) on [G  K]), is one block
 LDL* of T J T* (ldl_sweep): a forward sweep of the realization lifted to
 chunks of b blocks, the finite-horizon Krein-space Kalman filter whose
 pivots are the Schur complements of the leading chunks (Hassibi, Sayed &
-Kailath 1999), then a backward adjoint sweep of products.  Every window
-of a whole multiple of b blocks is a leading block of the widest, so on a
-ladder one forward sweep per matrix, in chunks of the first rung, serves
-every rung, each with its own backward sweep; both sweeps and the margin
-updates read the one lift, and no Gram matrix nor LU wider than the first
-rung is formed.  A window that is not such a multiple is one chunk, an LU
-with its own Gram matrix.  The samples at all points read one resolvent of
-the widest column, (I - conj(z) S)^{-1} [T_G E_p, T_K E_q], scanned once
-per ladder at every point (column_resolvent); each rung reads its leading
-rows.  The resolvents are log-depth scans (Kogge & Stone 1973), log2 N
-array steps at all points at once.  The path eigen-solves only core:
+Kailath 1999), then a backward adjoint sweep of products.  Every window is
+a leading block of the widest, so one forward sweep per matrix, in chunks
+of the first rung, serves every window, each with its own backward sweep:
+a window of at most one chunk is dense, an LU with the leading block of
+the first chunk's Gram matrix, and a window that ends inside a later
+chunk solves with the leading block of that chunk's pivot, which is its
+own (Haynsworth).  Both sweeps and the margin updates read the one lift,
+and no Gram matrix nor LU wider than the first rung is formed.  The
+samples at all points read one resolvent of the widest column,
+(I - conj(z) S)^{-1} [T_G E_p, T_K E_q], scanned once per ladder at every
+point (column_resolvent); each rung reads its leading rows.  The
+resolvents are log-depth scans (Kogge & Stone 1973), log2 N array steps at
+all points at once.  The path eigen-solves only core:
 gram - core = T_K T_K* is positive semidefinite, so a positive core margin
 already proves gram definite, and the Gram margin is computed only when the
 core margin is not positive.  The explicit inverses serve the test-side
@@ -118,13 +121,17 @@ def toeplitz_gram(column, r, signature=None):
 
 def truncate(F, N):
     """First block column T_F E of the truncated Toeplitz compression of a
-    stable rational function: its first N Taylor blocks stacked (N out x in)."""
+    stable rational function: its first N Taylor blocks stacked (N out x in).
+    An order whose blocks cannot be allocated is a DimensionError."""
     N = int(N)
     if N < 1:
         raise DimensionError(f"truncation order must be positive, got {N}")
     if F.state_dim and not is_schur_stable(F.A):
         raise StabilityError("truncation requires a stable function")
-    return taylor_blocks(F, N).reshape(N * F.out_dim, F.in_dim)
+    try:
+        return taylor_blocks(F, N).reshape(N * F.out_dim, F.in_dim)
+    except (ValueError, MemoryError) as exc:  # an order no memory holds, such as 10**11
+        raise DimensionError(f"truncation order {N} cannot be allocated") from exc
 
 
 def shift_up(X, r):
@@ -172,28 +179,31 @@ def _resolvent_scan(X, z, r, up):
     return Y
 
 
-def ladder_margin(w, U, lifted, c):
+def ladder_margin(w, U, last, lifted, c):
     """Smallest eigenvalue of the core of a window of c >= 2 chunks of b
-    blocks, from the eigendecomposition (w, U) of the first chunk's core_b
-    and the lift (Phi, C_L, B_L J B_L*, B_L J D_L*) of [G  K] to chunks of b
-    blocks (_lifted); update_pays says where that is cheaper than a dense
-    eigen-solve of the same core.
+    blocks, the last perhaps partial, from the eigendecomposition (w, U) of
+    the first chunk's core_b, that of the last chunk's own core (`last`,
+    (w, U) again when it is whole) and the lift (Phi, C_L, B_L J B_L*,
+    B_L J D_L*) of [G  K] to chunks of b blocks (_lifted); update_pays says
+    where that is cheaper than a dense eigen-solve of the same core.
 
     In chunks, T is lower block Toeplitz with first column T E = e + a B_L,
     e = [D_L; 0] and a = [0; C_L; C_L Phi; ...; C_L Phi^(c-2)].  The
     displacement identity T J T* = sum_i Z^i (T E) J (T E)* Z^i* (Z the
     chunk shift) gives e J e* the block diagonal, so with d = e J B_L*
 
-        E = core - blockdiag(core_b, ..., core_b)
+        E = core - blockdiag(core_b, ..., core_b, core_r)
           = sum_{i<c-1} Z^i (a B_L J B_L* a* + a d* + d a*) Z^i*
           = F H F*,   F = [Z^i a, Z^i d],   H = [[I (x) B_L J B_L*, I], [I, 0]]
 
     exactly (Z^(c-1) a = 0), of rank <= 2 n (c - 1), n the state dimension
-    of [G  K].  A QR of F and an eigh of R H R* give E = Q diag(s) Q*;
-    static data (n = 0) has E = 0 and the margin w[0]."""
+    of [G  K]; a partial last chunk of r blocks keeps the leading rows of
+    each term, its core_r the leading r-block of core_b.  A QR of F and an
+    eigh of R H R* give E = Q diag(s) Q*; static data (n = 0) has E = 0 and
+    the margin w[0]."""
     Phi, CL, BB, BD = lifted
     n, rows = len(Phi), len(CL)
-    size, k = c * rows, 2 * n * (c - 1)
+    size, k = (c - 1) * rows + len(last[0]), 2 * n * (c - 1)
     if not n:
         return float(w[0])
     O = observability_matrix(CL, Phi, c - 1)
@@ -207,7 +217,7 @@ def ladder_margin(w, U, lifted, c):
     s, V = np.linalg.eigh(herm(R @ H @ R.conj().T))
     scale = max(-w[0], w[-1]) + max(-s[0], s[-1])  # bounds |core|_2
     keep = np.abs(s) > EPS * scale
-    return _updated_margin(w, U, Q @ V[:, keep], s[keep], scale)
+    return _updated_margin(w, U, last, Q @ V[:, keep], s[keep], scale)
 
 
 def update_pays(k, size):
@@ -221,12 +231,15 @@ def update_pays(k, size):
     return 3 * k + 40 < size
 
 
-def _updated_margin(w, U, Q, s, scale):
-    """Smallest eigenvalue of core = blockdiag(U diag(w) U*, ...) + Q diag(s) Q*,
-    to roundoff of scale, size eps scale, by inertia counts.
+def _updated_margin(w, U, last, Q, s, scale):
+    """Smallest eigenvalue of core = blockdiag(U diag(w) U*, ..., U_l diag(w_l)
+    U_l*) + Q diag(s) Q*, (w_l, U_l) = last the eigendecomposition of the
+    last block, perhaps shorter than the others, to roundoff of scale, size
+    eps scale, by inertia counts.
 
     In the eigenbasis of the block diagonal, core is D + Z diag(s) Z*, with
-    D = blockdiag(diag(w), ...) and Z = blockdiag(U, ...)* Q.  Interlacing
+    D = blockdiag(diag(w), ..., diag(w_l)) and Z = blockdiag(U, ..., U_l)* Q.
+    The first block is core's leading block, so interlacing
     puts its smallest eigenvalue at or below top = w[0], and Weyl at or
     above top - |E|, E = Q diag(s) Q*.  Below top, Haynsworth's inertia
     formula counts the eigenvalues under sigma as #neg(K(sigma)) - #pos(s),
@@ -244,14 +257,15 @@ def _updated_margin(w, U, Q, s, scale):
     rises and vanishes at the margin, find the root, each step kept inside
     the bracket that the counts close and halved where it leaves it."""
     size, lead = len(Q), len(w)
-    c = size // lead
+    whole = size - len(last[0])  # rows of the whole blocks before the last
     roundoff = size * EPS * scale
     top = float(w[0])
     if not np.any(s < 0.0):
         return top  # E >= 0 keeps every eigenvalue at or above top
     e = float(np.max(np.abs(s)))
-    d = np.tile(w, c)
-    Z = (U.conj().T @ Q.reshape(c, lead, -1)).reshape(size, -1) * np.sqrt(np.abs(s) / e)
+    d = np.concatenate([np.tile(w, whole // lead), last[0]])
+    Z = np.concatenate([(U.conj().T @ Q[:whole].reshape(whole // lead, lead, -1)).reshape(whole, -1),
+                        last[1].conj().T @ Q[whole:]]) * np.sqrt(np.abs(s) / e)
     near = d < top + e / size
     ZP, ZR, dP, dR = Z[near], Z[~near], d[near], d[~near]
     ZRH, p, index = ZR.conj().T, len(dP), int(np.sum(s > 0))
@@ -298,55 +312,65 @@ def _updated_margin(w, U, Q, s, scale):
 
 
 def ldl_sweep(gram_b, Y, Z, m, lifted=None):
-    """(T J T*)^{-1} X of every window of a whole multiple k b of b blocks,
-    as a function of k, from one forward sweep of the realization lifted to
-    chunks of b blocks; X = [Y, S_m* Z] of each window, so a shorter
-    window's S_m* Z has a zero last block.
+    """(T J T*)^{-1} X of every window of the widest, as a function of its
+    length in blocks, from one forward sweep of the realization lifted to
+    chunks of b blocks, the last chunk perhaps partial; X = [Y, S_m* Z] of
+    each window, so a window's S_m* Z has a zero last block.
 
     T is the truncation of a realization (A, B, C, D) on the widest window,
-    c b blocks of m rows, whose rows Y and Z hold; gram_b is the first
-    chunk's T J T*, J one sign per column of B (the identity for gram).  In
-    chunks of b blocks T is the lower block Toeplitz matrix of the lifted
-    system (Phi, B_L, C_L, D_L): Phi = A^b, C_L = [C; ...; C A^(b-1)], B_L =
+    of m-row blocks, whose rows Y and Z hold; gram_b is the first chunk's
+    T J T*, J one sign per column of B (the identity for gram).  In chunks
+    of b blocks T is the lower block Toeplitz matrix of the lifted system
+    (Phi, B_L, C_L, D_L): Phi = A^b, C_L = [C; ...; C A^(b-1)], B_L =
     [A^(b-1) B, ..., B] and D_L the b-block T, and `lifted` is (Phi, C_L,
-    B_L J B_L*, B_L J D_L*) (_lifted); with one chunk (b = N) it is not
-    read.  The block LDL* of T J T* in chunk order is the Krein-space Kalman
-    filter of that system from P = 0:
+    B_L J B_L*, B_L J D_L*) (_lifted); with one chunk it is not read.  The
+    block LDL* of T J T* in chunk order is the Krein-space Kalman filter of
+    that system from P = 0:
 
         Re = C_L P C_L* + gram_b,   M = Phi P C_L* + B_L J D_L*,
         u_k = Re^{-1} (X_k - C_L s),   s <- Phi s + M u_k,
         P <- Phi P Phi* + B_L J B_L* - M Re^{-1} M*,
 
     each Re the Schur complement of the leading chunks in the next, definite
-    when T J T* is.  The window of k chunks has the same leading chunks; its
-    own last chunk, with the zero last block of S_m* Z, rides in the same
-    chunk solve.  The backward adjoint sweep of that window is products
-    only: y_k = u_k, lambda = C_L* y_k, and for j < k
+    when T J T* is.  A window has the same leading chunks.  One that ends
+    with chunk k rides in that chunk's solve, with the zero last block of
+    its S_m* Z.  One that ends r blocks into chunk k solves with the
+    leading r-block of Re_k, by Haynsworth its own last pivot, rebuilt from
+    the first r blocks of C_L, of gram_b and of X_k and the (P, s) before
+    chunk k, which the sweep keeps in place of the pivots; so no pivot has
+    rows beyond the widest window, whose longer core need not be definite.
+    A window of at most one chunk solves with the leading block of gram_b,
+    its own Gram matrix.  The backward adjoint sweep of a window ending in
+    chunk k is products only: y_k = u_k, lambda = C_L* y_k, and for j < k
 
         y_j = u_j - Re_j^{-1} M_j* lambda,   lambda <- Phi* lambda + C_L* y_j.
-
-    With b = N the sweep is one LU solve with gram_b, T J T* itself.
     """
-    rows, cols = len(gram_b), Y.shape[1]
-    c = len(Y) // rows
+    rows, cols, width = len(gram_b), Y.shape[1], Y.shape[1] + Z.shape[1]
     X = np.hstack([Y, shift_up(Z, m)])
-    width = X.shape[1]
-    Re = gram_b
-    if c > 1:
+    if len(X) > rows:
         Phi, CL, BB, BD = lifted
         M, P, s = BD, np.zeros_like(BB), np.zeros((len(BB), width), dtype=complex)
-    ends, solved, gains = [], [], []
-    for k in range(c):
-        Xk = X[k * rows:(k + 1) * rows]
-        v = Xk
+    states, ends, solved, gains = [], [], [], []
+
+    def chunk(k, size):
+        """The pivot, the innovation and the right side of the window
+        ending there, on the leading `size` rows of chunk k."""
+        Xk = X[k * rows:k * rows + size]
+        Re, v = gram_b[:size, :size], Xk
         if k:
-            PC = P @ CL.conj().T
-            Re = herm(CL @ PC + gram_b)
-            M = Phi @ PC + BD
-            v = Xk - CL @ s
+            Pk, sk = states[k - 1]  # the state before chunk k
+            C = CL[:size]
+            Re = herm(C @ (Pk @ C.conj().T) + Re)
+            v = Xk - C @ sk
         end = v.copy()
         end[-m:, cols:] -= Xk[-m:, cols:]  # the window ending here: S_m* Z's last block is zero
-        more = k < c - 1
+        return Re, v, end
+
+    for k in range(len(X) // rows):
+        Re, v, end = chunk(k, rows)
+        more = (k + 1) * rows < len(X)
+        if k:
+            M = Phi @ (P @ CL.conj().T) + BD
         out = np.linalg.solve(Re, np.hstack([end] + ([v, M.conj().T] if more else [])))
         ends.append(out[:, :width])
         if more:
@@ -355,12 +379,19 @@ def ldl_sweep(gram_b, Y, Z, m, lifted=None):
             gains.append(gain)
             s = Phi @ s + M @ u
             P = herm(Phi @ P @ Phi.conj().T + BB - M @ gain)
+            states.append((P, s))
 
-    def window(k):
-        """(T J T*)^{-1} X of the window of k chunks, by its backward sweep."""
-        y, lam = [ends[k - 1]], 0.0  # lam holds Phi* lambda
-        for j in range(k - 2, -1, -1):
-            lam = CL.conj().T @ y[-1] + lam
+    def window(N):
+        """(T J T*)^{-1} X of the window of N blocks, by its backward sweep."""
+        k, row = divmod(N * m - 1, rows)  # its last row is row `row` of chunk k
+        if row + 1 < rows:
+            Re, _, end = chunk(k, row + 1)
+            y = [np.linalg.solve(Re, end)]
+        else:
+            y = [ends[k]]
+        lam = 0.0  # lam holds Phi* lambda
+        for j in range(k - 1, -1, -1):
+            lam = CL[:len(y[-1])].conj().T @ y[-1] + lam
             y.append(solved[j] - gains[j] @ lam)
             lam = Phi.conj().T @ lam
         return np.concatenate(y[::-1])
@@ -421,17 +452,16 @@ class OracleContext:
     slices of this one's, so a truncation ladder truncates once, at its
     largest window; a window has no ladder of its own.  A context fixes its
     ladder from N, n and m when it is built: the rungs N/4, N/2 and N, the
-    chunk b of its lifted sweeps (the first rung, when N is a whole
-    multiple of it) and the rungs whose margins update b's
-    eigendecomposition through the lifted realization (where update_pays),
-    all reading one lift (_first_lift).  ladder() only cuts the rungs.  The
-    solves of every window that is a whole multiple of b share one forward
-    sweep per matrix of this window in chunks of b (_solved); a ladder
-    whose rungs all update builds gram and core of no window wider than b
-    unless a dense path asks for them.  The margin of any other window is
-    dense, and so are its solves when it is no whole multiple of b.  The
-    sample points' resolvent of the column is this window's too, and each
-    window reads its leading rows (column_resolvent).
+    chunk b of its lifted sweeps (the first rung) and the rungs whose
+    margins update b's eigendecomposition through the lifted realization
+    (where update_pays), all reading one lift (_first_lift).  ladder() only
+    cuts the rungs.  The solves of every window share one forward sweep per
+    matrix of this window in chunks of b, the last perhaps partial
+    (_solved); a ladder whose rungs all update builds gram and core of no
+    window wider than b unless a dense path asks for them.  The margin of
+    any other window is dense.  The sample points' resolvent of the column
+    is this window's too, and each window reads its leading rows
+    (column_resolvent).
     """
 
     def __init__(self, data, N):
@@ -441,14 +471,13 @@ class OracleContext:
         # the joint column [T_G E_p, T_K E_q] of one truncation of [G  K]
         self._column = truncate(data.joint(), N)
         self.TgEp, self.TkEq = self._column[:, :self.p], self._column[:, self.p:]
-        # the ladder: its rungs, the chunk of its lifted sweeps (_lifted_rung)
-        # and the rungs whose margins update the chunk's eigendecomposition,
-        # settled from sizes alone before any eigen-solve
+        # the ladder: its rungs, the chunk of its lifted sweeps (its first
+        # rung) and the rungs whose margins update the chunk's
+        # eigendecomposition, settled from sizes alone before any eigen-solve
         self._rungs = sorted({min(N, size) for size in (max(8, N // 4), max(16, N // 2), N)})
-        b = self._rungs[0]
-        self._chunk = b if N % b == 0 else None
-        self._updated = [size for size in self._rungs[1:] if self._lifted_rung(size)
-                         and update_pays(2 * data.n * (size // b - 1), size * self.m)]
+        self._chunk = b = self._rungs[0]
+        self._updated = [size for size in self._rungs[1:]
+                         if update_pays(2 * data.n * ((size - 1) // b), size * self.m)]
         # the cores and margins of its windows by size, the forward sweeps of
         # its gram and core (ldl_sweep) by name, and its last column
         # resolvent with the bytes of its points (column_resolvent); a window
@@ -475,8 +504,8 @@ class OracleContext:
         from its own columns.  Solves of the window are its own; its margin
         is the smallest eigenvalue of its own core (margin).  Both follow
         the ladder its widest context fixed, so a window reads the same
-        answer whether or not ladder() cut it: one lifted sweep when N is a
-        whole multiple of the chunk, else one LU chunk."""
+        answer whether or not ladder() cut it, from the widest context's
+        one forward sweep per matrix."""
         N = int(N)
         if not 1 <= N <= self.N:
             raise DimensionError(f"window must lie in 1..{self.N}, got {N}")
@@ -515,7 +544,7 @@ class OracleContext:
         window's own leading column, built once per N: the window's core,
         its dense margin (_rung_margin) and, for the chunk, the
         eigendecomposition of the margin updates (_first_spectrum) and the
-        first pivot of the core sweep (_sweep) read the same matrix."""
+        first pivot of the core sweep (_solved) read the same matrix."""
         if N not in self._cores:
             signature = np.repeat([1.0, -1.0], [self.p, self.q])
             self._cores[N] = toeplitz_gram(self._column[:N * self.m], self.m, signature)
@@ -532,8 +561,10 @@ class OracleContext:
 
         A rung that the ladder updates takes it from the eigendecomposition
         (w, U) of the core of the chunk b (the first rung) through the lift
-        of [G  K] to chunks of b blocks (ladder_margin), and the first rung
-        then reads its margin w[0] from it.  Interlacing orders these
+        of [G  K] to chunks of b blocks (ladder_margin), with that of the
+        core of its last r < b blocks where it ends inside a chunk (the
+        leading r-block of core_b), and the first rung then reads its
+        margin w[0] from it.  Interlacing orders these
         margins, and each updated rung reports within them: no more than
         w[0], and no less than the next updated rung above it, so a read of
         the widest rung alone updates nothing below it.  Any other window
@@ -542,7 +573,9 @@ class OracleContext:
             return self._margins[N]
         if N in self._updated:
             w, U = self._first_spectrum
-            margin = ladder_margin(w, U, self._first_lift["core"], N // self._chunk)
+            k, r = divmod(N - 1, self._chunk)  # N ends r + 1 blocks into chunk k
+            last = (w, U) if r + 1 == self._chunk else np.linalg.eigh(self._window_core(r + 1))
+            margin = ladder_margin(w, U, last, self._first_lift["core"], k + 1)
             margin = min(margin, float(w[0]))
             above = [size for size in self._updated if size > N]
             if above:
@@ -554,13 +587,6 @@ class OracleContext:
         self._margins[N] = margin
         return margin
 
-    def _lifted_rung(self, N):
-        """The chunk b of this widest context's ladder when its N-block
-        window is a whole multiple of it, else None: such a window's solves
-        share one sweep in chunks of b (_solved)."""
-        b = self._chunk
-        return b if b is not None and N % b == 0 else None
-
     @cached_property
     def _first_spectrum(self):
         """Eigendecomposition (w, U) of the chunk's core, eigenvalues ascending."""
@@ -570,7 +596,7 @@ class OracleContext:
     def _first_lift(self):
         """[G  K] lifted to chunks of b blocks (_lifted), once per ladder:
         the margin updates (ladder_margin) and the forward sweeps of core
-        and gram (_sweep) all read it."""
+        and gram (_solved) all read it."""
         b = self._chunk
         return _lifted(self.data.joint(), self._column[:b * self.m], b, self.p)
 
@@ -617,29 +643,18 @@ class OracleContext:
 
     def _solved(self, name):
         """(T J T*)^{-1} X of this window for its gram or core, by ldl_sweep:
-        on a window that is a whole multiple of the ladder's chunk
-        (_lifted_rung), one forward sweep of the widest window in chunks of
-        b, kept for every such window, and this window's backward sweep; any
-        other window is one chunk, an LU solve with its own Gram matrix."""
+        one forward sweep of the widest window in chunks of the ladder's
+        first rung b, kept for every window, and this window's backward
+        sweep.  The first chunk's matrix is built from the chunk's leading
+        column, so no Gram matrix wider than b is built."""
         root = self._root or self
-        b = root._lifted_rung(self.N)
-        if b is None:
-            return self._sweep(name, self.N)(1)
         if name not in root._sweeps:
-            root._sweeps[name] = root._sweep(name, b)
-        return root._sweeps[name](self.N // b)
-
-    def _sweep(self, name, b):
-        """The forward sweep of this context's gram or core in chunks of b
-        blocks; the first chunk's matrix is this context's own when the chunk
-        is the whole window, else built from the chunk's leading column (a
-        chunk of a ladder builds no Gram matrix wider than itself)."""
-        lifted = None if b == self.N else self._first_lift[name]
-        if name == "core":
-            core_b = self.core if b == self.N else self._window_core(b)
-            return ldl_sweep(core_b, self.TkEq, self.TgEp, self.m, lifted)
-        gram_b = self.gram if b == self.N else toeplitz_gram(self.TgEp[:b * self.m], self.m)
-        return ldl_sweep(gram_b, self.TgEp, self.TgEp, self.m, lifted)
+            b, m = root._chunk, self.m
+            lifted = root._first_lift[name] if b < root.N else None
+            first, Y = ((root._window_core(b), root.TkEq) if name == "core"
+                        else (toeplitz_gram(root.TgEp[:b * m], m), root.TgEp))
+            root._sweeps[name] = ldl_sweep(first, Y, root.TgEp, m, lifted)
+        return root._sweeps[name](self.N)
 
     def column_resolvent(self, z):
         """(I - conj(z) S_m)^{-1} [T_G E_p, T_K E_q] at the 1-D array of

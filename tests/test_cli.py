@@ -665,3 +665,21 @@ class TestProcessLevel:
             assert proc.stderr.startswith(f"error: {path}"), (name, proc.stderr)
             assert "Traceback" not in proc.stderr, name
         assert ".B2, row 0: expected 1" in proc.stderr  # wide.json, the last one
+
+    def test_oversize_truncations_are_input_errors(self, tmp_path):
+        # a truncation order whose Taylor blocks no memory holds (10**11),
+        # one past numpy's largest dimension (10**22) and one stored in the
+        # file's options (10**12) each end in an `error:` line
+        data = random_problem(126)[0]
+        path, stored = tmp_path / "problem.json", tmp_path / "stored.json"
+        path.write_text(files.dump(files.problem_to_dict(data)))
+        stored.write_text(files.dump(files.problem_to_dict(data, {"truncation": 10 ** 12})))
+        for argv in ([str(path), "--truncation", str(10 ** 11)],
+                     [str(path), "--truncation", str(10 ** 22)], [str(stored)]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "leechsolve.cli", "oracle", *argv],
+                capture_output=True, text=True,
+                env={"PATH": "/usr/bin:/bin", "PYTHONPATH": PACKAGE_PARENT})
+            assert proc.returncode == 1, (argv, proc.stderr)
+            assert proc.stderr.startswith("error: truncation order"), (argv, proc.stderr)
+            assert "Traceback" not in proc.stderr, argv

@@ -435,9 +435,9 @@ def updates(monkeypatch):
 
 @pytest.fixture
 def every_update(monkeypatch):
-    """Every whole multiple of a ladder's first rung updates its margin,
-    whatever toeplitz.update_pays says, so a test of the update's accuracy
-    covers every such rung."""
+    """Every rung above a ladder's first updates its margin, whatever
+    toeplitz.update_pays says, so a test of the update's accuracy covers
+    every such rung."""
     monkeypatch.setattr(toeplitz, "update_pays", lambda k, size: True)
 
 
@@ -448,18 +448,24 @@ def factors(monkeypatch):
     calls = []
     updated = toeplitz._updated_margin
 
-    def recording(w, U, Q, s, scale):
+    def recording(w, U, last, Q, s, scale):
         calls.append((Q, s))
-        return updated(w, U, Q, s, scale)
+        return updated(w, U, last, Q, s, scale)
 
     monkeypatch.setattr(toeplitz, "_updated_margin", recording)
     return calls
 
 
+# the default ladder, that of --truncation 120, and two whose rungs above
+# the first end inside a chunk of it (--truncation 150 and 101)
+LADDERS = ((50, 100, 200), (30, 60, 120), (37, 75, 150), (25, 50, 101))
+
+
 class TestLadderMargins:
-    """Rungs that are whole multiples of a ladder's first rung take their
-    margins from its eigendecomposition (ladder_margin); the dense eigvalsh
-    of each rung's core is the reference."""
+    """Rungs above a ladder's first take their margins from its
+    eigendecomposition (ladder_margin), whether or not they are whole
+    multiples of it; the dense eigvalsh of each rung's core is the
+    reference."""
 
     @staticmethod
     def _check_ladder(data, ladder):
@@ -473,20 +479,22 @@ class TestLadderMargins:
     def test_updates_match_dense_on_draws(self, draws, updates, every_update):
         assert {data.m for data in draws} == {1, 2}
         for data in draws:
-            for ladder in ((50, 100, 200), (30, 60, 120)):
+            for ladder in LADDERS:
                 self._check_ladder(data, ladder)
-        assert len(updates) == 160 and None not in updates
+        assert len(updates) == 320 and None not in updates
 
     def test_updates_match_dense_on_battery(self, battery, updates, every_update):
         for item in battery:
-            for ladder in ((50, 100, 200), (30, 60, 120)):
+            for ladder in LADDERS:
                 self._check_ladder(item.data, ladder)
-        assert len(updates) == 4 * len(battery) and None not in updates
+        assert len(updates) == 8 * len(battery) and None not in updates
 
     @staticmethod
     def _check_factors(data, factors):
-        """Each update's Q diag(s) Q* is E = core - blockdiag(core_b, ...)."""
-        for ladder in ((50, 100, 200), (30, 60, 120)):
+        """Each update's Q diag(s) Q* is E = core - blockdiag(core_b, ...,
+        core_r), core_r the leading block of core_b that a rung ending
+        inside a chunk keeps of it (core_b itself at a whole multiple)."""
+        for ladder in LADDERS:
             first, *rungs = _ladder(data, ladder)
             first.margin  # the first rung's own eigendecomposition: no update
             assert factors == []
@@ -496,7 +504,10 @@ class TestLadderMargins:
                 ((Q, s),) = factors
                 factors.clear()
                 core = ctx.core
-                E = core - np.kron(np.eye(ctx.N // first.N), first.core)
+                E = core.copy()
+                for start in range(0, len(core), len(first.core)):
+                    rows = min(len(first.core), len(core) - start)
+                    E[start:start + rows, start:start + rows] -= first.core[:rows, :rows]
                 scale = max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(core)))))
                 assert np.linalg.norm((Q * s) @ Q.conj().T - E) <= 1e-13 * scale
 
@@ -518,15 +529,20 @@ class TestLadderMargins:
             contexts = _ladder(data, (50, 100, 200))
             assert margins == {str(ctx.N): ctx.margin for ctx in contexts}
 
-    def test_non_multiple_ladder_is_dense(self, tmp_path, updates):
+    def test_non_multiple_ladder_is_lifted(self, tmp_path, updates, lifts):
+        # oracle --truncation 150: rungs 37, 75 and 150, the widest 4 chunks
+        # of 37 and 2 blocks; draw 3 (n = 4, m = 1) updates that rung through
+        # the one lift in chunks of 37, and eigen-solves the rung of 75
         problem, report = str(tmp_path / "p.json"), str(tmp_path / "r.json")
         assert main(["generate", "--seed", "3", "--out", problem]) == 0
         assert main(["oracle", problem, "--truncation", "150", "--out", report]) == 0
         doc = load(report)
-        assert doc["truncations"] == [37, 75, 150] and updates == []
+        assert doc["truncations"] == [37, 75, 150]
+        assert len(updates) == 1 and lifts == [37]
         data = read_problem(problem)[0]
-        contexts = _ladder(data, (37, 75, 150))
-        assert doc["margins"] == {str(ctx.N): _dense_margin(ctx) for ctx in contexts}
+        for ctx in _ladder(data, (37, 75, 150)):
+            scale = max(1.0, float(np.linalg.norm(ctx.core, 2)))
+            assert abs(doc["margins"][str(ctx.N)] - _dense_margin(ctx)) <= 1e-12 * scale
 
     # update_pays(k, rows) at m = 1 on the ladder 50, 100, 200: the rung of
     # 100 rows updates with rank k = 2 n, that of 200 rows with k = 6 n, so
@@ -660,12 +676,10 @@ def _lu_solve(ctx, name):
 
 
 class TestLadderSolves:
-    """core_solved and gram_solved against LU.  A ladder whose rungs are
-    whole multiples of its first sweeps its widest window once per matrix in
-    chunks of the first rung, and each rung takes its own backward sweep;
-    every window of any other ladder is one chunk (ldl_sweep)."""
-
-    LADDERS = ((50, 100, 200), (30, 60, 120), (37, 75, 150))
+    """core_solved and gram_solved against LU.  Every ladder sweeps its
+    widest window once per matrix in chunks of the first rung, the last
+    chunk perhaps partial, and each rung takes its own backward sweep
+    (ldl_sweep)."""
 
     @classmethod
     def _check(cls, data, sweeps, ladders=LADDERS):
@@ -684,13 +698,8 @@ class TestLadderSolves:
                 if not solves_core:
                     with pytest.raises(InfeasibleError):
                         ctx.core_solved
-            if ladder[-1] % ladder[0]:
-                expected = [(name, N, N) for N, solves_core in zip(ladder, definite)
-                            for name in ("gram", "core")[:1 + solves_core]]
-            else:
-                expected = [(name, ladder[-1], ladder[0])
-                            for name in ("gram", "core")[:1 + any(definite)]]
-            assert sweeps == expected
+            assert sweeps == [(name, ladder[-1], ladder[0])
+                              for name in ("gram", "core")[:1 + any(definite)]]
 
     def test_solves_match_dense_on_draws(self, draws, sweeps):
         assert {data.m for data in draws} == {1, 2}
@@ -760,9 +769,13 @@ class TestLadderSolves:
             assert lifts == [50]
             assert scans == [((16,), (200 * m, data.p + data.q))]
 
-    def test_non_multiple_ladder_is_dense(self, monkeypatch, tmp_path, sweeps):
-        # oracle --truncation 150: every window is one chunk, an LU of its own,
-        # and its core, built once, serves both its margin and its sweep
+    def test_non_multiple_ladder_is_lifted(self, monkeypatch, tmp_path, sweeps, lifts):
+        # oracle --truncation 150: every rung reads the one forward sweep per
+        # matrix of the widest in chunks of 37, the last one 2 blocks; the
+        # cores built are the first chunk's, for its margin and both sweeps,
+        # that of the rung of 75, whose margin draw 3 eigen-solves, and that
+        # of the last 2 blocks, whose eigendecomposition the update of the
+        # rung of 150 reads
         problem, report = str(tmp_path / "p.json"), str(tmp_path / "r.json")
         assert main(["generate", "--seed", "3", "--out", problem]) == 0
         gram, cores = toeplitz.toeplitz_gram, []
@@ -775,8 +788,9 @@ class TestLadderSolves:
         monkeypatch.setattr(toeplitz, "toeplitz_gram", gram_spy)
         assert main(["oracle", problem, "--truncation", "150", "--out", report]) == 0
         assert load(report)["truncations"] == [37, 75, 150]
-        assert sorted(sweeps) == [(name, N, N) for name in ("core", "gram") for N in (37, 75, 150)]
-        assert cores == [37, 75, 150]
+        assert sorted(sweeps) == [("core", 150, 37), ("gram", 150, 37)]
+        assert lifts == [37]
+        assert sorted(cores) == [2, 37, 75]
 
     def test_solves_do_not_read_the_margin_updates(self, sweeps):
         # the margins of this draw are dense (update_pays); its solves
@@ -798,10 +812,9 @@ class TestLadderOwner:
         return [(ctx.margin, ctx.gram_solved, ctx.core_solved) for ctx in contexts]
 
     def test_hand_cut_windows_follow_the_ladder(self, battery, sweeps, lifts):
-        # rungs 30, 60 and 120: a cut that is a whole multiple of 30 reads
-        # the one forward sweep of the widest in chunks of 30, any other cut
-        # is one chunk of its own, whether or not ladder() ran
-        lifted = [("core", 120, 30), ("gram", 120, 30)]
+        # rungs 30, 60 and 120: every cut, 1 and 37 as well as 30 and 60,
+        # reads the one forward sweep of the widest in chunks of 30, whether
+        # or not ladder() ran
         for item in battery[:3]:
             for ladder in (False, True):
                 widest = OracleContext(item.data, 120)
@@ -811,8 +824,7 @@ class TestLadderOwner:
                 lifts.clear()
                 for order in ((1, 37, 60), (60, 30)):
                     self._solve([widest.window(N) for N in order])
-                assert sorted(sweeps) == sorted(
-                    [(name, N, N) for N in (1, 37) for name in ("core", "gram")] + lifted)
+                assert sorted(sweeps) == [("core", 120, 30), ("gram", 120, 30)]
                 assert lifts == [30]
 
     def test_window_has_no_ladder(self):
@@ -851,21 +863,18 @@ class TestLadderOwner:
 class TestGramForms:
     """The Gram forms X* gram^{-1} X, X = [T_G E_p, S_m* T_G E_p], that
     theta0_defect_oracle and _delta_squares read from gram_solved, against
-    the same forms by LU; a gram-only ladder makes gram sweeps only."""
+    the same forms by LU; a gram-only ladder makes one gram sweep only."""
 
     @staticmethod
     def _check(data, sweeps):
-        for ladder in TestLadderSolves.LADDERS:
+        for ladder in LADDERS:
             sweeps.clear()
             for ctx in _ladder(data, ladder):
                 X = np.hstack([ctx.TgEp, toeplitz.shift_up(ctx.TgEp, ctx.m)])
                 ref = X.conj().T @ _lu_solve(ctx, "gram")
                 forms = X.conj().T @ ctx.gram_solved
                 assert np.linalg.norm(forms - ref) <= 1e-12 * np.linalg.norm(ref)
-            if ladder[-1] % ladder[0]:
-                assert sweeps == [("gram", N, N) for N in ladder]
-            else:
-                assert sweeps == [("gram", ladder[-1], ladder[0])]
+            assert sweeps == [("gram", ladder[-1], ladder[0])]
 
     def test_forms_match_dense_on_draws(self, draws, sweeps):
         assert {data.m for data in draws[:20]} == {1, 2}
