@@ -30,7 +30,6 @@ from .core import (
     popov_data,
     solve,
     theta0,
-    theta0_defect,
     validate,
 )
 from .errors import (
@@ -119,7 +118,6 @@ __all__ = [
     "stabilizing_riccati",
     "taylor_blocks",
     "theta0",
-    "theta0_defect",
     "truncate",
     "validate",
     "vconcat",

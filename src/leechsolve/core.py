@@ -43,10 +43,6 @@ from .riccati import solve_stein, stabilizing_riccati
 
 log = logging.getLogger("leechsolve.core")
 
-# theta0's rank cut on the eigenvalues of the defect M; M is I minus a Gram
-# matrix, so its natural scale is 1 and the cut is absolute
-RANK_CUT = 1e-8
-
 
 @dataclass(frozen=True)
 class LeechData:
@@ -97,14 +93,6 @@ class LeechData:
     @property
     def q(self):
         return self.D2.shape[1]
-
-    def g(self):
-        """Realization of G."""
-        return Realization(self.A, self.B1, self.C, self.D1)
-
-    def k(self):
-        """Realization of K."""
-        return Realization(self.A, self.B2, self.C, self.D2)
 
     def joint(self):
         """Realization of [G  K] on the shared state, B = [B1  B2] and
@@ -193,36 +181,17 @@ def popov_data(data, P1, P2):
     dP = P1 - P2
     R0 = herm(D1 @ D1.conj().T - D2 @ D2.conj().T + C @ dP @ C.conj().T)
     Gamma = B1 @ D1.conj().T - B2 @ D2.conj().T + A @ dP @ C.conj().T
-    return PopovData(R0, Gamma, *_kernel_popov(data, P1))
-
-
-def _kernel_popov(data, P1):
-    """The kernel form (R10, Gamma0) of popov_data, for it and theta0_defect."""
-    A, B1, C, D1 = data.A, data.B1, data.C, data.D1
     R10 = herm(D1 @ D1.conj().T + C @ P1 @ C.conj().T)
     Gamma0 = B1 @ D1.conj().T + A @ P1 @ C.conj().T
-    return R10, Gamma0
-
-
-def theta0_defect(data, Q0, P1):
-    """Gram defect M of the constant term of the inner kernel function.
-
-    With the kernel Riccati solution Q0 and its derived closed loop, M equals
-    the identity minus the Gram matrix of the first Taylor block column, and
-    its rank is p - m whenever the kernel condition holds.  This form rebuilds
-    the kernel Schur complement Delta10, gain and closed loop from Q0 and P1;
-    solve() passes the kernel Riccati solution's own to _kernel_defect.
-    """
-    A, C = data.A, data.C
-    R10, Gamma0 = _kernel_popov(data, P1)
-    Delta10 = herm(R10 - Gamma0.conj().T @ Q0 @ Gamma0)
-    C0p = solve_hermitian(Delta10, C - Gamma0.conj().T @ Q0 @ A, "kernel defect")
-    return _kernel_defect(data, P1, Gamma0, Q0, Delta10, C0p, A - Gamma0 @ C0p)[0]
+    return PopovData(R0, Gamma, R10, Gamma0)
 
 
 def _kernel_defect(data, P1, Gamma0, Q0, Delta10, C0p, A0p):
-    """theta0_defect from the kernel Riccati data: Gamma0, the solution Q0, its
-    Schur complement Delta10, gain C0p and closed loop A0p.  Returns M and
+    """Gram defect M of the constant term of the inner kernel function, from
+    the kernel Riccati data: Gamma0, the solution Q0, its Schur complement
+    Delta10, gain C0p and closed loop A0p.  M equals the identity minus the
+    Gram matrix of the first Taylor block column, and its rank is p - m
+    whenever the kernel condition holds.  Returns M and
     Omega0 = (I - P1 Q0)^{-1} P1, the one solve with the kernel gap matrix,
     which solve() reuses for E1."""
     B1, D1 = data.B1, data.D1
@@ -239,18 +208,48 @@ def _kernel_defect(data, P1, Gamma0, Q0, Delta10, C0p, A0p):
 
 def theta0(M, k):
     """Constant term Theta0 (p x k, k = p - m) of the inner function spanning
-    Ker T_G, from its Gram defect M = theta0_defect(...).
+    Ker T_G, from its Gram defect M (_kernel_defect).  Returns Theta0, the
+    smallest kept eigenvalue of M and the largest dropped |eigenvalue| (inf
+    and 0.0 when there are none).
 
-    Factorizes the defect, dropping eigenvalues at or below RANK_CUT; a rank
-    different from k signals a violated kernel condition or numerical
-    breakdown.
+    The kernel condition, which validate certified, fixes the rank of the
+    exact defect M^ at k, so one eigendecomposition of M gives Theta0 as
+    its top k eigenpairs (minimal_rank_factor); the eigenvalues only confirm
+    that split.  With s = ||M|| and the computed M = M^ + E, E of the order
+    of the roundoff unit eps s:
+
+    - Weyl: each eigenvalue of M lies within ||E|| of M^'s, so the p - k
+      dropped ones are zeros of M^ moved by at most ||E||;
+    - Davis-Kahan: M^'s other eigenvalues are exactly 0, so the kept
+      eigenvectors span range M^ to an angle of at most ||E|| / lambda_k,
+      lambda_k the smallest kept eigenvalue.
+
+    The bound is tau = sqrt(eps) s, halfway between eps s and s on a log
+    scale.  A dropped eigenvalue beyond +-tau would take an error
+    1 / sqrt(eps) times the roundoff unit to explain; a kept one at or below
+    tau leaves its direction, at an error of eps s, fixed to no better than
+    eps s / tau = sqrt(eps), half the working digits.  Either is a
+    RankDefectError, and an eigenvalue below -tau a DefinitenessError (M is
+    PSD).  For k = 0 nothing is kept and M^ = 0, so s is error alone and
+    there is no split to confirm: Theta0 is p x 0.
     """
-    F = minimal_rank_factor(M, RANK_CUT)
-    if F.shape[1] != k:
-        raise RankDefectError(
-            f"kernel defect has rank {F.shape[1]}, expected p - m = {k}; "
-            "kernel condition violated or numerical breakdown")
-    return F
+    F, w = minimal_rank_factor(M, k)
+    kept, dropped = w[len(w) - k:], w[:len(w) - k]
+    kept_min = float(np.min(kept, initial=np.inf))
+    dropped_max = float(np.max(np.abs(dropped), initial=0.0))
+    if k:
+        bound = float(np.sqrt(np.finfo(float).eps) * np.max(np.abs(w)))
+        sizes = (f"smallest kept eigenvalue {kept_min:.3e}, largest dropped {dropped_max:.3e}, "
+                 f"bound {bound:.3e}")
+        if w[0] < -bound:
+            raise DefinitenessError(
+                f"kernel defect is not positive semidefinite: min eigenvalue {w[0]:.3e}; "
+                f"{sizes}; numerical breakdown")
+        if not (kept_min > bound and dropped_max <= bound):
+            raise RankDefectError(
+                f"kernel defect has rank other than p - m = {k}: {sizes}; "
+                "kernel condition violated or numerical breakdown")
+    return F, kept_min, dropped_max
 
 
 def _gap_min(eig, H):
@@ -311,8 +310,8 @@ class DerivedMatrices:
         E1 = X* (Q F1 - Q0 X - Q0 Omega0 Q0 X).
 
     Only the gap and gap0 properties invert Q or Q0, for inspection.  M is
-    the p x p Gram defect theta0 factors (theta0_defect's, bit for bit), kept
-    for the oracle's comparison.
+    the p x p Gram defect theta0 factors, formed once from the kernel
+    Riccati solution (_kernel_defect) and kept for the oracle's comparison.
     """
 
     data: LeechData
@@ -414,8 +413,10 @@ def solve(data):
     smallest eigenvalue does not exceed DEFAULT_TOL.  A BreakdownError is a
     numerical failure that says nothing about the data: a Riccati solution
     that fails its postconditions, and after a positive pair gap the kernel
-    gap, the rank cut of theta0 (RANK_CUT) or the Delta normalizations.
-    Every threshold is a module constant; none is a parameter.
+    gap, theta0's check of the rank p - m or the Delta normalizations.
+    Every threshold is a module constant or derived from eps; none is a
+    parameter.  The two theta0_ margins come from the one eigendecomposition
+    of M that theta0 factors.
     A Riccati failure keeps its class; its message names the equation, and
     the pair's failure comes first when both fail.
     """
@@ -449,8 +450,7 @@ def solve(data):
             "numerical breakdown")
 
     M, Omega0 = _kernel_defect(data, P1, pop.Gamma0, Q0, ric0.Delta, ric0.gain, ric0.A0)
-    Theta0 = theta0(M, data.p - data.m)
-    w = np.linalg.eigvalsh(M)  # the gap at the rank cut
+    Theta0, kept_min, dropped_max = theta0(M, data.p - data.m)
     # F1 = (gap Q)^{-1} X, so gap^{-1} X = Q F1; gap0^{-1} X = Q0 (I - P1 Q0)^{-1} X
     X = B1 @ Theta0
     Omega, F1 = _pair_gap_solve(P1, P2, Q, X)
@@ -481,8 +481,8 @@ def solve(data):
             "riccati_iterations": ric.iterations,
             "kernel_riccati_residual": ric0.residual,
             "kernel_riccati_iterations": ric0.iterations,
-            "theta0_kept_min_eig": float(np.min(w[w > RANK_CUT], initial=np.inf)),
-            "theta0_dropped_max_eig": float(np.max(np.abs(w[w <= RANK_CUT]), initial=0.0)),
+            "theta0_kept_min_eig": kept_min,
+            "theta0_dropped_max_eig": dropped_max,
         },
     )
     derived.Delta0, derived.Delta1 = delta_matrices(derived)

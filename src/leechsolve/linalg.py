@@ -18,8 +18,8 @@ from .errors import DefinitenessError, DimensionError
 
 log = logging.getLogger("leechsolve.linalg")
 
-# the fixed margin of the Stein certificate and the Hermitian test below, and
-# of the solver's positivity and parameter-norm gates
+# the fixed margin of the Stein certificate, and of the solver's positivity
+# and parameter-norm gates
 DEFAULT_TOL = 1e-9
 # full column rank: sigma_min > RANK_RATIO sigma_max.  It gates validate's
 # kernel condition only; riccati.is_observable, the other reader, gates
@@ -69,43 +69,18 @@ def _square(M, what, name="M"):
     return A
 
 
-def hermitian_posdef_check(M):
-    """True iff M is Hermitian within DEFAULT_TOL and its smallest eigenvalue is positive.
+def minimal_rank_factor(M, rank):
+    """The top `rank` eigenpairs of the Hermitian part of M as a factor F
+    (n x rank, columns by decreasing eigenvalue, V_k diag(w_k)^1/2), and all
+    eigenvalues w, ascending, from one eigendecomposition.
 
-    The empty 0x0 matrix counts as positive definite.
+    For a PSD M of that rank, F F* = M up to the dropped eigenvalues.  The
+    rank is the caller's, as is the verdict on whether w bears it out; a
+    negative kept eigenvalue gives a zero column.
     """
-    A = _square(M, "definiteness test")
-    if len(A) == 0:
-        return True
-    scale = max(1.0, float(np.linalg.norm(A)))
-    if np.linalg.norm(A - A.conj().T) > DEFAULT_TOL * scale:
-        return False
-    return bool(np.linalg.eigvalsh(herm(A))[0] > 0.0)
-
-
-def minimal_rank_factor(M, cut):
-    """Factor a Hermitian PSD matrix as M = F F* with F of full column rank.
-
-    Eigenvalues at or below the absolute cut are treated as zero; any
-    eigenvalue below -cut raises, since M was promised PSD.  Columns of F
-    are ordered by decreasing eigenvalue.  The zero matrix yields an n x 0
-    factor.
-    """
-    A = _square(M, "rank factorization")
-    if len(A) == 0:
-        return np.zeros((0, 0), dtype=complex)
-    w, V = np.linalg.eigh(herm(A))
-    if np.any(w < -cut):
-        raise DefinitenessError(
-            f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e} "
-            f"below -{cut:.3e}"
-        )
-    keep = w > cut
-    # decreasing eigenvalue order
-    idx = np.argsort(w[keep])[::-1]
-    wk = w[keep][idx]
-    Vk = V[:, keep][:, idx]
-    return Vk * np.sqrt(wk)
+    w, V = np.linalg.eigh(herm(_square(M, "rank factorization")))
+    wk = w[::-1][:rank]
+    return V[:, ::-1][:, :rank] * np.sqrt(np.maximum(wk, 0.0)), w
 
 
 def spectral_norm(M):

@@ -45,7 +45,6 @@ from .linalg import (
     RANK_RATIO,
     as_cmatrix,
     herm,
-    hermitian_posdef_check,
     is_schur_stable,
     singular_extremes,
     solve_hermitian,
@@ -166,7 +165,7 @@ def _finish(A, Gamma, R0, C, Q, GQG, k):
     """The solution from the converged iterate Q after k doublings (GQG =
     Gamma* Q Gamma), once its postconditions hold."""
     Delta = herm(R0 - GQG)
-    if not hermitian_posdef_check(Delta):
+    if not _min_eig(Delta) > 0.0:
         raise DefinitenessError("computed Schur complement is not positive definite")
     W = C - Gamma.conj().T @ Q @ A
     L = solve_hermitian(Delta, W, "riccati gain")

@@ -14,8 +14,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from leechsolve import build_upsilon, linalg, random_problem, solve
-from leechsolve.linalg import sqrtm_posdef
+from leechsolve import build_upsilon, core, linalg, random_problem, solve
+from leechsolve.linalg import herm, sqrtm_posdef
 from leechsolve.toeplitz import OracleContext
 
 BATTERY_SEEDS = (101, 102, 103, 104, 105, 106, 107, 108, 109, 110)
@@ -210,6 +210,21 @@ def squaring_builds(monkeypatch):
     monkeypatch.setattr(linalg, "_last", (None, None))
     monkeypatch.setattr(linalg, "_build_squarings", counting)
     return built
+
+
+def rank_deficient_defect(monkeypatch):
+    """Make solve's kernel defect M lose its smallest kept eigenpair: the
+    (p - m)-th largest eigenvalue of M falls to roundoff, inside theta0's
+    bound, as when the kernel condition fails numerically."""
+    kernel_defect = core._kernel_defect
+
+    def deficient(data, *args):
+        M, Omega0 = kernel_defect(data, *args)
+        w, V = np.linalg.eigh(M)
+        v = V[:, data.m]  # ascending order: the smallest of the top p - m
+        return herm(M - w[data.m] * np.outer(v, v.conj())), Omega0
+
+    monkeypatch.setattr(core, "_kernel_defect", deficient)
 
 
 def builds_of(built, M):

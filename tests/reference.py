@@ -6,13 +6,14 @@ form of B_nabla, the feedback (lifting) form of the coefficients, and the
 operator identities that certify the truncation itself.  Each builds the
 dense matrices T_G, T_K, T_Theta and the explicit inverses that
 leechsolve.toeplitz.OracleContext keeps for them (Tg, Tk, core_inv,
-gram_inv, lam, ill_inv).
+gram_inv, lam, ill_inv).  The realizations of G and K alone and a
+definiteness test for a matrix that may not be Hermitian are here too.
 """
 
 import numpy as np
 
-from leechsolve.linalg import herm
-from leechsolve.realization import observability_matrix
+from leechsolve.linalg import DEFAULT_TOL, _square, herm
+from leechsolve.realization import Realization, observability_matrix
 from leechsolve.toeplitz import (
     _delta_squares,
     lower_block_toeplitz,
@@ -21,6 +22,30 @@ from leechsolve.toeplitz import (
     resolvent_up,
     shift_up,
 )
+
+
+def g_of(data):
+    """Realization of G from LeechData: (A, B1, C, D1)."""
+    return Realization(data.A, data.B1, data.C, data.D1)
+
+
+def k_of(data):
+    """Realization of K from LeechData: (A, B2, C, D2)."""
+    return Realization(data.A, data.B2, data.C, data.D2)
+
+
+def hermitian_posdef_check(M):
+    """True iff M is Hermitian within DEFAULT_TOL and its smallest eigenvalue is positive.
+
+    The empty 0x0 matrix counts as positive definite.
+    """
+    A = _square(M, "definiteness test")
+    if len(A) == 0:
+        return True
+    scale = max(1.0, float(np.linalg.norm(A)))
+    if np.linalg.norm(A - A.conj().T) > DEFAULT_TOL * scale:
+        return False
+    return bool(np.linalg.eigvalsh(herm(A))[0] > 0.0)
 
 
 def shift_down(X, r):

@@ -28,10 +28,12 @@ from tests.conftest import (
     singular_riccati_data,
     square_numerator_data,
     builds_of,
+    rank_deficient_defect,
     squaring_builds,
     unstable_data,
     with_unobservable_states,
 )
+from tests.reference import g_of, k_of
 
 
 def _static_data():
@@ -83,12 +85,12 @@ class TestCheck:
         assert "verdict: INVALID" in out
 
     def test_breakdown_is_not_infeasible(self, tmp_path, capsys, monkeypatch):
-        # a rank cut above the scale of the kernel defect makes the theta0
-        # rank decision fail on feasible data
+        # a kernel defect that lost a kept direction makes the theta0 rank
+        # check fail on feasible data
         path = tmp_path / "p.json"
         assert main(["generate", "--seed", "7", "--out", str(path)]) == 0
         capsys.readouterr()
-        monkeypatch.setattr(core, "RANK_CUT", 1.5)
+        rank_deficient_defect(monkeypatch)
         assert main(["check", str(path)]) == 2
         out = capsys.readouterr().out
         assert "verdict: BREAKDOWN (kernel defect has rank" in out
@@ -118,7 +120,7 @@ class TestSolve:
         X, verification = read_solution(out_path)
         assert verification["interpolation_residual"] <= 1e-7
         assert verification["norm_estimate"] <= 1.0 + 1e-7
-        G, K = data.g(), data.k()
+        G, K = g_of(data), k_of(data)
         for z in circle_points(16):
             res = evaluate(G, z) @ evaluate(X, z) - evaluate(K, z)
             assert np.linalg.norm(res, 2) <= 1e-7
@@ -343,7 +345,7 @@ class TestOracle:
         path = tmp_path / "p.json"
         assert main(["generate", "--seed", "7", "--out", str(path)]) == 0
         out_path = tmp_path / "r.json"
-        monkeypatch.setattr(core, "RANK_CUT", 1.5)
+        rank_deficient_defect(monkeypatch)
         assert main(["oracle", str(path), "--truncation", "60",
                      "--out", str(out_path)]) == 2
         out = capsys.readouterr().out

@@ -32,6 +32,7 @@ from leechsolve.realization import (
 )
 from leechsolve.toeplitz import truncate
 from tests.conftest import circle_points, interior_points, square_numerator_data
+from tests.reference import g_of, k_of
 
 GRID = list(circle_points(16)) + list(interior_points(16))
 
@@ -200,7 +201,7 @@ class TestApply:
     def test_interpolation_and_contractivity(self, battery):
         item = battery[4]
         data, c = item.data, item.coeffs
-        G, K = data.g(), data.k()
+        G, K = g_of(data), k_of(data)
         for pseed in (5, 6):
             Y = random_contraction(pseed, c.free_dim, c.q)
             X = apply_lft(c, Y)
@@ -232,7 +233,7 @@ class TestApply:
         derived = solve(data)
         c = build_upsilon(derived)
         X0 = central_solution(c)
-        G, K = data.g(), data.k()
+        G, K = g_of(data), k_of(data)
         for z in circle_points(32):
             res = evaluate(G, z) @ evaluate(X0, z) - evaluate(K, z)
             assert np.linalg.norm(res, 2) <= 1e-8
@@ -266,7 +267,7 @@ class TestSolutionReport:
         A = item.data.A
         assert sum(M.shape == A.shape and np.array_equal(M, A) for M in state_matrices) == 1
         zs = np.exp(2j * np.pi * np.arange(64) / 64)
-        G, K = item.data.g(), item.data.k()
+        G, K = g_of(item.data), k_of(item.data)
         ref = max(spectral_norm(real(G, z) @ real(X0, z) - real(K, z)) for z in zs)
         assert abs(rep["interpolation_residual"] - ref) <= 1e-12
 

@@ -18,7 +18,6 @@ from leechsolve.core import (
     popov_data,
     solve,
     theta0,
-    theta0_defect,
     validate,
 )
 from leechsolve.errors import (
@@ -33,7 +32,7 @@ from leechsolve.errors import (
 )
 from leechsolve.files import read_problem
 from leechsolve.generate import random_problem
-from leechsolve.linalg import herm, hermitian_posdef_check, sqrtm_posdef
+from leechsolve.linalg import herm, sqrtm_posdef
 from leechsolve.realization import evaluate
 from leechsolve.riccati import is_observable, solve_stein, stabilizing_riccati
 from leechsolve.toeplitz import truncate
@@ -41,10 +40,12 @@ from tests.conftest import (
     builds_of,
     circle_points,
     interior_points,
+    rank_deficient_defect,
     singular_riccati_data,
     squaring_builds,
     with_unobservable_states,
 )
+from tests.reference import g_of, hermitian_posdef_check
 
 N32 = Path(__file__).resolve().parents[1] / "leechbench" / "fixed" / "n32-s1000.json"
 
@@ -178,7 +179,7 @@ class TestCertificate:
             stabilizing_riccati(unstable, pop.Gamma[None], pop.R0[None], data.C)
         validate(data)
         with pytest.raises(StabilityError, match="^truncation requires a stable function"):
-            truncate(dataclasses.replace(data, A=unstable).g(), 4)
+            truncate(g_of(dataclasses.replace(data, A=unstable)), 4)
         validate(data)
         with pytest.raises(StabilityError, match="^Stein equation requires a Schur stable A"):
             solve_stein(unstable, np.eye(data.n))
@@ -367,20 +368,26 @@ class TestTheta0:
     def test_static_row_defect_and_factor(self):
         data = _static_kernel_row()
         empty = np.zeros((0, 0))
-        M = theta0_defect(data, empty, empty)
+        pop = popov_data(data, empty, empty)
+        M, _ = core._kernel_defect(data, empty, pop.Gamma0, empty, pop.R10,
+                                   np.zeros((data.m, 0)), empty)
         np.testing.assert_allclose(M, np.diag([0.0, 1.0]), atol=1e-14)
-        F = theta0(M, data.p - data.m)
+        F, _, _ = theta0(M, data.p - data.m)
         np.testing.assert_allclose(F, np.array([[0.0], [1.0]]), atol=1e-14)
 
     def test_rank_mismatch_raises(self, monkeypatch):
+        # a defect that lost a kept direction has its (p - m)-th eigenvalue
+        # at roundoff, inside the bound
         data, _ = random_problem(55)
-        derived = solve(data)
         assert data.p > data.m
-        # a cut above the natural scale of the defect swallows every
-        # eigenvalue, so the factor comes back empty and the rank check trips
-        monkeypatch.setattr(core, "RANK_CUT", 1.5)
-        with pytest.raises(RankDefectError):
-            theta0(theta0_defect(data, derived.Q0, derived.P1), data.p - data.m)
+        rank_deficient_defect(monkeypatch)
+        with pytest.raises(RankDefectError, match="^kernel defect has rank") as info:
+            solve(data)
+        frames, tb = [], info.value.__traceback__
+        while tb is not None:
+            frames.append((tb.tb_frame.f_code.co_name, tb.tb_frame.f_code.co_filename))
+            tb = tb.tb_next
+        assert any(name == "theta0" and path.endswith("core.py") for name, path in frames)
 
     @pytest.mark.parametrize("seed, dims", [(1175, None), (1001, (24, 2, 3, 2))])
     def test_small_defect_keeps_its_rank(self, seed, dims):
@@ -392,32 +399,89 @@ class TestTheta0:
         assert d.margins["theta0_kept_min_eig"] > 1e-3
         assert d.margins["theta0_dropped_max_eig"] < 1e-8
 
-    def test_solve_defect_is_the_public_form(self, battery, monkeypatch):
-        # solve builds the defect from the kernel Riccati solution's Delta,
-        # gain and A0; theta0_defect rebuilds them from Q0 and P1
+    def test_separated_defect_gives_the_cut_factor(self, battery):
+        # on a defect whose kept and dropped eigenvalues are far apart, the
+        # top p - m eigenpairs are bit for bit the factor of an absolute cut
+        # at 1e-8 (the eigenvalues above it, by decreasing eigenvalue)
+        for item in battery:
+            M, k = item.derived.M, item.data.p - item.data.m
+            w, V = np.linalg.eigh(herm(M))
+            keep = w > 1e-8
+            idx = np.argsort(w[keep])[::-1]
+            cut = V[:, keep][:, idx] * np.sqrt(w[keep][idx])
+            F, kept_min, dropped_max = theta0(M, k)
+            assert cut.shape[1] == k
+            assert np.array_equal(F, cut) and np.array_equal(item.derived.Theta0, cut)
+            assert kept_min == np.min(w[keep], initial=np.inf)
+            assert dropped_max == np.max(np.abs(w[~keep]), initial=0.0)
+
+    @staticmethod
+    def _bound():
+        # the bound on diag(..., 0.5, 1), whose norm is 1
+        return float(np.sqrt(np.finfo(float).eps))
+
+    def test_kept_eigenvalue_inside_the_bound_raises(self):
+        tau = self._bound()
+        F, kept_min, dropped_max = theta0(np.diag([0.0, 1.01 * tau, 1.0]), 2)
+        assert F.shape == (3, 2) and kept_min == 1.01 * tau and dropped_max == 0.0
+        with pytest.raises(RankDefectError, match=(
+                r"^kernel defect has rank other than p - m = 2: smallest kept eigenvalue "
+                r"1\.490e-08, largest dropped 0\.000e\+00, bound 1\.490e-08")):
+            theta0(np.diag([0.0, tau, 1.0]), 2)
+
+    def test_dropped_eigenvalue_above_the_bound_raises(self):
+        tau = self._bound()
+        theta0(np.diag([tau, 0.5, 1.0]), 2)
+        with pytest.raises(RankDefectError, match="largest dropped 1.505e-08"):
+            theta0(np.diag([1.01 * tau, 0.5, 1.0]), 2)
+
+    def test_eigenvalue_below_minus_the_bound_raises(self):
+        tau = self._bound()
+        theta0(np.diag([-tau, 0.5, 1.0]), 2)
+        with pytest.raises(DefinitenessError, match=(
+                r"^kernel defect is not positive semidefinite: min eigenvalue -1\.505e-08")):
+            theta0(np.diag([-1.01 * tau, 0.5, 1.0]), 2)
+
+    def test_square_numerator_gives_an_empty_factor(self):
+        # p = m: nothing is kept, so roundoff of either sign passes
+        F, kept_min, dropped_max = theta0(np.diag([-1e-3, 1e-3]), 0)
+        assert F.shape == (2, 0)
+        assert kept_min == np.inf and dropped_max == 1e-3
+
+    def test_solve_factors_the_defect_it_keeps(self, battery, monkeypatch):
+        # solve forms M once, factors it with theta0 and keeps it, bit for bit
         seen = []
 
         def recording(M, k):
-            seen.append(M)
+            seen.append(M.copy())
             return theta0(M, k)
 
         monkeypatch.setattr(core, "theta0", recording)
         for item in battery:
             seen.clear()
             d = solve(item.data)
-            np.testing.assert_allclose(seen[0], theta0_defect(d.data, d.Q0, d.P1),
-                                       rtol=0.0, atol=1e-12)
-
-    def test_kept_defect_is_the_public_form(self, battery):
-        # solve keeps the defect it factors, bit for bit theta0_defect's
-        for item in battery:
-            d = item.derived
             assert d.M.shape == (d.data.p, d.data.p)
-            assert np.array_equal(d.M, theta0_defect(d.data, d.Q0, d.P1))
+            assert len(seen) == 1 and np.array_equal(seen[0], d.M)
+            assert np.array_equal(d.Theta0, theta0(d.M, d.data.p - d.data.m)[0])
+
+    def test_one_eigendecomposition_of_the_defect(self, battery, monkeypatch):
+        # theta0's factor and both theta0_ margins read one eigen-solve of M
+        seen = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+
+            def recording(a, *args, real=real, **kwargs):
+                seen.append(np.array(a))
+                return real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        for item in battery[:3]:
+            seen.clear()
+            d = solve(item.data)
+            assert sum(np.array_equal(a, d.M) for a in seen) == 1
 
     def test_defect_is_psd(self, battery):
-        d = battery[1].derived
-        M = theta0_defect(d.data, d.Q0, d.P1)
+        M = battery[1].derived.M
         assert float(np.linalg.eigvalsh(M)[0]) >= -1e-10
 
 

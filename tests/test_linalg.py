@@ -8,7 +8,6 @@ from leechsolve.errors import DefinitenessError, DimensionError
 from leechsolve.linalg import (
     as_cmatrix,
     herm,
-    hermitian_posdef_check,
     is_schur_stable,
     minimal_rank_factor,
     schur_squarings,
@@ -18,6 +17,7 @@ from leechsolve.linalg import (
     stein_doubling,
 )
 from tests.conftest import kron_stein
+from tests.reference import hermitian_posdef_check
 
 
 def random_complex(rng, rows, cols):
@@ -59,28 +59,50 @@ class TestPosdefCheck:
 
 class TestMinimalRankFactor:
     def test_diagonal_rank_one(self):
-        F = minimal_rank_factor(np.diag([0.0, 1.0]), 1e-8)
+        F, w = minimal_rank_factor(np.diag([0.0, 1.0]), 1)
         assert F.shape == (2, 1)
+        np.testing.assert_array_equal(w, [0.0, 1.0])
         np.testing.assert_allclose(F @ F.conj().T, np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_zero_matrix_gives_empty_factor(self):
-        F = minimal_rank_factor(np.zeros((3, 3)), 1e-8)
-        assert F.shape == (3, 0)
+        F, w = minimal_rank_factor(np.zeros((3, 3)), 0)
+        assert F.shape == (3, 0) and w.shape == (3,)
+
+    def test_empty_matrix(self):
+        F, w = minimal_rank_factor(np.zeros((0, 0)), 0)
+        assert F.shape == (0, 0) and w.shape == (0,)
 
     def test_reconstruction_of_random_gram(self):
         rng = np.random.default_rng(1)
         F0 = random_complex(rng, 4, 2)
         M = F0 @ F0.conj().T
-        F = minimal_rank_factor(M, 1e-8)
+        F, w = minimal_rank_factor(M, 2)
         assert F.shape == (4, 2)
         np.testing.assert_allclose(F @ F.conj().T, M, atol=1e-10)
+        np.testing.assert_allclose(w[:2], 0.0, atol=1e-12)
 
-    def test_indefinite_raises(self):
-        with pytest.raises(DefinitenessError):
-            minimal_rank_factor(np.diag([1.0, -1.0]), 1e-8)
+    def test_top_eigenpairs_are_the_cut_factor(self):
+        # the top `rank` eigenpairs are bit for bit those above an absolute
+        # cut that separates the same eigenvalues, by decreasing eigenvalue
+        rng = np.random.default_rng(2)
+        F0 = random_complex(rng, 5, 3)
+        M = herm(F0 @ F0.conj().T)
+        w, V = np.linalg.eigh(M)
+        keep = w > 1e-8
+        idx = np.argsort(w[keep])[::-1]
+        F, w_all = minimal_rank_factor(M, 3)
+        assert np.array_equal(F, V[:, keep][:, idx] * np.sqrt(w[keep][idx]))
+        assert np.array_equal(w_all, w)
+
+    def test_negative_kept_eigenvalue_gives_a_zero_column(self):
+        # the rank is the caller's, and so is the verdict on a negative
+        # eigenvalue: the factor only keeps no negative weight
+        F, w = minimal_rank_factor(np.diag([1.0, -1.0]), 2)
+        np.testing.assert_array_equal(w, [-1.0, 1.0])
+        np.testing.assert_allclose(np.linalg.norm(F, axis=0), [1.0, 0.0], atol=0.0)
 
     def test_columns_ordered_by_decreasing_weight(self):
-        F = minimal_rank_factor(np.diag([1.0, 9.0, 4.0]), 1e-8)
+        F, _ = minimal_rank_factor(np.diag([1.0, 9.0, 4.0]), 3)
         norms = np.linalg.norm(F, axis=0)
         assert np.all(np.diff(norms) <= 0)
         np.testing.assert_allclose(norms, [3.0, 2.0, 1.0], atol=1e-12)

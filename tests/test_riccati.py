@@ -14,7 +14,7 @@ from leechsolve.errors import (
     StabilityError,
 )
 from leechsolve.generate import random_problem, random_stable_matrix
-from leechsolve.linalg import hermitian_posdef_check, is_schur_stable
+from leechsolve.linalg import is_schur_stable
 from leechsolve.riccati import (
     RiccatiSolutions,
     is_observable,
@@ -22,6 +22,7 @@ from leechsolve.riccati import (
     stabilizing_riccati,
 )
 from tests.conftest import fixed_point_riccati, kron_stein, singular_riccati_data
+from tests.reference import hermitian_posdef_check
 
 
 class TestSolveStein:

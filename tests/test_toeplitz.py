@@ -35,6 +35,7 @@ from leechsolve.coefficients import build_redheffer
 from tests.reference import (
     bnabla_defect,
     delta1_appendix_defect,
+    g_of,
     gram_riccati_defect,
     identity_gram_inverse,
     identity_kernel_resolvent,
@@ -43,6 +44,7 @@ from tests.reference import (
     identity_resolvent_shift,
     identity_shift_compression,
     identity_theta_resolvent,
+    k_of,
     oracle_appendix_phi,
     woodbury_defect,
 )
@@ -93,7 +95,7 @@ class TestTruncate:
 
     def test_matrix_is_block_toeplitz(self):
         data, _ = random_problem(70)
-        column = truncate(data.g(), 5)
+        column = truncate(g_of(data), 5)
         m, p = data.m, data.p
         assert column.shape == (5 * m, p)
         T = lower_block_toeplitz(column, m)
@@ -119,7 +121,7 @@ class TestTruncate:
         ctx = OracleContext(data, 40)
         assert calls == [39]
         monkeypatch.setattr(realization, "observability_blocks", real)
-        for column, F in ((ctx.TgEp, data.g()), (ctx.TkEq, data.k())):
+        for column, F in ((ctx.TgEp, g_of(data)), (ctx.TkEq, k_of(data))):
             ref = truncate(F, 40)
             assert column.shape == ref.shape
             assert np.linalg.norm(column - ref) <= 1e-14 * np.linalg.norm(ref)
@@ -127,7 +129,7 @@ class TestTruncate:
     def test_bad_inputs(self):
         data, _ = random_problem(72)
         with pytest.raises(DimensionError):
-            truncate(data.g(), 0)
+            truncate(g_of(data), 0)
         F = Realization(np.array([[1.1]]), np.array([[1.0]]),
                         np.array([[1.0]]), np.array([[0.0]]))
         with pytest.raises(StabilityError):
@@ -229,7 +231,7 @@ class TestStructuredPaths:
     def test_block_toeplitz_matches_block_loop(self, battery):
         for item in battery:
             for N in self.WINDOWS:
-                for F in (item.data.g(), item.data.k()):
+                for F in (g_of(item.data), k_of(item.data)):
                     column = truncate(F, N)
                     np.testing.assert_array_equal(lower_block_toeplitz(column, item.data.m),
                                                   block_toeplitz_loop(np.split(column, N)))
@@ -272,7 +274,7 @@ class TestStructuredPaths:
             assert _rel_diff(theta0_defect_oracle(ctx), ref) <= 1e-12
 
     def test_unstable_data_raises(self):
-        # LeechData.g() and .k() do not assert stability, so truncate tests A
+        # g_of and k_of do not assert stability, so truncate tests A
         with pytest.raises(StabilityError):
             OracleContext(unstable_data(), 5)
 
@@ -907,9 +909,8 @@ class TestThetaOracle:
             np.testing.assert_allclose(theta.sample(z), [[0.0], [1.0]], atol=1e-13)
 
     def test_defect_matches_state_space(self, battery, oracle_cache):
-        from leechsolve.core import theta0_defect
         item = battery[0]
-        M_ss = theta0_defect(item.data, item.derived.Q0, item.derived.P1)
+        M_ss = item.derived.M
         M_or = theta0_defect_oracle(oracle_cache(item.data, 200))
         assert np.linalg.norm(M_ss - M_or) <= 1e-6
 
@@ -1050,7 +1051,7 @@ class TestOperatorIdentities:
     def test_kernel_resolvent_identity(self, battery, oracle_cache):
         item = battery[0]
         ctx = oracle_cache(item.data, 200)
-        G, K = item.data.g(), item.data.k()
+        G, K = g_of(item.data), k_of(item.data)
         for z in (0.3, 0.1 + 0.4j):
             assert identity_kernel_resolvent(
                 ctx, z, evaluate(G, z), evaluate(K, z)) <= 1e-8
