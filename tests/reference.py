@@ -6,13 +6,15 @@ form of B_nabla, the feedback (lifting) form of the coefficients, and the
 operator identities that certify the truncation itself.  Each builds the
 dense matrices T_G, T_K, T_Theta and the explicit inverses that
 leechsolve.toeplitz.OracleContext keeps for them (Tg, Tk, core_inv,
-gram_inv, lam, ill_inv).  The realizations of G and K alone and a
-definiteness test for a matrix that may not be Hermitian are here too.
+gram_inv, lam, ill_inv).  The realizations of G and K alone, a second
+formation of the kernel defect and a definiteness test for a matrix that
+may not be Hermitian are here too.
 """
 
 import numpy as np
 
-from leechsolve.linalg import DEFAULT_TOL, _square, herm
+from leechsolve.core import _kernel_defect
+from leechsolve.linalg import DEFAULT_TOL, _square, herm, solve_hermitian
 from leechsolve.realization import Realization, observability_matrix
 from leechsolve.toeplitz import (
     _delta_squares,
@@ -32,6 +34,19 @@ def g_of(data):
 def k_of(data):
     """Realization of K from LeechData: (A, B2, C, D2)."""
     return Realization(data.A, data.B2, data.C, data.D2)
+
+
+def theta0_defect(data, Q0, P1):
+    """Gram defect M of the constant term of the inner kernel function,
+    rebuilt from the kernel Riccati solution Q0 and P1 alone: the kernel
+    Popov form (R10, Gamma0), Schur complement Delta10, gain and closed loop
+    are formed here, where solve() passes the kernel Riccati solution's own."""
+    A, B1, C, D1 = data.A, data.B1, data.C, data.D1
+    R10 = herm(D1 @ D1.conj().T + C @ P1 @ C.conj().T)
+    Gamma0 = B1 @ D1.conj().T + A @ P1 @ C.conj().T
+    Delta10 = herm(R10 - Gamma0.conj().T @ Q0 @ Gamma0)
+    C0p = solve_hermitian(Delta10, C - Gamma0.conj().T @ Q0 @ A, "kernel defect")
+    return _kernel_defect(data, P1, Gamma0, Q0, Delta10, C0p, A - Gamma0 @ C0p)[0]
 
 
 def hermitian_posdef_check(M):

@@ -45,7 +45,7 @@ from tests.conftest import (
     squaring_builds,
     with_unobservable_states,
 )
-from tests.reference import g_of, hermitian_posdef_check
+from tests.reference import g_of, hermitian_posdef_check, theta0_defect
 
 N32 = Path(__file__).resolve().parents[1] / "leechbench" / "fixed" / "n32-s1000.json"
 
@@ -463,6 +463,29 @@ class TestTheta0:
             assert d.M.shape == (d.data.p, d.data.p)
             assert len(seen) == 1 and np.array_equal(seen[0], d.M)
             assert np.array_equal(d.Theta0, theta0(d.M, d.data.p - d.data.m)[0])
+
+    def test_solve_defect_is_the_public_form(self, battery, monkeypatch):
+        # solve builds the defect from the kernel Riccati solution's Delta,
+        # gain and A0; theta0_defect rebuilds them from Q0 and P1
+        seen = []
+
+        def recording(M, k):
+            seen.append(M)
+            return theta0(M, k)
+
+        monkeypatch.setattr(core, "theta0", recording)
+        for item in battery:
+            seen.clear()
+            d = solve(item.data)
+            np.testing.assert_allclose(seen[0], theta0_defect(d.data, d.Q0, d.P1),
+                                       rtol=0.0, atol=1e-12)
+
+    def test_kept_defect_is_the_public_form(self, battery):
+        # solve keeps the defect it factors, bit for bit theta0_defect's
+        for item in battery:
+            d = item.derived
+            assert d.M.shape == (d.data.p, d.data.p)
+            assert np.array_equal(d.M, theta0_defect(d.data, d.Q0, d.P1))
 
     def test_one_eigendecomposition_of_the_defect(self, battery, monkeypatch):
         # theta0's factor and both theta0_ margins read one eigen-solve of M
