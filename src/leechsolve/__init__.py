@@ -55,7 +55,6 @@ from .realization import (
     evaluate,
     hconcat,
     hinf_norm_estimate,
-    identity,
     inverse,
     product,
     taylor_blocks,
@@ -103,7 +102,6 @@ __all__ = [
     "gramians",
     "hconcat",
     "hinf_norm_estimate",
-    "identity",
     "inverse",
     "j_inner_defect",
     "oracle_theta",

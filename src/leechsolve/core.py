@@ -292,8 +292,9 @@ class DerivedMatrices:
 
     The n x n matrices beyond the Gramians and the two Riccati solutions are
     recomputed on access: the closed loop A0 = A - Gamma C0 (bit for bit the
-    Riccati solution's), the gaps and Omega.  The coefficients read the thin
-    products solve() formed from them (B = [B1  B2], D = [D1  D2]):
+    Riccati solution's) and the gaps.  Omega is not kept (_pair_gap_solve
+    forms it again from P1, P2, Q and F1).  The coefficients read the thin
+    products solve() formed (B = [B1  B2], D = [D1  D2]):
 
         [C1; C2] = D* C0 + B* Q A0                            (p + q) x n
         E0 = (D - Gamma* Q B)* Delta^{-1} (D2 - Gamma* Q B2) + B* Q B2
@@ -352,11 +353,6 @@ class DerivedMatrices:
     def gap0(self):
         """Q0^{-1} - P1, for an invertible Q0 only, as gap; solve() never reads it."""
         return herm(_inverse(self.Q0, "Q0", "gap0_min_eig") - self.P1)
-
-    @property
-    def Omega(self):
-        """The Omega solve() formed, bit for bit: the same solve, against [P1 - P2, F1]."""
-        return _pair_gap_solve(self.P1, self.P2, self.Q, self.F1)[0]
 
 
 def delta_matrices(derived):

@@ -10,13 +10,14 @@ The seed and every derived choice are reported alongside the data.
 import numpy as np
 
 from .core import LeechData, solve, validate
-from .errors import LeechError
-from .linalg import herm, spectral_norm
-from .realization import Realization, constant, hinf_norm_estimate, observability_matrix
+from .errors import DimensionError, LeechError
+from .linalg import herm, is_schur_stable, spectral_norm
+from .realization import Realization, constant, hinf_norm_estimate, observability_blocks
 from .toeplitz import OracleContext, lower_block_toeplitz, toeplitz_gram
 
 EST_ORDER = 100  # truncation order of the Gram margin estimate
 MAX_ATTEMPTS = 60
+KINDS = ("feasible", "infeasible", "kernel", "corona")
 
 
 def _randc(rng, rows, cols, scale=1.0):
@@ -69,10 +70,14 @@ def random_problem(seed, kind="feasible", dims=None, closed_loop_band=None):
           "kernel"     - K identically zero;
           "corona"     - B2 = 0, D2 = I with G scaled so T_G T_G* > I.
 
-    closed_loop_band, when given as (lo, hi), filters feasible instances by
-    the spectral radius of the closed-loop matrix A0 (retrying on new draws),
-    which keeps truncation-convergence experiments away from degenerate rates.
-    Returns (data, meta) with the seed and all derived choices in meta.
+    dims, when given as (n, m, p, q), must satisfy 1 <= m <= p <= n + m, with
+    q >= 1 for a feasible or infeasible draw (a DimensionError otherwise);
+    an unknown kind is a ValueError.  Both are checked before any random
+    number is drawn.  closed_loop_band, when given as (lo, hi), filters
+    feasible instances by the spectral radius of the closed-loop matrix A0
+    (retrying on new draws), which keeps truncation-convergence experiments
+    away from degenerate rates.  Returns (data, meta) with the seed and all
+    derived choices in meta.
 
     A draw eigen-solves only the N-block matrices (N = EST_ORDER) whose values
     it reports: lambda_max of T_K* (T_G T_G*)^-1 T_K for a feasible or
@@ -82,6 +87,14 @@ def random_problem(seed, kind="feasible", dims=None, closed_loop_band=None):
     update of the N/4-block rung's eigendecomposition where update_pays
     (m = 2 and n <= 8, or m = 1 and n <= 3), else an eigvalsh of the core.
     """
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {', '.join(KINDS)}, got {kind!r}")
+    if dims is not None:
+        n, m, p, q = dims
+        q_min = int(kind in ("feasible", "infeasible"))
+        if not (1 <= m <= p <= n + m and q >= q_min):
+            raise DimensionError(f"dims (n, m, p, q) = {tuple(dims)} must satisfy "
+                                 f"1 <= m <= p <= n + m and q >= {q_min} for a {kind} draw")
     rng = np.random.default_rng(seed)
     last_error = None
     for attempt in range(1, MAX_ATTEMPTS + 1):
@@ -122,7 +135,10 @@ def _draw_once(rng, kind, dims):
     answers as an eigen-solve would, except where lambda_min equals 0.2 to
     roundoff.  After six boosts a feasible or infeasible draw decides
     T_G T_G* definite the same way, and eigen-solves it only for the error
-    message.
+    message.  A square G (p = m) of any kind but infeasible must be outer,
+    so that G^-1 is stable: the draw is rejected unless A - B1 D1^-1 C is
+    certified Schur stable, after every random number of the draw is taken,
+    so an outer draw keeps its bits.
     """
     n, m, p, q = dims if dims is not None else _draw_dims(rng)
     if kind == "corona":
@@ -136,7 +152,7 @@ def _draw_once(rng, kind, dims):
     # C A^k for k < EST_ORDER - 1, once per draw: Taylor block k + 1 of G and
     # of K is C A^k times B1 or B2.  No stability test: A is stable by
     # construction, and validate certifies it below
-    powers = observability_matrix(C, A, EST_ORDER - 1)
+    powers = observability_blocks(C, A, EST_ORDER - 1).reshape((EST_ORDER - 1) * m, n)
 
     def first_column(d, b):
         """First block column of the truncated Toeplitz matrix of d + z C (I - zA)^-1 b:
@@ -182,6 +198,14 @@ def _draw_once(rng, kind, dims):
         D2 = scale * D2r
         meta["scale"] = float(scale)
         meta["lambda_norm_estimate"] = float(target)
+
+    if p == m and kind != "infeasible":
+        try:
+            zeros = A - B1 @ np.linalg.solve(D1, C)
+        except np.linalg.LinAlgError:
+            raise LeechError("square G has a singular D1") from None
+        if not is_schur_stable(zeros):
+            raise LeechError("square G is not outer: A - B1 D1^-1 C is not Schur stable")
 
     data = LeechData(A, B1, B2, C, D1, D2)
     report = validate(data)

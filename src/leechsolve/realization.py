@@ -83,10 +83,6 @@ def zeros(out_dim, in_dim):
     return constant(np.zeros((out_dim, in_dim), dtype=complex))
 
 
-def identity(dim):
-    return constant(np.eye(dim, dtype=complex))
-
-
 def evaluate(F, z):
     """Value F(z) = D + z C (I - z A)^{-1} B; raises if I - z A is singular.
 
@@ -121,8 +117,9 @@ def evaluate(F, z):
 def observability_blocks(C, A, count):
     """The first `count` blocks C, C A, ..., C A^(count-1), stacked with shape
     (count, rows of C, n): the one C A^k recurrence, read by the Taylor
-    coefficients, the observability matrix, the generator's truncations and
-    (with C = I) the powers of the oracle's lifted realization.
+    coefficients, the observability test, the generator's truncations and
+    (with C = I) the powers of the oracle's lifted realization; stacked as
+    one (count rows) x n matrix, it is the observability matrix.
 
     Recursive doubling (Kogge & Stone 1973): with the first s blocks and
     A^s known, the next s are the one product [C; ...; C A^(s-1)] A^s, and
@@ -141,11 +138,6 @@ def observability_blocks(C, A, count):
         if s < count:
             power = power @ power
     return O
-
-
-def observability_matrix(C, A, N):
-    """Stack the first N blocks [C; CA; ...; C A^{N-1}]."""
-    return observability_blocks(C, A, N).reshape(N * len(C), A.shape[0])
 
 
 def taylor_blocks(F, count):

@@ -50,7 +50,7 @@ from .linalg import (
     solve_hermitian,
     stein_doubling,
 )
-from .realization import observability_matrix
+from .realization import observability_blocks
 
 log = logging.getLogger("leechsolve.riccati")
 
@@ -115,9 +115,10 @@ def solve_stein(A, W):
 
 def is_observable(C, A):
     """Rank test on the observability matrix: sigma_min > RANK_RATIO sigma_max."""
-    if A.shape[0] == 0:
+    n = A.shape[0]
+    if n == 0:
         return True
-    smin, smax = singular_extremes(observability_matrix(C, A, A.shape[0]))
+    smin, smax = singular_extremes(observability_blocks(C, A, n).reshape(n * len(C), n))
     return smax > 0.0 and smin > RANK_RATIO * smax
 
 

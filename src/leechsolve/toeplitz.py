@@ -15,7 +15,7 @@ state-space solution path.
 A truncation is kept as its first block column T E, the stacked Taylor
 blocks (truncate: one doubling recurrence for C A^k and one batched product
 with B); lower_block_toeplitz gathers the full matrix from it only where an
-operator identity needs T itself.  The Gram matrices
+operator identity (Lambda) needs T itself.  The Gram matrices
 gram = T_G T_G* and core = T_G T_G* - T_K T_K* are built from their
 displacement: T J T* - S T J T* S* = (T E) J (T E)* gives each from the
 first block column alone (toeplitz_gram), with no dense product; core is
@@ -61,7 +61,7 @@ and no Gram matrix nor LU wider than the first rung is formed.  The
 samples at all points read one resolvent of the widest column,
 (I - conj(z) S)^{-1} [T_G E_p, T_K E_q], scanned once per ladder at every
 point (column_resolvent); each rung reads its leading rows.  The
-resolvents are log-depth scans (Kogge & Stone 1973), log2 N array steps at
+resolvent is a log-depth scan (Kogge & Stone 1973), log2 N array steps at
 all points at once.  The path eigen-solves only core:
 gram - core = T_K T_K* is positive semidefinite, so a positive core margin
 already proves gram definite, and the Gram margin is computed only when the
@@ -75,12 +75,7 @@ import numpy as np
 
 from .errors import DimensionError, InfeasibleError, StabilityError
 from .linalg import herm, sqrtm_posdef
-from .realization import (
-    is_schur_stable,
-    observability_blocks,
-    observability_matrix,
-    taylor_blocks,
-)
+from .realization import is_schur_stable, observability_blocks, taylor_blocks
 
 EPS = np.finfo(float).eps
 # Newton or halving steps of _updated_margin's root search: halving alone
@@ -142,26 +137,14 @@ def shift_up(X, r):
     return Y
 
 
-def resolvent_up(X, z, r):
-    """(I - z S*)^{-1} X (exact: S* is nilpotent): block i is the sum over
-    j >= i of z^(j-i) X_j, by a log-depth scan (_resolvent_scan).
-
-    With an array of points z the result is the stack over the points,
-    shape z.shape + X.shape."""
-    return _resolvent_scan(X, z, r, up=True)
-
-
 def resolvent_down(X, z, r):
-    """(I - z S)^{-1} X: block i is the sum over j <= i of z^(i-j) X_j, by
-    the same scan as resolvent_up, for one point or an array of points."""
-    return _resolvent_scan(X, z, r, up=False)
+    """(I - z S)^{-1} X (exact: S is nilpotent): block i is the sum over
+    j <= i of z^(i-j) X_j, for one point or an array of points, the result
+    then stacked over the points, shape z.shape + X.shape.
 
-
-def _resolvent_scan(X, z, r, up):
-    """The recursive-doubling scan (Kogge & Stone 1973) of the resolvents:
-    after the step of span s each block holds its sum over the next 2 s
-    blocks (up) or the previous 2 s (down), so log2 N array steps replace
-    the N block steps of the Horner recursion."""
+    A recursive-doubling scan (Kogge & Stone 1973): after the step of span
+    s each block holds its sum over the previous 2 s blocks, so log2 N array
+    steps replace the N block steps of the Horner recursion."""
     z = np.asarray(z, dtype=complex)
     Y = np.empty(z.shape + X.shape, dtype=complex)
     Y[...] = X
@@ -169,11 +152,7 @@ def _resolvent_scan(X, z, r, up):
     zs = z[..., None, None, None]
     s = 1
     while s < blocks.shape[-3]:
-        early, late = blocks[..., :-s, :, :], blocks[..., s:, :, :]
-        if up:
-            early += zs * late
-        else:
-            late += zs * early
+        blocks[..., s:, :, :] += zs * blocks[..., :-s, :, :]
         zs = zs * zs
         s *= 2
     return Y
@@ -206,7 +185,7 @@ def ladder_margin(w, U, last, lifted, c):
     size, k = (c - 1) * rows + len(last[0]), 2 * n * (c - 1)
     if not n:
         return float(w[0])
-    O = observability_matrix(CL, Phi, c - 1)
+    O = observability_blocks(CL, Phi, c - 1).reshape((c - 1) * rows, n)
     F = np.zeros((size, 2, c - 1, n), dtype=complex)
     for i in range(c - 1):
         F[(i + 1) * rows:, 0, i] = O[:size - (i + 1) * rows]  # Z^i a
@@ -444,9 +423,9 @@ class OracleContext:
     margin is not positive does the guard compute the Gram margin itself.
     The oracle itself needs only the columns and the thin solves
     gram_solved and core_solved, each by one block LDL* sweep (ldl_sweep);
-    the full matrices Tg, Tk and the explicit inverses core_inv, gram_inv
-    and ill_inv are built on first use, for Lambda and the test-side
-    operator identities (tests/reference.py).
+    Lambda, which gathers T_G and T_K from the columns, and the explicit
+    inverses core_inv, gram_inv and ill_inv are built on first use, for the
+    test-side operator identities (tests/reference.py).
 
     window(N) is the context of the leading N blocks: its columns are
     slices of this one's, so a truncation ladder truncates once, at its
@@ -519,14 +498,6 @@ class OracleContext:
         sub.TkEq = self.TkEq[:rows]
         sub._root = self._root or self
         return sub
-
-    @cached_property
-    def Tg(self):
-        return lower_block_toeplitz(self.TgEp, self.m)
-
-    @cached_property
-    def Tk(self):
-        return lower_block_toeplitz(self.TkEq, self.m)
 
     @cached_property
     def gram(self):
@@ -672,7 +643,8 @@ class OracleContext:
     def lam(self):
         """The contraction Lambda = T_G* (T_G T_G*)^{-1} T_K."""
         self.require_gram_definite()
-        return self.Tg.conj().T @ np.linalg.solve(self.gram, self.Tk)
+        Tg, Tk = lower_block_toeplitz(self.TgEp, self.m), lower_block_toeplitz(self.TkEq, self.m)
+        return Tg.conj().T @ np.linalg.solve(self.gram, Tk)
 
     @cached_property
     def ill_inv(self):
@@ -689,10 +661,13 @@ def theta0_defect_oracle(ctx):
 
 
 class ThetaOracle:
-    """Inner kernel function of T_G on the truncation.
+    """Inner kernel function of T_G on the truncation,
 
-    Theta(z) = Theta0 - z E_p* T_G* (I - z S_m*)^{-1} (T_G T_G*)^{-1} N with
-    N = S_m* T_G E_p Theta0; the resolvent is an exact finite sum.
+        Theta(z) = Theta0 - z E_p* T_G* (I - z S_m*)^{-1} (T_G T_G*)^{-1} N,
+
+    N = S_m* T_G E_p Theta0, kept as its data: Theta0, N (Nop) and the thin
+    solves gram^{-1} N (w) and core^{-1} N (core_n) that oracle_upsilon and
+    the normalizations read.
     """
 
     def __init__(self, ctx, Theta0):
@@ -713,10 +688,6 @@ class ThetaOracle:
     def core_n(self):
         """core^{-1} N."""
         return self.ctx.core_solved[:, self.ctx.q:] @ self.Theta0
-
-    def sample(self, z):
-        ctx = self.ctx
-        return self.Theta0 - z * (ctx.TgEp.conj().T @ resolvent_up(self.w, z, ctx.m))
 
 
 def oracle_theta(ctx, Theta0):

@@ -16,7 +16,7 @@ import pytest
 
 from leechsolve import build_upsilon, core, linalg, random_problem, solve
 from leechsolve.linalg import herm, sqrtm_posdef
-from leechsolve.toeplitz import OracleContext
+from leechsolve.toeplitz import OracleContext, lower_block_toeplitz
 
 BATTERY_SEEDS = (101, 102, 103, 104, 105, 106, 107, 108, 109, 110)
 FEASIBLE_SEEDS = tuple(range(201, 221))
@@ -63,15 +63,22 @@ def block_toeplitz_loop(blocks):
     return T
 
 
+def dense_toeplitz(ctx):
+    """T_G and T_K on the context's window, gathered from its first block columns."""
+    return lower_block_toeplitz(ctx.TgEp, ctx.m), lower_block_toeplitz(ctx.TkEq, ctx.m)
+
+
 def dense_gram(ctx):
     """Reference T_G T_G* from the dense product."""
-    M = ctx.Tg @ ctx.Tg.conj().T
+    Tg, _ = dense_toeplitz(ctx)
+    M = Tg @ Tg.conj().T
     return 0.5 * (M + M.conj().T)
 
 
 def dense_core(ctx):
     """Reference T_G T_G* - T_K T_K* from the dense products."""
-    M = ctx.Tg @ ctx.Tg.conj().T - ctx.Tk @ ctx.Tk.conj().T
+    Tg, Tk = dense_toeplitz(ctx)
+    M = Tg @ Tg.conj().T - Tk @ Tk.conj().T
     return 0.5 * (M + M.conj().T)
 
 
@@ -121,7 +128,8 @@ def upsilon_per_point(ctx, Theta0, zs):
     p, q, m, k = ctx.p, ctx.q, ctx.m, ctx.p - ctx.m
     core_inv = np.linalg.inv(dense_core(ctx))
     gram_inv = np.linalg.inv(dense_gram(ctx))
-    TgEp, TkEq = ctx.Tg[:, :p], ctx.Tk[:, :q]
+    Tg, Tk = dense_toeplitz(ctx)
+    TgEp, TkEq = Tg[:, :p], Tk[:, :q]
     N = np.zeros_like(TgEp @ Theta0)
     N[:-m] = (TgEp @ Theta0)[m:]
     d0sq = np.eye(q) + TkEq.conj().T @ core_inv @ TkEq

@@ -4,26 +4,29 @@ No library or command path reads these.  They check the oracle and the
 state-space solution against the operator forms of the paper: the defining
 form of B_nabla, the feedback (lifting) form of the coefficients, and the
 operator identities that certify the truncation itself.  Each builds the
-dense matrices T_G, T_K, T_Theta and the explicit inverses that
-leechsolve.toeplitz.OracleContext keeps for them (Tg, Tk, core_inv,
-gram_inv, lam, ill_inv).  The realizations of G and K alone, a second
-formation of the kernel defect and a definiteness test for a matrix that
-may not be Hermitian are here too.
+dense matrices T_G and T_K (gathered from the context's first block columns
+by lower_block_toeplitz), T_Theta, and reads the explicit inverses that
+leechsolve.toeplitz.OracleContext keeps for them (core_inv, gram_inv, lam,
+ill_inv).  The kernel function's samples and the up resolvent are the
+Horner recursion of tests/conftest.py (resolvent_loop), at one point at a
+time.  The realizations of G and K alone, the observability matrix, a
+second formation of the kernel defect and a definiteness test for a matrix
+that may not be Hermitian are here too.
 """
 
 import numpy as np
 
-from leechsolve.core import _kernel_defect
+from leechsolve.core import _kernel_defect, _pair_gap_solve
 from leechsolve.linalg import DEFAULT_TOL, _square, herm, solve_hermitian
-from leechsolve.realization import Realization, observability_matrix
+from leechsolve.realization import Realization, observability_blocks
 from leechsolve.toeplitz import (
     _delta_squares,
     lower_block_toeplitz,
     oracle_deltas,
     resolvent_down,
-    resolvent_up,
     shift_up,
 )
+from tests.conftest import dense_toeplitz, resolvent_loop
 
 
 def g_of(data):
@@ -47,6 +50,30 @@ def theta0_defect(data, Q0, P1):
     Delta10 = herm(R10 - Gamma0.conj().T @ Q0 @ Gamma0)
     C0p = solve_hermitian(Delta10, C - Gamma0.conj().T @ Q0 @ A, "kernel defect")
     return _kernel_defect(data, P1, Gamma0, Q0, Delta10, C0p, A - Gamma0 @ C0p)[0]
+
+
+def omega_of(derived):
+    """The Omega solve() formed, Omega = (I + (P2 - P1) Q)^{-1} (P1 - P2),
+    from the same solve against [P1 - P2, F1]."""
+    return _pair_gap_solve(derived.P1, derived.P2, derived.Q, derived.F1)[0]
+
+
+def observability_matrix(C, A, N):
+    """The first N blocks [C; C A; ...; C A^(N-1)] stacked as one matrix."""
+    return observability_blocks(C, A, N).reshape(N * len(C), A.shape[0])
+
+
+def resolvent_up(X, z, r):
+    """(I - z S*)^{-1} X at one point z (exact: S* is nilpotent): block i is
+    the sum over j >= i of z^(j-i) X_j, by the Horner recursion."""
+    return resolvent_loop(X, z, r)
+
+
+def theta_sample(theta, z):
+    """Theta(z) = Theta0 - z E_p* T_G* (I - z S_m*)^{-1} gram^{-1} N of a
+    ThetaOracle at one point z."""
+    ctx = theta.ctx
+    return theta.Theta0 - z * (ctx.TgEp.conj().T @ resolvent_up(theta.w, z, ctx.m))
 
 
 def hermitian_posdef_check(M):
@@ -87,7 +114,7 @@ def theta_toeplitz(theta):
 def bnabla(ctx, theta):
     """B_nabla = (I - Lambda* Lambda)^{-1} Lambda* S_p* T_Theta E_k,
     computed through the equivalent compact form -T_K* core^{-1} N."""
-    return -(ctx.Tk.conj().T @ theta.core_n)
+    return -(dense_toeplitz(ctx)[1].conj().T @ theta.core_n)
 
 
 def bnabla_defect(ctx, theta):
@@ -138,7 +165,7 @@ def oracle_appendix_phi(ctx, theta, zs):
            "Delta0": Delta0, "Delta1": Delta1}
     eye = np.eye(Nq, dtype=complex)
     for z in zs:
-        thz = theta.sample(z)
+        thz = theta_sample(theta, z)
         rhs = np.linalg.solve(eye - z * M, np.hstack([Bn, eye[:, :q]]))
         rB, rE = rhs[:, :k], rhs[:, k:]
         out["Phi11"].append(-z * d0i @ rB[:q] @ d1i)
@@ -179,21 +206,23 @@ def _rel(defect, scale):
 def identity_gram_inverse(ctx):
     """(I - Lambda* Lambda)^{-1} = I + T_K* core^{-1} T_K  (exact on the window)."""
     lhs = ctx.ill_inv
-    rhs = np.eye(lhs.shape[0], dtype=complex) + ctx.Tk.conj().T @ (ctx.core_inv @ ctx.Tk)
+    Tk = dense_toeplitz(ctx)[1]
+    rhs = np.eye(lhs.shape[0], dtype=complex) + Tk.conj().T @ (ctx.core_inv @ Tk)
     return _rel(np.linalg.norm(lhs - rhs), np.linalg.norm(rhs))
 
 
 def identity_lambda_gram(ctx):
     """Lambda (I - Lambda* Lambda)^{-1} = T_G* core^{-1} T_K  (exact on the window)."""
     lhs = ctx.lam @ ctx.ill_inv
-    rhs = ctx.Tg.conj().T @ (ctx.core_inv @ ctx.Tk)
+    Tg, Tk = dense_toeplitz(ctx)
+    rhs = Tg.conj().T @ (ctx.core_inv @ Tk)
     return _rel(np.linalg.norm(lhs - rhs), np.linalg.norm(rhs))
 
 
 def identity_shift_compression(ctx, which="g"):
     """T_F E E* T_F* = T_F T_F* - S T_F T_F* S* for F in {G, K}; the truncated
     version is exact on the leading N-1 block rows and columns."""
-    T = ctx.Tg if which == "g" else ctx.Tk
+    T = dense_toeplitz(ctx)[0 if which == "g" else 1]
     cols = ctx.p if which == "g" else ctx.q
     E = T[:, :cols]
     prod = herm(T @ T.conj().T)
@@ -251,8 +280,8 @@ def identity_kernel_resolvent(ctx, z, Gz, Kz):
 def identity_theta_resolvent(ctx, theta, z):
     """Theta(z) N* gram^{-1} = E_p* (I-zS_p*)^{-1} T_G* gram^{-1} (I-zS_m*) S_m,
     compared on the leading half block columns at interior z."""
-    lhs = theta.sample(z) @ (theta.Nop.conj().T @ ctx.gram_inv)
-    T1 = resolvent_up(ctx.Tg.conj().T, z, ctx.p)[:ctx.p]
+    lhs = theta_sample(theta, z) @ (theta.Nop.conj().T @ ctx.gram_inv)
+    T1 = resolvent_up(dense_toeplitz(ctx)[0].conj().T, z, ctx.p)[:ctx.p]
     T2 = T1 @ ctx.gram_inv
     # T2 (I - z S_m*) S_m: on the right, S_m* shifts the columns one block
     # right and S_m one block left

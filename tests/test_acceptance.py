@@ -43,6 +43,7 @@ from tests.reference import (
     identity_shift_compression,
     hermitian_posdef_check,
     k_of,
+    theta_sample,
 )
 from tests.conftest import circle_points, fixed_point_riccati, interior_points
 
@@ -243,7 +244,7 @@ def test_criterion_09_degenerate_numerators(
 
     ctx = oracle_cache(kernel_case.data, 300)
     theta = oracle_theta(ctx, kernel_case.derived.Theta0)
-    theta_worst = max(float(np.linalg.norm(evaluate(c.U11, z) - theta.sample(z)))
+    theta_worst = max(float(np.linalg.norm(evaluate(c.U11, z) - theta_sample(theta, z)))
                       for z in zs)
 
     dsq = corona_square_case.derived
@@ -284,7 +285,7 @@ def test_criterion_10_kernel_defect_and_innerness(battery, oracle_cache):
         theta = oracle_theta(oracle_cache(item.data, 300), item.derived.Theta0)
         eye = np.eye(item.data.p - item.data.m)
         for z in boundary:
-            T = theta.sample(z)
+            T = theta_sample(theta, z)
             worst_inner = max(worst_inner,
                               float(np.linalg.norm(T.conj().T @ T - eye)))
     ok = worst_defect <= 1e-6 and worst_inner <= 1e-5

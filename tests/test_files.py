@@ -70,11 +70,17 @@ class TestRoundTrip:
 
     def test_coefficients_document(self, battery):
         c = battery[0].coeffs
-        doc = coefficients_to_dict(c, build_redheffer(c))
+        phi = build_redheffer(c)
+        doc = coefficients_to_dict(c, phi)
         out = coefficients_from_dict(json.loads(json.dumps(doc)))
-        assert np.array_equal(out["Theta0"], c.Theta0)
-        assert np.array_equal(out["U22"].D, c.U22.D)
-        assert np.array_equal(out["Phi12"].A, out["Phi12"].A)
+        for name in ("Theta0", "Delta0", "Delta1"):
+            assert np.array_equal(out[name], getattr(c, name)), name
+        for source, names in ((c, ("U11", "U12", "U21", "U22")),
+                              (phi, ("Phi11", "Phi12", "Phi21", "Phi22"))):
+            for name in names:
+                for part in ("A", "B", "C", "D"):
+                    assert np.array_equal(getattr(out[name], part),
+                                          getattr(getattr(source, name), part)), f"{name}.{part}"
 
 
 def _same_value(got, doc, where="doc"):

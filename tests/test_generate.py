@@ -1,5 +1,6 @@
 """Instance generator: determinism, kinds, dimension control, contractions."""
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -7,13 +8,14 @@ import pytest
 
 from leechsolve import generate, toeplitz
 from leechsolve.core import solve, validate
-from leechsolve.errors import InfeasibleError
+from leechsolve.errors import DimensionError, InfeasibleError
 from leechsolve.generate import (
     EST_ORDER,
     random_contraction,
     random_problem,
     random_stable_matrix,
 )
+from leechsolve.linalg import is_schur_stable
 from leechsolve.realization import Realization, evaluate, hinf_norm_estimate
 from leechsolve.toeplitz import OracleContext, toeplitz_gram, truncate
 
@@ -75,6 +77,56 @@ class TestRandomProblem:
         assert meta["seed"] == 99
         assert meta["kind"] == "feasible"
         assert meta["attempt"] >= 1
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("random_problem drew before it checked its arguments")
+
+
+class TestArguments:
+    """Arguments are checked before any random number is drawn."""
+
+    def test_unknown_kind_raises(self, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", _no_draw)
+        with pytest.raises(ValueError, match="feasible, infeasible, kernel, corona"):
+            random_problem(3, kind="feasable")
+
+    @pytest.mark.parametrize("kind, dims, rule", [
+        ("feasible", (2, 2, 1, 1), "1 <= m <= p <= n + m"),  # p < m
+        ("feasible", (2, 1, 4, 1), "1 <= m <= p <= n + m"),  # p > n + m
+        ("feasible", (3, 1, 2, 0), "q >= 1"),  # no K to scale
+        ("infeasible", (3, 1, 2, 0), "q >= 1"),
+    ], ids=["p_below_m", "p_above_n_plus_m", "feasible_no_K", "infeasible_no_K"])
+    def test_bad_dims_raise(self, monkeypatch, kind, dims, rule):
+        monkeypatch.setattr(np.random, "default_rng", _no_draw)
+        with pytest.raises(DimensionError, match=re.escape(rule)):
+            random_problem(0, kind=kind, dims=dims)
+
+
+class TestSquareDraws:
+    """A square G (p = m) of every kind but infeasible is outer: G^-1 is stable."""
+
+    DIMS = (3, 2, 2, 1)
+
+    def test_square_draws_are_outer(self, corona_square_case):
+        # seed 3 first draws an A - B1 D1^-1 C with an eigenvalue of modulus
+        # 1.0004, so G^-1 has a pole in the disc and the data are infeasible,
+        # though the margins at N = 50 and 100 are positive: it is redrawn
+        data, meta = random_problem(3, dims=self.DIMS)
+        assert meta["attempt"] > 1
+        assert is_schur_stable(data.A - data.B1 @ np.linalg.solve(data.D1, data.C))
+        assert solve(data).margins["gap_min_eig"] > 0.0
+        # the check draws no random number: an outer draw keeps its bits
+        data, meta = corona_square_case.data, corona_square_case.meta
+        first, _ = generate._draw_once(np.random.default_rng(30), "corona", (3, 2, 2, 2))
+        assert meta["attempt"] == 1
+        for name in ("A", "B1", "B2", "C", "D1", "D2"):
+            assert np.array_equal(getattr(data, name), getattr(first, name))
+
+    def test_square_kernel_draws_solve(self):
+        for seed in range(60):
+            data, _ = random_problem(seed, kind="kernel", dims=self.DIMS)
+            assert solve(data).margins["gap_min_eig"] > 0.0
 
 
 def probe_margins(data, meta):

@@ -21,15 +21,14 @@ from leechsolve.realization import (
     evaluate,
     hconcat,
     hinf_norm_estimate,
-    identity,
     inverse,
-    observability_matrix,
     product,
     taylor_blocks,
     vconcat,
     zeros,
 )
 from tests.conftest import circle_points, interior_points
+from tests.reference import observability_matrix
 
 
 def _random_realization(seed, out_dim, in_dim, n=3):
@@ -97,7 +96,7 @@ class TestAlgebra:
 
     def test_identity_is_neutral(self):
         F = _random_realization(9, 2, 2)
-        H = product(F, identity(2))
+        H = product(F, constant(np.eye(2)))
         for z in interior_points(8):
             np.testing.assert_allclose(evaluate(H, z), evaluate(F, z), atol=1e-12)
 
