@@ -21,16 +21,13 @@ import numpy as np
 
 from .errors import NotInvertibleError, ParameterError, StabilityError
 from .linalg import DEFAULT_TOL, INVERT_RATIO, is_schur_stable, spectral_norm
-from .realization import NORM_GRID, Realization, evaluate, hinf_norm_estimate, zeros
+from .realization import NORM_GRID, Realization, circle_values, hinf_norm_estimate, zeros
 
 log = logging.getLogger("leechsolve.coefficients")
 
-REPORT_POINTS = 64  # circle samples of solution_report and j_inner_defect
-
-
-def _report_points():
-    """The REPORT_POINTS equispaced points on the unit circle, from 1."""
-    return np.exp(1j * (2.0 * np.pi * np.arange(REPORT_POINTS) / REPORT_POINTS))
+# roots of unity sampled by solution_report and j_inner_defect; every
+# NORM_GRID // REPORT_POINTS-th point of the norm grid is one of them
+REPORT_POINTS = 64
 
 
 @dataclass
@@ -98,12 +95,13 @@ def build_upsilon(derived):
 
 
 def j_inner_defect(coeffs):
-    """sup over REPORT_POINTS circle samples of || U(z)* J1 U(z) - J2 || with
-    J1 = diag(I_p, -I_q), J2 = diag(I_{p-m}, -I_q)."""
+    """sup over the REPORT_POINTS roots of unity of || U(z)* J1 U(z) - J2 ||
+    with J1 = diag(I_p, -I_q), J2 = diag(I_{p-m}, -I_q), U read by
+    circle_values."""
     p, q, k = coeffs.p, coeffs.q, coeffs.free_dim
     J1 = np.diag(np.concatenate([np.ones(p), -np.ones(q)])).astype(complex)
     J2 = np.diag(np.concatenate([np.ones(k), -np.ones(q)])).astype(complex)
-    U = evaluate(coeffs.joint, _report_points())
+    U = circle_values(coeffs.joint, REPORT_POINTS)
     return float(np.max(spectral_norm(np.swapaxes(U.conj(), 1, 2) @ J1 @ U - J2)))
 
 
@@ -275,14 +273,18 @@ def apply_redheffer(phi, Y):
 
 def solution_report(derived, coeffs, X):
     """Verification appendix for a computed solution: interpolation residual
-    and indefinite-metric defect of the coefficients on REPORT_POINTS circle
-    samples, the sup-norm estimate of X (hinf_norm_estimate), and the margins
-    of solve, an empty extremum (inf) as None so the artifact is strict JSON."""
-    zs = _report_points()
-    GK = evaluate(derived.data.joint(), zs)  # [G(z)  K(z)], one solve
+    and indefinite-metric defect of the coefficients at the REPORT_POINTS
+    roots of unity, the sup-norm estimate of X (hinf_norm_estimate), and the
+    margins of solve, an empty extremum (inf) as None so the artifact is
+    strict JSON.  X is read once, on the norm's NORM_GRID roots of unity,
+    and the residual takes every (NORM_GRID // REPORT_POINTS)-th of them;
+    [G  K] and the coefficients are read by circle_values too."""
+    grid = circle_values(X, NORM_GRID)
+    GK = circle_values(derived.data.joint(), REPORT_POINTS)  # [G(z)  K(z)], one FFT
     p = derived.data.p
-    residual = float(np.max(spectral_norm(GK[:, :, :p] @ evaluate(X, zs) - GK[:, :, p:])))
-    norm = hinf_norm_estimate(X)
+    Xz = grid[::NORM_GRID // REPORT_POINTS]  # X at the REPORT_POINTS roots of unity
+    residual = float(np.max(spectral_norm(GK[:, :, :p] @ Xz - GK[:, :, p:])))
+    norm = hinf_norm_estimate(X, grid)
     defect = j_inner_defect(coeffs)
     return {
         "interpolation_residual": residual,

@@ -12,6 +12,11 @@ attempted.  An inverse keeps its operand's state.  Chains of these grow the
 state, so the coefficients module forms solutions in closed form on the
 shared state instead.  `evaluate` takes one point or a 1-D array of points,
 the latter in batched solves of at most EVAL_ENTRIES resolvent entries each.
+At the L-th roots of unity, `circle_values` reads F from one FFT of its
+exactly aliased Taylor blocks, with no resolvent solve per point: the
+512-point grid of hinf_norm_estimate and the report grids of the
+coefficients module are read that way, and `evaluate` serves every other
+point (the norm's zooms, the oracle's interior points).
 """
 
 from dataclasses import dataclass
@@ -21,9 +26,9 @@ import numpy as np
 from .errors import DimensionError, EvaluationError, NotInvertibleError, StabilityError
 from .linalg import INVERT_RATIO, as_cmatrix, is_schur_stable, spectral_norm
 
-NORM_GRID = 512  # circle points hinf_norm_estimate starts from
+NORM_GRID = 512  # roots of unity hinf_norm_estimate starts from
 # n x n entries that one batched resolvent solve of evaluate holds at most:
-# 16 MB of complex numbers, so up to n = 45 the 512-point grid is one solve
+# 16 MB of complex numbers, so up to n = 45 512 points are one solve
 EVAL_ENTRIES = 2 ** 20
 
 
@@ -151,6 +156,49 @@ def taylor_blocks(F, count):
     return blocks
 
 
+def circle_values(F, L):
+    """Values F(w^k), k = 0 .. L-1, at the L-th roots of unity w^k =
+    exp(2 pi i k / L), stacked with shape (L, out_dim, in_dim) like a batched
+    evaluate, from one FFT of L aliased Taylor blocks.
+
+    The aliasing identity: for |z| = 1 and rho(A) < 1, F(z) = D + sum over
+    j >= 1 of z^j C A^(j-1) B.  At z = w^k the power z^j depends on j only
+    through j mod L, so writing j = r + L t with r = 1 .. L and t >= 0 and
+    summing the geometric series in A^L,
+
+        F(w^k) = sum_{r=0}^{L-1} a_r w^(k r),   W = (I - A^L)^{-1} B,
+        a_r = C A^(r-1) W  (r = 1 .. L-1),   a_0 = D + C A^(L-1) W,
+
+    the r = L term joining D, as w^(k L) = 1.  Nothing is truncated: both
+    sides are rational in A and agree wherever I - A^L is invertible.  The
+    sum is L times an inverse DFT of the blocks, which numpy's ifft with
+    norm="forward" gives unscaled.  The blocks C A^(r-1) are
+    observability_blocks(C, A, L), all multiplied by W in one
+    (L out_dim x n) @ (n x in_dim) product; A^L comes from binary powering,
+    so any L is exact, not only a power of two.  Cost: O(n^3 log L +
+    L out_dim n (n + in_dim)) and an FFT, against L resolvent solves.
+
+    Error, for a Schur stable A: each block carries the doubling's
+    componentwise error, a modest multiple of r (n + 1) eps |C| |A|^r
+    (observability_blocks), so a non-normal A whose powers ||C A^r||
+    rise before they decay passes that transient into the values; and the
+    solve for W adds cond(I - A^L) eps, about eps / (1 - rho^L) for a
+    normal A of spectral radius rho, which stays modest unless rho^L is
+    near 1 (rho = 0.99999 at L = 512: about 200).  Raises EvaluationError
+    when I - A^L is singular, that is when F has a pole at an L-th root of
+    unity; DimensionError for L < 1.
+    """
+    if L < 1:
+        raise DimensionError(f"circle_values needs L >= 1 roots of unity, got {L}")
+    try:
+        W = np.linalg.solve(np.eye(F.state_dim) - np.linalg.matrix_power(F.A, L), F.B)
+    except np.linalg.LinAlgError as exc:
+        raise EvaluationError(f"I - A^{L} is singular: a pole at an {L}-th root of unity") from exc
+    O = observability_blocks(F.C, F.A, L).reshape(L * F.out_dim, F.state_dim)
+    P = (O @ W).reshape(L, F.out_dim, F.in_dim)  # P[s] = C A^s W
+    return np.fft.ifft(np.concatenate([(F.D + P[-1])[None], P[:-1]]), axis=0, norm="forward")
+
+
 def _block_diag(X, Y):
     """The block-diagonal matrix diag(X, Y), of the composed state spaces below."""
     return np.block([[X, np.zeros((X.shape[0], Y.shape[1]), dtype=complex)],
@@ -232,24 +280,45 @@ def inverse(F):
     return Realization(A, B, C, D)
 
 
-def hinf_norm_estimate(F):
+def _grid_max(values):
+    """Largest spectral norm in a stack of matrices, and the first index
+    holding it, as np.max and np.argmax of spectral_norm(values) give them,
+    bit for bit.  ||M||_2 <= ||M||_F, so only points whose Frobenius norm
+    reaches the spectral norm at the Frobenius maximum can hold the maximum
+    or tie with it; the others are screened out.  The screen's margin,
+    1e-12 relative, covers the rounding of both norms (a few eps for the
+    sizes here), so no point that rounds to the maximum is dropped."""
+    fro = np.linalg.norm(values, axis=(1, 2))
+    floor = spectral_norm(values[int(np.argmax(fro))])
+    keep = np.flatnonzero(fro >= (1.0 - 1e-12) * floor)
+    norms = spectral_norm(values[keep])
+    i = int(np.argmax(norms))
+    return float(norms[i]), int(keep[i])
+
+
+def hinf_norm_estimate(F, grid=None):
     """Lower bound for sup_{|z|=1} ||F(z)||: the largest ||F(z)|| sampled on
-    a NORM_GRID-point circle grid and on four zooms, each one batched
+    the NORM_GRID roots of unity and on four zooms, each one batched
     evaluate of 17 points spread over one step of the previous pass either
-    side of its best point (last spacing: 1/4096 of a grid step)."""
+    side of its best point (last spacing: 1/4096 of a grid step).
+
+    The grid is read by circle_values, or is `grid` when the caller holds
+    circle_values(F, NORM_GRID) already; spectral norms are taken only where
+    the Frobenius screen of _grid_max leaves a point, with the full pass's
+    maximum and best point."""
     if F.state_dim and not is_schur_stable(F.A):
         raise StabilityError("H-infinity norm needs a stable function")
     if F.out_dim == 0 or F.in_dim == 0:
         return 0.0
     if F.state_dim == 0:
         return spectral_norm(F.D)
+    best, j = _grid_max(circle_values(F, NORM_GRID) if grid is None else grid)
     step = 2.0 * np.pi / NORM_GRID
-    thetas = step * np.arange(NORM_GRID)
-    best = 0.0
-    for _ in range(5):  # the grid, then the four zooms
+    thetas = step * j + step * np.linspace(-1.0, 1.0, 17)
+    for _ in range(4):  # the four zooms
+        step /= 8.0
         values = spectral_norm(evaluate(F, np.exp(1j * thetas)))
         j = int(np.argmax(values))
         best = max(best, float(values[j]))
         thetas = thetas[j] + step * np.linspace(-1.0, 1.0, 17)
-        step /= 8.0
     return best

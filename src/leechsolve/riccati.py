@@ -255,7 +255,8 @@ def _doubling(A, Gamma, R0, C):
         Q, GQG, qnorm = Qn, GQGn, np.linalg.norm(Qn, axis=(-2, -1))
         for j in np.flatnonzero(step <= 1e-13 * (1.0 + qnorm)):
             if out[j] is None:
-                out[j] = _finish(A, Gamma[j], R0[j], C, Q[j], GQG[j], k)
+                # a copy: the view Q[j] would keep the whole stack alive
+                out[j] = _finish(A, Gamma[j], R0[j], C, Q[j].copy(), GQG[j], k)
         if all(sol is not None for sol in out):
             return out
     raise BreakdownError("Riccati doubling did not converge in 64 doublings")

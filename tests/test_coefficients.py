@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from leechsolve import coefficients
+from leechsolve import coefficients, realization
 from leechsolve.coefficients import (
     apply_lft,
     apply_redheffer,
@@ -252,24 +252,58 @@ class TestSolutionReport:
         assert rep["norm_grid"] == 512 and rep["circle_points"] == 64
 
     def test_g_and_k_are_evaluated_together(self, battery, monkeypatch):
-        # the residual G X - K reads [G  K] from one evaluate on data.A
+        # the residual G X - K reads [G  K] from one circle_values on data.A,
+        # and agrees with per-point evaluate
         item = battery[5]
         X0 = central_solution(item.coeffs)
-        real = coefficients.evaluate
+        real = coefficients.circle_values
         state_matrices = []
 
-        def recording(F, z):
+        def recording(F, L):
             state_matrices.append(F.A)
-            return real(F, z)
+            return real(F, L)
 
-        monkeypatch.setattr(coefficients, "evaluate", recording)
+        monkeypatch.setattr(coefficients, "circle_values", recording)
         rep = solution_report(item.derived, item.coeffs, X0)
         A = item.data.A
         assert sum(M.shape == A.shape and np.array_equal(M, A) for M in state_matrices) == 1
         zs = np.exp(2j * np.pi * np.arange(64) / 64)
         G, K = g_of(item.data), k_of(item.data)
-        ref = max(spectral_norm(real(G, z) @ real(X0, z) - real(K, z)) for z in zs)
+        ref = max(spectral_norm(evaluate(G, z) @ evaluate(X0, z) - evaluate(K, z)) for z in zs)
         assert abs(rep["interpolation_residual"] - ref) <= 1e-12
+
+    def test_each_function_is_read_once(self, battery, monkeypatch):
+        # X on the norm grid, [G  K] and the coefficients on the report grid;
+        # evaluate serves only the norm estimate's four zooms of 17 points
+        item = battery[2]
+        X0 = central_solution(item.coeffs)
+        grids, points = [], []
+        real_grid, real_evaluate = coefficients.circle_values, realization.evaluate
+
+        def grid(F, L):
+            grids.append((F, L))
+            return real_grid(F, L)
+
+        def evaluate_counted(F, z):
+            points.append(np.size(z))
+            return real_evaluate(F, z)
+
+        monkeypatch.setattr(coefficients, "circle_values", grid)
+        monkeypatch.setattr(realization, "evaluate", evaluate_counted)
+        solution_report(item.derived, item.coeffs, X0)
+        assert [(F is X0, L) for F, L in grids] == [(True, 512), (False, 64), (False, 64)]
+        assert grids[2][0] is item.coeffs.joint
+        assert points == [17] * 4
+
+    def test_metric_defect_matches_per_point_evaluate(self, battery):
+        for item in battery:
+            c = item.coeffs
+            p, q, k = c.p, c.q, c.free_dim
+            J1 = np.diag(np.r_[np.ones(p), -np.ones(q)])
+            J2 = np.diag(np.r_[np.ones(k), -np.ones(q)])
+            ref = max(spectral_norm(evaluate(c.joint, z).conj().T @ J1 @ evaluate(c.joint, z) - J2)
+                      for z in np.exp(2j * np.pi * np.arange(64) / 64))
+            assert abs(j_inner_defect(c) - ref) <= 1e-12
 
 
 class TestSharedState:

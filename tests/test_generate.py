@@ -291,3 +291,12 @@ class TestRandomContraction:
     def test_custom_bound(self):
         Y = random_contraction(5, 1, 1, norm_bound=0.5)
         assert hinf_norm_estimate(Y) <= 0.5 + 1e-9
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (2, 1), (1, 2), (2, 3)])
+    def test_estimate_stays_at_its_bound(self, rows, cols):
+        # Y is scaled by the estimate of its draw, so Y's own estimate, read
+        # from a grid of rounded values, may sit above the bound by rounding only
+        for seed in range(40):
+            for bound in (0.9, 0.5):
+                Y = random_contraction(seed, rows, cols, norm_bound=bound)
+                assert hinf_norm_estimate(Y) <= bound + 1e-12, (seed, bound)

@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 
 from leechsolve import realization
-from leechsolve.coefficients import apply_lft, central_solution
+from leechsolve.coefficients import apply_lft, build_upsilon, central_solution
+from leechsolve.core import solve
 from leechsolve.errors import (
     DimensionError,
     EvaluationError,
     NotInvertibleError,
     StabilityError,
 )
-from leechsolve.generate import random_contraction, random_stable_matrix
+from leechsolve.generate import random_contraction, random_problem, random_stable_matrix
 from leechsolve.linalg import spectral_norm
 from leechsolve.realization import (
     NORM_GRID,
     Realization,
+    _grid_max,
     add,
+    circle_values,
     constant,
     evaluate,
     hconcat,
@@ -288,3 +291,152 @@ class TestBatchedEvaluation:
             calls.clear()
             hinf_norm_estimate(F)
             assert 0 < len(calls) <= 5 and all(ndim == 1 for ndim in calls)
+
+
+def _roots(L):
+    return np.exp(2j * np.pi * np.arange(L) / L)
+
+
+def _grid_error(F, L, every=1):
+    """Largest entry of circle_values(F, L) - evaluate at every `every`-th
+    of the L roots of unity, relative to the grid's largest entry."""
+    grid = circle_values(F, L)
+    assert grid.shape == (L, F.out_dim, F.in_dim)
+    gap = np.abs(grid[::every] - evaluate(F, _roots(L)[::every])).max(initial=0.0)
+    return gap / max(np.abs(grid).max(initial=0.0), np.finfo(float).tiny)
+
+
+def _answer(data):
+    """[G  K], the coefficients and the central solution of one instance."""
+    coeffs = build_upsilon(solve(data))
+    return data.joint(), coeffs.joint, central_solution(coeffs)
+
+
+class TestCircleValues:
+    """F at the L-th roots of unity from one FFT of the aliased Taylor blocks."""
+
+    @pytest.mark.parametrize("L", [1, 3, 64, 100, 512])
+    def test_matches_per_point_evaluate(self, L):
+        F = _random_realization(18, 2, 3, n=4)
+        grid = circle_values(F, L)
+        scale = np.abs(grid).max()
+        for z, value in zip(_roots(L), grid):
+            assert np.abs(value - evaluate(F, z)).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("L", [1, 3, 64])
+    def test_no_state_gives_the_constant(self, L):
+        D = np.array([[1.0, 2.0j], [0.5, -1.0]])
+        grid = circle_values(constant(D), L)
+        assert grid.shape == (L, 2, 2)
+        for z, value in zip(_roots(L), grid):
+            np.testing.assert_allclose(value, evaluate(constant(D), z), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("out_dim, in_dim", [(0, 2), (2, 0), (0, 0)])
+    def test_empty_sides(self, out_dim, in_dim):
+        F = _random_realization(19, out_dim, in_dim, n=3)
+        for L in (1, 64):
+            assert circle_values(F, L).shape == (L, out_dim, in_dim)
+
+    def test_no_points_is_a_dimension_error(self):
+        with pytest.raises(DimensionError):
+            circle_values(_random_realization(20, 2, 3), 0)
+
+    def test_pole_on_the_grid_raises(self):
+        # F(z) = z / (1 + z) has its pole at -1, a root of unity for even L
+        F = Realization(np.array([[-1.0]]), np.array([[1.0]]),
+                        np.array([[1.0]]), np.array([[0.0]]))
+        with pytest.raises(EvaluationError):
+            circle_values(F, 64)
+
+    def test_joint_data_coefficients_and_central_solution(self, battery):
+        for item in battery:
+            for F in (item.data.joint(), item.coeffs.joint, central_solution(item.coeffs)):
+                for L in (64, NORM_GRID):
+                    assert _grid_error(F, L) <= 1e-12
+
+    def test_seeds_of_every_kind(self, draws):
+        for kind in ("feasible", "kernel", "corona", "infeasible"):
+            for seed in range(40):
+                data = draws[seed] if kind == "feasible" else random_problem(seed, kind=kind)[0]
+                functions = (data.joint(),) if kind == "infeasible" else _answer(data)
+                for F in functions:
+                    assert _grid_error(F, NORM_GRID) <= 1e-12, (kind, seed)
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_ladder_draws(self, n):
+        # at n >= 64 every 8th point is compared, the report grid's points
+        every = 1 if n < 64 else NORM_GRID // 64
+        data, _ = random_problem(1000, dims=(n, 2, 3, 2))
+        for F in _answer(data):
+            assert _grid_error(F, NORM_GRID, every) <= 1e-12
+
+    @pytest.mark.parametrize("rho", [0.99, 0.9999, 0.99999])
+    def test_spectral_radius_near_one(self, rho):
+        # I - A^L has condition number about 1 / (1 - rho^L): 1.0 at rho =
+        # 0.99 and about 200 at rho = 0.99999
+        for seed in (0, 2, 7):
+            G = random_problem(seed)[0].joint()
+            scale = rho / np.abs(np.linalg.eigvals(G.A)).max()
+            F = Realization(scale * G.A, G.B, G.C, G.D)
+            for L in (64, NORM_GRID):
+                assert _grid_error(F, L) <= 1e-12, (seed, L)
+
+
+def _blaschke(a):
+    """The Blaschke factor (z - a) / (1 - conj(a) z) = -a + z (1 - |a|^2) / (1 - conj(a) z)."""
+    return Realization(np.array([[np.conj(a)]]), np.array([[1.0 - abs(a) ** 2]]),
+                       np.array([[1.0]]), np.array([[-a]]))
+
+
+class TestGridScreen:
+    """_grid_max takes spectral norms only where the Frobenius norm can win."""
+
+    @staticmethod
+    def full_pass(values):
+        norms = spectral_norm(values)
+        return float(np.max(norms)), int(np.argmax(norms))
+
+    def test_matches_a_full_pass(self, battery):
+        rng = np.random.default_rng(20)
+        stacks = [rng.standard_normal((NORM_GRID, r, c)) + 1j * rng.standard_normal((NORM_GRID, r, c))
+                  for r, c in ((1, 1), (2, 1), (1, 3), (2, 2), (4, 3))]
+        stacks += [circle_values(F, NORM_GRID) for F in _function_battery(battery)]
+        for values in stacks:
+            assert _grid_max(values) == self.full_pass(values)
+
+    def test_ties_give_the_first_index(self):
+        # the largest matrix four times, once scaled by a unitary (its spectral
+        # norm may move in the last bit), and once with a larger Frobenius norm
+        rng = np.random.default_rng(21)
+        values = 0.1 * (rng.standard_normal((NORM_GRID, 2, 2))
+                        + 1j * rng.standard_normal((NORM_GRID, 2, 2)))
+        top = np.diag([3.0, 1.0]).astype(complex)
+        for j in (40, 41, 300, 511):
+            values[j] = top
+        values[200] = np.array([[0.0, 1.0], [1.0, 0.0]]) @ top
+        values[10] = np.diag([3.0, 2.9])
+        best, j = _grid_max(values)
+        assert (best, j) == self.full_pass(values)
+        assert j == 10 and best == spectral_norm(top)
+
+    def test_constant_norm_screens_nothing(self, monkeypatch):
+        # an inner function has norm 1 at every point, so every point is kept
+        sizes = []
+
+        def counted(M):
+            sizes.append(np.shape(M)[:-2])
+            return spectral_norm(M)
+
+        monkeypatch.setattr(realization, "spectral_norm", counted)
+        inner = vconcat(hconcat(_blaschke(0.5 - 0.3j), zeros(1, 1)),
+                        hconcat(zeros(1, 1), _blaschke(-0.8j)))  # diag(b1, b2)
+        for F in (_blaschke(0.5 - 0.3j), _blaschke(-0.8j), inner):
+            values = circle_values(F, NORM_GRID)
+            sizes.clear()
+            assert _grid_max(values) == self.full_pass(values)
+            assert sizes[1] == (NORM_GRID,)
+            assert hinf_norm_estimate(F) == pytest.approx(1.0, abs=1e-12)
+
+    def test_a_held_grid_gives_the_same_estimate(self, battery):
+        for F in _function_battery(battery):
+            assert hinf_norm_estimate(F, circle_values(F, NORM_GRID)) == hinf_norm_estimate(F)
